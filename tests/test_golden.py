@@ -1,0 +1,65 @@
+"""Golden-output guard for the ``run`` and ``bench`` TSVs.
+
+Every case runs the command line in-process on fixed generated instances
+and compares its TSV byte for byte with ``tests/golden/<case>.tsv`` after
+masking the timing columns (``rmp_time``, ``pricing_time``, ``total_time``).
+The cases cover phase-one rows, the ``optimal``, ``rc_converged`` and
+``gap_closed`` statuses, and ``error:`` rows of an infeasible file.
+
+The fixtures were written once, from the repository root, by::
+
+    PYTHONPATH=src:tests python -c "import pathlib, tempfile, test_golden as g; \
+        [pathlib.Path('tests/golden', c + '.tsv').write_text(g.render(c, pathlib.Path(tempfile.mkdtemp()))) for c in g.CASES]"
+"""
+
+from pathlib import Path
+
+import pytest
+
+from gapcg.cli import main
+from gapcg.instance import GeneratorSpec, generate, serialize
+
+GOLDEN = Path(__file__).parent / "golden"
+METHODS = ("dantzig", "pessoa", "lt", "mt", "lr")
+TIMING = ("rmp_time", "pricing_time", "total_time")
+INSTANCES = {
+    "g3x12.txt": lambda: serialize(generate(GeneratorSpec(3, 12, seed=7))),
+    "g4x24.txt": lambda: serialize(generate(GeneratorSpec(4, 24, seed=3))),
+    "infeasible.txt": lambda: "1 2\n1 1\n9 9\n3\n",
+}
+CASES = [f"run-{Path(name).stem}-{method}" for name in ("g3x12.txt", "g4x24.txt")
+         for method in METHODS] + ["bench"]
+
+
+def mask_timing(text: str) -> str:
+    """Replace every non-empty timing cell by ``*``."""
+    header, *rows = text.splitlines()
+    masked = {k for k, col in enumerate(header.split("\t")) if col in TIMING}
+    out = [header]
+    for row in rows:
+        cells = row.split("\t")
+        out.append("\t".join("*" if k in masked and c != "-" else c
+                             for k, c in enumerate(cells)))
+    return "\n".join(out) + "\n"
+
+
+def render(case: str, workdir: Path) -> str:
+    """Masked TSV the command line writes for one case."""
+    paths = {}
+    for name, text in INSTANCES.items():
+        paths[name] = workdir / name
+        paths[name].write_text(text())
+    out = workdir / f"{case}.tsv"
+    if case == "bench":
+        argv = ["bench", *(str(p) for p in paths.values()),
+                "--methods", ",".join(METHODS), "--seeds", "0,1"]
+    else:
+        _, stem, method = case.split("-")
+        argv = ["run", str(paths[f"{stem}.txt"]), "--method", method, "--seed", "0"]
+    assert main([*argv, "--output", str(out)]) == 0
+    return mask_timing(out.read_text())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_tsv_matches_golden(case, tmp_path):
+    assert render(case, tmp_path) == (GOLDEN / f"{case}.tsv").read_text()
