@@ -15,7 +15,7 @@ from .lagrangian import lr_evaluate, lr_solve
 from .pricing import (LtState, PessoaState, PricingOutcome, TemplateSet,
                       dantzig_price, lt_price, mt_price, pessoa_round,
                       similarity_class)
-from .rmp import (AGE_POLICIES, AgePolicy, Column, ColumnPool,
+from .rmp import (AGE_POLICIES, Column, ColumnPool,
                   MasterInfeasibleError, RmpSolution, RmpWarmHandle,
                   age_threshold, build_and_solve, extract_integer_solution,
                   manage_columns, project_primal, solve_compact_lp)

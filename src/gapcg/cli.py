@@ -6,8 +6,9 @@ import argparse
 import math
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import driver, instance, rmp
 
@@ -110,16 +111,10 @@ def _make_config(args, method: str, seed: int) -> driver.CgConfig:
     if args.age_a2 is not None or args.age_a1 is not None or args.age_a0 is not None:
         override = (args.age_a2 or 0.0, args.age_a1 or 0.0,
                     args.age_a0 if args.age_a0 is not None else 1.0)
-    return driver.CgConfig(pricing_method=method if method != "lr" else "lt",
+    return driver.CgConfig(pricing_method=method,
                            epsilon=args.epsilon, time_limit=args.time_limit,
                            mip_gap=args.mip_gap, age_policy_override=override,
                            template_delta=args.delta, seed=seed)
-
-
-def _execute(inst: instance.GapInstance, method: str, cfg: driver.CgConfig) -> driver.RunReport:
-    if method == "lr":
-        return driver.run_lr(inst, cfg)
-    return driver.run(inst, cfg)
 
 
 def _load_instances(path: str, fmt: str) -> list[instance.GapInstance]:
@@ -142,7 +137,7 @@ def cmd_run(args) -> int:
     for inst in instances:
         cfg = _make_config(args, args.method, args.seed)
         try:
-            report = _execute(inst, args.method, cfg)
+            report = driver.run(inst, cfg)
         except (instance.InfeasibleInstanceError, rmp.MasterInfeasibleError) as exc:
             print(f"error: {inst.name}: {exc}", file=sys.stderr)
             return 3
@@ -151,22 +146,27 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _bench_cell(task):
+def _bench_cell(task) -> dict:
+    """One bench row keyed by ``BENCH_COLUMNS``; a failing cell becomes an error row."""
     path_name, inst, method, seed, args_ns = task
     cfg = _make_config(args_ns, method, seed)
     t0 = time.perf_counter()
     try:
-        report = _execute(inst, method, cfg)
+        report = driver.run(inst, cfg)
     except (instance.InfeasibleInstanceError, rmp.MasterInfeasibleError) as exc:
-        return [path_name, method, seed, f"error:{exc}", None, None, None, None, None,
-                None, None, None, None, None, None, None]
+        return dict(zip(BENCH_COLUMNS, [path_name, method, seed, f"error:{exc}"]))
+    except Exception as exc:  # one bad cell must not abort the sweep
+        traceback.print_exc()
+        return dict(zip(BENCH_COLUMNS, [path_name, method, seed,
+                                        f"error:{type(exc).__name__}: {exc}"]))
     total = time.perf_counter() - t0
     ppc = (report.total_pivots / report.total_columns_added
            if report.total_columns_added else None)
-    return [report.instance, method, seed, report.status, len(report.rows),
-            report.phase1_iterations, report.lb_int, report.ub, report.gap_percent,
-            report.integral_final, report.total_pivots, report.total_columns_added,
-            ppc, report.total_rmp_time, report.total_pricing_time, total]
+    return dict(zip(BENCH_COLUMNS, [
+        report.instance, method, seed, report.status, len(report.rows),
+        report.phase1_iterations, report.lb_int, report.ub, report.gap_percent,
+        report.integral_final, report.total_pivots, report.total_columns_added,
+        ppc, report.total_rmp_time, report.total_pricing_time, total]))
 
 
 def cmd_bench(args) -> int:
@@ -187,21 +187,22 @@ def cmd_bench(args) -> int:
             rows = list(pool.map(_bench_cell, tasks))
     else:
         rows = [_bench_cell(t) for t in tasks]
+    summaries = []
     for method in methods:
-        cells = [r for r in rows if r[1] == method and r[3] is not None
-                 and not str(r[3]).startswith("error")]
+        cells = [r for r in rows if r["method"] == method
+                 and not r["status"].startswith("error")]
         if not cells:
             continue
-        times = [r[15] for r in cells]
-        iters = [r[4] for r in cells]
-        ppc = [r[12] for r in cells if r[12]]
-        integral = [r[9] for r in cells]
-        gaps = [r[8] for r in cells if r[8] is not None]
-        rows.append(["GEOMEAN", method, None, "summary", geomean(iters), None, None, None,
-                     sum(gaps) / len(gaps) if gaps else None,
-                     100.0 * sum(integral) / len(integral),
-                     None, None, geomean(ppc) if ppc else None, None, None, geomean(times)])
-    _write_tsv(rows, BENCH_COLUMNS, args.output)
+        ppc = [r["pivots_per_column"] for r in cells if r["pivots_per_column"]]
+        gaps = [r["gap_percent"] for r in cells if r["gap_percent"] is not None]
+        summaries.append({"instance": "GEOMEAN", "method": method, "status": "summary",
+                          "iterations": geomean([r["iterations"] for r in cells]),
+                          "gap_percent": sum(gaps) / len(gaps) if gaps else None,
+                          "integral": 100.0 * sum(r["integral"] for r in cells) / len(cells),
+                          "pivots_per_column": geomean(ppc) if ppc else None,
+                          "total_time": geomean([r["total_time"] for r in cells])})
+    _write_tsv([[r.get(c) for c in BENCH_COLUMNS] for r in rows + summaries],
+               BENCH_COLUMNS, args.output)
     return 0
 
 
@@ -221,13 +222,10 @@ def run_sweep(inst: instance.GapInstance, method: str, spec: SweepSpec,
             if time_fn is not None:
                 times.append(min(float(time_fn(tau, seed)), spec.time_limit))
                 continue
-            cfg = driver.CgConfig(pricing_method=base_cfg.pricing_method,
-                                  epsilon=base_cfg.epsilon, time_limit=spec.time_limit,
-                                  mip_gap=base_cfg.mip_gap,
-                                  age_policy_override=(0.0, 0.0, float(tau)),
-                                  template_delta=base_cfg.template_delta, seed=seed)
+            cfg = replace(base_cfg, pricing_method=method, time_limit=spec.time_limit,
+                          age_policy_override=(0.0, 0.0, float(tau)), seed=seed)
             t0 = time.perf_counter()
-            _execute(inst, method, cfg)
+            driver.run(inst, cfg)
             times.append(min(time.perf_counter() - t0, spec.time_limit))
         raw.append(times)
     per_tau = [geomean(times) for times in raw]
@@ -292,17 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gapcg",
                                      description="Column generation for the GAP")
     sub = parser.add_subparsers(dest="command", required=True)
+    cg_methods = list(rmp.AGE_POLICIES)
 
     p_run = sub.add_parser("run", help="solve one instance file")
     p_run.add_argument("instance")
-    p_run.add_argument("--method", choices=["dantzig", "pessoa", "lt", "mt", "lr"],
-                       default="lt")
+    p_run.add_argument("--method", choices=[*cg_methods, "lr"], default="lt")
     _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="compare methods over instances and seeds")
     p_bench.add_argument("instances", nargs="+")
-    p_bench.add_argument("--methods", default="dantzig,pessoa,lt,mt")
+    p_bench.add_argument("--methods", default=",".join(cg_methods))
     p_bench.add_argument("--seeds", default="0")
     p_bench.add_argument("--workers", type=int, default=1)
     _add_common(p_bench)
@@ -310,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="age-threshold sweep on one instance")
     p_sweep.add_argument("instance")
-    p_sweep.add_argument("--method", choices=["dantzig", "pessoa", "lt", "mt"],
-                         default="lt")
+    p_sweep.add_argument("--method", choices=cg_methods, default="lt")
     p_sweep.add_argument("--taus", required=True, help="comma-separated thresholds")
     p_sweep.add_argument("--replications", type=int, default=5)
     p_sweep.add_argument("--window", type=int, default=5)

@@ -1,8 +1,10 @@
-"""Column-generation driver: phase one, phase two, bounds, termination.
+"""Column-generation driver: one loop for both phases, bounds, termination.
 
 ``run`` executes the full loop for one instance and pricing method and
-returns a :class:`RunReport` with one row per iteration. ``run_lr`` wraps
-the Lagrangian baseline into the same report shape.
+returns a :class:`RunReport` with one row per iteration. Phase one is the
+same loop over a zero cost row: it minimizes the artificial sum and hands
+off to phase two once that reaches zero. ``run_lr`` wraps the Lagrangian
+baseline into the same report shape; ``run`` dispatches to it for ``"lr"``.
 
 Bounds bookkeeping: whenever an iteration priced with the true duals, the
 sum of negative minimum reduced costs added to the master objective is a
@@ -19,16 +21,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lagrangian, pricing, rmp
-from .instance import GapInstance, InfeasibleInstanceError, validate
+from .instance import GapInstance, require_valid
 from .pricing import LtState, PessoaState, PricingOutcome, TemplateSet
-from .rmp import AGE_POLICIES, AgePolicy, ColumnPool, RmpWarmHandle
+from .rmp import AGE_POLICIES, ColumnPool, RmpWarmHandle
 
-PHASE1_TOL = 1e-7
 RC_CONVERGENCE_TOL = 1e-6
 CEIL_GUARD = 1e-9
-
-METHODS = ("dantzig", "pessoa", "lt", "mt")
-TEMPLATE_METHODS = ("lt", "mt")
 
 
 @dataclass
@@ -41,7 +39,6 @@ class CgConfig:
     template_delta: float = 1e-6
     seed: int = 0
     pessoa_freeze_alpha: bool = False
-    lt_literal_mode: bool = False
     audit_column_management: bool = False
 
 
@@ -102,6 +99,7 @@ class RunReport:
     management_audits: list[ManagementAudit] = field(default_factory=list)
 
     def finish(self):
+        self.phase1_iterations = sum(r.phase == "1" for r in self.rows)
         self.total_pivots = sum(r.pivots for r in self.rows)
         self.total_columns_added = sum(r.columns_added for r in self.rows)
         self.total_rmp_time = sum(r.rmp_time for r in self.rows)
@@ -139,98 +137,77 @@ def _alpha_stats(values):
     return min(values), sum(values) / len(values), max(values)
 
 
-class _Pricer:
-    """Per-method dispatch; owns the warm-start state records."""
+def _price(inst: GapInstance, cfg: CgConfig, sol, templates: TemplateSet | None,
+           phase1: bool, order, state):
+    """One pricing round; returns (outcomes, smoothed, alpha_values).
 
-    def __init__(self, inst: GapInstance, cfg: CgConfig):
-        self.inst = inst
-        self.cfg = cfg
-        self.method = cfg.pricing_method
-        self.lt_state = LtState.fresh(inst.num_machines) if self.method == "lt" else None
-        self.pessoa_state = (PessoaState(freeze_alpha=cfg.pessoa_freeze_alpha)
-                             if self.method == "pessoa" else None)
-
-    def price(self, sol, templates: TemplateSet | None, phase1: bool, order):
-        """Returns (outcomes, smoothed, alpha_values)."""
-        inst, cfg = self.inst, self.cfg
-        method = "dantzig" if (phase1 and self.method == "pessoa") else self.method
-        if method == "pessoa":
-            outcomes, _, _ = pricing.pessoa_round(
-                self.pessoa_state, inst, sol.pi, sol.mu, cfg.epsilon,
-                rmp_objective=sol.objective)
-            smoothed = any(o.dantzig_rc is None for o in outcomes)
-            return outcomes, smoothed, [self.pessoa_state.alpha]
-        outcomes = []
-        alphas = []
-        for i in order:
-            if method == "dantzig":
-                out = pricing.dantzig_price(inst, i, sol.pi, float(sol.mu[i]),
-                                            cfg.epsilon, phase1=phase1)
-            elif method == "lt":
-                out = pricing.lt_price(inst, i, templates.y[i], sol.pi, float(sol.mu[i]),
-                                       cfg.epsilon, state=self.lt_state, phase1=phase1,
-                                       delta=cfg.template_delta,
-                                       literal_mode=cfg.lt_literal_mode)
-                alphas.append(out.alpha_used)
-            elif method == "mt":
-                out = pricing.mt_price(inst, i, templates.y[i], sol.pi, float(sol.mu[i]),
-                                       cfg.epsilon, phase1=phase1, delta=cfg.template_delta)
-            else:
-                raise ValueError(f"unknown pricing method {method!r}")
-            outcomes.append(out)
-        return outcomes, False, alphas
+    ``state`` is the method's warm-start record (:class:`LtState`,
+    :class:`PessoaState` or None). Phase-one Pessoa prices like Dantzig.
+    """
+    method = cfg.pricing_method
+    if method == "pessoa" and not phase1:
+        outcomes, _, _ = pricing.pessoa_round(state, inst, sol.pi, sol.mu, cfg.epsilon,
+                                              rmp_objective=sol.objective)
+        return outcomes, any(o.dantzig_rc is None for o in outcomes), [state.alpha]
+    outcomes = []
+    alphas = []
+    for i in order:
+        mu_i = float(sol.mu[i])
+        if method == "lt":
+            out = pricing.lt_price(inst, i, templates.y[i], sol.pi, mu_i, cfg.epsilon,
+                                   state=state, phase1=phase1, delta=cfg.template_delta)
+            alphas.append(out.alpha_used)
+        elif method == "mt":
+            out = pricing.mt_price(inst, i, templates.y[i], sol.pi, mu_i, cfg.epsilon,
+                                   phase1=phase1, delta=cfg.template_delta)
+        else:
+            out = pricing.dantzig_price(inst, i, sol.pi, mu_i, cfg.epsilon, phase1=phase1)
+        outcomes.append(out)
+    return outcomes, False, alphas
 
 
 def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     """Full column-generation run; see the module docstring for the loop."""
-    if cfg.pricing_method not in METHODS:
-        raise ValueError(f"unknown pricing method {cfg.pricing_method!r}")
-    report = validate(inst)
-    if not report.ok:
-        if report.unassignable_jobs:
-            raise InfeasibleInstanceError(f"jobs {report.unassignable_jobs} fit on no machine")
-        raise InfeasibleInstanceError("; ".join(report.errors))
+    method = cfg.pricing_method
+    if method == "lr":
+        return run_lr(inst, cfg)
+    if method not in AGE_POLICIES:
+        raise ValueError(f"unknown pricing method {method!r}")
+    require_valid(inst)
 
-    run_report = RunReport(instance=inst.name, method=cfg.pricing_method)
+    run_report = RunReport(instance=inst.name, method=method)
     deadline = time.perf_counter() + cfg.time_limit
     rng = np.random.default_rng(cfg.seed)
     order = [int(i) for i in rng.permutation(inst.num_machines)]
 
     pool = ColumnPool(inst)
     warm = RmpWarmHandle()
-    pricer = _Pricer(inst, cfg)
     bounds = Bounds()
-    if cfg.age_policy_override is not None:
-        policy = AgePolicy(cfg.pricing_method, cfg.age_policy_override)
-    else:
-        policy = AgePolicy(cfg.pricing_method, AGE_POLICIES[cfg.pricing_method])
-    tau = rmp.age_threshold(policy, inst)
+    state = (LtState.fresh(inst.num_machines) if method == "lt" else
+             PessoaState(freeze_alpha=cfg.pessoa_freeze_alpha) if method == "pessoa" else None)
+    coefficients = (cfg.age_policy_override if cfg.age_policy_override is not None
+                    else AGE_POLICIES[method])
+    tau = rmp.age_threshold(coefficients, inst)
 
-    templates = None
-    if cfg.pricing_method in TEMPLATE_METHODS:
-        x_star = rmp.solve_compact_lp(inst)
-        templates = TemplateSet(y=x_star, delta=cfg.template_delta)
+    templates = (TemplateSet(y=rmp.solve_compact_lp(inst), delta=cfg.template_delta)
+                 if method in ("lt", "mt") else None)
 
-    def audit_added(outcomes, sol, phase1, added_mask):
-        cost_rows = (np.zeros((inst.num_machines, inst.num_jobs)) if phase1 else inst.cost)
-        for out, added in zip(outcomes, added_mask):
-            if not added:
-                continue
-            rc = pricing.reduced_cost_sum(cost_rows[out.machine], sol.pi, out.selection)
-            margin = rc - (float(sol.mu[out.machine]) - cfg.epsilon)
-            run_report.columns_audited += 1
-            run_report.max_rc_margin = max(run_report.max_rc_margin, margin)
-
-    def insert_columns(outcomes):
+    def insert_columns(outcomes, sol, phase1):
         # canonical insertion order: the run's machine permutation, whatever
         # order the pricing dispatch produced the outcomes in
+        cost_rows = np.zeros((inst.num_machines, inst.num_jobs)) if phase1 else inst.cost
         by_machine = {out.machine: out for out in outcomes}
-        ordered = [by_machine[i] for i in order]
-        mask_by_machine = {}
-        for out in ordered:
-            ok = out.selection is not None and pool.add(out.machine, out.selection) is not None
-            mask_by_machine[out.machine] = ok
-        return [mask_by_machine[out.machine] for out in outcomes]
+        added = 0
+        for i in order:
+            selection = by_machine[i].selection
+            if selection is None or pool.add(i, selection) is None:
+                continue
+            added += 1
+            rc = pricing.reduced_cost_sum(cost_rows[i], sol.pi, selection)
+            run_report.columns_audited += 1
+            run_report.max_rc_margin = max(run_report.max_rc_margin,
+                                           rc - (float(sol.mu[i]) - cfg.epsilon))
+        return added
 
     def manage(sol, iteration):
         removed = rmp.manage_columns(pool, sol, tau)
@@ -241,108 +218,76 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
             run_report.management_audits.append(ManagementAudit(iteration, delta, pivots))
         return removed
 
-    # ----------------------------------------------------------- phase one
-    it = 0
-    while True:
-        it += 1
-        pool.iteration = it
-        t0 = time.perf_counter()
-        sol = rmp.build_and_solve(pool, inst, "phase1", warm)
-        rmp_time = time.perf_counter() - t0
-        if sol.phase1_objective < PHASE1_TOL:
-            it -= 1  # no pricing happened; hand off to phase two
-            break
-        if time.perf_counter() > deadline:
-            run_report.status = "time_limit"
-            run_report.rows.append(IterRow(it, "1", sol.objective, None, None, None, None,
-                                           0, 0, sol.pivots, rmp_time, 0.0))
-            run_report.phase1_iterations = it
-            run_report.final_objective = sol.objective
-            run_report.finish()
-            return run_report
-        if templates is not None and it > 1:
-            templates = rmp.project_primal(sol, pool, cfg.template_delta)
-        t0 = time.perf_counter()
-        outcomes, _, alphas = pricer.price(sol, templates, phase1=True, order=order)
-        pricing_time = time.perf_counter() - t0
-        removed = manage(sol, it)
-        added_mask = insert_columns(outcomes)
-        audit_added(outcomes, sol, True, added_mask)
-        added = sum(added_mask)
-        a_min, a_avg, a_max = _alpha_stats(alphas)
-        run_report.rows.append(IterRow(it, "1", sol.objective, None, None, None, None,
-                                       added, removed, sol.pivots, rmp_time, pricing_time,
-                                       a_min, a_avg, a_max))
-        if added == 0:
-            raise rmp.MasterInfeasibleError(
-                f"phase one stalled at objective {sol.objective:.6g}")
-    run_report.phase1_iterations = it
+    def add_row(sol, rmp_time, added=0, removed=0, pricing_time=0.0, alphas=(),
+                smoothed=False):
+        # bounds stay at their defaults in phase one; rc_sum is only printed
+        # for a round priced with the true duals
+        rc_sum = None if phase == "1" or smoothed else bounds.rc_sum
+        run_report.rows.append(IterRow(
+            it, phase, sol.objective,
+            bounds.lb_raw if math.isfinite(bounds.lb_raw) else None,
+            bounds.lb_int, bounds.ub, rc_sum, added, removed, sol.pivots,
+            rmp_time, pricing_time, *_alpha_stats(alphas)))
 
-    # ----------------------------------------------------------- phase two
+    it = 0
+    phase = "1"
     status = None
-    first_phase2 = True
-    while True:
+    while status is None:
         it += 1
         pool.iteration = it
         t0 = time.perf_counter()
-        sol = rmp.build_and_solve(pool, inst, "phase2", warm)
+        sol = rmp.build_and_solve(pool, inst, f"phase{phase}", warm)
         rmp_time = time.perf_counter() - t0
-        if first_phase2:
-            run_report.handoff_objective = sol.objective
-            first_phase2 = False
+        if phase == "1" and sol.phase1_objective < rmp.PHASE1_TOL:
+            # no pricing happened; phase two re-solves this iteration
+            phase, it = "2", it - 1
+            continue
         run_report.final_objective = sol.objective
-        if templates is not None:
-            templates = rmp.project_primal(sol, pool, cfg.template_delta)
-        integral = rmp.extract_integer_solution(sol, pool)
-        run_report.integral_final = integral is not None
-        if integral is not None and (bounds.ub is None or integral[1] < bounds.ub):
-            bounds = replace(bounds, ub=integral[1])
-        # bound-based checks using information available right after the solve
+        if phase == "2":
+            if run_report.handoff_objective is None:
+                run_report.handoff_objective = sol.objective
+            integral = rmp.extract_integer_solution(sol, pool)
+            run_report.integral_final = integral is not None
+            if integral is not None and (bounds.ub is None or integral[1] < bounds.ub):
+                bounds = replace(bounds, ub=integral[1])
+        # stop checks on what the solve alone tells; the bound checks never
+        # fire in phase one, where the bounds are still unset
         if _gap_closed(bounds, cfg.mip_gap):
             status = "gap_closed"
         elif bounds.lb_int is not None and bounds.lb_int >= sol.objective - CEIL_GUARD:
             status = "rc_converged"
         elif time.perf_counter() > deadline:
             status = "time_limit"
-        lb_raw_row = bounds.lb_raw if math.isfinite(bounds.lb_raw) else None
         if status is not None:
-            run_report.rows.append(IterRow(it, "2", sol.objective, lb_raw_row,
-                                           bounds.lb_int, bounds.ub, bounds.rc_sum,
-                                           0, 0, sol.pivots, rmp_time, 0.0))
+            add_row(sol, rmp_time)
             break
+        if templates is not None and (phase == "2" or it > 1):
+            templates = rmp.project_primal(sol, pool, cfg.template_delta)
         t0 = time.perf_counter()
-        outcomes, smoothed, alphas = pricer.price(sol, templates, phase1=False, order=order)
+        outcomes, smoothed, alphas = _price(inst, cfg, sol, templates, phase == "1",
+                                            order, state)
         pricing_time = time.perf_counter() - t0
-        if not smoothed:
-            bounds = update_bounds(bounds, outcomes, sol.objective, False)
+        if phase == "2":
+            bounds = update_bounds(bounds, outcomes, sol.objective, smoothed)
         removed = manage(sol, it)
-        added_mask = insert_columns(outcomes)
-        audit_added(outcomes, sol, False, added_mask)
-        added = sum(added_mask)
-        a_min, a_avg, a_max = _alpha_stats(alphas)
-        lb_raw_row = bounds.lb_raw if math.isfinite(bounds.lb_raw) else None
-        run_report.rows.append(IterRow(it, "2", sol.objective, lb_raw_row,
-                                       bounds.lb_int, bounds.ub,
-                                       bounds.rc_sum if not smoothed else None,
-                                       added, removed, sol.pivots, rmp_time, pricing_time,
-                                       a_min, a_avg, a_max))
-        if not smoothed and abs(bounds.rc_sum) < RC_CONVERGENCE_TOL:
+        added = insert_columns(outcomes, sol, phase == "1")
+        add_row(sol, rmp_time, added, removed, pricing_time, alphas, smoothed)
+        if phase == "1":
+            if added == 0:
+                raise rmp.MasterInfeasibleError(
+                    f"phase one stalled at objective {sol.objective:.6g}")
+        elif not smoothed and abs(bounds.rc_sum) < RC_CONVERGENCE_TOL:
             status = "optimal"
-            break
-        if not smoothed and bounds.lb_int is not None and bounds.lb_int >= sol.objective - CEIL_GUARD:
+        elif not smoothed and bounds.lb_int is not None and bounds.lb_int >= sol.objective - CEIL_GUARD:
             status = "rc_converged"
-            break
-        if _gap_closed(bounds, cfg.mip_gap):
+        elif _gap_closed(bounds, cfg.mip_gap):
             status = "gap_closed"
-            break
-        if added == 0:
+        elif added == 0:
             if smoothed:
                 raise AssertionError("smoothed round accepted but added no columns")
             status = "optimal"
-            break
-        if time.perf_counter() > deadline:
+        elif time.perf_counter() > deadline:
             status = "time_limit"
-            break
 
     run_report.status = status
     run_report.lb_raw = bounds.lb_raw
@@ -354,26 +299,20 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
 
 def run_lr(inst: GapInstance, cfg: CgConfig) -> RunReport:
     """Lagrangian baseline wrapped into the common report shape."""
-    report = validate(inst)
-    if not report.ok:
-        if report.unassignable_jobs:
-            raise InfeasibleInstanceError(f"jobs {report.unassignable_jobs} fit on no machine")
-        raise InfeasibleInstanceError("; ".join(report.errors))
+    require_valid(inst)
     t0 = time.perf_counter()
     best_bound, _, integer, trace = lagrangian.lr_solve(inst, cfg.time_limit)
     elapsed = time.perf_counter() - t0
     out = RunReport(instance=inst.name, method="lr")
-    ub = integer[1] if integer is not None else None
     for row in trace:
         lb_int = math.ceil(row.best_bound - CEIL_GUARD)
         out.rows.append(IterRow(row.evaluation, "lr", None, row.best_bound,
                                 lb_int, None, None, 0, 0, 0, 0.0, 0.0))
     out.lb_raw = best_bound
     out.lb_int = math.ceil(best_bound - CEIL_GUARD) if math.isfinite(best_bound) else None
-    out.ub = ub
+    out.ub = integer[1] if integer is not None else None
     out.integral_final = integer is not None
     out.final_objective = best_bound
-    out.total_pricing_time = elapsed
     if elapsed >= cfg.time_limit:
         out.status = "time_limit"
     elif out.ub is not None and out.lb_int is not None and out.ub - out.lb_int < cfg.mip_gap * abs(out.ub):

@@ -195,3 +195,12 @@ def validate(inst: GapInstance) -> ValidationReport:
     for j in np.flatnonzero(~fits.any(axis=0)):
         report.unassignable_jobs.append(int(j))
     return report
+
+
+def require_valid(inst: GapInstance):
+    """Raise :class:`InfeasibleInstanceError` unless ``validate`` passes."""
+    report = validate(inst)
+    if report.unassignable_jobs:
+        raise InfeasibleInstanceError(f"jobs {report.unassignable_jobs} fit on no machine")
+    if report.errors:
+        raise InfeasibleInstanceError("; ".join(report.errors))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import GapInstance, InfeasibleInstanceError, validate
+from .instance import GapInstance, InfeasibleInstanceError, require_valid
 from .pricing import TemplateSet
 from .simplex import SimplexSolver
 
@@ -45,12 +45,6 @@ class Column:
 
     def key(self) -> bytes:
         return self.jobs.tobytes()
-
-
-@dataclass
-class AgePolicy:
-    method: str
-    coefficients: tuple[float, float, float]  # (a2, a1, a0) in the job/machine ratio
 
 
 @dataclass(eq=False)
@@ -101,9 +95,6 @@ class ColumnPool:
 
     def by_id(self) -> dict[int, Column]:
         return {col.id: col for col in self.iter_columns()}
-
-    def ids(self) -> set[int]:
-        return {col.id for col in self.iter_columns()}
 
     def size(self) -> int:
         return sum(len(cols) for cols in self.columns)
@@ -165,53 +156,27 @@ class _MasterLp:
             return
         nj, ni = self.inst.num_jobs, self.inst.num_machines
         anchors = []
+        coverage = np.zeros(nj)
         for i in range(ni):
             if not pool.columns[i]:
                 raise MasterInfeasibleError(f"machine {i} has no column to anchor its convexity row")
             empty = min(pool.columns[i], key=lambda c: int(c.jobs.sum()))
             anchors.append(self.lp_col[empty.id])
-        coverage = np.zeros(nj)
-        for j in anchors:
-            coverage += self.lp._A[: nj, j]
+            coverage += empty.jobs
         basis = []
         for j in range(nj):
             basis.append(self.art_plus[j] if coverage[j] > 1 else self.art_minus[j])
         basis.extend(anchors)
         self.lp.set_basis(basis)
 
-    def to_phase2(self) -> int:
+    def to_phase2(self, pool: ColumnPool) -> int:
         """Drop the artificials, install true costs, keep the basis warm."""
-        arts = set(self.art_minus) | set(self.art_plus)
-        pivots = 0
-        nonbasic_candidates = [
-            j for j in list(self.lp_col.values()) + self.surplus if not self.lp.is_basic(j)
-        ]
-        for r in range(self.lp.m):
-            if int(self.lp.basis[r]) not in arts:
-                continue
-            row = self.lp._binv[r]
-            best, best_val = None, 1e-7
-            for j in nonbasic_candidates:
-                if self.lp.is_basic(j) or self.lp.sealed[j]:
-                    continue
-                val = abs(float(row @ self.lp._A[:, j]))
-                if val > best_val:
-                    best, best_val = j, val
-            if best is not None and self.lp.force_pivot(r, best):
-                pivots += 1
-        for j in arts:
-            self.lp.set_cost(j, 0.0)
-            if not self.lp.is_basic(j):
-                self.lp.seal_column(j)
-            else:
-                self.lp.ub[j] = 0.0  # stuck degenerate: pinned until it leaves
-                self.lp.sealed[j] = True
-        self.phase = 2
-        return pivots
-
-    def install_true_costs(self, pool: ColumnPool):
+        pivots = self.lp.retire_columns(self.art_minus + self.art_plus,
+                                        list(self.lp_col.values()) + self.surplus)
         for col in pool.iter_columns():
             self.lp.set_cost(self.lp_col[col.id], float(col.cost))
+        self.phase = 2
+        return pivots
 
     def extract(self, pool: ColumnPool, pivots: int, phase1: bool) -> RmpSolution:
         nj = self.inst.num_jobs
@@ -262,8 +227,7 @@ def build_and_solve(pool: ColumnPool, inst: GapInstance, mode: str,
         if master.lp.objective() > PHASE1_TOL:
             raise MasterInfeasibleError(
                 f"phase-one objective {master.lp.objective():.6g} > 0: no feasible cover")
-        pivots += master.to_phase2()
-        master.install_true_costs(pool)
+        pivots += master.to_phase2(pool)
     pivots += master.lp.solve()
     return master.extract(pool, pivots, phase1=False)
 
@@ -301,9 +265,9 @@ def manage_columns(pool: ColumnPool, sol: RmpSolution, tau: int) -> int:
     return len(stale)
 
 
-def age_threshold(policy: AgePolicy, inst: GapInstance) -> int:
-    """Retention window from the method's policy polynomial in the ratio."""
-    a2, a1, a0 = policy.coefficients
+def age_threshold(coefficients: tuple[float, float, float], inst: GapInstance) -> int:
+    """Retention window from a policy polynomial ``(a2, a1, a0)`` in the ratio."""
+    a2, a1, a0 = coefficients
     r = inst.ratio
     value = a2 * r * r + a1 * r + a0
     return max(1, math.ceil(value - 1e-9))
@@ -315,12 +279,7 @@ def solve_compact_lp(inst: GapInstance) -> np.ndarray:
     Returns the optimal fractional assignment matrix ``x[i, j] in [0, 1]``;
     used to seed the initial phase-one template.
     """
-    report = validate(inst)
-    if not report.ok:
-        if report.unassignable_jobs:
-            raise InfeasibleInstanceError(
-                f"jobs {report.unassignable_jobs} fit on no machine")
-        raise InfeasibleInstanceError("; ".join(report.errors))
+    require_valid(inst)
     nj, ni = inst.num_jobs, inst.num_machines
     b = np.concatenate([np.ones(nj), inst.capacity.astype(np.float64)])
     lp = SimplexSolver(b)
@@ -346,28 +305,7 @@ def solve_compact_lp(inst: GapInstance) -> np.ndarray:
     if lp.objective() > PHASE1_TOL:
         raise InfeasibleInstanceError(
             f"compact LP infeasible (artificial sum {lp.objective():.6g})")
-    nonbasic = [int(j) for j in x_cols.ravel() if not lp.is_basic(int(j))]
-    nonbasic += [j for j in slacks if not lp.is_basic(j)]
-    for r in range(lp.m):
-        if int(lp.basis[r]) not in arts:
-            continue
-        row = lp._binv[r]
-        best, best_val = None, 1e-7
-        for j in nonbasic:
-            if lp.is_basic(j) or lp.state[j] != 0:
-                continue
-            val = abs(float(row @ lp._A[:, j]))
-            if val > best_val:
-                best, best_val = j, val
-        if best is not None:
-            lp.force_pivot(r, best)
-    for j in arts:
-        lp.set_cost(j, 0.0)
-        if not lp.is_basic(j):
-            lp.seal_column(j)
-        else:
-            lp.ub[j] = 0.0
-            lp.sealed[j] = True
+    lp.retire_columns(arts, [int(j) for j in x_cols.ravel()] + slacks)
     for i in range(ni):
         for j in range(nj):
             lp.set_cost(int(x_cols[i, j]), float(inst.cost[i, j]))

@@ -167,6 +167,33 @@ class SimplexSolver:
         self.total_pivots += 1
         return True
 
+    def retire_columns(self, cols, candidates) -> int:
+        """Swap zero-valued ``cols`` out of the basis, then seal them at cost 0.
+
+        A basic column leaves for the unsealed lower-bound candidate with the
+        largest pivot element in its row; one that cannot leave stays basic,
+        sealed at zero until it leaves. Returns the number of swaps.
+        """
+        retiring = set(cols)
+        pivots = 0
+        for r in range(self.m):
+            if int(self.basis[r]) not in retiring:
+                continue
+            row = self._binv[r]
+            best, best_val = None, 1e-7
+            for j in candidates:
+                if self.state[j] != AT_LB or self.sealed[j]:
+                    continue
+                val = abs(float(row @ self._A[:, j]))
+                if val > best_val:
+                    best, best_val = j, val
+            if best is not None and self.force_pivot(r, best):
+                pivots += 1
+        for j in retiring:
+            self.cost[j] = 0.0
+            self.seal_column(j)
+        return pivots
+
     def _apply_pivot(self, r: int, e: int, u: np.ndarray):
         piv = u[r]
         self._binv[r, :] /= piv

@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+from gapcg import driver
 from gapcg.cli import (SweepSpec, geomean, main, rolling_geomean, run_sweep,
                        select_tau)
 from gapcg.driver import CgConfig
 from gapcg.instance import GeneratorSpec, generate, serialize
+from gapcg.simplex import SimplexError
 
 
 @pytest.fixture
@@ -91,6 +93,23 @@ def test_bench_timed_out_row_keeps_partial_metrics(tmp_path):
     row = dict(zip(header, lines[1].split("\t")))
     assert row["status"] == "time_limit"
     assert row["iterations"] != "-"
+
+
+def test_bench_failing_cell_becomes_error_row(instance_file, tmp_path, monkeypatch):
+    def broken(inst, cfg):
+        raise SimplexError("singular basis")
+
+    monkeypatch.setattr(driver, "run", broken)
+    out = tmp_path / "bench.tsv"
+    assert main(["bench", instance_file, "--methods", "dantzig,lr", "--seeds", "0",
+                 "--output", str(out)]) == 0
+    header, *lines = out.read_text().strip().split("\n")
+    assert len(lines) == 2
+    for line, method in zip(lines, ("dantzig", "lr")):
+        row = dict(zip(header.split("\t"), line.split("\t")))
+        assert row["method"] == method
+        assert row["status"] == "error:SimplexError: singular basis"
+        assert row["iterations"] == "-"
 
 
 def test_bench_methods_agree_on_lb(instance_file, tmp_path):

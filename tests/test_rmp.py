@@ -6,7 +6,7 @@ import pytest
 
 from _oracles import compact_lp_optimum
 from gapcg.instance import GapInstance, InfeasibleInstanceError
-from gapcg.rmp import (AGE_POLICIES, AgePolicy, Column, ColumnPool,
+from gapcg.rmp import (AGE_POLICIES, Column, ColumnPool,
                        MasterInfeasibleError, RmpWarmHandle, age_threshold,
                        build_and_solve, extract_integer_solution,
                        manage_columns, project_primal, solve_compact_lp)
@@ -229,9 +229,9 @@ def test_age_threshold_paper_policies():
     inst20 = GapInstance(1, 20, np.ones((1, 20)), np.ones((1, 20)), np.array([20]))
     inst10 = GapInstance(1, 10, np.ones((1, 10)), np.ones((1, 10)), np.array([10]))
     inst80 = GapInstance(1, 80, np.ones((1, 80)), np.ones((1, 80)), np.array([80]))
-    assert age_threshold(AgePolicy("dantzig", AGE_POLICIES["dantzig"]), inst20) == 34
-    assert age_threshold(AgePolicy("pessoa", AGE_POLICIES["pessoa"]), inst10) == 4
-    assert age_threshold(AgePolicy("lt", AGE_POLICIES["lt"]), inst80) == 8
+    assert age_threshold(AGE_POLICIES["dantzig"], inst20) == 34
+    assert age_threshold(AGE_POLICIES["pessoa"], inst10) == 4
+    assert age_threshold(AGE_POLICIES["lt"], inst80) == 8
 
 
 # -------------------------------------------------------------- solve_compact_lp
