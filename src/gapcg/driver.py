@@ -23,7 +23,7 @@ import numpy as np
 from . import lagrangian, pricing, rmp
 from .instance import GapInstance, require_valid
 from .pricing import LtState, PessoaState, PricingOutcome, TemplateSet
-from .rmp import AGE_POLICIES, ColumnPool, RmpWarmHandle
+from .rmp import AGE_POLICIES, ColumnPool, MasterLp
 
 RC_CONVERGENCE_TOL = 1e-6
 CEIL_GUARD = 1e-9
@@ -181,7 +181,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     order = [int(i) for i in rng.permutation(inst.num_machines)]
 
     pool = ColumnPool(inst)
-    warm = RmpWarmHandle()
+    master = MasterLp(inst)
     bounds = Bounds()
     state = (LtState.fresh(inst.num_machines) if method == "lt" else
              PessoaState(freeze_alpha=cfg.pessoa_freeze_alpha) if method == "pessoa" else None)
@@ -212,9 +212,9 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     def manage(sol, iteration):
         removed = rmp.manage_columns(pool, sol, tau)
         if cfg.audit_column_management and removed:
-            before = warm.master.lp.objective()
-            pivots = warm.master.lp.solve()
-            delta = warm.master.lp.objective() - before
+            before = master.lp.objective()
+            pivots = master.lp.solve()
+            delta = master.lp.objective() - before
             run_report.management_audits.append(ManagementAudit(iteration, delta, pivots))
         return removed
 
@@ -236,9 +236,9 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         it += 1
         pool.iteration = it
         t0 = time.perf_counter()
-        sol = rmp.build_and_solve(pool, inst, f"phase{phase}", warm)
+        sol = rmp.build_and_solve(pool, f"phase{phase}", master)
         rmp_time = time.perf_counter() - t0
-        if phase == "1" and sol.phase1_objective < rmp.PHASE1_TOL:
+        if phase == "1" and sol.objective < rmp.PHASE1_TOL:
             # no pricing happened; phase two re-solves this iteration
             phase, it = "2", it - 1
             continue

@@ -10,12 +10,14 @@ with the column-generation loop.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .instance import InfeasibleInstanceError
 from .knapsack import KnapsackProblem, min_knapsack
 
 MEMORY = 256
@@ -89,9 +91,12 @@ def lr_solve(inst, time_limit: float = 600.0):
     ``integer`` is ``(assignment, cost)`` when some probe's selections
     partitioned the jobs exactly, else None. Terminates when the change in
     the dual value between accepted iterates drops below 1e-6, when the
-    subgradient vanishes, or when the time limit expires.
+    subgradient vanishes, or when the time limit expires. Raises
+    :class:`InfeasibleInstanceError` once the integer bound exceeds
+    ``sum_j max_i c_ij``, which every assignment costs at most.
     """
     t_end = time.perf_counter() + time_limit
+    worst_assignment = int(inst.cost.max(axis=0).sum())
     trace: list[LrTraceRow] = []
     state = LrState(pi=np.zeros(inst.num_jobs))
     integer_solution = None
@@ -100,6 +105,10 @@ def lr_solve(inst, time_limit: float = 600.0):
         nonlocal integer_solution
         value, grad, sels = lr_evaluate(inst, pi)
         state.evaluations += 1
+        if math.ceil(value - 1e-9) > worst_assignment:
+            raise InfeasibleInstanceError(
+                f"Lagrangian bound {value:.6g} exceeds the cost {worst_assignment} "
+                "of any assignment: no feasible assignment exists")
         if value > state.best_bound:
             state.best_bound = value
             state.best_pi = pi.copy()

@@ -49,7 +49,6 @@ class TemplateSet:
 class PricingOutcome:
     machine: int
     selection: np.ndarray | None  # bool mask over jobs; None: no good column
-    cost: int | None = None       # true instance cost of the selection
     dantzig_rc: float | None = None
     similarity: int | None = None
     alpha_used: float | None = None
@@ -100,10 +99,6 @@ def _cost_row(inst, i: int, phase1: bool) -> np.ndarray:
     return inst.cost[i].astype(np.float64)
 
 
-def _true_cost(inst, i: int, selection) -> int:
-    return int(inst.cost[i][selection].sum())
-
-
 def dantzig_price(inst, i: int, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
                   phase1: bool = False) -> PricingOutcome:
     """Minimum reduced-cost column for machine i, or absent if none is good."""
@@ -112,8 +107,7 @@ def dantzig_price(inst, i: int, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
     rc = sol.value - mu_i
     if rc > -eps:
         return PricingOutcome(machine=i, selection=None, dantzig_rc=rc)
-    return PricingOutcome(machine=i, selection=sol.selection,
-                          cost=_true_cost(inst, i, sol.selection), dantzig_rc=rc)
+    return PricingOutcome(machine=i, selection=sol.selection, dantzig_rc=rc)
 
 
 def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
@@ -132,8 +126,8 @@ def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
     if res is None:  # the minimum-rc column itself fits the budget
         raise AssertionError("lex search empty although a good column exists")
     best_sim, _, sel = res
-    return PricingOutcome(machine=i, selection=sel, cost=_true_cost(inst, i, sel),
-                          dantzig_rc=dantzig_rc, similarity=int(best_sim))
+    return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
+                          similarity=int(best_sim))
 
 
 def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
@@ -198,15 +192,13 @@ def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
         # Bisection exhausted without confirming membership even though the
         # minimum-rc column qualifies: fall back to it so the loop progresses.
         sel = base.selection
-        return PricingOutcome(machine=i, selection=sel, cost=_true_cost(inst, i, sel),
-                              dantzig_rc=dantzig_rc,
+        return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
                               similarity=int(f[sel].sum()), flagged=True)
     sim, rc, sel = at_up if literal_mode else best
     if state is not None:
         state.alpha_warm[i] = up
-    return PricingOutcome(machine=i, selection=sel, cost=_true_cost(inst, i, sel),
-                          dantzig_rc=dantzig_rc, similarity=int(sim), alpha_used=up,
-                          proof_fired=proof_fired)
+    return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
+                          similarity=int(sim), alpha_used=up, proof_fired=proof_fired)
 
 
 def _smoothed_duals(pi_t, pi_hat, g_hat, alpha_k: float, k: int):
@@ -280,12 +272,9 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float = DEFAULT_EPSILO
 
     outcomes = []
     for i in range(ni):
-        accepted = true_rc[i] <= -eps
-        sel = sols[i].selection if accepted else None
         outcomes.append(PricingOutcome(
             machine=i,
-            selection=sel,
-            cost=_true_cost(inst, i, sel) if accepted else None,
+            selection=sols[i].selection if true_rc[i] <= -eps else None,
             dantzig_rc=float(sols[i].value - mu[i]) if pure_round else None,
             alpha_used=state.alpha,
         ))

@@ -1,11 +1,14 @@
 """Restricted master problem: column pool, LP solves, and column management.
 
 The master is kept in cover form: one >= 1 row per job plus one convexity
-row per machine. Feasibility is bootstrapped without big-M costs via
-artificial variables on the cover rows whose sum is minimized (phase one);
-once that objective reaches zero the artificials are pivoted out, removed,
-and the true column costs installed (phase two). The LP engine lives behind
-this module's interface and exposes duals, basic status, warm starts and
+row per machine, with a surplus column on every cover row. Feasibility is
+bootstrapped without big-M costs via one artificial column per cover row
+whose sum is minimized (phase one). The starting basis holds the emptiest
+column of each machine; a row those anchors cover more than once starts on
+its surplus column, every other row on its artificial. Once the phase-one
+objective reaches zero the artificials are pivoted out, sealed, and the true
+column costs installed (phase two). :class:`MasterLp` owns the LP and keeps
+its basis warm across solves; the LP engine exposes duals, basic status and
 pivot counts.
 """
 
@@ -54,7 +57,6 @@ class RmpSolution:
     pi: np.ndarray                 # cover duals, one per job
     mu: np.ndarray                 # convexity duals, one per machine
     pivots: int
-    phase1_objective: float | None = None
     basic_ids: set[int] = field(default_factory=set)
 
 
@@ -104,8 +106,8 @@ class ColumnPool:
         self._keys[col.machine].discard(col.key())
 
 
-class _MasterLp:
-    """LP backend state bound to one instance and one column pool lineage."""
+class MasterLp:
+    """The master LP of one instance, kept warm across successive solves."""
 
     def __init__(self, inst: GapInstance):
         self.inst = inst
@@ -113,8 +115,7 @@ class _MasterLp:
         self.lp = SimplexSolver(np.ones(nj + ni))
         self.phase = 1
         self.surplus = []
-        self.art_minus = []  # +e_j, relaxes an uncovered row
-        self.art_plus = []   # -e_j, absorbs forced over-cover
+        self.artificial = []  # +e_j, relaxes an uncovered row
         for j in range(nj):
             e = np.zeros(nj + ni)
             e[j] = -1.0
@@ -122,13 +123,8 @@ class _MasterLp:
         for j in range(nj):
             e = np.zeros(nj + ni)
             e[j] = 1.0
-            self.art_minus.append(self.lp.add_column(e, 1.0))
-        for j in range(nj):
-            e = np.zeros(nj + ni)
-            e[j] = -1.0
-            self.art_plus.append(self.lp.add_column(e, 1.0))
+            self.artificial.append(self.lp.add_column(e, 1.0))
         self.lp_col: dict[int, int] = {}
-        self.col_id_of_lp: dict[int, int] = {}
 
     def _entries(self, col: Column) -> np.ndarray:
         nj, ni = self.inst.num_jobs, self.inst.num_machines
@@ -143,13 +139,9 @@ class _MasterLp:
             live.add(col.id)
             if col.id not in self.lp_col:
                 cost = 0.0 if self.phase == 1 else float(col.cost)
-                j = self.lp.add_column(self._entries(col), cost)
-                self.lp_col[col.id] = j
-                self.col_id_of_lp[j] = col.id
+                self.lp_col[col.id] = self.lp.add_column(self._entries(col), cost)
         for cid in [c for c in self.lp_col if c not in live]:
-            j = self.lp_col.pop(cid)
-            del self.col_id_of_lp[j]
-            self.lp.seal_column(j)
+            self.lp.seal_column(self.lp_col.pop(cid))
 
     def ensure_basis(self, pool: ColumnPool):
         if self.lp.basis is not None:
@@ -163,64 +155,51 @@ class _MasterLp:
             empty = min(pool.columns[i], key=lambda c: int(c.jobs.sum()))
             anchors.append(self.lp_col[empty.id])
             coverage += empty.jobs
-        basis = []
-        for j in range(nj):
-            basis.append(self.art_plus[j] if coverage[j] > 1 else self.art_minus[j])
-        basis.extend(anchors)
-        self.lp.set_basis(basis)
+        # an over-covered row starts on its surplus column, at value coverage - 1
+        basis = [self.surplus[j] if coverage[j] > 1 else self.artificial[j] for j in range(nj)]
+        self.lp.set_basis(basis + anchors)
 
     def to_phase2(self, pool: ColumnPool) -> int:
         """Drop the artificials, install true costs, keep the basis warm."""
-        pivots = self.lp.retire_columns(self.art_minus + self.art_plus,
+        pivots = self.lp.retire_columns(self.artificial,
                                         list(self.lp_col.values()) + self.surplus)
         for col in pool.iter_columns():
             self.lp.set_cost(self.lp_col[col.id], float(col.cost))
         self.phase = 2
         return pivots
 
-    def extract(self, pool: ColumnPool, pivots: int, phase1: bool) -> RmpSolution:
+    def extract(self, pivots: int) -> RmpSolution:
         nj = self.inst.num_jobs
         y = self.lp.duals()
         lam = {cid: self.lp.value(j) for cid, j in self.lp_col.items()}
         basic = {cid for cid, j in self.lp_col.items() if self.lp.is_basic(j)}
         return RmpSolution(objective=self.lp.objective(), lam=lam,
                            pi=y[:nj].copy(), mu=y[nj:].copy(), pivots=pivots,
-                           phase1_objective=self.lp.objective() if phase1 else None,
                            basic_ids=basic)
 
 
-class RmpWarmHandle:
-    """Opaque warm-start handle passed between successive master solves."""
-
-    def __init__(self):
-        self.master: _MasterLp | None = None
-
-
-def build_and_solve(pool: ColumnPool, inst: GapInstance, mode: str,
-                    warm: RmpWarmHandle | None = None) -> RmpSolution:
+def build_and_solve(pool: ColumnPool, mode: str,
+                    master: MasterLp | None = None) -> RmpSolution:
     """Solve the master over the pool's columns and return duals and pivots.
 
     ``mode`` is ``"phase1"`` (minimize the artificial-variable sum, column
     costs ignored) or ``"phase2"`` (true costs; runs the phase transition
-    first if needed). Passing the same ``warm`` handle across calls reuses
-    the previous basis.
+    first if needed). Passing the same ``master`` across calls reuses the
+    previous basis; without one, a fresh master is built for this call.
+    ``master`` must belong to ``pool.inst``.
     """
     if mode not in ("phase1", "phase2"):
         raise ValueError(f"unknown mode {mode!r}")
-    handle = warm if warm is not None else RmpWarmHandle()
-    if handle.master is None:
-        handle.master = _MasterLp(inst)
-    master = handle.master
-    if master.inst is not inst and (master.inst.num_jobs != inst.num_jobs
-                                    or master.inst.num_machines != inst.num_machines):
-        raise ValueError("warm handle belongs to a different instance")
+    if master is None:
+        master = MasterLp(pool.inst)
+    elif master.inst is not pool.inst:
+        raise ValueError("master belongs to a different instance than the pool")
     master.sync(pool)
     master.ensure_basis(pool)
     if mode == "phase1":
         if master.phase != 1:
             raise RuntimeError("master already moved past phase one")
-        pivots = master.lp.solve()
-        return master.extract(pool, pivots, phase1=True)
+        return master.extract(master.lp.solve())
     pivots = 0
     if master.phase == 1:
         pivots += master.lp.solve()
@@ -229,7 +208,7 @@ def build_and_solve(pool: ColumnPool, inst: GapInstance, mode: str,
                 f"phase-one objective {master.lp.objective():.6g} > 0: no feasible cover")
         pivots += master.to_phase2(pool)
     pivots += master.lp.solve()
-    return master.extract(pool, pivots, phase1=False)
+    return master.extract(pivots)
 
 
 def project_primal(sol: RmpSolution, pool: ColumnPool,

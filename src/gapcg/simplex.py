@@ -43,7 +43,6 @@ class SimplexSolver:
         self.basis: np.ndarray | None = None
         self._binv: np.ndarray | None = None
         self._xb: np.ndarray | None = None
-        self.total_pivots = 0
 
     # ------------------------------------------------------------------ model
 
@@ -164,7 +163,6 @@ class SimplexSolver:
         self._apply_pivot(r, e, u)
         self.state[leaving] = AT_LB
         self._xb[r] = 0.0
-        self.total_pivots += 1
         return True
 
     def retire_columns(self, cols, candidates) -> int:
@@ -256,7 +254,6 @@ class SimplexSolver:
                 self._xb[r] = t if from_lb else self.ub[e] - t
                 step = t
             pivots += 1
-            self.total_pivots += 1
             if step <= 1e-11:
                 degenerate_run += 1
                 if degenerate_run > 50 + 2 * self.m:

@@ -35,8 +35,8 @@ def min_reduced_cost(inst, machine: int, pi, cost_row=None):
     return float(vals[k]), cols[k]
 
 
-def master_lp_optimum(inst, return_duals: bool = False):
-    """Cover-form master LP over every enumerated column, solved by HiGHS."""
+def master_lp(inst):
+    """Cover-form master LP over every enumerated column; HiGHS's raw result."""
     cols, costs, owners = [], [], []
     for i in range(inst.num_machines):
         for bits in feasible_columns(inst, i):
@@ -48,8 +48,13 @@ def master_lp_optimum(inst, return_duals: bool = False):
     owners = np.array(owners)
     a_eq = np.zeros((inst.num_machines, len(cols)))
     a_eq[owners, np.arange(len(cols))] = 1.0
-    res = linprog(costs, A_ub=-cols.T, b_ub=-np.ones(inst.num_jobs),
-                  A_eq=a_eq, b_eq=np.ones(inst.num_machines), method="highs")
+    return linprog(costs, A_ub=-cols.T, b_ub=-np.ones(inst.num_jobs),
+                   A_eq=a_eq, b_eq=np.ones(inst.num_machines), method="highs")
+
+
+def master_lp_optimum(inst, return_duals: bool = False):
+    """Optimum of :func:`master_lp`, which must solve."""
+    res = master_lp(inst)
     assert res.status == 0, f"oracle master LP failed: {res.message}"
     if return_duals:
         return float(res.fun), res.ineqlin.marginals, res.eqlin.marginals

@@ -48,10 +48,15 @@ def test_run_missing_file_exits_3(tmp_path):
     assert main(["run", str(tmp_path / "nope.txt")]) == 3
 
 
-def test_run_infeasible_instance_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("text, method", [
+    ("1 2\n1 1\n9 9\n3\n", "lt"),  # both jobs exceed the single capacity
+    # every job fits alone, but three jobs of weight 2 need three machines
+    ("2 3\n1 1 1\n1 1 1\n2 2 2\n2 2 2\n2 2\n", "lr"),
+], ids=["unassignable-job", "lr-no-cover"])
+def test_run_infeasible_instance_exits_3(tmp_path, capsys, text, method):
     bad = tmp_path / "bad.txt"
-    bad.write_text("1 2\n1 1\n9 9\n3\n")  # both jobs exceed the single capacity
-    assert main(["run", str(bad)]) == 3
+    bad.write_text(text)
+    assert main(["run", str(bad), "--method", method]) == 3
     assert "error" in capsys.readouterr().err
 
 

@@ -71,6 +71,14 @@ def test_unassignable_instance_raises():
         run(inst, CgConfig(pricing_method="dantzig"))
 
 
+def test_run_lr_raises_when_no_cover_exists():
+    # each job fits on either machine alone, but a machine holds only one job
+    inst = GapInstance(2, 3, cost=np.ones((2, 3)), resource=np.full((2, 3), 2),
+                       capacity=np.array([2, 2]))
+    with pytest.raises(InfeasibleInstanceError):
+        run_lr(inst, CgConfig(time_limit=60))
+
+
 def test_unknown_method_rejected(toy_3x12):
     with pytest.raises(ValueError):
         run(toy_3x12, CgConfig(pricing_method="steepest-edge"))

@@ -7,7 +7,7 @@ import pytest
 from _oracles import compact_lp_optimum
 from gapcg.instance import GapInstance, InfeasibleInstanceError
 from gapcg.rmp import (AGE_POLICIES, Column, ColumnPool,
-                       MasterInfeasibleError, RmpWarmHandle, age_threshold,
+                       MasterInfeasibleError, MasterLp, age_threshold,
                        build_and_solve, extract_integer_solution,
                        manage_columns, project_primal, solve_compact_lp)
 
@@ -59,18 +59,17 @@ def single_machine_instance():
 def test_single_machine_forced_basis():
     inst = single_machine_instance()
     pool = make_pool(inst, [(0, [1, 1, 1])])
-    sol = build_and_solve(pool, inst, "phase2")
+    sol = build_and_solve(pool, "phase2")
     assert sol.objective == pytest.approx(9.0)
     full = [c for c in pool.iter_columns() if c.jobs.all()][0]
     assert sol.lam[full.id] == pytest.approx(1.0)
-    assert sol.phase1_objective is None
 
 
 def test_empty_pool_phase1_objective_is_num_jobs():
     inst = single_machine_instance()
     pool = ColumnPool(inst)  # only the seeded empty column
-    sol = build_and_solve(pool, inst, "phase1")
-    assert sol.phase1_objective == pytest.approx(3.0)
+    sol = build_and_solve(pool, "phase1")
+    assert sol.objective == pytest.approx(3.0)
     # phase-one duals price uncovered jobs at one
     assert sol.pi == pytest.approx(np.ones(3))
 
@@ -79,7 +78,13 @@ def test_phase2_on_uncoverable_pool_raises():
     inst = single_machine_instance()
     pool = ColumnPool(inst)
     with pytest.raises(MasterInfeasibleError):
-        build_and_solve(pool, inst, "phase2")
+        build_and_solve(pool, "phase2")
+
+
+def test_master_of_another_instance_is_rejected(toy_2x3):
+    twin = GapInstance(2, 3, toy_2x3.cost, toy_2x3.resource, toy_2x3.capacity)
+    with pytest.raises(ValueError):
+        build_and_solve(ColumnPool(toy_2x3), "phase1", MasterLp(twin))
 
 
 def vertex_enumeration_oracle(inst, pool):
@@ -121,11 +126,17 @@ def vertex_enumeration_oracle(inst, pool):
     return best, best_duals
 
 
-def test_two_machine_toy_matches_vertex_oracle(toy_2x3):
+@pytest.mark.parametrize("drop_empty", [False, True],
+                         ids=["empty-anchors", "over-covered-start"])
+def test_two_machine_toy_matches_vertex_oracle(toy_2x3, drop_empty):
     pool = make_pool(toy_2x3, [
         (0, [1, 1, 0]), (0, [0, 1, 1]), (1, [1, 0, 0]), (1, [0, 0, 1]),
     ])
-    sol = build_and_solve(pool, toy_2x3, "phase2")
+    if drop_empty:
+        # the anchors become [1, 1, 0] and [1, 0, 0]: job 0 starts covered twice
+        for col in [c for c in pool.iter_columns() if not c.jobs.any()]:
+            pool.drop(col)
+    sol = build_and_solve(pool, "phase2")
     ref_obj, ref_duals = vertex_enumeration_oracle(toy_2x3, pool)
     assert sol.objective == pytest.approx(ref_obj, abs=1e-9)
     duals = np.concatenate([sol.pi, sol.mu])
@@ -134,8 +145,7 @@ def test_two_machine_toy_matches_vertex_oracle(toy_2x3):
 
 def test_solution_invariants(toy_3x12):
     pool = covering_pool(toy_3x12, extras=10)
-    handle = RmpWarmHandle()
-    sol = build_and_solve(pool, toy_3x12, "phase2", handle)
+    sol = build_and_solve(pool, "phase2", MasterLp(toy_3x12))
     per_machine = {}
     for col in pool.iter_columns():
         per_machine.setdefault(col.machine, 0.0)
@@ -152,7 +162,7 @@ def test_solution_invariants(toy_3x12):
 
 def test_project_primal_integral(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (1, [0, 0, 1])])
-    sol = build_and_solve(pool, toy_2x3, "phase2")
+    sol = build_and_solve(pool, "phase2")
     templates = project_primal(sol, pool)
     ids = {c.key(): c for c in pool.iter_columns()}
     assert templates.y.shape == (2, 3)
@@ -166,7 +176,7 @@ def test_project_primal_integral(toy_2x3):
 def test_project_primal_convex_combination(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (0, [0, 1, 1]),
                                (1, [1, 0, 0]), (1, [0, 0, 1])])
-    sol = build_and_solve(pool, toy_2x3, "phase2")
+    sol = build_and_solve(pool, "phase2")
     # recompute by hand
     expect = np.zeros((2, 3))
     for col in pool.iter_columns():
@@ -263,7 +273,7 @@ def test_compact_lp_unassignable_job_raises():
 
 def test_extract_integral_partition(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (1, [0, 0, 1])])
-    sol = build_and_solve(pool, toy_2x3, "phase2")
+    sol = build_and_solve(pool, "phase2")
     res = extract_integer_solution(sol, pool)
     assert res is not None
     assignment, ub = res
@@ -304,11 +314,11 @@ def test_extract_overcover_repair():
 def test_resolve_after_removal_is_pivot_free(toy_3x12):
     inst = toy_3x12
     pool = covering_pool(inst, seed=1, extras=25)
-    handle = RmpWarmHandle()
+    master = MasterLp(inst)
     pool.iteration = 5
-    sol = build_and_solve(pool, inst, "phase2", handle)
+    sol = build_and_solve(pool, "phase2", master)
     removed = manage_columns(pool, sol, tau=1)
     assert removed > 0
-    sol2 = build_and_solve(pool, inst, "phase2", handle)
+    sol2 = build_and_solve(pool, "phase2", master)
     assert sol2.pivots == 0
     assert sol2.objective == pytest.approx(sol.objective, abs=1e-7)
