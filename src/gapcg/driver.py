@@ -2,9 +2,11 @@
 
 ``run`` executes the full loop for one instance and pricing method and
 returns a :class:`RunReport` with one row per iteration. Phase one is the
-same loop over a zero cost row: it minimizes the artificial sum and hands
-off to phase two once that reaches zero. ``run_lr`` wraps the Lagrangian
-baseline into the same report shape; ``run`` dispatches to it for ``"lr"``.
+same loop, priced against a zero-cost copy of the instance: it minimizes the
+artificial sum until ``rmp.build_and_solve`` hands the master to phase two;
+each row takes its phase from ``master.phase``. ``run_lr`` wraps the
+Lagrangian baseline into the same report shape; ``run`` dispatches to it
+for ``"lr"``.
 
 Bounds bookkeeping: whenever an iteration priced with the true duals, the
 sum of negative minimum reduced costs added to the master objective is a
@@ -155,13 +157,13 @@ def _price(inst: GapInstance, cfg: CgConfig, sol, templates: TemplateSet | None,
         mu_i = float(sol.mu[i])
         if method == "lt":
             out = pricing.lt_price(inst, i, templates.y[i], sol.pi, mu_i, cfg.epsilon,
-                                   state=state, phase1=phase1, delta=cfg.template_delta)
+                                   state=state, delta=cfg.template_delta)
             alphas.append(out.alpha_used)
         elif method == "mt":
             out = pricing.mt_price(inst, i, templates.y[i], sol.pi, mu_i, cfg.epsilon,
-                                   phase1=phase1, delta=cfg.template_delta)
+                                   delta=cfg.template_delta)
         else:
-            out = pricing.dantzig_price(inst, i, sol.pi, mu_i, cfg.epsilon, phase1=phase1)
+            out = pricing.dantzig_price(inst, i, sol.pi, mu_i, cfg.epsilon)
         outcomes.append(out)
     return outcomes, False, alphas
 
@@ -192,10 +194,12 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     templates = (TemplateSet(y=rmp.solve_compact_lp(inst), delta=cfg.template_delta)
                  if method in ("lt", "mt") else None)
 
-    def insert_columns(outcomes, sol, phase1):
+    # phase one prices and audits against zero costs
+    zero_cost = replace(inst, cost=np.zeros_like(inst.cost))
+
+    def insert_columns(outcomes, sol, priced):
         # canonical insertion order: the run's machine permutation, whatever
         # order the pricing dispatch produced the outcomes in
-        cost_rows = np.zeros((inst.num_machines, inst.num_jobs)) if phase1 else inst.cost
         by_machine = {out.machine: out for out in outcomes}
         added = 0
         for i in order:
@@ -203,7 +207,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
             if selection is None or pool.add(i, selection) is None:
                 continue
             added += 1
-            rc = pricing.reduced_cost_sum(cost_rows[i], sol.pi, selection)
+            rc = pricing.reduced_cost_sum(priced.cost[i], sol.pi, selection)
             run_report.columns_audited += 1
             run_report.max_rc_margin = max(run_report.max_rc_margin,
                                            rc - (float(sol.mu[i]) - cfg.epsilon))
@@ -230,18 +234,15 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
             rmp_time, pricing_time, *_alpha_stats(alphas)))
 
     it = 0
-    phase = "1"
     status = None
     while status is None:
         it += 1
         pool.iteration = it
         t0 = time.perf_counter()
-        sol = rmp.build_and_solve(pool, f"phase{phase}", master)
+        sol = rmp.build_and_solve(pool, master)
         rmp_time = time.perf_counter() - t0
-        if phase == "1" and sol.objective < rmp.PHASE1_TOL:
-            # no pricing happened; phase two re-solves this iteration
-            phase, it = "2", it - 1
-            continue
+        phase = str(master.phase)
+        priced = zero_cost if phase == "1" else inst
         run_report.final_objective = sol.objective
         if phase == "2":
             if run_report.handoff_objective is None:
@@ -264,13 +265,13 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         if templates is not None and (phase == "2" or it > 1):
             templates = rmp.project_primal(sol, pool, cfg.template_delta)
         t0 = time.perf_counter()
-        outcomes, smoothed, alphas = _price(inst, cfg, sol, templates, phase == "1",
+        outcomes, smoothed, alphas = _price(priced, cfg, sol, templates, phase == "1",
                                             order, state)
         pricing_time = time.perf_counter() - t0
         if phase == "2":
             bounds = update_bounds(bounds, outcomes, sol.objective, smoothed)
         removed = manage(sol, it)
-        added = insert_columns(outcomes, sol, phase == "1")
+        added = insert_columns(outcomes, sol, priced)
         add_row(sol, rmp_time, added, removed, pricing_time, alphas, smoothed)
         if phase == "1":
             if added == 0:

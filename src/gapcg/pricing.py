@@ -13,7 +13,8 @@ vector per machine) to candidate columns:
 
 Every strategy only ever returns columns whose reduced cost under the true
 duals clears ``mu_i - eps``; the heuristics differ in which such column they
-prefer. Phase-one variants replace the cost row by zeros.
+prefer. Phase one prices against a copy of the instance whose costs are
+all zero, so no strategy takes a phase argument.
 """
 
 from __future__ import annotations
@@ -93,17 +94,10 @@ def reduced_cost_sum(cost_row, pi, selection) -> float:
     return float((np.asarray(cost_row, dtype=np.float64) - pi)[selection].sum())
 
 
-def _cost_row(inst, i: int, phase1: bool) -> np.ndarray:
-    if phase1:
-        return np.zeros(inst.num_jobs)
-    return inst.cost[i].astype(np.float64)
-
-
-def dantzig_price(inst, i: int, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
-                  phase1: bool = False) -> PricingOutcome:
+def dantzig_price(inst, i: int, pi, mu_i: float,
+                  eps: float = DEFAULT_EPSILON) -> PricingOutcome:
     """Minimum reduced-cost column for machine i, or absent if none is good."""
-    cost_row = _cost_row(inst, i, phase1)
-    sol = min_knapsack(KnapsackProblem(cost_row - pi, inst.resource[i], int(inst.capacity[i])))
+    sol = min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i], int(inst.capacity[i])))
     rc = sol.value - mu_i
     if rc > -eps:
         return PricingOutcome(machine=i, selection=None, dantzig_rc=rc)
@@ -111,11 +105,10 @@ def dantzig_price(inst, i: int, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
 
 
 def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
-             phase1: bool = False, delta: float = DEFAULT_DELTA) -> PricingOutcome:
+             delta: float = DEFAULT_DELTA) -> PricingOutcome:
     """Exact template pricing: maximize similarity over the good columns,
     break ties by minimum reduced cost."""
-    cost_row = _cost_row(inst, i, phase1)
-    rc_coeff = cost_row - pi
+    rc_coeff = inst.cost[i] - pi
     base = min_knapsack(KnapsackProblem(rc_coeff, inst.resource[i], int(inst.capacity[i])))
     dantzig_rc = base.value - mu_i
     if dantzig_rc > -eps:
@@ -131,9 +124,8 @@ def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
 
 
 def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
-             state: LtState | None = None, phase1: bool = False,
-             delta: float = DEFAULT_DELTA, literal_mode: bool = False,
-             trace: list | None = None) -> PricingOutcome:
+             state: LtState | None = None, delta: float = DEFAULT_DELTA,
+             literal_mode: bool = False, trace: list | None = None) -> PricingOutcome:
     """Heuristic template pricing via a scalarized knapsack and bisection.
 
     For a trade-off weight ``alpha`` the subproblem minimizes
@@ -145,8 +137,7 @@ def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
     weight instead). When the search proves the returned similarity optimal,
     the result matches :func:`mt_price` exactly.
     """
-    cost_row = _cost_row(inst, i, phase1)
-    rc_coeff = cost_row - pi
+    rc_coeff = inst.cost[i] - pi
     weights = inst.resource[i]
     cap = int(inst.capacity[i])
     base = min_knapsack(KnapsackProblem(rc_coeff, weights, cap))

@@ -5,11 +5,12 @@ row per machine, with a surplus column on every cover row. Feasibility is
 bootstrapped without big-M costs via one artificial column per cover row
 whose sum is minimized (phase one). The starting basis holds the emptiest
 column of each machine; a row those anchors cover more than once starts on
-its surplus column, every other row on its artificial. Once the phase-one
-objective reaches zero the artificials are pivoted out, sealed, and the true
-column costs installed (phase two). :class:`MasterLp` owns the LP and keeps
-its basis warm across solves; the LP engine exposes duals, basic status and
-pivot counts.
+its surplus column, every other row on its artificial. The phase change
+happens inside :func:`build_and_solve`: the solve whose phase-one objective
+reaches zero pivots the artificials out, seals them, installs the true
+column costs and returns the phase-two solution (phase two).
+:class:`MasterLp` owns the LP and keeps its basis warm across solves; the LP
+engine exposes duals, basic status and pivot counts.
 """
 
 from __future__ import annotations
@@ -178,36 +179,30 @@ class MasterLp:
                            basic_ids=basic)
 
 
-def build_and_solve(pool: ColumnPool, mode: str,
-                    master: MasterLp | None = None) -> RmpSolution:
+def build_and_solve(pool: ColumnPool, master: MasterLp | None = None) -> RmpSolution:
     """Solve the master over the pool's columns and return duals and pivots.
 
-    ``mode`` is ``"phase1"`` (minimize the artificial-variable sum, column
-    costs ignored) or ``"phase2"`` (true costs; runs the phase transition
-    first if needed). Passing the same ``master`` across calls reuses the
-    previous basis; without one, a fresh master is built for this call.
-    ``master`` must belong to ``pool.inst``.
+    A master in phase one minimizes the artificial-variable sum with column
+    costs ignored. When that sum ends below ``PHASE1_TOL``, the same call
+    moves the master to phase two and returns the phase-two solution, so
+    ``master.phase`` after the call tells which phase the solution is of.
+    Passing the same ``master`` across calls reuses the previous basis;
+    without one, a fresh master is built for this call. ``master`` must
+    belong to ``pool.inst``.
     """
-    if mode not in ("phase1", "phase2"):
-        raise ValueError(f"unknown mode {mode!r}")
     if master is None:
         master = MasterLp(pool.inst)
     elif master.inst is not pool.inst:
         raise ValueError("master belongs to a different instance than the pool")
     master.sync(pool)
     master.ensure_basis(pool)
-    if mode == "phase1":
-        if master.phase != 1:
-            raise RuntimeError("master already moved past phase one")
-        return master.extract(master.lp.solve())
-    pivots = 0
-    if master.phase == 1:
-        pivots += master.lp.solve()
-        if master.lp.objective() > PHASE1_TOL:
-            raise MasterInfeasibleError(
-                f"phase-one objective {master.lp.objective():.6g} > 0: no feasible cover")
+    pivots = master.lp.solve()
+    if master.phase == 1 and master.lp.objective() < PHASE1_TOL:
+        # re-solve from a fresh factorization of the basis inverse before the
+        # artificials leave; without it the phase-two pivot sequences drift
+        pivots = master.lp.solve()
         pivots += master.to_phase2(pool)
-    pivots += master.lp.solve()
+        pivots += master.lp.solve()
     return master.extract(pivots)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -324,20 +326,25 @@ def test_pessoa_frozen_alpha_stays_zero():
 
 # -------------------------------------------------------------- phase-1 variants
 
+def zero_cost(inst):
+    """The phase-one copy of an instance: every cost is zero."""
+    return replace(inst, cost=np.zeros_like(inst.cost))
+
+
 def test_phase1_zero_duals_never_price():
-    inst = random_instance(22, m=2, n=6)
+    inst = zero_cost(random_instance(22, m=2, n=6))
     pi = np.zeros(6)
     for i in range(2):
-        out = dantzig_price(inst, i, pi, 0.0, EPS, phase1=True)
+        out = dantzig_price(inst, i, pi, 0.0, EPS)
         assert out.selection is None  # rc is exactly -mu_i = 0: nothing improves
         assert out.dantzig_rc == pytest.approx(0.0)
 
 
 def test_phase1_single_uncovered_job_selected():
-    inst = random_instance(23, m=1, n=5)
+    inst = zero_cost(random_instance(23, m=1, n=5))
     pi = np.zeros(5)
     pi[3] = 1.0
-    out = dantzig_price(inst, 0, pi, 0.0, EPS, phase1=True)
+    out = dantzig_price(inst, 0, pi, 0.0, EPS)
     assert out.selection is not None and out.selection[3]
     assert out.dantzig_rc == pytest.approx(-1.0)
 
@@ -346,12 +353,12 @@ def test_phase1_lt_mt_dominance():
     rng = np.random.default_rng(24)
     compared = 0
     for trial in range(100):
-        inst = random_instance(5000 + trial, m=1, n=8)
+        inst = zero_cost(random_instance(5000 + trial, m=1, n=8))
         pi = np.abs(rng.normal(1, 1, 8)).round(3)
         mu = float(rng.normal(-1, 1))
         y = random_template(rng, inst)[0]
-        lt = lt_price(inst, 0, y, pi, mu, EPS, LtState.fresh(1), phase1=True)
-        mt = mt_price(inst, 0, y, pi, mu, EPS, phase1=True)
+        lt = lt_price(inst, 0, y, pi, mu, EPS, LtState.fresh(1))
+        mt = mt_price(inst, 0, y, pi, mu, EPS)
         assert (lt.selection is None) == (mt.selection is None)
         if lt.selection is not None:
             compared += 1
