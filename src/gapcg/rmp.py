@@ -200,7 +200,7 @@ def build_and_solve(pool: ColumnPool, master: MasterLp | None = None) -> RmpSolu
     if master.phase == 1 and master.lp.objective() < PHASE1_TOL:
         # re-solve from a fresh factorization of the basis inverse before the
         # artificials leave; without it the phase-two pivot sequences drift
-        pivots = master.lp.solve()
+        pivots += master.lp.solve()
         pivots += master.to_phase2(pool)
         pivots += master.lp.solve()
     return master.extract(pivots)

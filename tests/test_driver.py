@@ -8,6 +8,7 @@ from gapcg.driver import Bounds, CgConfig, run, run_lr, update_bounds
 from gapcg.instance import (GapInstance, GeneratorSpec,
                             InfeasibleInstanceError, generate)
 from gapcg.pricing import PricingOutcome
+from gapcg.simplex import SimplexSolver
 
 
 def outcome(machine, rc):
@@ -112,6 +113,19 @@ def test_trace_invariants(toy_3x12):
     assert all(a >= b - 1e-9 for a, b in zip(phase1, phase1[1:]))  # artificial sum sinks
     assert rep.max_rc_margin <= 0.0  # every added column satisfied the budget
     assert rep.columns_audited == rep.total_columns_added
+
+
+def test_total_pivots_counts_every_master_pivot(toy_3x12, monkeypatch):
+    returned = []  # (solver, pivots) of every solve and retirement
+    for name in ("solve", "retire_columns"):
+        def counting(self, *args, _original=getattr(SimplexSolver, name), **kwargs):
+            pivots = _original(self, *args, **kwargs)
+            returned.append((self, pivots))
+            return pivots
+        monkeypatch.setattr(SimplexSolver, name, counting)
+    rep = run(toy_3x12, CgConfig(pricing_method="dantzig"))
+    assert len({id(lp) for lp, _ in returned}) == 1  # dantzig builds no compact LP
+    assert rep.total_pivots == sum(p for _, p in returned)
 
 
 def test_time_limit_zero_stops_in_phase1(toy_3x12):
