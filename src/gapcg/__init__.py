@@ -12,9 +12,8 @@ from .instance import (GapInstance, GeneratorSpec, InfeasibleInstanceError,
 from .knapsack import (KnapsackProblem, KnapsackSolution, LexKnapsackProblem,
                        brute_force_lex, lex_knapsack, min_knapsack)
 from .lagrangian import lr_evaluate, lr_solve
-from .pricing import (LtState, PessoaState, PricingOutcome, TemplateSet,
-                      dantzig_price, lt_price, mt_price, pessoa_round,
-                      similarity_class)
+from .pricing import (LtState, PessoaState, PricingOutcome, dantzig_price,
+                      lt_price, mt_price, pessoa_round, similarity_class)
 from .rmp import (AGE_POLICIES, Column, ColumnPool, MasterInfeasibleError,
                   MasterLp, RmpSolution, age_threshold, build_and_solve,
                   extract_integer_solution, manage_columns, project_primal,

@@ -2,11 +2,10 @@
 
 ``run`` executes the full loop for one instance and pricing method and
 returns a :class:`RunReport` with one row per iteration. Phase one is the
-same loop, priced against a zero-cost copy of the instance: it minimizes the
-artificial sum until ``rmp.build_and_solve`` hands the master to phase two;
-each row takes its phase from ``master.phase``. ``run_lr`` wraps the
-Lagrangian baseline into the same report shape; ``run`` dispatches to it
-for ``"lr"``.
+same loop, priced against a zero-cost copy of the instance, until
+``rmp.build_and_solve`` hands the master to phase two; each row takes its
+phase from ``master.phase``. ``run_lr`` wraps the Lagrangian baseline into
+the same report shape; ``run`` dispatches to it for ``"lr"``.
 
 Bounds bookkeeping: whenever an iteration priced with the true duals, the
 sum of negative minimum reduced costs added to the master objective is a
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import lagrangian, pricing, rmp
 from .instance import GapInstance, require_valid
-from .pricing import LtState, PessoaState, PricingOutcome, TemplateSet
+from .pricing import LtState, PessoaState, PricingOutcome
 from .rmp import AGE_POLICIES, ColumnPool, MasterLp
 
 RC_CONVERGENCE_TOL = 1e-6
@@ -139,7 +138,7 @@ def _alpha_stats(values):
     return min(values), sum(values) / len(values), max(values)
 
 
-def _price(inst: GapInstance, cfg: CgConfig, sol, templates: TemplateSet | None,
+def _price(inst: GapInstance, cfg: CgConfig, sol, templates: np.ndarray | None,
            phase1: bool, order, state):
     """One pricing round; returns (outcomes, smoothed, alpha_values).
 
@@ -156,11 +155,11 @@ def _price(inst: GapInstance, cfg: CgConfig, sol, templates: TemplateSet | None,
     for i in order:
         mu_i = float(sol.mu[i])
         if method == "lt":
-            out = pricing.lt_price(inst, i, templates.y[i], sol.pi, mu_i, cfg.epsilon,
+            out = pricing.lt_price(inst, i, templates[i], sol.pi, mu_i, cfg.epsilon,
                                    state=state, delta=cfg.template_delta)
             alphas.append(out.alpha_used)
         elif method == "mt":
-            out = pricing.mt_price(inst, i, templates.y[i], sol.pi, mu_i, cfg.epsilon,
+            out = pricing.mt_price(inst, i, templates[i], sol.pi, mu_i, cfg.epsilon,
                                    delta=cfg.template_delta)
         else:
             out = pricing.dantzig_price(inst, i, sol.pi, mu_i, cfg.epsilon)
@@ -191,11 +190,10 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
                     else AGE_POLICIES[method])
     tau = rmp.age_threshold(coefficients, inst)
 
-    templates = (TemplateSet(y=rmp.solve_compact_lp(inst), delta=cfg.template_delta)
-                 if method in ("lt", "mt") else None)
-
-    # phase one prices and audits against zero costs
-    zero_cost = replace(inst, cost=np.zeros_like(inst.cost))
+    if method in ("lt", "mt") and not 0.0 <= cfg.template_delta <= 0.5:
+        raise ValueError("delta must lie in [0, 0.5]")
+    templates = rmp.solve_compact_lp(inst) if method in ("lt", "mt") else None
+    zero_cost = replace(inst, cost=np.zeros_like(inst.cost))  # phase one prices against it
 
     def insert_columns(outcomes, sol, priced):
         # canonical insertion order: the run's machine permutation, whatever
@@ -263,7 +261,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
             add_row(sol, rmp_time)
             break
         if templates is not None and (phase == "2" or it > 1):
-            templates = rmp.project_primal(sol, pool, cfg.template_delta)
+            templates = rmp.project_primal(sol, pool)
         t0 = time.perf_counter()
         outcomes, smoothed, alphas = _price(priced, cfg, sol, templates, phase == "1",
                                             order, state)

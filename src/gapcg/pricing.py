@@ -34,19 +34,6 @@ LT_ABSOLUTE_FLOOR = 1e-9
 
 
 @dataclass(eq=False)
-class TemplateSet:
-    """Per-machine target vectors in [0, 1] plus the classification threshold."""
-
-    y: np.ndarray  # (num_machines, num_jobs) floats in [0, 1]
-    delta: float = DEFAULT_DELTA
-
-    def __post_init__(self):
-        self.y = np.clip(np.asarray(self.y, dtype=np.float64), 0.0, 1.0)
-        if not 0.0 <= self.delta <= 0.5:
-            raise ValueError("delta must lie in [0, 0.5]")
-
-
-@dataclass(eq=False)
 class PricingOutcome:
     machine: int
     selection: np.ndarray | None  # bool mask over jobs; None: no good column
@@ -94,8 +81,7 @@ def reduced_cost_sum(cost_row, pi, selection) -> float:
     return float((np.asarray(cost_row, dtype=np.float64) - pi)[selection].sum())
 
 
-def dantzig_price(inst, i: int, pi, mu_i: float,
-                  eps: float = DEFAULT_EPSILON) -> PricingOutcome:
+def dantzig_price(inst, i: int, pi, mu_i: float, eps: float = DEFAULT_EPSILON) -> PricingOutcome:
     """Minimum reduced-cost column for machine i, or absent if none is good."""
     sol = min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i], int(inst.capacity[i])))
     rc = sol.value - mu_i

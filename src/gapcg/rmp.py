@@ -5,12 +5,11 @@ row per machine, with a surplus column on every cover row. Feasibility is
 bootstrapped without big-M costs via one artificial column per cover row
 whose sum is minimized (phase one). The starting basis holds the emptiest
 column of each machine; a row those anchors cover more than once starts on
-its surplus column, every other row on its artificial. The phase change
-happens inside :func:`build_and_solve`: the solve whose phase-one objective
-reaches zero pivots the artificials out, seals them, installs the true
-column costs and returns the phase-two solution (phase two).
-:class:`MasterLp` owns the LP and keeps its basis warm across solves; the LP
-engine exposes duals, basic status and pivot counts.
+its surplus column, every other row on its artificial. Within the
+:func:`build_and_solve` call whose phase-one objective reaches zero, the
+artificials are pivoted out and sealed and the true column costs installed
+(phase two). :class:`MasterLp` owns the LP and keeps its basis warm across
+solves; the LP engine exposes duals, basic status and pivot counts.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import GapInstance, InfeasibleInstanceError, require_valid
-from .pricing import TemplateSet
 from .simplex import SimplexSolver
 
 PHASE1_TOL = 1e-7
@@ -182,10 +180,9 @@ class MasterLp:
 def build_and_solve(pool: ColumnPool, master: MasterLp | None = None) -> RmpSolution:
     """Solve the master over the pool's columns and return duals and pivots.
 
-    A master in phase one minimizes the artificial-variable sum with column
-    costs ignored. When that sum ends below ``PHASE1_TOL``, the same call
-    moves the master to phase two and returns the phase-two solution, so
-    ``master.phase`` after the call tells which phase the solution is of.
+    Phase one minimizes the artificial-variable sum, column costs ignored; a
+    phase-one solve that ends below ``PHASE1_TOL`` moves the master to phase
+    two and returns the phase-two solution (``master.phase`` tells which).
     Passing the same ``master`` across calls reuses the previous basis;
     without one, a fresh master is built for this call. ``master`` must
     belong to ``pool.inst``.
@@ -206,9 +203,8 @@ def build_and_solve(pool: ColumnPool, master: MasterLp | None = None) -> RmpSolu
     return master.extract(pivots)
 
 
-def project_primal(sol: RmpSolution, pool: ColumnPool,
-                   delta: float = 1e-6) -> TemplateSet:
-    """Project the master solution onto per-machine job-fraction vectors."""
+def project_primal(sol: RmpSolution, pool: ColumnPool) -> np.ndarray:
+    """Project the master solution onto per-machine job-fraction vectors in [0, 1]."""
     inst = pool.inst
     y = np.zeros((inst.num_machines, inst.num_jobs))
     for col in pool.iter_columns():
@@ -217,7 +213,7 @@ def project_primal(sol: RmpSolution, pool: ColumnPool,
             y[col.machine][col.jobs] += weight
     if y.max(initial=0.0) > 1.0 + 1e-7:
         raise AssertionError(f"projected entry {y.max():.9f} above 1")
-    return TemplateSet(y=y, delta=delta)
+    return np.clip(y, 0.0, 1.0)
 
 
 def manage_columns(pool: ColumnPool, sol: RmpSolution, tau: int) -> int:
@@ -248,10 +244,10 @@ def age_threshold(coefficients: tuple[float, float, float], inst: GapInstance) -
 
 
 def solve_compact_lp(inst: GapInstance) -> np.ndarray:
-    """LP relaxation of the compact assignment model, cover form.
+    """LP relaxation of the compact assignment model, partition form.
 
-    Returns the optimal fractional assignment matrix ``x[i, j] in [0, 1]``;
-    used to seed the initial phase-one template.
+    Returns the optimal fractional assignment matrix ``x[i, j] in [0, 1]``,
+    whose entries for each job sum to one; it seeds the phase-one templates.
     """
     require_valid(inst)
     nj, ni = inst.num_jobs, inst.num_machines

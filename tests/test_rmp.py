@@ -167,12 +167,12 @@ def test_project_primal_integral(toy_2x3):
     sol = build_and_solve(pool)
     templates = project_primal(sol, pool)
     ids = {c.key(): c for c in pool.iter_columns()}
-    assert templates.y.shape == (2, 3)
-    assert templates.y.min() >= 0.0 and templates.y.max() <= 1.0
+    assert templates.shape == (2, 3)
+    assert templates.min() >= 0.0 and templates.max() <= 1.0
     # integral solution: templates equal the chosen bit-vectors
     for col in pool.iter_columns():
         if sol.lam[col.id] > 0.5:
-            assert np.allclose(templates.y[col.machine], col.jobs.astype(float))
+            assert np.allclose(templates[col.machine], col.jobs.astype(float))
 
 
 def test_project_primal_convex_combination(toy_2x3):
@@ -184,8 +184,8 @@ def test_project_primal_convex_combination(toy_2x3):
     for col in pool.iter_columns():
         expect[col.machine] += sol.lam[col.id] * col.jobs
     templates = project_primal(sol, pool)
-    assert np.allclose(templates.y, np.clip(expect, 0, 1), atol=1e-9)
-    cover = templates.y.sum(axis=0)
+    assert np.allclose(templates, np.clip(expect, 0, 1), atol=1e-9)
+    cover = templates.sum(axis=0)
     assert (cover >= 1 - 1e-6).all()
 
 
