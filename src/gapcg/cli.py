@@ -273,11 +273,17 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _template_delta(text: str) -> float:
+    if not 0.0 <= float(text) <= 0.5:
+        raise argparse.ArgumentTypeError(f"{text} lies outside [0, 0.5]")
+    return float(text)
+
+
 def _add_common(parser):
     parser.add_argument("--time-limit", type=float, default=600.0, help="seconds per run")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--epsilon", type=float, default=1e-6)
-    parser.add_argument("--delta", type=float, default=1e-6)
+    parser.add_argument("--delta", type=_template_delta, default=1e-6)
     parser.add_argument("--mip-gap", type=float, default=1e-5)
     parser.add_argument("--age-a2", type=float, default=None)
     parser.add_argument("--age-a1", type=float, default=None)

@@ -44,6 +44,19 @@ def test_run_unknown_method_exits_2(instance_file, capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command, delta", [
+    (["run", "--method", "lt"], "0.7"),
+    (["run", "--method", "dantzig"], "0.7"),
+    (["bench"], "-0.1"),
+    (["sweep", "--taus", "1,2"], "0.7"),
+], ids=["run-lt", "run-dantzig", "bench", "sweep"])
+def test_delta_outside_zero_to_half_exits_2(instance_file, capsys, command, delta):
+    with pytest.raises(SystemExit) as err:
+        main([command[0], instance_file, *command[1:], "--delta", delta])
+    assert err.value.code == 2
+    assert "--delta" in capsys.readouterr().err
+
+
 def test_run_missing_file_exits_3(tmp_path):
     assert main(["run", str(tmp_path / "nope.txt")]) == 3
 
