@@ -14,7 +14,7 @@ vector per machine) to candidate columns:
 Every strategy only ever returns columns whose reduced cost under the true
 duals clears ``mu_i - eps``; the heuristics differ in which such column they
 prefer. Phase one prices against a copy of the instance whose costs are
-all zero, so no strategy takes a phase argument.
+all zero.
 """
 
 from __future__ import annotations
