@@ -246,8 +246,9 @@ def age_threshold(coefficients: tuple[float, float, float], inst: GapInstance) -
 def solve_compact_lp(inst: GapInstance) -> np.ndarray:
     """LP relaxation of the compact assignment model, partition form.
 
-    Returns the optimal fractional assignment matrix ``x[i, j] in [0, 1]``,
-    whose entries for each job sum to one; it seeds the phase-one templates.
+    Returns the optimal fractional assignment matrix ``x[i, j] >= 0``, whose
+    entries for each job sum to one (so none exceeds one); it seeds the
+    phase-one templates.
     """
     require_valid(inst)
     nj, ni = inst.num_jobs, inst.num_machines
@@ -259,7 +260,7 @@ def solve_compact_lp(inst: GapInstance) -> np.ndarray:
             e = np.zeros(nj + ni)
             e[j] = 1.0
             e[nj + i] = float(inst.resource[i, j])
-            x_cols[i, j] = lp.add_column(e, 0.0, ub=1.0)
+            x_cols[i, j] = lp.add_column(e, 0.0)
     slacks = []
     for i in range(ni):
         e = np.zeros(nj + ni)

@@ -2,38 +2,34 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from gapcg.simplex import AT_LB, SimplexSolver, UnboundedError
+from gapcg.simplex import SimplexSolver, UnboundedError
 
 
 def two_phase(A, b, c, ubs):
-    """Drive the solver through an explicit artificial phase, then real costs."""
+    """Drive the solver through an explicit artificial phase, then real costs.
+
+    Every finite bound ``x_j <= u_j`` becomes a row ``x_j + s_j = u_j`` with
+    its own slack column, so the solver sees a plain ``x >= 0`` LP.
+    """
     m, n = A.shape
+    bounded = np.flatnonzero(np.isfinite(ubs))
+    k = len(bounded)
+    A = np.vstack([np.hstack([A, np.zeros((m, k))]),
+                   np.hstack([np.eye(n)[bounded], np.eye(k)])])
+    b = np.concatenate([b, ubs[bounded]])
     lp = SimplexSolver(b)
-    for j in range(n):
-        lp.add_column(A[:, j], 0.0, ub=float(ubs[j]))
+    for j in range(n + k):
+        lp.add_column(A[:, j], 0.0)
     arts = []
-    for r in range(m):
-        e = np.zeros(m)
+    for r in range(m + k):
+        e = np.zeros(m + k)
         e[r] = 1.0 if b[r] >= 0 else -1.0
         arts.append(lp.add_column(e, 1.0))
     lp.set_basis(arts)
     lp.solve()
     if lp.objective() > 1e-7:
         return None
-    for r in range(m):
-        if int(lp.basis[r]) in set(arts):
-            row = lp._binv[r]
-            for j in range(n):
-                if not lp.is_basic(j) and lp.state[j] == AT_LB and abs(row @ lp._A[:, j]) > 1e-7:
-                    lp.force_pivot(r, j)
-                    break
-    for j in arts:
-        lp.set_cost(j, 0.0)
-        if not lp.is_basic(j):
-            lp.seal_column(j)
-        else:
-            lp.ub[j] = 0.0
-            lp.sealed[j] = True
+    lp.retire_columns(arts, range(n + k))
     for j in range(n):
         lp.set_cost(j, float(c[j]))
     lp.solve()
@@ -137,13 +133,16 @@ def test_unbounded_detected():
         lp.solve()
 
 
-def test_bound_flip_counts_as_pivot():
-    # min -x with x <= 2 and a free slack row: x + s = 5
-    lp = SimplexSolver(np.array([5.0]))
-    s = lp.add_column(np.array([1.0]), 0.0)
-    x = lp.add_column(np.array([1.0]), -1.0, ub=2.0)
-    lp.set_basis([s])
-    pivots = lp.solve()
-    assert pivots == 1
-    assert lp.value(x) == pytest.approx(2.0)
-    assert lp.objective() == pytest.approx(-2.0)
+def test_sealed_basic_column_stays_at_zero():
+    # rows s + x = 1 and z - x = 0; z is basic and sealed at zero, so the
+    # entering x must stop at zero instead of lifting z
+    lp = SimplexSolver(np.array([1.0, 0.0]))
+    s = lp.add_column(np.array([1.0, 0.0]), 0.0)
+    z = lp.add_column(np.array([0.0, 1.0]), 0.0)
+    lp.set_basis([s, z])
+    lp.seal_column(z)
+    x = lp.add_column(np.array([1.0, -1.0]), -1.0)
+    lp.solve()
+    assert lp.value(z) == 0.0
+    assert lp.value(x) == 0.0
+    assert lp.objective() == 0.0
