@@ -175,6 +175,12 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     if method not in AGE_POLICIES:
         raise ValueError(f"unknown pricing method {method!r}")
     require_valid(inst)
+    # every assignment pays each job once, so shifting a job's costs to a
+    # zero minimum keeps the optimal assignments and makes the cover master
+    # exact; reports add the offset back
+    shift = np.minimum(inst.cost.min(axis=0), 0)
+    offset = int(shift.sum())
+    inst = replace(inst, cost=inst.cost - shift)
 
     run_report = RunReport(instance=inst.name, method=method)
     deadline = time.perf_counter() + cfg.time_limit
@@ -226,7 +232,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         # for a round priced with the true duals
         rc_sum = None if phase == "1" or smoothed else bounds.rc_sum
         run_report.rows.append(IterRow(
-            it, phase, sol.objective,
+            it, phase, objective,
             bounds.lb_raw if math.isfinite(bounds.lb_raw) else None,
             bounds.lb_int, bounds.ub, rc_sum, added, removed, sol.pivots,
             rmp_time, pricing_time, *_alpha_stats(alphas)))
@@ -241,19 +247,21 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         rmp_time = time.perf_counter() - t0
         phase = str(master.phase)
         priced = zero_cost if phase == "1" else inst
-        run_report.final_objective = sol.objective
+        # phase-one rows report the artificial sum, phase two the true scale
+        objective = sol.objective + offset if phase == "2" else sol.objective
+        run_report.final_objective = objective
         if phase == "2":
             if run_report.handoff_objective is None:
-                run_report.handoff_objective = sol.objective
+                run_report.handoff_objective = objective
             integral = rmp.extract_integer_solution(sol, pool)
             run_report.integral_final = integral is not None
-            if integral is not None and (bounds.ub is None or integral[1] < bounds.ub):
-                bounds = replace(bounds, ub=integral[1])
+            if integral is not None and (bounds.ub is None or integral[1] + offset < bounds.ub):
+                bounds = replace(bounds, ub=integral[1] + offset)
         # stop checks on what the solve alone tells; the bound checks never
         # fire in phase one, where the bounds are still unset
         if _gap_closed(bounds, cfg.mip_gap):
             status = "gap_closed"
-        elif bounds.lb_int is not None and bounds.lb_int >= sol.objective - CEIL_GUARD:
+        elif bounds.lb_int is not None and bounds.lb_int >= objective - CEIL_GUARD:
             status = "rc_converged"
         elif time.perf_counter() > deadline:
             status = "time_limit"
@@ -267,7 +275,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
                                             order, state)
         pricing_time = time.perf_counter() - t0
         if phase == "2":
-            bounds = update_bounds(bounds, outcomes, sol.objective, smoothed)
+            bounds = update_bounds(bounds, outcomes, objective, smoothed)
         removed = manage(sol, it)
         added = insert_columns(outcomes, sol, priced)
         add_row(sol, rmp_time, added, removed, pricing_time, alphas, smoothed)
@@ -277,7 +285,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
                     f"phase one stalled at objective {sol.objective:.6g}")
         elif not smoothed and abs(bounds.rc_sum) < RC_CONVERGENCE_TOL:
             status = "optimal"
-        elif not smoothed and bounds.lb_int is not None and bounds.lb_int >= sol.objective - CEIL_GUARD:
+        elif not smoothed and bounds.lb_int is not None and bounds.lb_int >= objective - CEIL_GUARD:
             status = "rc_converged"
         elif _gap_closed(bounds, cfg.mip_gap):
             status = "gap_closed"

@@ -35,8 +35,8 @@ def min_reduced_cost(inst, machine: int, pi, cost_row=None):
     return float(vals[k]), cols[k]
 
 
-def master_lp(inst):
-    """Cover-form master LP over every enumerated column; HiGHS's raw result."""
+def _enumerated_master(inst):
+    """Every feasible column with its cost, plus the machine convexity rows."""
     cols, costs, owners = [], [], []
     for i in range(inst.num_machines):
         for bits in feasible_columns(inst, i):
@@ -44,12 +44,27 @@ def master_lp(inst):
             costs.append(float(inst.cost[i][bits].sum()))
             owners.append(i)
     cols = np.array(cols)
-    costs = np.array(costs)
-    owners = np.array(owners)
-    a_eq = np.zeros((inst.num_machines, len(cols)))
-    a_eq[owners, np.arange(len(cols))] = 1.0
+    a_conv = np.zeros((inst.num_machines, len(cols)))
+    a_conv[owners, np.arange(len(cols))] = 1.0
+    return cols, np.array(costs), a_conv
+
+
+def master_lp(inst):
+    """Cover-form master LP over every enumerated column; HiGHS's raw result."""
+    cols, costs, a_conv = _enumerated_master(inst)
     return linprog(costs, A_ub=-cols.T, b_ub=-np.ones(inst.num_jobs),
-                   A_eq=a_eq, b_eq=np.ones(inst.num_machines), method="highs")
+                   A_eq=a_conv, b_eq=np.ones(inst.num_machines), method="highs")
+
+
+def partition_master_lp(inst):
+    """:func:`master_lp` with the job rows as equalities; HiGHS's raw result.
+
+    It equals the cover form when costs are nonnegative; with negative costs
+    the cover form may cover a job twice and fall below it.
+    """
+    cols, costs, a_conv = _enumerated_master(inst)
+    return linprog(costs, A_eq=np.vstack([cols.T, a_conv]),
+                   b_eq=np.ones(inst.num_jobs + inst.num_machines), method="highs")
 
 
 def master_lp_optimum(inst, return_duals: bool = False):

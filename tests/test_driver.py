@@ -160,6 +160,16 @@ def test_negative_costs_agree_with_oracle():
     assert run_lr(inst, CgConfig(time_limit=60)).lb_int == ref
 
 
+@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
+def test_negative_costs_match_partition_optimum(method):
+    # covering a job twice would pay its negative cost twice: the cover
+    # master alone bounds this toy at -10, below the optimum -8
+    inst = GapInstance(2, 3, cost=np.array([[-1, -2, -3], [-3, -2, -1]]),
+                       resource=np.full((2, 3), 2), capacity=np.array([4, 4]))
+    rep = run(inst, CgConfig(pricing_method=method, time_limit=60))
+    assert rep.lb_int == rep.ub == -8
+
+
 def test_uniform_costs_maximal_degeneracy():
     inst = generate(GeneratorSpec(num_machines=3, num_jobs=24, cost_range=(5, 5),
                                   resource_range=(2, 9), capacity_slack=0.9, seed=7))
