@@ -322,7 +322,7 @@ def run_lr(inst: GapInstance, cfg: CgConfig) -> RunReport:
     out.final_objective = best_bound
     if elapsed >= cfg.time_limit:
         out.status = "time_limit"
-    elif out.ub is not None and out.lb_int is not None and out.ub - out.lb_int < cfg.mip_gap * abs(out.ub):
+    elif _gap_closed(Bounds(lb_int=out.lb_int, ub=out.ub), cfg.mip_gap):
         out.status = "gap_closed"
     else:
         out.status = "rc_converged"

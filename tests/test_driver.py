@@ -170,6 +170,16 @@ def test_negative_costs_match_partition_optimum(method):
     assert rep.lb_int == rep.ub == -8
 
 
+def test_lr_closes_a_zero_gap_at_zero_cost():
+    # the optimum costs 0, so the relative gap test alone cannot fire
+    inst = GapInstance(2, 3, cost=np.array([[0, 5, 5], [5, 0, 0]]),
+                       resource=np.ones((2, 3), dtype=int), capacity=np.array([3, 3]))
+    rep = run_lr(inst, CgConfig(time_limit=60))
+    assert rep.lb_int == rep.ub == 0
+    assert rep.status == "gap_closed"
+    assert run(inst, CgConfig(pricing_method="dantzig", time_limit=60)).status == "gap_closed"
+
+
 def test_uniform_costs_maximal_degeneracy():
     inst = generate(GeneratorSpec(num_machines=3, num_jobs=24, cost_range=(5, 5),
                                   resource_range=(2, 9), capacity_slack=0.9, seed=7))
