@@ -244,8 +244,12 @@ def cmd_sweep(args) -> int:
                      replications=args.replications, time_limit=args.time_limit,
                      smoothing_window=args.window)
     base = _make_config(args, args.method, args.seed)
-    selected, per_tau, smoothed = run_sweep(inst, args.method, spec, base,
-                                            rel_tol=args.tie_rel, abs_tol=args.tie_abs)
+    try:
+        selected, per_tau, smoothed = run_sweep(inst, args.method, spec, base,
+                                                rel_tol=args.tie_rel, abs_tol=args.tie_abs)
+    except (instance.InfeasibleInstanceError, rmp.MasterInfeasibleError) as exc:
+        print(f"error: {inst.name}: {exc}", file=sys.stderr)
+        return 3
     rows = [[tau, g, s, 1 if tau == selected else 0]
             for tau, g, s in zip(spec.tau_values, per_tau, smoothed)]
     _write_tsv(rows, ["tau", "geomean_time", "smoothed_time", "selected"], args.output)

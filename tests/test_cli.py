@@ -207,6 +207,13 @@ def test_sweep_spec_validation():
         SweepSpec(tau_values=[1, 2], smoothing_window=4)
 
 
+def test_sweep_infeasible_instance_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 2\n1 1\n9 9\n3\n")  # both jobs exceed the single capacity
+    assert main(["sweep", str(bad), "--taus", "1,2", "--replications", "1"]) == 3
+    assert "error" in capsys.readouterr().err
+
+
 def test_sweep_command_end_to_end(instance_file, tmp_path):
     out = tmp_path / "sweep.tsv"
     code = main(["sweep", instance_file, "--method", "lt", "--taus", "2,4,8",
