@@ -32,7 +32,6 @@ class LrState:
     pi: np.ndarray
     best_bound: float = -np.inf
     best_pi: np.ndarray | None = None
-    evaluations: int = 0
     memory: deque = field(default_factory=lambda: deque(maxlen=MEMORY))
 
 
@@ -41,7 +40,6 @@ class LrTraceRow:
     evaluation: int
     value: float
     best_bound: float
-    accepted: bool
 
 
 def lr_evaluate(inst, pi):
@@ -101,10 +99,9 @@ def lr_solve(inst, time_limit: float = 600.0):
     state = LrState(pi=np.zeros(inst.num_jobs))
     integer_solution = None
 
-    def probe(pi, accepted):
+    def probe(pi):
         nonlocal integer_solution
         value, grad, sels = lr_evaluate(inst, pi)
-        state.evaluations += 1
         if math.ceil(value - 1e-9) > worst_assignment:
             raise InfeasibleInstanceError(
                 f"Lagrangian bound {value:.6g} exceeds the cost {worst_assignment} "
@@ -116,10 +113,10 @@ def lr_solve(inst, time_limit: float = 600.0):
             found = _integer_from_partition(inst, sels)
             if integer_solution is None or found[1] < integer_solution[1]:
                 integer_solution = found
-        trace.append(LrTraceRow(state.evaluations, value, state.best_bound, accepted))
+        trace.append(LrTraceRow(len(trace) + 1, value, state.best_bound))
         return value, grad
 
-    value, grad = probe(state.pi, accepted=True)
+    value, grad = probe(state.pi)
     if time_limit <= 0:
         return state.best_bound, state.best_pi, integer_solution, trace
     last_accepted_value = value
@@ -136,7 +133,7 @@ def lr_solve(inst, time_limit: float = 600.0):
         cand_pi = cand_value = cand_grad = None
         for _ in range(MAX_BACKTRACKS + 1):
             cand_pi = state.pi + step * direction
-            cand_value, cand_grad = probe(cand_pi, accepted=False)
+            cand_value, cand_grad = probe(cand_pi)
             if time.perf_counter() > t_end:
                 return state.best_bound, state.best_pi, integer_solution, trace
             if cand_value >= value + ARMIJO * step * gnorm2:
@@ -148,10 +145,8 @@ def lr_solve(inst, time_limit: float = 600.0):
             # curvature history, and give the plain gradient a fresh chance
             state.memory.clear()
             cand_pi = state.pi + FALLBACK_STEP * grad
-            cand_value, cand_grad = probe(cand_pi, accepted=True)
+            cand_value, cand_grad = probe(cand_pi)
             consecutive_fallbacks += 1
-        else:
-            trace[-1].accepted = True
         s = cand_pi - state.pi
         y = -(cand_grad - grad)  # curvature pair for the concave objective
         if float(s @ y) > 1e-10:

@@ -111,7 +111,7 @@ def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
 
 def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
              state: LtState | None = None, delta: float = DEFAULT_DELTA,
-             literal_mode: bool = False, trace: list | None = None) -> PricingOutcome:
+             trace: list | None = None) -> PricingOutcome:
     """Heuristic template pricing via a scalarized knapsack and bisection.
 
     For a trade-off weight ``alpha`` the subproblem minimizes
@@ -119,9 +119,9 @@ def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
     selections. Bisection finds the smallest alpha whose minimizer clears the
     reduced-cost budget, warm-started per machine from the previous call. The
     best budget-clearing selection seen anywhere during the search is
-    returned (``literal_mode`` returns the minimizer at the final upper
-    weight instead). When the search proves the returned similarity optimal,
-    the result matches :func:`mt_price` exactly.
+    returned; when the search proves its similarity optimal, the result
+    matches :func:`mt_price` exactly. ``trace``, when given, receives one
+    ``(alpha, lo, up, member)`` tuple per bisection step.
     """
     rc_coeff = inst.cost[i] - pi
     weights = inst.resource[i]
@@ -134,8 +134,7 @@ def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
     budget = mu_i - eps
     lo, up = 0.0, math.inf
     alpha = float(state.alpha_warm[i]) if state is not None else 0.5
-    best = None      # (sim, rc, selection) with max sim then min rc
-    at_up = None     # minimizer at the last alpha that tightened the upper end
+    best = None  # (sim, rc, selection) with max sim then min rc
     proof_fired = False
     for _ in range(LT_MAX_ITERATIONS):
         scalarized = min_knapsack(KnapsackProblem(-f + alpha * rc_coeff, weights, cap))
@@ -147,7 +146,6 @@ def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
             trace.append((alpha, lo, up, member))
         if member:
             up = alpha
-            at_up = (sim_x, rc_x, x)
             if best is None or sim_x > best[0] or (sim_x == best[0] and rc_x < best[1]):
                 best = (sim_x, rc_x, x)
         else:
@@ -171,7 +169,7 @@ def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
         sel = base.selection
         return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
                               similarity=int(f[sel].sum()), flagged=True)
-    sim, rc, sel = at_up if literal_mode else best
+    sim, _, sel = best
     if state is not None:
         state.alpha_warm[i] = up
     return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,

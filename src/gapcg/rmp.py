@@ -8,14 +8,14 @@ column of each machine; a row those anchors cover more than once starts on
 its surplus column, every other row on its artificial. Within the
 :func:`build_and_solve` call whose phase-one objective reaches zero, the
 artificials are pivoted out and sealed and the true column costs installed
-(phase two). :class:`MasterLp` owns the LP and keeps its basis warm across
-solves; the LP engine exposes duals, basic status and pivot counts.
+(phase two). :class:`MasterLp` owns the LP, keyed by :class:`Column` object,
+and keeps its basis warm; a solution holds duals, pivots and basic values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class Column:
     jobs: np.ndarray  # bool mask over jobs
     cost: int
     age: int
-    id: int
 
     def key(self) -> bytes:
         return self.jobs.tobytes()
@@ -52,11 +51,10 @@ class Column:
 @dataclass(eq=False)
 class RmpSolution:
     objective: float
-    lam: dict[int, float]          # column id -> primal value
-    pi: np.ndarray                 # cover duals, one per job
-    mu: np.ndarray                 # convexity duals, one per machine
+    lam: dict[Column, float]  # basic pool columns -> value, zeros included
+    pi: np.ndarray            # cover duals, one per job
+    mu: np.ndarray            # convexity duals, one per machine
     pivots: int
-    basic_ids: set[int] = field(default_factory=set)
 
 
 class ColumnPool:
@@ -66,7 +64,6 @@ class ColumnPool:
         self.inst = inst
         self.columns: list[list[Column]] = [[] for _ in range(inst.num_machines)]
         self.iteration = 0
-        self._next_id = 0
         self._keys: list[set[bytes]] = [set() for _ in range(inst.num_machines)]
         for i in range(inst.num_machines):
             # the empty assignment is always feasible and anchors the
@@ -84,8 +81,7 @@ class ColumnPool:
             raise ValueError(f"column violates capacity of machine {machine}")
         col = Column(machine=machine, jobs=jobs,
                      cost=int(self.inst.cost[machine][jobs].sum()),
-                     age=self.iteration, id=self._next_id)
-        self._next_id += 1
+                     age=self.iteration)
         self.columns[machine].append(col)
         self._keys[machine].add(key)
         return col
@@ -93,9 +89,6 @@ class ColumnPool:
     def iter_columns(self):
         for cols in self.columns:
             yield from cols
-
-    def by_id(self) -> dict[int, Column]:
-        return {col.id: col for col in self.iter_columns()}
 
     def size(self) -> int:
         return sum(len(cols) for cols in self.columns)
@@ -123,7 +116,7 @@ class MasterLp:
             e = np.zeros(nj + ni)
             e[j] = 1.0
             self.artificial.append(self.lp.add_column(e, 1.0))
-        self.lp_col: dict[int, int] = {}
+        self.lp_col: dict[Column, int] = {}
 
     def _entries(self, col: Column) -> np.ndarray:
         nj, ni = self.inst.num_jobs, self.inst.num_machines
@@ -135,12 +128,12 @@ class MasterLp:
     def sync(self, pool: ColumnPool):
         live = set()
         for col in pool.iter_columns():
-            live.add(col.id)
-            if col.id not in self.lp_col:
+            live.add(col)
+            if col not in self.lp_col:
                 cost = 0.0 if self.phase == 1 else float(col.cost)
-                self.lp_col[col.id] = self.lp.add_column(self._entries(col), cost)
-        for cid in [c for c in self.lp_col if c not in live]:
-            self.lp.seal_column(self.lp_col.pop(cid))
+                self.lp_col[col] = self.lp.add_column(self._entries(col), cost)
+        for col in [c for c in self.lp_col if c not in live]:
+            self.lp.seal_column(self.lp_col.pop(col))
 
     def ensure_basis(self, pool: ColumnPool):
         if self.lp.basis is not None:
@@ -152,7 +145,7 @@ class MasterLp:
             if not pool.columns[i]:
                 raise MasterInfeasibleError(f"machine {i} has no column to anchor its convexity row")
             empty = min(pool.columns[i], key=lambda c: int(c.jobs.sum()))
-            anchors.append(self.lp_col[empty.id])
+            anchors.append(self.lp_col[empty])
             coverage += empty.jobs
         # an over-covered row starts on its surplus column, at value coverage - 1
         basis = [self.surplus[j] if coverage[j] > 1 else self.artificial[j] for j in range(nj)]
@@ -163,26 +156,25 @@ class MasterLp:
         pivots = self.lp.retire_columns(self.artificial,
                                         list(self.lp_col.values()) + self.surplus)
         for col in pool.iter_columns():
-            self.lp.set_cost(self.lp_col[col.id], float(col.cost))
+            self.lp.set_cost(self.lp_col[col], float(col.cost))
         self.phase = 2
         return pivots
 
     def extract(self, pivots: int) -> RmpSolution:
         nj = self.inst.num_jobs
         y = self.lp.duals()
-        lam = {cid: self.lp.value(j) for cid, j in self.lp_col.items()}
-        basic = {cid for cid, j in self.lp_col.items() if self.lp.is_basic(j)}
+        lam = {col: self.lp.value(j) for col, j in self.lp_col.items()
+               if self.lp.is_basic(j)}
         return RmpSolution(objective=self.lp.objective(), lam=lam,
-                           pi=y[:nj].copy(), mu=y[nj:].copy(), pivots=pivots,
-                           basic_ids=basic)
+                           pi=y[:nj].copy(), mu=y[nj:].copy(), pivots=pivots)
 
 
 def build_and_solve(pool: ColumnPool, master: MasterLp | None = None) -> RmpSolution:
     """Solve the master over the pool's columns and return duals and pivots.
 
     Phase one minimizes the artificial-variable sum, column costs ignored; a
-    phase-one solve that ends below ``PHASE1_TOL`` moves the master to phase
-    two and returns the phase-two solution (``master.phase`` tells which).
+    phase-one solve that ends below ``PHASE1_TOL`` retires the artificials and
+    returns the phase-two solution (``master.phase`` tells which).
     Passing the same ``master`` across calls reuses the previous basis;
     without one, a fresh master is built for this call. ``master`` must
     belong to ``pool.inst``.
@@ -195,9 +187,6 @@ def build_and_solve(pool: ColumnPool, master: MasterLp | None = None) -> RmpSolu
     master.ensure_basis(pool)
     pivots = master.lp.solve()
     if master.phase == 1 and master.lp.objective() < PHASE1_TOL:
-        # re-solve from a fresh factorization of the basis inverse before the
-        # artificials leave; without it the phase-two pivot sequences drift
-        pivots += master.lp.solve()
         pivots += master.to_phase2(pool)
         pivots += master.lp.solve()
     return master.extract(pivots)
@@ -208,7 +197,7 @@ def project_primal(sol: RmpSolution, pool: ColumnPool) -> np.ndarray:
     inst = pool.inst
     y = np.zeros((inst.num_machines, inst.num_jobs))
     for col in pool.iter_columns():
-        weight = sol.lam.get(col.id, 0.0)
+        weight = sol.lam.get(col, 0.0)
         if weight > 0.0:
             y[col.machine][col.jobs] += weight
     if y.max(initial=0.0) > 1.0 + 1e-7:
@@ -225,10 +214,8 @@ def manage_columns(pool: ColumnPool, sol: RmpSolution, tau: int) -> int:
     if tau < 1:
         raise ValueError("tau must be at least 1")
     t = pool.iteration
-    by_id = pool.by_id()
-    for cid in sol.basic_ids:
-        if cid in by_id:
-            by_id[cid].age = t
+    for col in sol.lam:
+        col.age = t
     stale = [col for col in pool.iter_columns() if col.age < t - tau]
     for col in stale:
         pool.drop(col)
@@ -293,13 +280,12 @@ def extract_integer_solution(sol: RmpSolution, pool: ColumnPool):
     any variable is meaningfully fractional or some job is uncovered.
     """
     inst = pool.inst
-    by_id = pool.by_id()
     chosen = []
-    for cid, value in sol.lam.items():
+    for col, value in sol.lam.items():
         if value > 0.5:
             if abs(value - 1.0) > 1e-6:
                 return None
-            chosen.append(by_id[cid])
+            chosen.append(col)
         elif value > 1e-6:
             return None
     assignment = np.full(inst.num_jobs, -1, dtype=np.int64)

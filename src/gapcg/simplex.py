@@ -2,11 +2,11 @@
 
 A small LP engine purpose-built for the masters in this package. Rows are
 equalities ``A x = b`` over columns ``x >= 0``. It supports incremental
-column addition, warm starts from the previous basis, sealing columns
-(pinning them at zero so they never price again), per-solve pivot counts
-and dual extraction. The basis inverse is kept densely and refactorized
-every ``_REFACTOR_EVERY`` pivots; Dantzig pricing with a Bland fallback
-guards against cycling on degenerate bases.
+column addition, warm starts from the previous basis, sealing and retiring
+columns (pinning them at zero so they never price again), per-solve pivot
+counts and dual extraction. The basis inverse is kept densely, refactorized
+by every ``solve`` and ``retire_columns`` call and every ``_REFACTOR_EVERY``
+pivots; Dantzig pricing with a Bland fallback guards against cycling.
 """
 
 from __future__ import annotations
@@ -127,11 +127,12 @@ class SimplexSolver:
     def retire_columns(self, cols, candidates) -> int:
         """Swap zero-valued ``cols`` out of the basis, then seal them at cost 0.
 
-        A basic column leaves in a degenerate pivot for the unsealed
-        nonbasic candidate with the largest pivot element in its row; one
-        that cannot leave stays basic, sealed at zero until it leaves.
-        Returns the number of swaps.
+        From a fresh factorization of the basis inverse, a basic column
+        leaves in a degenerate pivot for the unsealed nonbasic candidate with
+        the largest pivot element in its row; one that cannot leave stays
+        basic, sealed at zero until it leaves. Returns the number of swaps.
         """
+        self._refactor()
         retiring = set(cols)
         pivots = 0
         for r in range(self.m):

@@ -205,21 +205,6 @@ def test_lt_against_mt_oracle():
     assert compared > 50
 
 
-def test_lt_literal_mode_never_beats_tracked():
-    rng = np.random.default_rng(12)
-    for trial in range(60):
-        inst = random_instance(6000 + trial, m=1, n=8)
-        pi, mu = random_duals(rng, inst)
-        y = random_template(rng, inst)[0]
-        literal = lt_price(inst, 0, y, pi, float(mu[0]), EPS, LtState.fresh(1),
-                           literal_mode=True)
-        tracked = lt_price(inst, 0, y, pi, float(mu[0]), EPS, LtState.fresh(1))
-        assert (literal.selection is None) == (tracked.selection is None)
-        if literal.selection is not None:
-            assert reduced_cost_sum(inst.cost[0], pi, literal.selection) <= mu[0] - EPS
-            assert tracked.similarity >= literal.similarity
-
-
 def test_lt_warm_start_updates():
     inst = random_instance(10, m=1, n=8)
     rng = np.random.default_rng(10)

@@ -63,7 +63,7 @@ def test_single_machine_forced_basis():
     assert master.phase == 2  # the covering solve handed off in the same call
     assert sol.objective == pytest.approx(9.0)
     full = [c for c in pool.iter_columns() if c.jobs.all()][0]
-    assert sol.lam[full.id] == pytest.approx(1.0)
+    assert sol.lam.get(full, 0.0) == pytest.approx(1.0)
 
 
 def test_empty_pool_phase1_objective_is_num_jobs():
@@ -151,7 +151,7 @@ def test_solution_invariants(toy_3x12):
     per_machine = {}
     for col in pool.iter_columns():
         per_machine.setdefault(col.machine, 0.0)
-        per_machine[col.machine] += sol.lam[col.id]
+        per_machine[col.machine] += sol.lam.get(col, 0.0)
     for total in per_machine.values():
         assert total == pytest.approx(1.0, abs=1e-7)
     assert all(v >= -1e-9 for v in sol.lam.values())
@@ -171,7 +171,7 @@ def test_project_primal_integral(toy_2x3):
     assert templates.min() >= 0.0 and templates.max() <= 1.0
     # integral solution: templates equal the chosen bit-vectors
     for col in pool.iter_columns():
-        if sol.lam[col.id] > 0.5:
+        if sol.lam.get(col, 0.0) > 0.5:
             assert np.allclose(templates[col.machine], col.jobs.astype(float))
 
 
@@ -182,7 +182,7 @@ def test_project_primal_convex_combination(toy_2x3):
     # recompute by hand
     expect = np.zeros((2, 3))
     for col in pool.iter_columns():
-        expect[col.machine] += sol.lam[col.id] * col.jobs
+        expect[col.machine] += sol.lam.get(col, 0.0) * col.jobs
     templates = project_primal(sol, pool)
     assert np.allclose(templates, np.clip(expect, 0, 1), atol=1e-9)
     cover = templates.sum(axis=0)
@@ -207,7 +207,7 @@ def make_aged_pool(inst, ages):
 
 def test_manage_columns_interval(toy_2x3):
     pool, cols = make_aged_pool(toy_2x3, [10, 9, 7, 6])
-    fake = type("S", (), {"basic_ids": set()})()
+    fake = type("S", (), {"lam": {}})()
     removed = manage_columns(pool, fake, tau=3)
     # retain ages {10, 9, 7}; the empty seeds carry age 0 and go too
     ages = sorted(c.age for c in pool.iter_columns())
@@ -218,13 +218,13 @@ def test_manage_columns_interval(toy_2x3):
 
 def test_manage_columns_large_tau_keeps_everything(toy_2x3):
     pool, _ = make_aged_pool(toy_2x3, [10, 9, 7, 6])
-    fake = type("S", (), {"basic_ids": set()})()
+    fake = type("S", (), {"lam": {}})()
     assert manage_columns(pool, fake, tau=10) == 0
 
 
 def test_manage_columns_basic_are_refreshed(toy_2x3):
     pool, cols = make_aged_pool(toy_2x3, [1, 1, 1, 1])
-    fake = type("S", (), {"basic_ids": {c.id for c in cols}})()
+    fake = type("S", (), {"lam": {c: 0.0 for c in cols}})()
     assert manage_columns(pool, fake, tau=3) == 2  # only the two empty seeds go
     assert all(c.age == 10 for c in cols)
 
@@ -232,7 +232,7 @@ def test_manage_columns_basic_are_refreshed(toy_2x3):
 def test_manage_columns_rejects_bad_tau(toy_2x3):
     pool, _ = make_aged_pool(toy_2x3, [5])
     with pytest.raises(ValueError):
-        manage_columns(pool, type("S", (), {"basic_ids": set()})(), tau=0)
+        manage_columns(pool, type("S", (), {"lam": {}})(), tau=0)
 
 
 # --------------------------------------------------------------- age_threshold
@@ -285,10 +285,10 @@ def test_extract_integral_partition(toy_2x3):
 
 def test_extract_fractional_returns_none(toy_2x3):
     fake_cols = make_pool(toy_2x3, [(0, [1, 1, 0]), (0, [0, 1, 1])])
-    ids = [c.id for c in fake_cols.iter_columns() if c.jobs.any()]
-    lam = {c.id: 0.0 for c in fake_cols.iter_columns()}
-    lam[ids[0]] = 0.5
-    lam[ids[1]] = 0.5
+    cols = [c for c in fake_cols.iter_columns() if c.jobs.any()]
+    lam = {c: 0.0 for c in fake_cols.iter_columns()}
+    lam[cols[0]] = 0.5
+    lam[cols[1]] = 0.5
     sol = type("S", (), {"lam": lam})()
     assert extract_integer_solution(sol, fake_cols) is None
 
@@ -299,9 +299,9 @@ def test_extract_overcover_repair():
                        resource=np.ones((2, 3), dtype=int), capacity=np.array([3, 3]))
     pool = make_pool(inst, [(0, [1, 1, 0]), (1, [1, 0, 1])])
     cols = {tuple(c.jobs): c for c in pool.iter_columns()}
-    lam = {c.id: 0.0 for c in pool.iter_columns()}
-    lam[cols[(True, True, False)].id] = 1.0
-    lam[cols[(True, False, True)].id] = 1.0
+    lam = {c: 0.0 for c in pool.iter_columns()}
+    lam[cols[(True, True, False)]] = 1.0
+    lam[cols[(True, False, True)]] = 1.0
     sol = type("S", (), {"lam": lam})()
     assignment, ub = extract_integer_solution(sol, pool)
     assert assignment[0] == 1  # cost 2 beats cost 5
