@@ -18,6 +18,8 @@ RUN_COLUMNS = [
     "pricing_time", "alpha_min", "alpha_avg", "alpha_max", "status", "gap_percent",
 ]
 
+METHODS = [*rmp.AGE_POLICIES, "lr"]
+
 BENCH_COLUMNS = [
     "instance", "method", "seed", "status", "iterations", "phase1_iterations",
     "lb_int", "ub", "gap_percent", "integral", "total_pivots", "columns_added",
@@ -170,14 +172,12 @@ def _bench_cell(task) -> dict:
 
 
 def cmd_bench(args) -> int:
-    methods = args.methods.split(",")
-    seeds = [int(s) for s in args.seeds.split(",")]
     tasks = []
     try:
         for path in args.instances:
             for inst in _load_instances(path, args.format):
-                for method in methods:
-                    for seed in seeds:
+                for method in args.methods:
+                    for seed in args.seeds:
                         tasks.append((inst.name, inst, method, seed, args))
     except (OSError, instance.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -188,7 +188,7 @@ def cmd_bench(args) -> int:
     else:
         rows = [_bench_cell(t) for t in tasks]
     summaries = []
-    for method in methods:
+    for method in args.methods:
         cells = [r for r in rows if r["method"] == method
                  and not r["status"].startswith("error")]
         if not cells:
@@ -236,13 +236,16 @@ def run_sweep(inst: instance.GapInstance, method: str, spec: SweepSpec,
 
 def cmd_sweep(args) -> int:
     try:
+        spec = SweepSpec(tau_values=args.taus, replications=args.replications,
+                         time_limit=args.time_limit, smoothing_window=args.window)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         inst = _load_instances(args.instance, args.format)[0]
     except (OSError, instance.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    spec = SweepSpec(tau_values=[int(t) for t in args.taus.split(",")],
-                     replications=args.replications, time_limit=args.time_limit,
-                     smoothing_window=args.window)
     base = _make_config(args, args.method, args.seed)
     try:
         selected, per_tau, smoothed = run_sweep(inst, args.method, spec, base,
@@ -283,10 +286,26 @@ def _template_delta(text: str) -> float:
     return float(text)
 
 
+def _epsilon(text: str) -> float:
+    if not 0.0 <= float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number >= 0")
+    return float(text)
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
+def _method_list(text: str) -> list[str]:
+    if not set(text.split(",")) <= set(METHODS):
+        raise argparse.ArgumentTypeError(f"{text!r} names a method outside {','.join(METHODS)}")
+    return text.split(",")
+
+
 def _add_common(parser):
     parser.add_argument("--time-limit", type=float, default=600.0, help="seconds per run")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epsilon", type=float, default=1e-6)
+    parser.add_argument("--epsilon", type=_epsilon, default=1e-6)
     parser.add_argument("--delta", type=_template_delta, default=1e-6)
     parser.add_argument("--mip-gap", type=float, default=1e-5)
     parser.add_argument("--age-a2", type=float, default=None)
@@ -304,14 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="solve one instance file")
     p_run.add_argument("instance")
-    p_run.add_argument("--method", choices=[*cg_methods, "lr"], default="lt")
+    p_run.add_argument("--method", choices=METHODS, default="lt")
     _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="compare methods over instances and seeds")
     p_bench.add_argument("instances", nargs="+")
-    p_bench.add_argument("--methods", default=",".join(cg_methods))
-    p_bench.add_argument("--seeds", default="0")
+    p_bench.add_argument("--methods", type=_method_list, default=",".join(cg_methods))
+    p_bench.add_argument("--seeds", type=_int_list, default="0")
     p_bench.add_argument("--workers", type=int, default=1)
     _add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
@@ -319,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="age-threshold sweep on one instance")
     p_sweep.add_argument("instance")
     p_sweep.add_argument("--method", choices=cg_methods, default="lt")
-    p_sweep.add_argument("--taus", required=True, help="comma-separated thresholds")
+    p_sweep.add_argument("--taus", type=_int_list, required=True, help="comma-separated thresholds")
     p_sweep.add_argument("--replications", type=int, default=5)
     p_sweep.add_argument("--window", type=int, default=5)
     p_sweep.add_argument("--tie-rel", type=float, default=0.01)

@@ -127,10 +127,10 @@ class SimplexSolver:
     def retire_columns(self, cols, candidates) -> int:
         """Swap zero-valued ``cols`` out of the basis, then seal them at cost 0.
 
-        From a fresh factorization of the basis inverse, a basic column
-        leaves in a degenerate pivot for the unsealed nonbasic candidate with
-        the largest pivot element in its row; one that cannot leave stays
-        basic, sealed at zero until it leaves. Returns the number of swaps.
+        Refactorizes first, so no rounding drift steers the swaps. A basic
+        column leaves in a degenerate pivot for the unsealed nonbasic
+        candidate with the largest pivot element in its row; one that cannot
+        leave stays basic, sealed at zero. Returns the swap count.
         """
         self._refactor()
         retiring = set(cols)

@@ -57,6 +57,40 @@ def test_delta_outside_zero_to_half_exits_2(instance_file, capsys, command, delt
     assert "--delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, epsilon", [
+    (["run", "--method", "lt"], "-1"),
+    (["bench"], "nan"),
+    (["sweep", "--taus", "1,2"], "inf"),
+], ids=["run", "bench", "sweep"])
+def test_epsilon_negative_or_not_finite_exits_2(instance_file, capsys, command, epsilon):
+    with pytest.raises(SystemExit) as err:
+        main([command[0], instance_file, *command[1:], "--epsilon", epsilon])
+    assert err.value.code == 2
+    assert "--epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["bench", "--methods", "dantzig,foo"], "--methods"),
+    (["bench", "--seeds", "0,x"], "--seeds"),
+    (["sweep", "--taus", "1,x"], "--taus"),
+], ids=["bench-methods", "bench-seeds", "sweep-taus"])
+def test_malformed_list_flag_exits_2(instance_file, capsys, command, flag):
+    with pytest.raises(SystemExit) as err:
+        main([command[0], instance_file, *command[1:]])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--taus", "4,2"],
+    ["--taus", "1,2", "--replications", "0"],
+    ["--taus", "1,2", "--window", "4"],
+], ids=["taus-decreasing", "replications-0", "window-even"])
+def test_invalid_sweep_spec_exits_2(instance_file, capsys, flags):
+    assert main(["sweep", instance_file, *flags]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_run_missing_file_exits_3(tmp_path):
     assert main(["run", str(tmp_path / "nope.txt")]) == 3
 
