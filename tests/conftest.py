@@ -3,8 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every property test draws the same examples on every run, however slow
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 from gapcg.instance import GapInstance, GeneratorSpec, generate
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _oracles import subsets
 from gapcg.knapsack import (KnapsackProblem, LexKnapsackProblem,
@@ -126,6 +128,34 @@ def test_lex_matches_brute_force_seeded():
             assert abs(mine[1] - ref[1]) <= 1e-9
             check_capacity(problem, mine[2])
             assert problem.rc_coeff[mine[2]].sum() <= problem.rc_budget
+
+
+@st.composite
+def lex_problems(draw):
+    """Up to 12 items with zero weights and ties; the budget lands below,
+    at or above the minimum reduced cost over the capacity-feasible sets.
+    Reduced costs are quarters, so every sum is exact and ties are real."""
+    n = draw(st.integers(0, 12))
+    items = st.lists(st.tuples(st.integers(-1, 1), st.integers(-12, 12), st.integers(0, 6)),
+                     min_size=n, max_size=n)
+    sim, rc, w = (list(t) for t in zip(*draw(items))) if n else ([], [], [])
+    rc = [q / 4 for q in rc]
+    cap = draw(st.integers(0, 15))
+    budget = enum_min(KnapsackProblem(rc, w, cap)) + draw(st.integers(-6, 30)) / 4
+    return lex_problem(sim, rc, w, cap, budget)
+
+
+@given(problem=lex_problems())
+def test_lex_matches_brute_force_property(problem):
+    mine = lex_knapsack(problem)
+    ref = brute_force_lex(problem)
+    assert (mine is None) == (ref is None)
+    if mine is not None:
+        sim, rc, sel = mine
+        assert (sim, rc) == ref[:2]
+        assert problem.sim[sel].sum() == sim and problem.rc_coeff[sel].sum() == rc
+        check_capacity(problem, sel)
+        assert rc <= problem.rc_budget
 
 
 def test_lex_budget_monotone_in_best_sim():

@@ -31,7 +31,7 @@ def small_instances(draw):
 
 
 @pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(inst=small_instances())
 def test_cg_bound_matches_enumerated_master(method, inst):
     ref = partition_master_lp(inst)

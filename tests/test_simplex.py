@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from gapcg.simplex import SimplexSolver, UnboundedError
@@ -59,6 +61,36 @@ def test_matches_reference_solver_on_random_lps():
         assert np.all(x > -1e-9) and np.all(x - ubs < 1e-9)
         checked += 1
     assert checked > 100
+
+
+@st.composite
+def degenerate_bounded_lps(draw):
+    """``A x = b, 0 <= x <= u`` with every ``u`` finite and ``b = A x0``,
+    where most of ``x0`` sits at zero or at its bound, so both phases start
+    from and pass through degenerate bases."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, m + 6))
+    ints = lambda lo, hi, k: np.array(draw(st.lists(st.integers(lo, hi), min_size=k,
+                                                    max_size=k)), dtype=float)
+    A = ints(-3, 3, m * n).reshape(m, n)
+    c = ints(-5, 5, n)
+    ubs = ints(1, 4, n)
+    frac = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0]),
+                                  min_size=n, max_size=n)))
+    return A, A @ (frac * ubs), c, ubs
+
+
+@given(lp_data=degenerate_bounded_lps())
+def test_matches_reference_solver_property(lp_data):
+    A, b, c, ubs = lp_data
+    ref = linprog(c, A_eq=A, b_eq=b, method="highs", bounds=[(0, u) for u in ubs])
+    assert ref.success  # x0 is feasible and every variable is bounded
+    lp = two_phase(A, b, c, ubs)
+    assert lp is not None
+    assert lp.objective() == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+    x = lp.values()[: len(c)]
+    assert np.all(np.abs(A @ x - b) < 1e-6)
+    assert np.all(x > -1e-9) and np.all(x - ubs < 1e-9)
 
 
 def test_duals_certify_optimality():
