@@ -7,7 +7,8 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-# every property test draws the same examples on every run, however slow
+# every property test draws the same examples on every run, with no
+# per-example deadline: a full column-generation example can take seconds
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 

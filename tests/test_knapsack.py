@@ -136,10 +136,9 @@ def lex_problems(draw):
     at or above the minimum reduced cost over the capacity-feasible sets.
     Reduced costs are quarters, so every sum is exact and ties are real."""
     n = draw(st.integers(0, 12))
-    items = st.lists(st.tuples(st.integers(-1, 1), st.integers(-12, 12), st.integers(0, 6)),
-                     min_size=n, max_size=n)
-    sim, rc, w = (list(t) for t in zip(*draw(items))) if n else ([], [], [])
-    rc = [q / 4 for q in rc]
+    sim = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    rc = [q / 4 for q in draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))]
+    w = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
     cap = draw(st.integers(0, 15))
     budget = enum_min(KnapsackProblem(rc, w, cap)) + draw(st.integers(-6, 30)) / 4
     return lex_problem(sim, rc, w, cap, budget)
