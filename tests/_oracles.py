@@ -93,3 +93,50 @@ def compact_lp_optimum(inst):
                   bounds=[(0, 1)] * nv, method="highs")
     assert res.status == 0, f"oracle compact LP failed: {res.message}"
     return float(res.fun)
+
+
+def full_level_lex(p):
+    """``knapsack.lex_knapsack`` as it was before the band restriction.
+
+    It keeps every item that fits, spans all 2n+1 score levels and stores a
+    dense boolean ``take`` table: the reference the banded DP must match.
+    Best (max score, then min reduced cost) selection within the budget.
+
+    Returns ``(best_sim, rc, selection)`` or ``None`` when no capacity-
+    feasible selection meets the reduced-cost budget. The downward scan over
+    score levels also covers the case where the top level's minimum reduced
+    cost narrowly misses the budget: the next admissible level is returned.
+    """
+    n = p.n
+    fit = np.flatnonzero(p.weight <= p.capacity)
+    cap = int(min(p.capacity, p.weight[fit].sum())) if fit.size else 0
+    levels = 2 * n + 1  # score in [-n, +n], stored at offset +n
+    g = np.full((levels, cap + 1), np.inf)
+    g[n, :] = 0.0
+    take = np.zeros((fit.size, levels, cap + 1), dtype=bool)
+    for k, j in enumerate(fit):
+        f = int(p.sim[j])
+        w = int(p.weight[j])
+        r = float(p.rc_coeff[j])
+        with_item = np.full_like(g, np.inf)
+        dst_lo, dst_hi = max(0, f), levels - 1 + min(0, f)
+        with_item[dst_lo : dst_hi + 1, w:] = g[dst_lo - f : dst_hi - f + 1, : cap + 1 - w] + r
+        better = with_item < g
+        take[k] = better
+        g = np.where(better, with_item, g)
+    for level in range(levels - 1, -1, -1):
+        if g[level, cap] > p.rc_budget:
+            continue
+        sel = np.zeros(n, dtype=bool)
+        lv, w = level, cap
+        for k in range(fit.size - 1, -1, -1):
+            if take[k, lv, w]:
+                j = int(fit[k])
+                sel[j] = True
+                lv -= int(p.sim[j])
+                w -= int(p.weight[j])
+        rc = float(p.rc_coeff[sel].sum())
+        if rc > p.rc_budget:  # DP value hit the budget only through rounding
+            continue
+        return level - n, rc, sel
+    return None

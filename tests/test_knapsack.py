@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import subsets
+from _oracles import full_level_lex, subsets
 from gapcg.knapsack import (KnapsackProblem, LexKnapsackProblem,
                             brute_force_lex, lex_knapsack, min_knapsack)
 
@@ -155,6 +155,31 @@ def test_lex_matches_brute_force_property(problem):
         assert problem.sim[sel].sum() == sim and problem.rc_coeff[sel].sum() == rc
         check_capacity(problem, sel)
         assert rc <= problem.rc_budget
+
+
+@st.composite
+def workload_lex_problems(draw):
+    """Problems at the size of the benchmark's ``mt`` calls: up to 60 items,
+    scores mostly -1 (a template column covers few jobs), reduced costs of
+    both signs with exact zeros, and a budget near the minimum reduced cost.
+    Reduced costs are quarters, so every sum is exact."""
+    n = draw(st.integers(0, 60))
+    sim = draw(st.lists(st.sampled_from([-1, -1, -1, 0, 1]), min_size=n, max_size=n))
+    quarters = st.one_of(st.just(0), st.integers(-40, 40))
+    rc = [q / 4 for q in draw(st.lists(quarters, min_size=n, max_size=n))]
+    w = draw(st.lists(st.integers(0, 25), min_size=n, max_size=n))
+    cap = draw(st.integers(0, 150))
+    budget = min_knapsack(KnapsackProblem(rc, w, cap)).value + draw(st.integers(-6, 30)) / 4
+    return lex_problem(sim, rc, w, cap, budget)
+
+
+@given(problem=workload_lex_problems())
+def test_lex_matches_full_level_dp_property(problem):
+    mine = lex_knapsack(problem)
+    ref = full_level_lex(problem)
+    assert (mine is None) == (ref is None)
+    if mine is not None:
+        assert (mine[0], mine[1], mine[2].tobytes()) == (ref[0], ref[1], ref[2].tobytes())
 
 
 def test_lex_budget_monotone_in_best_sim():
