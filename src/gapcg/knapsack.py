@@ -10,7 +10,10 @@ Two dynamic programs over integer capacities with real objective values:
   breaking ties among score-optimal selections by minimum reduced cost.
   It runs a DP over (capacity, score level) states storing the minimum
   reduced cost per state, then scans score levels downward for the first
-  level whose minimum fits the budget.
+  level whose minimum fits the budget. Items that can never help (score
+  <= 0 and reduced cost >= 0) are dropped, only the reachable score band
+  is stored, and each item keeps its ``take`` bits packed, so the memory is
+  about items x band x capacity / 8 bytes.
 
 :func:`brute_force_lex` is the exhaustive reference used as a test oracle.
 """
@@ -107,39 +110,47 @@ def lex_knapsack(p: LexKnapsackProblem):
     feasible selection meets the reduced-cost budget. The downward scan over
     score levels also covers the case where the top level's minimum reduced
     cost narrowly misses the budget: the next admissible level is returned.
+
+    Items with score <= 0 and reduced cost >= 0 are dropped, as are items
+    heavier than the capacity: removing such an item from a selection keeps
+    it feasible, does not lower its score and does not raise its reduced
+    cost. After k kept items only the score band ``[-neg_k, +pos_k]`` is
+    reachable, so each item updates just that band in place and keeps its
+    destination band's ``take`` bits packed, eight capacities to a byte.
     """
     n = p.n
-    fit = np.flatnonzero(p.weight <= p.capacity)
-    cap = int(min(p.capacity, p.weight[fit].sum())) if fit.size else 0
-    levels = 2 * n + 1  # score in [-n, +n], stored at offset +n
-    g = np.full((levels, cap + 1), np.inf)
-    g[n, :] = 0.0
-    take = np.zeros((fit.size, levels, cap + 1), dtype=bool)
-    for k, j in enumerate(fit):
-        f = int(p.sim[j])
-        w = int(p.weight[j])
-        r = float(p.rc_coeff[j])
-        with_item = np.full_like(g, np.inf)
-        dst_lo, dst_hi = max(0, f), levels - 1 + min(0, f)
-        with_item[dst_lo : dst_hi + 1, w:] = g[dst_lo - f : dst_hi - f + 1, : cap + 1 - w] + r
-        better = with_item < g
-        take[k] = better
-        g = np.where(better, with_item, g)
-    for level in range(levels - 1, -1, -1):
-        if g[level, cap] > p.rc_budget:
+    keep = np.flatnonzero((p.weight <= p.capacity) & ((p.sim > 0) | (p.rc_coeff < 0)))
+    sims, weights = p.sim[keep].tolist(), p.weight[keep].tolist()
+    cap = min(p.capacity, sum(weights))
+    neg = sims.count(-1)
+    g = np.full((neg + sims.count(1) + 1, cap + 1), np.inf)  # row neg + s holds score s
+    g[neg, :] = 0.0
+    lo = hi = neg  # reachable rows so far
+    take = []  # per item: first destination row, packed bits over columns w..cap
+    for f, w, r in zip(sims, weights, p.rc_coeff[keep].tolist()):
+        with_item = g[lo : hi + 1, : cap + 1 - w] + r
+        dst = g[lo + f : hi + f + 1, w:]
+        better = with_item < dst  # strict: ties resolve to not-selected
+        np.copyto(dst, with_item, where=better)
+        take.append((lo + f, np.packbits(better, axis=1)))
+        lo, hi = min(lo, lo + f), max(hi, hi + f)
+    for row in range(hi, lo - 1, -1):
+        if g[row, cap] > p.rc_budget:
             continue
         sel = np.zeros(n, dtype=bool)
-        lv, w = level, cap
-        for k in range(fit.size - 1, -1, -1):
-            if take[k, lv, w]:
-                j = int(fit[k])
-                sel[j] = True
-                lv -= int(p.sim[j])
-                w -= int(p.weight[j])
+        lv, c = row, cap
+        for k in range(keep.size - 1, -1, -1):
+            first, bits = take[k]
+            band_row, col = lv - first, c - weights[k]
+            if (0 <= band_row < bits.shape[0] and col >= 0
+                    and bits[band_row, col >> 3] >> (7 - (col & 7)) & 1):
+                sel[keep[k]] = True
+                lv -= sims[k]
+                c = col
         rc = float(p.rc_coeff[sel].sum())
         if rc > p.rc_budget:  # DP value hit the budget only through rounding
             continue
-        return level - n, rc, sel
+        return row - neg, rc, sel
     return None
 
 
