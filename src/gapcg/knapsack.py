@@ -60,6 +60,10 @@ class LexKnapsackProblem:
             raise ValueError("sim, rc_coeff and weight must have equal length")
         if not np.isin(self.sim, (-1, 0, 1)).all():
             raise ValueError("sim entries must lie in {-1, 0, +1}")
+        if not np.isfinite(self.rc_coeff).all():
+            raise ValueError("rc_coeff entries must be finite")
+        if np.isnan(self.rc_budget):
+            raise ValueError("rc_budget must not be NaN")
         if (self.weight < 0).any() or self.capacity < 0:
             raise ValueError("weights and capacity must be nonnegative")
 
@@ -121,7 +125,7 @@ def lex_knapsack(p: LexKnapsackProblem):
     n = p.n
     keep = np.flatnonzero((p.weight <= p.capacity) & ((p.sim > 0) | (p.rc_coeff < 0)))
     sims, weights = p.sim[keep].tolist(), p.weight[keep].tolist()
-    cap = min(p.capacity, sum(weights))
+    cap = int(min(p.capacity, sum(weights)))
     neg = sims.count(-1)
     g = np.full((neg + sims.count(1) + 1, cap + 1), np.inf)  # row neg + s holds score s
     g[neg, :] = 0.0

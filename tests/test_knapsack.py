@@ -102,6 +102,22 @@ def test_lex_empty_problem():
     assert sim == 0 and rc == 0.0 and len(sel) == 0
 
 
+def test_lex_infinite_budget_skips_unreachable_levels():
+    # no selection scores 2, so the best admissible level is 1 via item 0
+    res = lex_knapsack(lex_problem([1, 0], [1.0, 2.0], [1, 1], 2, np.inf))
+    assert res[:2] == (1, 1.0) and list(res[2]) == [True, False]
+
+
+@pytest.mark.parametrize("rc, budget", [
+    ([3.0, 2.0, -1.0], np.nan),
+    ([3.0, np.nan, -1.0], 0.0),
+    ([3.0, 2.0, -np.inf], 0.0),
+], ids=["nan-budget", "nan-rc", "inf-rc"])
+def test_lex_problem_rejects_nan_budget_and_non_finite_rc(rc, budget):
+    with pytest.raises(ValueError):
+        LexKnapsackProblem([1, 1, -1], rc, [5, 5, 1], 4, budget)
+
+
 def test_brute_force_guard():
     with pytest.raises(ValueError):
         brute_force_lex(lex_problem([0] * 21, [0.0] * 21, [1] * 21, 5, 0.0))
