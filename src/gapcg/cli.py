@@ -280,16 +280,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _template_delta(text: str) -> float:
-    if not 0.0 <= float(text) <= 0.5:
-        raise argparse.ArgumentTypeError(f"{text} lies outside [0, 0.5]")
-    return float(text)
+def _float_where(ok, requirement: str):
+    """An argparse type: a float for which ``ok`` holds, else a usage error."""
+    def parse(text: str) -> float:
+        if not ok(float(text)):
+            raise argparse.ArgumentTypeError(f"{text} is not {requirement}")
+        return float(text)
+    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    return parse
 
 
-def _epsilon(text: str) -> float:
-    if not 0.0 <= float(text) < math.inf:
-        raise argparse.ArgumentTypeError(f"{text} is not a finite number >= 0")
-    return float(text)
+_finite_nonnegative = _float_where(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_finite = _float_where(math.isfinite, "a finite number")
 
 
 def _int_list(text: str) -> list[int]:
@@ -303,14 +305,16 @@ def _method_list(text: str) -> list[str]:
 
 
 def _add_common(parser):
-    parser.add_argument("--time-limit", type=float, default=600.0, help="seconds per run")
+    parser.add_argument("--time-limit", type=_float_where(lambda v: 0.0 < v <= math.inf, "> 0"),
+                        default=600.0, help="seconds per run")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epsilon", type=_epsilon, default=1e-6)
-    parser.add_argument("--delta", type=_template_delta, default=1e-6)
-    parser.add_argument("--mip-gap", type=float, default=1e-5)
-    parser.add_argument("--age-a2", type=float, default=None)
-    parser.add_argument("--age-a1", type=float, default=None)
-    parser.add_argument("--age-a0", type=float, default=None)
+    parser.add_argument("--epsilon", type=_finite_nonnegative, default=1e-6)
+    parser.add_argument("--delta", type=_float_where(lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]"),
+                        default=1e-6)
+    parser.add_argument("--mip-gap", type=_finite_nonnegative, default=1e-5)
+    parser.add_argument("--age-a2", type=_finite, default=None)
+    parser.add_argument("--age-a1", type=_finite, default=None)
+    parser.add_argument("--age-a0", type=_finite, default=None)
     parser.add_argument("--format", choices=["single", "orlib-multi"], default="single")
     parser.add_argument("--output", default=None, help="TSV path; '-' for stdout")
 

@@ -69,6 +69,33 @@ def test_epsilon_negative_or_not_finite_exits_2(instance_file, capsys, command, 
     assert "--epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (["run", "--method", "dantzig"], "--time-limit", "nan"),
+    (["bench"], "--time-limit", "0"),
+    (["sweep", "--taus", "1,2"], "--time-limit", "-1"),
+    (["run", "--method", "dantzig"], "--mip-gap", "nan"),
+    (["bench"], "--mip-gap", "inf"),
+    (["sweep", "--taus", "1,2"], "--mip-gap", "-0.1"),
+    (["run", "--method", "dantzig"], "--age-a0", "nan"),
+    (["bench"], "--age-a1", "inf"),
+    (["sweep", "--taus", "1,2"], "--age-a2", "-inf"),
+], ids=["run-time-limit-nan", "bench-time-limit-0", "sweep-time-limit-negative",
+        "run-mip-gap-nan", "bench-mip-gap-inf", "sweep-mip-gap-negative",
+        "run-age-a0-nan", "bench-age-a1-inf", "sweep-age-a2-inf"])
+def test_out_of_range_float_flag_exits_2(instance_file, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as err:
+        main([command[0], instance_file, *command[1:], flag, value])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_infinite_time_limit_is_accepted(instance_file, tmp_path):
+    out = tmp_path / "run.tsv"
+    assert main(["run", instance_file, "--method", "dantzig", "--time-limit", "inf",
+                 "--output", str(out)]) == 0
+    assert "summary" in out.read_text()
+
+
 @pytest.mark.parametrize("command, flag", [
     (["bench", "--methods", "dantzig,foo"], "--methods"),
     (["bench", "--seeds", "0,x"], "--seeds"),
