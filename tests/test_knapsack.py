@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import full_level_lex, subsets
+from gapcg.instance import GeneratorSpec, generate
 from gapcg.knapsack import (KnapsackProblem, LexKnapsackProblem,
                             brute_force_lex, lex_knapsack, min_knapsack)
 
@@ -213,3 +216,21 @@ def test_lex_budget_monotone_in_best_sim():
         if r1 is not None:
             assert r2 is not None
             assert r2[0] >= r1[0]
+
+
+def test_lex_memory_stays_bounded_at_or_library_scale():
+    # machine 0 of an 80 x 1600 instance with every item kept (scores +-1,
+    # negative reduced costs): the widest score band the DP can meet
+    inst = generate(GeneratorSpec(80, 1600, seed=7))
+    rng = np.random.default_rng(0)
+    problem = lex_problem(rng.choice([-1, 1], 1600), -rng.uniform(1.0, 2.0, 1600),
+                          inst.resource[0], int(inst.capacity[0]), 0.0)
+    tracemalloc.start()
+    try:
+        best_sim, rc, sel = lex_knapsack(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64e6
+    check_capacity(problem, sel)
+    assert problem.sim[sel].sum() == best_sim > 0 and rc < 0
