@@ -81,7 +81,7 @@ def test_epsilon_negative_or_not_finite_exits_2(instance_file, capsys, command, 
     (["sweep", "--taus", "1,2"], "--age-a2", "-inf"),
 ], ids=["run-time-limit-nan", "bench-time-limit-0", "sweep-time-limit-negative",
         "run-mip-gap-nan", "bench-mip-gap-inf", "sweep-mip-gap-negative",
-        "run-age-a0-nan", "bench-age-a1-inf", "sweep-age-a2-inf"])
+        "run-age-a0-nan", "bench-age-a1-inf", "sweep-age-a2-minus-inf"])
 def test_out_of_range_float_flag_exits_2(instance_file, capsys, command, flag, value):
     with pytest.raises(SystemExit) as err:
         main([command[0], instance_file, *command[1:], flag, value])
