@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from gapcg.simplex import SimplexSolver, UnboundedError
+from _oracles import DenseSimplexReference
+from gapcg.simplex import SimplexError, SimplexSolver, UnboundedError
 
 
 def two_phase(A, b, c, ubs):
@@ -178,3 +179,59 @@ def test_sealed_basic_column_stays_at_zero():
     assert lp.value(z) == 0.0
     assert lp.value(x) == 0.0
     assert lp.objective() == 0.0
+
+
+def _snapshot(lp, pivots):
+    return pivots, lp.basis.tobytes(), lp.values().tobytes(), lp.duals().tobytes()
+
+
+def scripted_trace(solver_cls, lp_data, seal_rounds):
+    """Both phases of ``lp_data``, then rounds that seal and add columns.
+
+    Each round seals the drawn structural columns that are nonbasic and adds
+    the drawn ``(entries, cost)`` columns before the next solve. Returns one
+    snapshot per solve or retirement: the pivot count and the bytes of the
+    basis, ``values()`` and ``duals()``; an error ends the trace with its type.
+    """
+    A, b, c, ubs = lp_data
+    m, n = A.shape
+    rows = np.vstack([np.hstack([A, np.zeros((m, n))]), np.hstack([np.eye(n), np.eye(n)])])
+    rhs = np.concatenate([b, ubs])
+    lp = solver_cls(rhs)
+    for j in range(2 * n):
+        lp.add_column(rows[:, j], 0.0)
+    arts = [lp.add_column(np.where(np.arange(m + n) == r, 1.0 if rhs[r] >= 0 else -1.0, 0.0),
+                          1.0) for r in range(m + n)]
+    lp.set_basis(arts)
+    trace = []
+    try:
+        trace.append(_snapshot(lp, lp.solve()))
+        trace.append(_snapshot(lp, lp.retire_columns(arts, range(2 * n))))
+        for j in range(n):
+            lp.set_cost(j, float(c[j]))
+        trace.append(_snapshot(lp, lp.solve()))
+        for seal, extra in seal_rounds:
+            for j in seal:
+                if j < n and not lp.is_basic(j):
+                    lp.seal_column(j)
+            for entries, cost in extra:
+                lp.add_column(np.concatenate([entries[:m], np.zeros(n)]), cost)
+            trace.append(_snapshot(lp, lp.solve()))
+    except SimplexError as exc:
+        trace.append(type(exc).__name__)
+    return trace
+
+
+@st.composite
+def seal_rounds(draw):
+    column = st.tuples(st.lists(st.integers(-3, 3), min_size=5, max_size=5).map(
+        lambda v: np.array(v, dtype=float)), st.integers(-5, 5).map(float))
+    return draw(st.lists(st.tuples(st.sets(st.integers(0, 10)),
+                                   st.lists(column, max_size=3)), max_size=3))
+
+
+@given(lp_data=degenerate_bounded_lps(), rounds=seal_rounds())
+def test_bit_identical_to_dense_reference(lp_data, rounds):
+    # no compact() call, so column indices agree and every snapshot must match
+    assert scripted_trace(SimplexSolver, lp_data, rounds) == \
+        scripted_trace(DenseSimplexReference, lp_data, rounds)
