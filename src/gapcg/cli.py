@@ -109,10 +109,11 @@ def _report_rows(report: driver.RunReport) -> list[list]:
 
 
 def _make_config(args, method: str, seed: int) -> driver.CgConfig:
+    # sweep has no age flags: run_sweep sets the threshold itself
+    a2, a1, a0 = (getattr(args, name, None) for name in ("age_a2", "age_a1", "age_a0"))
     override = None
-    if args.age_a2 is not None or args.age_a1 is not None or args.age_a0 is not None:
-        override = (args.age_a2 or 0.0, args.age_a1 or 0.0,
-                    args.age_a0 if args.age_a0 is not None else 1.0)
+    if a2 is not None or a1 is not None or a0 is not None:
+        override = (a2 or 0.0, a1 or 0.0, a0 if a0 is not None else 1.0)
     return driver.CgConfig(pricing_method=method,
                            epsilon=args.epsilon, time_limit=args.time_limit,
                            mip_gap=args.mip_gap, age_policy_override=override,
@@ -312,11 +313,15 @@ def _add_common(parser):
     parser.add_argument("--delta", type=_float_where(lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]"),
                         default=1e-6)
     parser.add_argument("--mip-gap", type=_finite_nonnegative, default=1e-5)
+    parser.add_argument("--format", choices=["single", "orlib-multi"], default="single")
+    parser.add_argument("--output", default=None, help="TSV path; '-' for stdout")
+
+
+def _add_age_policy(parser):
+    """The retention polynomial ``(a2, a1, a0)``; sweep sets its own threshold."""
     parser.add_argument("--age-a2", type=_finite, default=None)
     parser.add_argument("--age-a1", type=_finite, default=None)
     parser.add_argument("--age-a0", type=_finite, default=None)
-    parser.add_argument("--format", choices=["single", "orlib-multi"], default="single")
-    parser.add_argument("--output", default=None, help="TSV path; '-' for stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("instance")
     p_run.add_argument("--method", choices=METHODS, default="lt")
     _add_common(p_run)
+    _add_age_policy(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="compare methods over instances and seeds")
@@ -337,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seeds", type=_int_list, default="0")
     p_bench.add_argument("--workers", type=int, default=1)
     _add_common(p_bench)
+    _add_age_policy(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_sweep = sub.add_parser("sweep", help="age-threshold sweep on one instance")
@@ -345,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--taus", type=_int_list, required=True, help="comma-separated thresholds")
     p_sweep.add_argument("--replications", type=int, default=5)
     p_sweep.add_argument("--window", type=int, default=5)
-    p_sweep.add_argument("--tie-rel", type=float, default=0.01)
-    p_sweep.add_argument("--tie-abs", type=float, default=1.0)
+    p_sweep.add_argument("--tie-rel", type=_finite_nonnegative, default=0.01)
+    p_sweep.add_argument("--tie-abs", type=_finite_nonnegative, default=1.0)
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -10,6 +10,12 @@ its surplus column, every other row on its artificial. Within the
 artificials are pivoted out and sealed and the true column costs installed
 (phase two). :class:`MasterLp` owns the LP, keyed by :class:`Column` object,
 and keeps its basis warm; a solution holds duals, pivots and basic values.
+
+The LP carries only live columns: whenever :meth:`MasterLp.sync` seals the
+columns of dropped pool entries, it compacts the LP, which drops every
+sealed nonbasic column (the retired artificials included) and renumbers
+the rest, so the LP indices held in ``lp_col``, ``surplus`` and
+``artificial`` change at that point and nowhere else.
 """
 
 from __future__ import annotations
@@ -134,6 +140,13 @@ class MasterLp:
                 self.lp_col[col] = self.lp.add_column(self._entries(col), cost)
         for col in [c for c in self.lp_col if c not in live]:
             self.lp.seal_column(self.lp_col.pop(col))
+        remap = self.lp.compact()
+        if len(remap) == self.lp.n:
+            return
+        self.lp_col = {col: int(remap[j]) for col, j in self.lp_col.items()}
+        self.surplus = [int(remap[j]) for j in self.surplus]
+        # a retired artificial stays until it leaves the basis
+        self.artificial = [int(remap[j]) for j in self.artificial if remap[j] >= 0]
 
     def ensure_basis(self, pool: ColumnPool):
         if self.lp.basis is not None:
@@ -163,8 +176,9 @@ class MasterLp:
     def extract(self, pivots: int) -> RmpSolution:
         nj = self.inst.num_jobs
         y = self.lp.duals()
-        lam = {col: self.lp.value(j) for col, j in self.lp_col.items()
-               if self.lp.is_basic(j)}
+        x = self.lp.values()
+        basic = self.lp.basic
+        lam = {col: float(x[j]) for col, j in self.lp_col.items() if basic[j]}
         return RmpSolution(objective=self.lp.objective(), lam=lam,
                            pi=y[:nj].copy(), mu=y[nj:].copy(), pivots=pivots)
 

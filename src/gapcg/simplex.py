@@ -6,7 +6,12 @@ column addition, warm starts from the previous basis, sealing and retiring
 columns (pinning them at zero so they never price again), per-solve pivot
 counts and dual extraction. The basis inverse is kept densely, refactorized
 by every ``solve`` and ``retire_columns`` call and every ``_REFACTOR_EVERY``
-pivots; Dantzig pricing with a Bland fallback guards against cycling.
+pivots, and updated in place by a rank-1 step in between; Dantzig pricing
+with a Bland fallback guards against cycling.
+
+Column indices are stable until :meth:`SimplexSolver.compact`, which drops
+the sealed nonbasic columns, shifts the survivors down in order and returns
+the old-to-new index map; a caller holding column indices must remap them.
 """
 
 from __future__ import annotations
@@ -76,6 +81,29 @@ class SimplexSolver:
             if abs(self._xb[r]) > _FEAS_TOL:
                 raise SimplexError("cannot seal a basic column with nonzero value")
         self.sealed[j] = True
+
+    def compact(self) -> np.ndarray:
+        """Drop every sealed nonbasic column, keeping the others in order.
+
+        Returns the old-to-new index map, -1 for a dropped column. The basis
+        is renumbered; its inverse and values do not change.
+        """
+        n = self.n
+        keep = ~self.sealed[:n] | self.basic[:n]
+        kept = np.flatnonzero(keep)
+        remap = np.full(n, -1, dtype=np.int64)
+        remap[kept] = np.arange(len(kept))
+        k = len(kept)
+        if k < n:
+            self._A[:, :k] = self._A[:, kept]
+            self._A[:, k:n] = 0.0
+            for arr in (self.cost, self.basic, self.sealed):
+                arr[:k] = arr[kept]
+                arr[k:n] = 0
+            if self.basis is not None:
+                self.basis = remap[self.basis]
+            self.n = k
+        return remap
 
     def set_basis(self, cols):
         basis = np.asarray(cols, dtype=np.int64)
@@ -158,10 +186,11 @@ class SimplexSolver:
         return pivots
 
     def _apply_pivot(self, r: int, e: int, u: np.ndarray):
-        piv = u[r]
-        self._binv[r, :] /= piv
-        others = np.arange(self.m) != r
-        self._binv[others, :] -= np.outer(u[others], self._binv[r, :])
+        # a separate multiply and subtract gives every entry the rounding of
+        # the textbook update a - u_i * row_j; row r is then written back
+        row = self._binv[r] / u[r]
+        self._binv -= np.multiply.outer(u, row)
+        self._binv[r] = row
         self.basic[self.basis[r]] = False
         self.basis[r] = e
         self.basic[e] = True
@@ -176,20 +205,24 @@ class SimplexSolver:
         bland = False
         while True:
             rc = self._reduced_costs()
-            elig = ~self.basic[: self.n] & ~self.sealed[: self.n] & (rc < -_PRICE_TOL)
-            if not elig.any():
-                break
+            rc[self.basic[: self.n] | self.sealed[: self.n]] = 0.0
             if bland:
-                e = int(np.flatnonzero(elig)[0])
+                elig = np.flatnonzero(rc < -_PRICE_TOL)
+                if not elig.size:
+                    break
+                e = int(elig[0])
             else:
-                e = int(np.argmax(np.where(elig, -rc, 0.0)))
+                # argmin keeps the lowest index among ties
+                e = int(np.argmin(rc))
+                if not rc[e] < -_PRICE_TOL:
+                    break
             d = self._binv @ self._A[:, e]
-            ratios = np.full(self.m, np.inf)
-            pos = d > _PIVOT_TOL
-            ratios[pos] = self._xb[pos] / d[pos]
-            # a sealed column that is still basic must not rise above zero
-            neg = (d < -_PIVOT_TOL) & self.sealed[self.basis]
-            ratios[neg] = (0.0 - self._xb[neg]) / (-d[neg])
+            ratios = np.divide(self._xb, d, out=np.full(self.m, np.inf), where=d > _PIVOT_TOL)
+            sealed_basic = self.sealed[self.basis]
+            if sealed_basic.any():
+                # a sealed column that is still basic must not rise above zero
+                neg = (d < -_PIVOT_TOL) & sealed_basic
+                ratios[neg] = (0.0 - self._xb[neg]) / (-d[neg])
             t = float(ratios.min(initial=np.inf))
             if not np.isfinite(t):
                 raise UnboundedError("LP is unbounded")

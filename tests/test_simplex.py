@@ -235,3 +235,45 @@ def test_bit_identical_to_dense_reference(lp_data, rounds):
     # no compact() call, so column indices agree and every snapshot must match
     assert scripted_trace(SimplexSolver, lp_data, rounds) == \
         scripted_trace(DenseSimplexReference, lp_data, rounds)
+
+
+def test_compact_drops_sealed_nonbasic_columns_in_order():
+    rng = np.random.default_rng(11)
+    A = rng.integers(0, 4, size=(4, 12)).astype(float)
+    A[3] = A[2]  # a redundant row keeps one retired artificial basic
+    lp = two_phase(A, A @ rng.random(12), rng.normal(0, 2, 12).round(3), np.full(12, np.inf))
+    assert lp is not None
+    for j in range(0, 12, 3):
+        if not lp.is_basic(j):
+            lp.seal_column(j)
+    n = lp.n
+    sealed, basic = lp.sealed[:n].copy(), lp.basic[:n].copy()
+    assert (sealed & basic).any() and (sealed & ~basic).any()
+    A_before, cost_before, basis_before = lp._A[:, :n].copy(), lp.cost[:n].copy(), lp.basis.copy()
+    objective, duals, values = lp.objective(), lp.duals(), lp.values()
+
+    remap = lp.compact()
+
+    kept = np.flatnonzero(~sealed | basic)
+    assert lp.n == len(kept)
+    assert (remap[kept] == np.arange(len(kept))).all()
+    assert (np.delete(remap, kept) == -1).all()
+    assert (lp._A[:, : lp.n] == A_before[:, kept]).all()
+    assert (lp.cost[: lp.n] == cost_before[kept]).all()
+    assert (lp.basis == remap[basis_before]).all()
+    assert (lp.sealed[: lp.n] & lp.basic[: lp.n]).any()  # the sealed basic column survived
+    assert lp.objective() == objective
+    assert lp.duals().tobytes() == duals.tobytes()
+    assert lp.values().tobytes() == values[kept].tobytes()
+    assert not values[np.delete(np.arange(n), kept)].any()
+    assert lp.solve() == 0  # still optimal after the renumbering
+
+
+def test_compact_without_sealed_columns_is_the_identity():
+    lp = SimplexSolver(np.array([4.0]))
+    s = lp.add_column(np.array([1.0]), 0.0)
+    lp.add_column(np.array([1.0]), -1.0)
+    lp.set_basis([s])
+    lp.solve()
+    assert (lp.compact() == np.arange(2)).all()
+    assert lp.n == 2
