@@ -11,11 +11,11 @@ artificials are pivoted out and sealed and the true column costs installed
 (phase two). :class:`MasterLp` owns the LP, keyed by :class:`Column` object,
 and keeps its basis warm; a solution holds duals, pivots and basic values.
 
-The LP carries only live columns: whenever :meth:`MasterLp.sync` seals the
-columns of dropped pool entries, it compacts the LP, which drops every
-sealed nonbasic column (the retired artificials included) and renumbers
-the rest, so the LP indices held in ``lp_col``, ``surplus`` and
-``artificial`` change at that point and nowhere else.
+The LP carries only live columns: after sealing the columns of dropped
+pool entries, every :meth:`MasterLp.sync` compacts the LP, which drops each
+sealed nonbasic column (a retired artificial too, once it has left the
+basis) and renumbers the rest. The LP indices held in ``lp_col``,
+``surplus`` and ``artificial`` change there and nowhere else.
 """
 
 from __future__ import annotations

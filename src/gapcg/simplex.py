@@ -89,14 +89,13 @@ class SimplexSolver:
         is renumbered; its inverse and values do not change.
         """
         n = self.n
-        keep = ~self.sealed[:n] | self.basic[:n]
-        kept = np.flatnonzero(keep)
-        remap = np.full(n, -1, dtype=np.int64)
-        remap[kept] = np.arange(len(kept))
+        kept = np.flatnonzero(~self.sealed[:n] | self.basic[:n])
         k = len(kept)
+        remap = np.full(n, -1, dtype=np.int64)
+        remap[kept] = np.arange(k)
         if k < n:
             self._A[:, :k] = self._A[:, kept]
-            self._A[:, k:n] = 0.0
+            # freed slots must read nonbasic and unsealed when reused
             for arr in (self.cost, self.basic, self.sealed):
                 arr[:k] = arr[kept]
                 arr[k:n] = 0
@@ -121,12 +120,6 @@ class SimplexSolver:
         x = np.zeros(self.n)
         x[self.basis] = self._xb
         return x
-
-    def value(self, j: int) -> float:
-        if not self.basic[j]:
-            return 0.0
-        r = int(np.flatnonzero(self.basis == j)[0])
-        return float(self._xb[r])
 
     def duals(self) -> np.ndarray:
         return self.cost[self.basis] @ self._binv

@@ -89,34 +89,22 @@ def test_out_of_range_float_flag_exits_2(instance_file, capsys, command, flag, v
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--tie-rel", "-1"), ("--tie-rel", "nan"), ("--tie-abs", "-1"), ("--tie-abs", "nan"),
-    ("--tie-abs", "inf"),
-], ids=["tie-rel-negative", "tie-rel-nan", "tie-abs-negative", "tie-abs-nan", "tie-abs-inf"])
-def test_sweep_tie_tolerance_out_of_range_exits_2_before_any_run(
-        instance_file, capsys, monkeypatch, flag, value):
+@pytest.mark.parametrize("flags", [
+    ["--tie-rel", "-1"], ["--tie-rel", "nan"], ["--tie-abs", "-1"], ["--tie-abs", "nan"],
+    ["--tie-abs", "inf"], ["--age-a2", "1"], ["--age-a1", "1"], ["--age-a0", "1"],
+], ids=["tie-rel-negative", "tie-rel-nan", "tie-abs-negative", "tie-abs-nan", "tie-abs-inf",
+        "age-a2", "age-a1", "age-a0"])
+def test_sweep_rejects_bad_flags_before_any_run(instance_file, capsys, monkeypatch, flags):
+    # the sweep sets the age threshold itself, so an age flag would be ignored
     def no_run(inst, cfg):
         raise AssertionError("the sweep ran before rejecting its flags")
 
     monkeypatch.setattr(driver, "run", no_run)
     with pytest.raises(SystemExit) as err:
         main(["sweep", instance_file, "--taus", "1,2", "--replications", "1",
-              "--window", "1", flag, value])
+              "--window", "1", *flags])
     assert err.value.code == 2
-    assert flag in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag", ["--age-a2", "--age-a1", "--age-a0"])
-def test_sweep_rejects_age_policy_flags(instance_file, capsys, monkeypatch, flag):
-    # the sweep sets the threshold itself, so an age flag would be ignored
-    def no_run(inst, cfg):
-        raise AssertionError("the sweep ran before rejecting its flags")
-
-    monkeypatch.setattr(driver, "run", no_run)
-    with pytest.raises(SystemExit) as err:
-        main(["sweep", instance_file, "--taus", "1,2", flag, "1"])
-    assert err.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert flags[0] in capsys.readouterr().err
 
 
 def test_infinite_time_limit_is_accepted(instance_file, tmp_path):

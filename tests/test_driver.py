@@ -131,28 +131,24 @@ def test_total_pivots_counts_every_master_pivot(toy_3x12, monkeypatch):
 
 
 def test_master_lp_carries_only_live_columns(monkeypatch):
-    seen = []  # (phase, LP width, pool columns, artificials kept, all kept basic)
+    phases = []
 
     class CheckedMaster(MasterLp):
         def sync(self, pool):
             super().sync(pool)
-            n_art = len(self.artificial)
-            assert self.lp.n == len(self.lp_col) + len(self.surplus) + n_art
             assert set(self.lp_col) == set(pool.iter_columns())
-            seen.append((self.phase, self.lp.n, len(self.lp_col), n_art,
-                         all(self.lp.is_basic(j) for j in self.artificial)))
+            assert self.lp.n == len(self.lp_col) + len(self.surplus) + len(self.artificial)
+            if self.phase == 1:
+                assert len(self.artificial) == self.inst.num_jobs
+            else:  # only the retired artificials still basic remain
+                assert all(self.lp.is_basic(j) for j in self.artificial)
+            phases.append(self.phase)
 
     monkeypatch.setattr(driver, "MasterLp", CheckedMaster)
-    inst = generate(GeneratorSpec(num_machines=6, num_jobs=60, seed=7))
-    rep = run(inst, CgConfig(pricing_method="dantzig"))
+    rep = run(generate(GeneratorSpec(num_machines=6, num_jobs=60, seed=7)),
+              CgConfig(pricing_method="dantzig"))
     assert sum(r.columns_removed for r in rep.rows) > 0
-    # phase one keeps every artificial; from the first sync after the
-    # handoff on, only the retired artificials still basic remain
-    assert all(n_art == inst.num_jobs for phase, _, _, n_art, _ in seen if phase == 1)
-    phase2 = [entry for entry in seen if entry[0] == 2]
-    assert phase2 and all(all_basic for *_, all_basic in phase2)
-    assert max(width for _, width, _, _, _ in seen) < 2 * inst.num_jobs + max(
-        pool for _, _, pool, _, _ in seen)
+    assert phases.count(2) > 1
 
 
 def test_time_limit_zero_stops_in_phase1(toy_3x12):

@@ -136,7 +136,7 @@ def test_added_column_prices_in():
     x = lp.add_column(np.array([1.0]), -1.0)
     assert lp.solve() == 1
     assert lp.objective() == pytest.approx(-4.0)
-    assert lp.value(x) == pytest.approx(4.0)
+    assert lp.values()[x] == pytest.approx(4.0)
 
 
 def test_sealed_column_never_reenters():
@@ -153,7 +153,7 @@ def test_sealed_column_never_reenters():
     lp.seal_column(x)
     lp.set_cost(x, -5.0)
     assert lp.solve() == 0
-    assert lp.value(x) == 0.0
+    assert lp.values()[x] == 0.0
 
 
 def test_unbounded_detected():
@@ -176,8 +176,8 @@ def test_sealed_basic_column_stays_at_zero():
     lp.seal_column(z)
     x = lp.add_column(np.array([1.0, -1.0]), -1.0)
     lp.solve()
-    assert lp.value(z) == 0.0
-    assert lp.value(x) == 0.0
+    assert lp.values()[z] == 0.0
+    assert lp.values()[x] == 0.0
     assert lp.objective() == 0.0
 
 
