@@ -281,22 +281,30 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _float_where(ok, requirement: str):
-    """An argparse type: a float for which ``ok`` holds, else a usage error."""
-    def parse(text: str) -> float:
-        if not ok(float(text)):
+def _number_where(convert, ok, requirement: str):
+    """An argparse type: a ``convert``ed number for which ``ok`` holds, else a usage error."""
+    def parse(text: str):
+        if not ok(convert(text)):
             raise argparse.ArgumentTypeError(f"{text} is not {requirement}")
-        return float(text)
-    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+        return convert(text)
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid float value"
     return parse
 
 
-_finite_nonnegative = _float_where(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-_finite = _float_where(math.isfinite, "a finite number")
+_finite_nonnegative = _number_where(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_finite = _number_where(float, math.isfinite, "a finite number")
+_positive = _number_where(float, lambda v: 0.0 < v <= math.inf, "> 0")
+_half_unit = _number_where(float, lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]")
+_seed = _number_where(int, lambda v: v >= 0, "an integer >= 0")
+_tau = _number_where(int, lambda v: v >= 1, "an integer >= 1")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(s) for s in text.split(",")]
+def _list_of(item):
+    """An argparse type: comma-separated ``item`` values."""
+    def parse(text: str) -> list:
+        return [item(s) for s in text.split(",")]
+    parse.__name__ = f"{item.__name__} list"
+    return parse
 
 
 def _method_list(text: str) -> list[str]:
@@ -306,13 +314,13 @@ def _method_list(text: str) -> list[str]:
 
 
 def _add_common(parser):
-    parser.add_argument("--time-limit", type=_float_where(lambda v: 0.0 < v <= math.inf, "> 0"),
-                        default=600.0, help="seconds per run")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epsilon", type=_finite_nonnegative, default=1e-6)
-    parser.add_argument("--delta", type=_float_where(lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]"),
-                        default=1e-6)
-    parser.add_argument("--mip-gap", type=_finite_nonnegative, default=1e-5)
+    defaults = driver.CgConfig()
+    parser.add_argument("--time-limit", type=_positive, default=defaults.time_limit,
+                        help="seconds per run")
+    parser.add_argument("--seed", type=_seed, default=defaults.seed)
+    parser.add_argument("--epsilon", type=_finite_nonnegative, default=defaults.epsilon)
+    parser.add_argument("--delta", type=_half_unit, default=defaults.template_delta)
+    parser.add_argument("--mip-gap", type=_finite_nonnegative, default=defaults.mip_gap)
     parser.add_argument("--format", choices=["single", "orlib-multi"], default="single")
     parser.add_argument("--output", default=None, help="TSV path; '-' for stdout")
 
@@ -340,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="compare methods over instances and seeds")
     p_bench.add_argument("instances", nargs="+")
     p_bench.add_argument("--methods", type=_method_list, default=",".join(cg_methods))
-    p_bench.add_argument("--seeds", type=_int_list, default="0")
+    p_bench.add_argument("--seeds", type=_list_of(_seed), default="0")
     p_bench.add_argument("--workers", type=int, default=1)
     _add_common(p_bench)
     _add_age_policy(p_bench)
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="age-threshold sweep on one instance")
     p_sweep.add_argument("instance")
     p_sweep.add_argument("--method", choices=cg_methods, default="lt")
-    p_sweep.add_argument("--taus", type=_int_list, required=True, help="comma-separated thresholds")
+    p_sweep.add_argument("--taus", type=_list_of(_tau), required=True, help="comma-separated thresholds")
     p_sweep.add_argument("--replications", type=int, default=5)
     p_sweep.add_argument("--window", type=int, default=5)
     p_sweep.add_argument("--tie-rel", type=_finite_nonnegative, default=0.01)

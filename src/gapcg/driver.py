@@ -23,7 +23,7 @@ import numpy as np
 
 from . import lagrangian, pricing, rmp
 from .instance import GapInstance, require_valid
-from .pricing import LtState, PessoaState, PricingOutcome
+from .pricing import DEFAULT_DELTA, LtState, PessoaState, PricingOutcome
 from .rmp import AGE_POLICIES, ColumnPool, MasterLp
 
 RC_CONVERGENCE_TOL = 1e-6
@@ -37,10 +37,8 @@ class CgConfig:
     time_limit: float = 600.0
     mip_gap: float = 1e-5  # 0.001 percent
     age_policy_override: tuple[float, float, float] | None = None
-    template_delta: float = 1e-6
+    template_delta: float = DEFAULT_DELTA
     seed: int = 0
-    pessoa_freeze_alpha: bool = False
-    audit_column_management: bool = False
 
 
 @dataclass
@@ -71,13 +69,6 @@ class IterRow:
 
 
 @dataclass
-class ManagementAudit:
-    iteration: int
-    objective_delta: float
-    pivots: int
-
-
-@dataclass
 class RunReport:
     instance: str
     method: str
@@ -90,14 +81,11 @@ class RunReport:
     integral_final: bool = False
     gap_percent: float | None = None
     phase1_iterations: int = 0
-    handoff_objective: float | None = None
     total_pivots: int = 0
     total_columns_added: int = 0
     total_rmp_time: float = 0.0
     total_pricing_time: float = 0.0
-    columns_audited: int = 0
     max_rc_margin: float = -math.inf   # max over added columns of rc - (mu - eps)
-    management_audits: list[ManagementAudit] = field(default_factory=list)
 
     def finish(self):
         self.phase1_iterations = sum(r.phase == "1" for r in self.rows)
@@ -191,7 +179,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     master = MasterLp(inst)
     bounds = Bounds()
     state = (LtState.fresh(inst.num_machines) if method == "lt" else
-             PessoaState(freeze_alpha=cfg.pessoa_freeze_alpha) if method == "pessoa" else None)
+             PessoaState() if method == "pessoa" else None)
     coefficients = (cfg.age_policy_override if cfg.age_policy_override is not None
                     else AGE_POLICIES[method])
     tau = rmp.age_threshold(coefficients, inst)
@@ -212,19 +200,9 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
                 continue
             added += 1
             rc = pricing.reduced_cost_sum(priced.cost[i], sol.pi, selection)
-            run_report.columns_audited += 1
             run_report.max_rc_margin = max(run_report.max_rc_margin,
                                            rc - (float(sol.mu[i]) - cfg.epsilon))
         return added
-
-    def manage(sol, iteration):
-        removed = rmp.manage_columns(pool, sol, tau)
-        if cfg.audit_column_management and removed:
-            before = master.lp.objective()
-            pivots = master.lp.solve()
-            delta = master.lp.objective() - before
-            run_report.management_audits.append(ManagementAudit(iteration, delta, pivots))
-        return removed
 
     def add_row(sol, rmp_time, added=0, removed=0, pricing_time=0.0, alphas=(),
                 smoothed=False):
@@ -251,8 +229,6 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         objective = sol.objective + offset if phase == "2" else sol.objective
         run_report.final_objective = objective
         if phase == "2":
-            if run_report.handoff_objective is None:
-                run_report.handoff_objective = objective
             integral = rmp.extract_integer_solution(sol, pool)
             run_report.integral_final = integral is not None
             if integral is not None and (bounds.ub is None or integral[1] + offset < bounds.ub):
@@ -276,7 +252,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         pricing_time = time.perf_counter() - t0
         if phase == "2":
             bounds = update_bounds(bounds, outcomes, objective, smoothed)
-        removed = manage(sol, it)
+        removed = rmp.manage_columns(pool, sol, tau)
         added = insert_columns(outcomes, sol, priced)
         add_row(sol, rmp_time, added, removed, pricing_time, alphas, smoothed)
         if phase == "1":

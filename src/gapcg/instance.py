@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1  # the instance matrices are int64
+
 
 class ParseError(ValueError):
     """Malformed instance text; carries the offset of the offending token."""
@@ -87,6 +89,8 @@ class _TokenStream:
             value = int(tok)
         except ValueError:
             raise ParseError(f"non-integer token {tok!r} while reading {section}", self._pos) from None
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise ParseError(f"integer {tok} outside int64 while reading {section}", self._pos)
         self._pos += 1
         return value
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .knapsack import KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_knapsack
 
-DEFAULT_EPSILON = 1e-6
 DEFAULT_DELTA = 1e-6
 LT_MAX_ITERATIONS = 64
 LT_RELATIVE_GAP = 1e-3
@@ -50,7 +49,6 @@ class PessoaState:
     g_hat: np.ndarray | None = None
     alpha: float = 0.0
     last_rmp_objective: float = math.inf
-    freeze_alpha: bool = False
 
 
 @dataclass(eq=False)
@@ -81,7 +79,7 @@ def reduced_cost_sum(cost_row, pi, selection) -> float:
     return float((np.asarray(cost_row, dtype=np.float64) - pi)[selection].sum())
 
 
-def dantzig_price(inst, i: int, pi, mu_i: float, eps: float = DEFAULT_EPSILON) -> PricingOutcome:
+def dantzig_price(inst, i: int, pi, mu_i: float, eps: float) -> PricingOutcome:
     """Minimum reduced-cost column for machine i, or absent if none is good."""
     sol = min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i], int(inst.capacity[i])))
     rc = sol.value - mu_i
@@ -90,7 +88,7 @@ def dantzig_price(inst, i: int, pi, mu_i: float, eps: float = DEFAULT_EPSILON) -
     return PricingOutcome(machine=i, selection=sol.selection, dantzig_rc=rc)
 
 
-def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
+def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
              delta: float = DEFAULT_DELTA) -> PricingOutcome:
     """Exact template pricing: maximize similarity over the good columns,
     break ties by minimum reduced cost."""
@@ -109,7 +107,7 @@ def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
                           similarity=int(best_sim))
 
 
-def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float = DEFAULT_EPSILON,
+def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
              state: LtState | None = None, delta: float = DEFAULT_DELTA,
              trace: list | None = None) -> PricingOutcome:
     """Heuristic template pricing via a scalarized knapsack and bisection.
@@ -199,7 +197,7 @@ def _smoothed_duals(pi_t, pi_hat, g_hat, alpha_k: float, k: int):
     return np.maximum(0.0, pi_hat + pk_norm * dev / dev_norm)
 
 
-def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float = DEFAULT_EPSILON,
+def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float,
                  rmp_objective: float = math.inf):
     """One full smoothing round across all machines.
 
@@ -263,10 +261,9 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float = DEFAULT_EPSILO
     if improved:
         state.pi_hat = pi_t.copy()
         state.g_hat = g_round
-    if not state.freeze_alpha:
-        if agreement:
-            state.alpha = min(0.9999, 0.9 * state.alpha + 0.1)
-        else:
-            state.alpha = max(0.0, state.alpha - 0.1)
+    if agreement:
+        state.alpha = min(0.9999, 0.9 * state.alpha + 0.1)
+    else:
+        state.alpha = max(0.0, state.alpha - 0.1)
     state.last_rmp_objective = rmp_objective
     return outcomes, state, k_used

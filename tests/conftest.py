@@ -1,4 +1,5 @@
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
+from gapcg import driver, rmp
 from gapcg.instance import GapInstance, GeneratorSpec, generate
 
 
@@ -36,3 +38,54 @@ def toy_3x12():
 def random_instance(seed: int, m: int = 3, n: int = 10) -> GapInstance:
     return generate(GeneratorSpec(num_machines=m, num_jobs=n, cost_range=(1, 20),
                                   resource_range=(1, 10), capacity_slack=0.9, seed=seed))
+
+
+@contextmanager
+def removal_audit():
+    """Re-solve the master after every column removal of the runs inside.
+
+    The audit first syncs the master, so the dropped columns have left the
+    LP, and checks that none of them is still there. It yields a list that
+    receives one ``(pivots, objective change)`` pair per re-solve; removing
+    nonbasic columns from an optimal LP should need no pivot.
+    """
+    audits = []
+    current = []
+    manage_columns = rmp.manage_columns
+
+    class RecordedMaster(driver.MasterLp):
+        def __init__(self, inst):
+            super().__init__(inst)
+            current[:] = [self]
+
+    def audited(pool, sol, tau):
+        kept_before = set(pool.iter_columns())
+        removed = manage_columns(pool, sol, tau)
+        if removed:
+            master, = current
+            assert master.inst is pool.inst
+            dropped = kept_before - set(pool.iter_columns())
+            master.sync(pool)
+            assert dropped.isdisjoint(master.lp_col)
+            before = master.lp.objective()
+            pivots = master.lp.solve()
+            audits.append((pivots, master.lp.objective() - before))
+        return removed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "MasterLp", RecordedMaster)
+        patch.setattr(rmp, "manage_columns", audited)
+        yield audits
+
+
+class FrozenPessoaState(driver.PessoaState):
+    """Pessoa smoothing whose mixing weight stays at 0, so it prices like
+    Dantzig; patch it over ``driver.PessoaState`` to apply it to a run."""
+
+    @property
+    def alpha(self):
+        return 0.0
+
+    @alpha.setter
+    def alpha(self, value):
+        pass

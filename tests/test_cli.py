@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
 from gapcg import driver
-from gapcg.cli import (SweepSpec, geomean, main, rolling_geomean, run_sweep,
-                       select_tau)
+from gapcg.cli import (SweepSpec, _make_config, build_parser, geomean, main,
+                       rolling_geomean, run_sweep, select_tau)
 from gapcg.driver import CgConfig
 from gapcg.instance import GeneratorSpec, generate, serialize
 from gapcg.simplex import SimplexError
@@ -136,8 +137,46 @@ def test_invalid_sweep_spec_exits_2(instance_file, capsys, flags):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (["run", "--method", "dantzig"], "--seed", "-1"),
+    (["sweep", "--taus", "1,2"], "--seed", "-1"),
+    (["bench", "--methods", "dantzig"], "--seeds", "-1"),
+    (["sweep"], "--taus", "-5,0,1"),
+    (["sweep"], "--taus", "0,1"),
+], ids=["run-seed", "sweep-seed", "bench-seeds", "sweep-taus-negative", "sweep-taus-zero"])
+def test_out_of_range_integer_flag_exits_2(instance_file, capsys, monkeypatch,
+                                           command, flag, value):
+    def no_run(inst, cfg):
+        raise AssertionError("ran before rejecting its flags")
+
+    monkeypatch.setattr(driver, "run", no_run)
+    with pytest.raises(SystemExit) as err:
+        main([command[0], instance_file, *command[1:], f"{flag}={value}"])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_every_config_field_has_a_flag():
+    # a CgConfig field that no flag sets is a switch only tests can reach
+    args = build_parser().parse_args([
+        "run", "x.txt", "--method", "mt", "--time-limit", "5", "--seed", "3",
+        "--epsilon", "1e-4", "--delta", "0.01", "--mip-gap", "0.5", "--age-a0", "2"])
+    cfg, default = _make_config(args, args.method, args.seed), CgConfig()
+    for f in dataclasses.fields(CgConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+
+
 def test_run_missing_file_exits_3(tmp_path):
     assert main(["run", str(tmp_path / "nope.txt")]) == 3
+
+
+@pytest.mark.parametrize("command", [["run"], ["bench"], ["sweep", "--taus", "1,2"]],
+                         ids=["run", "bench", "sweep"])
+def test_integer_outside_int64_exits_3(tmp_path, capsys, command):
+    bad = tmp_path / "huge.txt"
+    bad.write_text("1 1\n99999999999999999999999\n1\n1\n")
+    assert main([command[0], str(bad), *command[1:]]) == 3
+    assert "outside int64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, method", [

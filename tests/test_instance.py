@@ -40,6 +40,21 @@ def test_parse_negative_resource_rejected():
     assert "negative resource" in str(err.value)
 
 
+HUGE = "99999999999999999999999"  # beyond int64
+
+
+@pytest.mark.parametrize("text, section, offset", [
+    (f"1 1 {HUGE} 1 1", "costs", 2),
+    (f"1 1 1 {HUGE} 1", "resources", 3),
+    (f"1 1 1 1 {HUGE}", "capacities", 4),
+], ids=["cost", "resource", "capacity"])
+def test_parse_integer_outside_int64(text, section, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text, format="single")
+    assert section in str(err.value)
+    assert err.value.token_offset == offset
+
+
 def test_parse_unknown_format():
     with pytest.raises(ValueError):
         parse(SINGLE, format="csv")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import min_reduced_cost
-from conftest import random_instance
+from conftest import FrozenPessoaState, random_instance
 from gapcg.knapsack import LexKnapsackProblem, brute_force_lex
 from gapcg.pricing import (LtState, PessoaState, dantzig_price, lt_price,
                            mt_price, pessoa_round, reduced_cost_sum,
@@ -303,7 +303,7 @@ def test_pessoa_smoothed_duals_nonnegative_and_formula():
 
 def test_pessoa_frozen_alpha_stays_zero():
     inst, pi, mu = toyland()
-    state = PessoaState(freeze_alpha=True)
+    state = FrozenPessoaState()
     for shift in range(4):
         pessoa_round(state, inst, pi + shift, mu, EPS, rmp_objective=100.0 - shift)
         assert state.alpha == 0.0
