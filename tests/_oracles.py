@@ -3,15 +3,21 @@
 Everything here is deliberately implemented without touching the package's
 solver paths: column enumeration is plain bit arithmetic and the master LP
 reference goes through scipy's HiGHS interface. The frozen copies of earlier
-kernels (:func:`full_level_lex`, :class:`DenseSimplexReference`) are the
-references their faster rewrites must match bit for bit.
+kernels (:func:`full_level_lex`, :class:`DenseSimplexReference`,
+:func:`sequential_lt_price`, :func:`looped_lr_evaluate`) are the references
+their faster rewrites must match bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import linprog
 
+from gapcg.knapsack import KnapsackProblem, min_knapsack
+from gapcg.pricing import (DEFAULT_DELTA, LT_ABSOLUTE_FLOOR, LT_MAX_ITERATIONS,
+                           LT_RELATIVE_GAP, PricingOutcome, similarity_vector)
 from gapcg.simplex import SimplexError, UnboundedError
 
 
@@ -145,6 +151,84 @@ def full_level_lex(p):
         return level - n, rc, sel
     return None
 
+
+
+def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
+                        state=None, delta: float = DEFAULT_DELTA,
+                        trace: list | None = None) -> PricingOutcome:
+    """``pricing.lt_price`` as it was before the lockstep bisection.
+
+    One machine, one ``min_knapsack`` call per bisection step: the reference
+    that ``pricing.lt_round`` must match outcome for outcome.
+    """
+    rc_coeff = inst.cost[i] - pi
+    weights = inst.resource[i]
+    cap = int(inst.capacity[i])
+    base = min_knapsack(KnapsackProblem(rc_coeff, weights, cap))
+    dantzig_rc = base.value - mu_i
+    if dantzig_rc > -eps:
+        return PricingOutcome(machine=i, selection=None, dantzig_rc=dantzig_rc)
+    f = similarity_vector(y_i, delta)
+    budget = mu_i - eps
+    lo, up = 0.0, math.inf
+    alpha = float(state.alpha_warm[i]) if state is not None else 0.5
+    best = None  # (sim, rc, selection) with max sim then min rc
+    proof_fired = False
+    for _ in range(LT_MAX_ITERATIONS):
+        scalarized = min_knapsack(KnapsackProblem(-f + alpha * rc_coeff, weights, cap))
+        x = scalarized.selection
+        rc_x = float(rc_coeff[x].sum())
+        sim_x = int(f[x].sum())
+        member = rc_x <= budget
+        if trace is not None:
+            trace.append((alpha, lo, up, member))
+        if member:
+            up = alpha
+            if best is None or sim_x > best[0] or (sim_x == best[0] and rc_x < best[1]):
+                best = (sim_x, rc_x, x)
+        else:
+            lo = alpha
+        if best is not None:
+            sim_cap = math.floor(alpha * mu_i - scalarized.value + 1e-9)
+            if best[0] >= sim_cap:
+                proof_fired = True
+                break
+        if math.isfinite(up):
+            if lo > 0.0 and (up - lo) / lo <= LT_RELATIVE_GAP:
+                break
+            if lo == 0.0 and up <= LT_ABSOLUTE_FLOOR:
+                break
+            alpha = (lo + up) / 2.0
+        else:
+            alpha = 2.0 * alpha
+    if best is None:
+        # Bisection exhausted without confirming membership even though the
+        # minimum-rc column qualifies: fall back to it so the loop progresses.
+        sel = base.selection
+        return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
+                              similarity=int(f[sel].sum()), flagged=True)
+    sim, _, sel = best
+    if state is not None:
+        state.alpha_warm[i] = up
+    return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
+                          similarity=int(sim), alpha_used=up, proof_fired=proof_fired)
+
+
+def looped_lr_evaluate(inst, pi):
+    """``lagrangian.lr_evaluate`` as it was before the batched kernel: one
+    ``min_knapsack`` call per machine. Dual function value, subgradient, and
+    the per-machine selections."""
+    pi = np.asarray(pi, dtype=np.float64)
+    value = float(pi.sum())
+    coverage = np.zeros(inst.num_jobs)
+    selections = []
+    for i in range(inst.num_machines):
+        sol = min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i],
+                                           int(inst.capacity[i])))
+        value += sol.value
+        coverage += sol.selection
+        selections.append(sol.selection)
+    return value, 1.0 - coverage, selections
 
 # tolerances of DenseSimplexReference, frozen at their values when it was copied
 _PRICE_TOL = 1e-9
