@@ -138,21 +138,17 @@ def _price(inst: GapInstance, cfg: CgConfig, sol, templates: np.ndarray | None,
         outcomes, _, _ = pricing.pessoa_round(state, inst, sol.pi, sol.mu, cfg.epsilon,
                                               rmp_objective=sol.objective)
         return outcomes, any(o.dantzig_rc is None for o in outcomes), [state.alpha]
-    outcomes = []
-    alphas = []
-    for i in order:
-        mu_i = float(sol.mu[i])
-        if method == "lt":
-            out = pricing.lt_price(inst, i, templates[i], sol.pi, mu_i, cfg.epsilon,
-                                   state=state, delta=cfg.template_delta)
-            alphas.append(out.alpha_used)
-        elif method == "mt":
-            out = pricing.mt_price(inst, i, templates[i], sol.pi, mu_i, cfg.epsilon,
-                                   delta=cfg.template_delta)
-        else:
-            out = pricing.dantzig_price(inst, i, sol.pi, mu_i, cfg.epsilon)
-        outcomes.append(out)
-    return outcomes, False, alphas
+    if method == "lt":
+        outcomes = pricing.lt_round(inst, order, templates, sol.pi, sol.mu, cfg.epsilon,
+                                    state, cfg.template_delta)
+        return outcomes, False, [out.alpha_used for out in outcomes]
+    if method == "mt":
+        outcomes = [pricing.mt_price(inst, i, templates[i], sol.pi, float(sol.mu[i]),
+                                     cfg.epsilon, delta=cfg.template_delta) for i in order]
+    else:
+        outcomes = [pricing.dantzig_price(inst, i, sol.pi, float(sol.mu[i]), cfg.epsilon)
+                    for i in order]
+    return outcomes, False, []
 
 
 def run(inst: GapInstance, cfg: CgConfig) -> RunReport:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1  # the instance matrices are int64
+_EXACT_SUM = 2**53  # below it, int64 sums and float64 LP costs are both exact
 
 
 class ParseError(ValueError):
@@ -178,7 +179,8 @@ def generate(spec: GeneratorSpec) -> GapInstance:
 
 
 def validate(inst: GapInstance) -> ValidationReport:
-    """Report structural violations and jobs that fit on no machine."""
+    """Report structural violations, sums too large to stay exact (see
+    ``_EXACT_SUM``) and jobs that fit on no machine."""
     report = ValidationReport()
     m, n = inst.num_machines, inst.num_jobs
     if inst.cost.shape != (m, n):
@@ -195,6 +197,11 @@ def validate(inst: GapInstance) -> ValidationReport:
         report.errors.append("negative capacity entry")
     if report.errors:
         return report
+    span = sum(hi - min(0, lo) for hi, lo in zip(inst.cost.max(0).tolist(), inst.cost.min(0).tolist()))
+    for what, total in (("cost span sum_j (max_i c_ij - min(0, min_i c_ij))", span),
+                        ("largest machine resource sum", max(map(sum, inst.resource.tolist())))):
+        if total > _EXACT_SUM:
+            report.errors.append(f"{what} {total} exceeds 2^53")
     fits = inst.resource <= inst.capacity[:, None]
     for j in np.flatnonzero(~fits.any(axis=0)):
         report.unassignable_jobs.append(int(j))

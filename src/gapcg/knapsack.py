@@ -1,10 +1,13 @@
 """Exact 0/1 knapsack kernels shared by every pricing strategy.
 
-Two dynamic programs over integer capacities with real objective values:
+Three dynamic programs over integer capacities with real objective values:
 
 * :func:`min_knapsack` minimizes a linear profit subject to one capacity
   constraint. Items with nonnegative profit are never selected (ties at
   zero resolve to not-selected), so the empty selection is the worst case.
+* :func:`min_knapsack_batch` solves one such problem per row of an (m, n)
+  batch in a single DP over item positions, row for row bit-identical to
+  :func:`min_knapsack`: whole rounds (LT steps, LR and Pessoa) use it.
 * :func:`lex_knapsack` maximizes a per-item score in {-1, 0, +1} subject
   to the capacity constraint and an upper budget on the reduced-cost sum,
   breaking ties among score-optimal selections by minimum reduced cost.
@@ -105,6 +108,53 @@ def min_knapsack(p: KnapsackProblem) -> KnapsackSolution:
                 selection[j] = True
                 w -= int(p.weight[j])
     return KnapsackSolution(value=float(p.profit[selection].sum()), selection=selection)
+
+
+def min_knapsack_batch(profit, weight, capacity):
+    """:func:`min_knapsack` on every row of ``profit[m, n]`` and ``weight[m, n]``.
+
+    Returns a list of m values and an (m, n) selection mask; row r of both is
+    bit-identical to ``min_knapsack`` on row r. One DP over item positions
+    serves every row: step k offers each row its k-th candidate in item
+    order, gathering ``dp[c - w]`` from a row padded with +inf, and a row
+    out of candidates gets +inf profit, which improves no cell.
+    """
+    profit = np.asarray(profit, dtype=np.float64)
+    weight = np.asarray(weight, dtype=np.int64)
+    capacity = np.asarray(capacity, dtype=np.int64)
+    m = len(capacity)
+    if profit.ndim != 2 or profit.shape != weight.shape or len(profit) != m:
+        raise ValueError("profit and weight must be (m, n) and capacity (m,)")
+    if (weight < 0).any() or (capacity < 0).any():
+        raise ValueError("weights and capacity must be nonnegative")
+    selection = (weight == 0) & (profit < 0)
+    cand = (profit < 0) & (weight > 0) & (weight <= capacity[:, None])
+    count = cand.sum(axis=1)
+    steps = int(count.max(initial=0))
+    if steps:
+        rows = np.arange(m)
+        order = np.argsort(~cand, axis=1, kind="stable")[:, :steps]  # candidates first
+        live = np.arange(steps) < count[:, None]
+        p = np.where(live, profit[rows[:, None], order], np.inf)
+        w = np.where(live, weight[rows[:, None], order], 0)
+        caps = np.minimum(capacity, w.sum(axis=1))
+        width = int(caps.max()) + 1
+        table = np.zeros((m, 2 * width - 1))  # row r: +inf padding, then dp[r, 0 .. width-1]
+        table[:, : width - 1] = np.inf
+        dp = table[:, width - 1 :]
+        cells = (rows * (2 * width - 1) + width - 1)[:, None] + np.arange(width)
+        take = np.empty((steps, m, width), dtype=bool)
+        for k in range(steps):
+            with_item = table.take(cells - w[:, k, None]) + p[:, k, None]
+            np.less(with_item, dp, out=take[k])  # strict: ties resolve to not-selected
+            np.copyto(dp, with_item, where=take[k])
+        items, weights = order.tolist(), w.tolist()
+        for r, (c, kr) in enumerate(zip(caps.tolist(), count.tolist())):
+            for k in range(kr - 1, -1, -1):
+                if take[k, r, c]:
+                    selection[r, items[r][k]] = True
+                    c -= weights[r][k]
+    return [float(profit[r][selection[r]].sum()) for r in range(m)], selection
 
 
 def lex_knapsack(p: LexKnapsackProblem):

@@ -1,4 +1,4 @@
-"""Per-machine pricing strategies for the column-generation loop.
+"""Pricing strategies for the column-generation loop.
 
 Four strategies map master duals (and, for the template pair, a target
 vector per machine) to candidate columns:
@@ -6,9 +6,12 @@ vector per machine) to candidate columns:
 * ``dantzig_price``  - plain minimum reduced cost via a knapsack solve.
 * ``pessoa_round``   - directional dual smoothing with adaptive mixing and
   a limited backtracking search over smoothing intensities; falls back to
-  plain pricing when smoothing finds nothing.
-* ``lt_price``       - heuristic template pricing: a Lagrangian scalarization
-  of (similarity, reduced cost) tuned by bisection on the trade-off weight.
+  plain pricing when smoothing finds nothing. Each attempt prices every
+  machine in one batched knapsack call.
+* ``lt_round``       - heuristic template pricing: a Lagrangian scalarization
+  of (similarity, reduced cost) tuned by bisection on the trade-off weight,
+  all machines bisecting in lockstep over batched knapsack calls;
+  ``lt_price`` is its one-machine case.
 * ``mt_price``       - exact template pricing via the lexicographic knapsack.
 
 Every strategy only ever returns columns whose reduced cost under the true
@@ -24,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .knapsack import KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_knapsack
+from .knapsack import (KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_knapsack,
+                       min_knapsack_batch)
 
 DEFAULT_DELTA = 1e-6
 LT_MAX_ITERATIONS = 64
@@ -60,18 +64,14 @@ class LtState:
         return cls(alpha_warm=np.full(num_machines, 0.5))
 
 
-def similarity_class(y_j: float, delta: float) -> int:
-    """Classify a template entry: +1 near one, -1 near zero, 0 in between."""
-    if y_j > 1.0 - delta:
-        return 1
-    if y_j < delta:
-        return -1
-    return 0
-
-
 def similarity_vector(y, delta: float) -> np.ndarray:
+    """Classify template entries: +1 near one, -1 near zero, 0 in between."""
     y = np.asarray(y, dtype=np.float64)
     return np.where(y > 1.0 - delta, 1, np.where(y < delta, -1, 0)).astype(np.int64)
+
+
+def similarity_class(y_j: float, delta: float) -> int:
+    return int(similarity_vector(y_j, delta))
 
 
 def reduced_cost_sum(cost_row, pi, selection) -> float:
@@ -83,9 +83,7 @@ def dantzig_price(inst, i: int, pi, mu_i: float, eps: float) -> PricingOutcome:
     """Minimum reduced-cost column for machine i, or absent if none is good."""
     sol = min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i], int(inst.capacity[i])))
     rc = sol.value - mu_i
-    if rc > -eps:
-        return PricingOutcome(machine=i, selection=None, dantzig_rc=rc)
-    return PricingOutcome(machine=i, selection=sol.selection, dantzig_rc=rc)
+    return PricingOutcome(machine=i, selection=None if rc > -eps else sol.selection, dantzig_rc=rc)
 
 
 def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
@@ -107,25 +105,14 @@ def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
                           similarity=int(best_sim))
 
 
-def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
-             state: LtState | None = None, delta: float = DEFAULT_DELTA,
-             trace: list | None = None) -> PricingOutcome:
-    """Heuristic template pricing via a scalarized knapsack and bisection.
-
-    For a trade-off weight ``alpha`` the subproblem minimizes
-    ``-similarity + alpha * reduced_cost`` over the machine's feasible
-    selections. Bisection finds the smallest alpha whose minimizer clears the
-    reduced-cost budget, warm-started per machine from the previous call. The
-    best budget-clearing selection seen anywhere during the search is
-    returned; when the search proves its similarity optimal, the result
-    matches :func:`mt_price` exactly. ``trace``, when given, receives one
-    ``(alpha, lo, up, member)`` tuple per bisection step.
-    """
+def _lt_search(inst, i: int, y_i, pi, mu_i: float, eps: float, state: LtState | None,
+               delta: float, trace: list | None):
+    """Machine i's side of :func:`lt_round`, as a coroutine: it yields each
+    profit row it wants minimized, receives that knapsack's ``(value,
+    selection)`` and returns the machine's :class:`PricingOutcome`."""
     rc_coeff = inst.cost[i] - pi
-    weights = inst.resource[i]
-    cap = int(inst.capacity[i])
-    base = min_knapsack(KnapsackProblem(rc_coeff, weights, cap))
-    dantzig_rc = base.value - mu_i
+    base_value, base_selection = yield rc_coeff
+    dantzig_rc = base_value - mu_i
     if dantzig_rc > -eps:
         return PricingOutcome(machine=i, selection=None, dantzig_rc=dantzig_rc)
     f = similarity_vector(y_i, delta)
@@ -135,8 +122,7 @@ def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
     best = None  # (sim, rc, selection) with max sim then min rc
     proof_fired = False
     for _ in range(LT_MAX_ITERATIONS):
-        scalarized = min_knapsack(KnapsackProblem(-f + alpha * rc_coeff, weights, cap))
-        x = scalarized.selection
+        value, x = yield -f + alpha * rc_coeff
         rc_x = float(rc_coeff[x].sum())
         sim_x = int(f[x].sum())
         member = rc_x <= budget
@@ -149,7 +135,7 @@ def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
         else:
             lo = alpha
         if best is not None:
-            sim_cap = math.floor(alpha * mu_i - scalarized.value + 1e-9)
+            sim_cap = math.floor(alpha * mu_i - value + 1e-9)
             if best[0] >= sim_cap:
                 proof_fired = True
                 break
@@ -164,14 +150,56 @@ def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
     if best is None:
         # Bisection exhausted without confirming membership even though the
         # minimum-rc column qualifies: fall back to it so the loop progresses.
-        sel = base.selection
-        return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
-                              similarity=int(f[sel].sum()), flagged=True)
+        return PricingOutcome(machine=i, selection=base_selection, dantzig_rc=dantzig_rc,
+                              similarity=int(f[base_selection].sum()), flagged=True)
     sim, _, sel = best
     if state is not None:
         state.alpha_warm[i] = up
     return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
                           similarity=int(sim), alpha_used=up, proof_fired=proof_fired)
+
+
+def lt_round(inst, machines, templates, pi, mu, eps: float, state: LtState | None = None,
+             delta: float = DEFAULT_DELTA, trace: dict | None = None) -> list[PricingOutcome]:
+    """Heuristic template pricing of ``machines``; outcomes in that order.
+
+    For a trade-off weight ``alpha`` machine i's subproblem minimizes
+    ``-similarity + alpha * reduced_cost`` over its feasible selections.
+    Bisection finds the smallest alpha whose minimizer clears the reduced-cost
+    budget, warm-started per machine from the previous round. The best
+    budget-clearing selection seen is returned; when the search proves its
+    similarity optimal, it matches :func:`mt_price`. ``templates[i]`` and
+    ``mu[i]`` are machine i's target vector and dual. The searches run in
+    lockstep, one :func:`min_knapsack_batch` call per step over the machines
+    still searching; machines share nothing, so each outcome is that of a
+    search on its own. ``trace``, when given, maps a machine to the list that
+    receives its ``(alpha, lo, up, member)`` tuple per bisection step.
+    """
+    searches = {i: _lt_search(inst, i, templates[i], pi, float(mu[i]), eps, state, delta,
+                              None if trace is None else trace.setdefault(i, []))
+                for i in machines}
+    profits = {i: next(search) for i, search in searches.items()}
+    outcomes = {}
+    while profits:
+        rows = list(profits)
+        values, selections = min_knapsack_batch(np.array([profits[i] for i in rows]),
+                                                inst.resource[rows], inst.capacity[rows])
+        for k, i in enumerate(rows):
+            try:
+                profits[i] = searches[i].send((values[k], selections[k]))
+            except StopIteration as done:
+                del profits[i]
+                outcomes[i] = done.value
+    return [outcomes[i] for i in machines]
+
+
+def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
+             state: LtState | None = None, delta: float = DEFAULT_DELTA,
+             trace: list | None = None) -> PricingOutcome:
+    """:func:`lt_round` on machine i alone, ``trace`` being its step list."""
+    (out,) = lt_round(inst, [i], {i: y_i}, pi, {i: mu_i}, eps, state, delta,
+                      None if trace is None else {i: trace})
+    return out
 
 
 def _smoothed_duals(pi_t, pi_hat, g_hat, alpha_k: float, k: int):
@@ -216,21 +244,18 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float,
     ni = inst.num_machines
 
     def price_all(pi_price):
-        sols = [min_knapsack(KnapsackProblem(inst.cost[i] - pi_price, inst.resource[i],
-                                             int(inst.capacity[i])))
-                for i in range(ni)]
-        true_rc = np.array([reduced_cost_sum(inst.cost[i], pi_t, sols[i].selection) - mu[i]
+        values, sels = min_knapsack_batch(inst.cost - pi_price, inst.resource, inst.capacity)
+        true_rc = np.array([reduced_cost_sum(inst.cost[i], pi_t, sels[i]) - mu[i]
                             for i in range(ni)])
-        return sols, true_rc
+        return values, sels, true_rc
 
     k_used = None
-    sols = true_rc = None
     pure_round = False
     for k in range(1, 10):
         alpha_k = max(0.0, 1.0 - k * (1.0 - state.alpha))
         pi_tilde = _smoothed_duals(pi_t, state.pi_hat, state.g_hat, alpha_k, k)
         pure = pi_tilde is None
-        sols, true_rc = price_all(pi_t if pure else pi_tilde)
+        values, sels, true_rc = price_all(pi_t if pure else pi_tilde)
         k_used = k
         pure_round = pure
         if (true_rc <= -eps).any():
@@ -240,22 +265,14 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float,
     else:
         k_used = 10
     if k_used == 10:  # all smoothed attempts failed: revert to pure duals
-        sols, true_rc = price_all(pi_t)
+        values, sels, true_rc = price_all(pi_t)
         pure_round = True
 
-    outcomes = []
-    for i in range(ni):
-        outcomes.append(PricingOutcome(
-            machine=i,
-            selection=sols[i].selection if true_rc[i] <= -eps else None,
-            dantzig_rc=float(sols[i].value - mu[i]) if pure_round else None,
-            alpha_used=state.alpha,
-        ))
-
-    coverage = np.zeros(inst.num_jobs)
-    for sol in sols:
-        coverage += sol.selection
-    g_round = 1.0 - coverage
+    outcomes = [PricingOutcome(machine=i, selection=sels[i] if true_rc[i] <= -eps else None,
+                               dantzig_rc=float(values[i] - mu[i]) if pure_round else None,
+                               alpha_used=state.alpha)
+                for i in range(ni)]
+    g_round = 1.0 - sels.sum(axis=0)
     agreement = float(g_round @ (pi_t - state.pi_hat)) > 0.0
     improved = rmp_objective < state.last_rmp_objective - 1e-9
     if improved:

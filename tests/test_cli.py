@@ -179,6 +179,30 @@ def test_integer_outside_int64_exits_3(tmp_path, capsys, command):
     assert "outside int64" in capsys.readouterr().err
 
 
+WRAPPING_COSTS = "1 2\n9223372036854775807 9223372036854775807\n1 1\n5\n"
+
+
+@pytest.mark.parametrize("command", [["run", "--method", "dantzig"], ["sweep", "--taus", "1,2"]],
+                         ids=["run", "sweep"])
+def test_sums_beyond_two_to_the_53_exit_3(tmp_path, capsys, command):
+    # each value fits int64, but the only assignment costs 2^64 - 2
+    bad = tmp_path / "wrap.txt"
+    bad.write_text(WRAPPING_COSTS)
+    assert main([command[0], str(bad), *command[1:]]) == 3
+    assert "exceeds 2^53" in capsys.readouterr().err
+
+
+def test_bench_sums_beyond_two_to_the_53_become_error_rows(tmp_path):
+    bad = tmp_path / "wrap.txt"
+    bad.write_text(WRAPPING_COSTS)
+    out = tmp_path / "bench.tsv"
+    assert main(["bench", str(bad), "--methods", "dantzig,lr", "--output", str(out)]) == 0
+    header, *lines = out.read_text().strip().split("\n")
+    rows = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
+    assert [row["method"] for row in rows] == ["dantzig", "lr"]
+    assert all(row["status"].startswith("error:") and "2^53" in row["status"] for row in rows)
+
+
 @pytest.mark.parametrize("text, method", [
     ("1 2\n1 1\n9 9\n3\n", "lt"),  # both jobs exceed the single capacity
     # every job fits alone, but three jobs of weight 2 need three machines

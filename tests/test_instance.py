@@ -118,6 +118,22 @@ def test_validate_negative_capacity():
     assert any("negative capacity" in e for e in report.errors)
 
 
+@pytest.mark.parametrize("cost, resource, message", [
+    ([[2**52, 2**52 + 1]], [[1, 1]], "cost span"),
+    ([[2**52 + 1], [-2**52]], [[1], [1]], "cost span"),  # the shift widens the span
+    ([[1, 1]], [[2**52, 2**52 + 1]], "machine resource sum"),
+], ids=["cost-sum", "negative-cost-widens-span", "resource-sum"])
+def test_validate_flags_sums_beyond_two_to_the_53(cost, resource, message):
+    cost, resource = np.array(cost), np.array(resource)
+    inst = GapInstance(*cost.shape, cost=cost, resource=resource,
+                       capacity=np.full(len(cost), 5))
+    report = validate(inst)
+    assert any(message in e for e in report.errors)
+    exact = GapInstance(1, 2, cost=np.array([[2**52, 2**52]]),
+                        resource=np.array([[2**52, 2**52]]), capacity=np.array([5]))
+    assert not validate(exact).errors
+
+
 def test_instances_are_immutable(toy_2x3):
     with pytest.raises(ValueError):
         toy_2x3.cost[0, 0] = 99

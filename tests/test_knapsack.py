@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from _oracles import full_level_lex, subsets
 from gapcg.instance import GeneratorSpec, generate
 from gapcg.knapsack import (KnapsackProblem, LexKnapsackProblem,
-                            brute_force_lex, lex_knapsack, min_knapsack)
+                            brute_force_lex, lex_knapsack, min_knapsack,
+                            min_knapsack_batch)
 
 
 def enum_min(problem: KnapsackProblem):
@@ -71,6 +72,50 @@ def test_min_knapsack_capacity_monotone():
         lo = min_knapsack(KnapsackProblem(profit, weight, cap)).value
         hi = min_knapsack(KnapsackProblem(profit, weight, cap + int(rng.integers(1, 6)))).value
         assert hi <= lo + 1e-12
+
+
+# ---------------------------------------------------------- min_knapsack_batch
+
+@st.composite
+def knapsack_batches(draw):
+    """Up to six rows over a shared item count: profits with ties (repeated
+    values, exact zeros) or arbitrary floats, zero weights, zero capacities,
+    rows with no candidate and rows of different capacities."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 14))
+    tied = st.sampled_from([-3.0, -2.5, -1.0, -1.0, -0.5, 0.0, 1.0])
+    value = st.one_of(tied, st.floats(-20, 20, allow_nan=False, allow_subnormal=False))
+    rows = [draw(st.one_of(st.lists(value, min_size=n, max_size=n),
+                           st.lists(st.floats(0, 5), min_size=n, max_size=n)))
+            for _ in range(m)]
+    weight = draw(st.lists(st.lists(st.integers(0, 7), min_size=n, max_size=n),
+                           min_size=m, max_size=m))
+    capacity = draw(st.lists(st.one_of(st.just(0), st.integers(0, 30)), min_size=m, max_size=m))
+    return (np.array(rows, dtype=np.float64).reshape(m, n),
+            np.array(weight, dtype=np.int64).reshape(m, n), np.array(capacity))
+
+
+@given(batch=knapsack_batches())
+def test_min_knapsack_batch_matches_min_knapsack_row_by_row(batch):
+    profit, weight, capacity = batch
+    values, selection = min_knapsack_batch(profit, weight, capacity)
+    assert selection.shape == profit.shape and len(values) == len(capacity)
+    for r in range(len(capacity)):
+        ref = min_knapsack(KnapsackProblem(profit[r], weight[r], int(capacity[r])))
+        assert type(values[r]) is float
+        assert np.float64(values[r]).tobytes() == np.float64(ref.value).tobytes()
+        assert selection[r].tobytes() == ref.selection.tobytes()
+
+
+def test_min_knapsack_batch_rejects_bad_shapes_and_negatives():
+    with pytest.raises(ValueError):
+        min_knapsack_batch(np.zeros((2, 3)), np.zeros((2, 3), dtype=int), [1])
+    with pytest.raises(ValueError):
+        min_knapsack_batch(np.zeros((1, 3)), np.zeros((1, 2), dtype=int), [1])
+    with pytest.raises(ValueError):
+        min_knapsack_batch(np.zeros((1, 2)), [[1, -1]], [1])
+    with pytest.raises(ValueError):
+        min_knapsack_batch(np.zeros((1, 2)), [[1, 1]], [-1])
 
 
 # ---------------------------------------------------------------- lex_knapsack

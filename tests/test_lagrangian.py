@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from _oracles import master_lp_optimum
+from _oracles import looped_lr_evaluate, master_lp_optimum
 from conftest import random_instance
 from gapcg.instance import GapInstance
 from gapcg.lagrangian import lr_evaluate, lr_solve
@@ -84,3 +86,17 @@ def test_lr_immediate_optimum_at_zero():
     assert best == pytest.approx(-3.0)
     assert integer is not None
     assert len(trace) == 1  # zero gradient at the start: stop immediately
+
+
+@given(m=st.integers(1, 6), n=st.integers(1, 14), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([0.0, 1.0, 8.0, 40.0]))
+def test_lr_evaluate_matches_machine_loop_property(m, n, seed, scale):
+    inst = random_instance(seed, m=m, n=n)
+    rng = np.random.default_rng(seed)
+    pi = rng.normal(scale, 6, n).round(int(rng.integers(0, 4)))
+    value, grad, sels = lr_evaluate(inst, pi)
+    ref_value, ref_grad, ref_sels = looped_lr_evaluate(inst, pi)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
+    assert len(sels) == len(ref_sels) == m
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(sels, ref_sels))

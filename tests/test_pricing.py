@@ -2,12 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from _oracles import min_reduced_cost
+from _oracles import min_reduced_cost, sequential_lt_price
 from conftest import FrozenPessoaState, random_instance
 from gapcg.knapsack import LexKnapsackProblem, brute_force_lex
 from gapcg.pricing import (LtState, PessoaState, dantzig_price, lt_price,
-                           mt_price, pessoa_round, reduced_cost_sum,
+                           lt_round, mt_price, pessoa_round, reduced_cost_sum,
                            similarity_class, similarity_vector)
 
 EPS = 1e-6
@@ -213,6 +215,41 @@ def test_lt_warm_start_updates():
     out = lt_price(inst, 0, random_template(rng, inst)[0], pi, float(mu[0]), EPS, state)
     if out.selection is not None and not out.flagged:
         assert state.alpha_warm[0] == out.alpha_used
+
+
+OUTCOME_FIELDS = ("machine", "dantzig_rc", "similarity", "alpha_used", "flagged",
+                  "proof_fired")
+
+
+@given(m=st.integers(1, 5), n=st.integers(2, 14), seed=st.integers(0, 2**16),
+       phase_one=st.booleans(), fresh=st.booleans())
+def test_lt_round_matches_sequential_lt_price_property(m, n, seed, phase_one, fresh):
+    inst = random_instance(seed, m=m, n=n)
+    if phase_one:
+        inst = zero_cost(inst)
+    rng = np.random.default_rng(seed)
+    pi, mu = random_duals(rng, inst)
+    if phase_one:
+        pi, mu = np.abs(pi) / 8, mu / 8
+    templates = random_template(rng, inst)
+    order = [int(i) for i in rng.permutation(m)]
+    state = LtState.fresh(m) if fresh else LtState(alpha_warm=rng.random(m) * 4)
+    ref_state = LtState(alpha_warm=state.alpha_warm.copy())
+    trace = {}
+    got = lt_round(inst, order, templates, pi, mu, EPS, state, trace=trace)
+    assert [out.machine for out in got] == order
+    for out, i in zip(got, order):
+        ref_trace = []
+        ref = sequential_lt_price(inst, i, templates[i], pi, float(mu[i]), EPS, ref_state,
+                                  trace=ref_trace)
+        for name in OUTCOME_FIELDS:
+            mine, theirs = getattr(out, name), getattr(ref, name)
+            assert type(mine) is type(theirs) and mine == theirs, name
+        assert (out.selection is None) == (ref.selection is None)
+        if ref.selection is not None:
+            assert out.selection.tobytes() == ref.selection.tobytes()
+        assert trace.get(i, []) == ref_trace
+    assert state.alpha_warm.tobytes() == ref_state.alpha_warm.tobytes()
 
 
 # ---------------------------------------------------------------- pessoa_round
