@@ -83,7 +83,9 @@ def dantzig_price(inst, i: int, pi, mu_i: float, eps: float) -> PricingOutcome:
     """Minimum reduced-cost column for machine i, or absent if none is good."""
     sol = min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i], int(inst.capacity[i])))
     rc = sol.value - mu_i
-    return PricingOutcome(machine=i, selection=None if rc > -eps else sol.selection, dantzig_rc=rc)
+    if rc > -eps:
+        return PricingOutcome(machine=i, selection=None, dantzig_rc=rc)
+    return PricingOutcome(machine=i, selection=sol.selection, dantzig_rc=rc)
 
 
 def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,

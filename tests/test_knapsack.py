@@ -78,21 +78,20 @@ def test_min_knapsack_capacity_monotone():
 
 @st.composite
 def knapsack_batches(draw):
-    """Up to six rows over a shared item count: profits with ties (repeated
-    values, exact zeros) or arbitrary floats, zero weights, zero capacities,
-    rows with no candidate and rows of different capacities."""
-    m = draw(st.integers(1, 6))
-    n = draw(st.integers(0, 14))
-    tied = st.sampled_from([-3.0, -2.5, -1.0, -1.0, -0.5, 0.0, 1.0])
-    value = st.one_of(tied, st.floats(-20, 20, allow_nan=False, allow_subnormal=False))
-    rows = [draw(st.one_of(st.lists(value, min_size=n, max_size=n),
-                           st.lists(st.floats(0, 5), min_size=n, max_size=n)))
-            for _ in range(m)]
-    weight = draw(st.lists(st.lists(st.integers(0, 7), min_size=n, max_size=n),
-                           min_size=m, max_size=m))
+    """Up to six rows over a shared item count. Each row's profits are ties
+    (repeated values, exact zeros), sevenths or normal floats (whose sums
+    depend on the order they are added in), or nonnegative (no candidate).
+    Weights include zeros; capacities include zero and differ by row."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(0, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["tied", "sevenths", "normal", "no candidate"]),
+                          min_size=m, max_size=m))
+    profit = np.array([{"tied": rng.choice([-3.0, -2.5, -1.0, -0.5, 0.0, 1.0], n),
+                        "sevenths": rng.integers(-140, 141, n) / 7,
+                        "normal": rng.normal(-2, 8, n),
+                        "no candidate": rng.uniform(0, 5, n)}[kind] for kind in kinds])
     capacity = draw(st.lists(st.one_of(st.just(0), st.integers(0, 30)), min_size=m, max_size=m))
-    return (np.array(rows, dtype=np.float64).reshape(m, n),
-            np.array(weight, dtype=np.int64).reshape(m, n), np.array(capacity))
+    return profit.reshape(m, n), rng.integers(0, 8, (m, n)), np.array(capacity)
 
 
 @given(batch=knapsack_batches())
