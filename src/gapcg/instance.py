@@ -197,8 +197,9 @@ def validate(inst: GapInstance) -> ValidationReport:
         report.errors.append("negative capacity entry")
     if report.errors:
         return report
-    span = sum(hi - min(0, lo) for hi, lo in zip(inst.cost.max(0).tolist(), inst.cost.min(0).tolist()))
-    for what, total in (("cost span sum_j (max_i c_ij - min(0, min_i c_ij))", span),
+    size = sum(max(0, hi) - min(0, lo)
+               for hi, lo in zip(inst.cost.max(0).tolist(), inst.cost.min(0).tolist()))
+    for what, total in (("cost size sum_j max_i |c_ij|", size),
                         ("largest machine resource sum", max(map(sum, inst.resource.tolist())))):
         if total > _EXACT_SUM:
             report.errors.append(f"{what} {total} exceeds 2^53")

@@ -39,12 +39,6 @@ AGE_POLICIES = {
 }
 
 
-def _unit(size: int, j: int, value: float = 1.0) -> np.ndarray:
-    e = np.zeros(size)
-    e[j] = value
-    return e
-
-
 class MasterInfeasibleError(RuntimeError):
     """Phase one stalled at a positive objective: no cover exists."""
 
@@ -118,9 +112,16 @@ class MasterLp:
         nj, ni = inst.num_jobs, inst.num_machines
         self.lp = SimplexSolver(np.ones(nj + ni))
         self.phase = 1
-        self.surplus = [self.lp.add_column(_unit(nj + ni, j, -1.0), 0.0) for j in range(nj)]
-        # +e_j, relaxes an uncovered row
-        self.artificial = [self.lp.add_column(_unit(nj + ni, j), 1.0) for j in range(nj)]
+        self.surplus = []
+        self.artificial = []  # +e_j, relaxes an uncovered row
+        for j in range(nj):
+            e = np.zeros(nj + ni)
+            e[j] = -1.0
+            self.surplus.append(self.lp.add_column(e, 0.0))
+        for j in range(nj):
+            e = np.zeros(nj + ni)
+            e[j] = 1.0
+            self.artificial.append(self.lp.add_column(e, 1.0))
         self.lp_col: dict[Column, int] = {}
 
     def _entries(self, col: Column) -> np.ndarray:
@@ -261,8 +262,16 @@ def solve_compact_lp(inst: GapInstance) -> np.ndarray:
             e[j] = 1.0
             e[nj + i] = float(inst.resource[i, j])
             x_cols[i, j] = lp.add_column(e, 0.0)
-    slacks = [lp.add_column(_unit(nj + ni, nj + i), 0.0) for i in range(ni)]
-    arts = [lp.add_column(_unit(nj + ni, j), 1.0) for j in range(nj)]
+    slacks = []
+    for i in range(ni):
+        e = np.zeros(nj + ni)
+        e[nj + i] = 1.0
+        slacks.append(lp.add_column(e, 0.0))
+    arts = []
+    for j in range(nj):
+        e = np.zeros(nj + ni)
+        e[j] = 1.0
+        arts.append(lp.add_column(e, 1.0))
     lp.set_basis(arts + slacks)
     lp.solve()
     if lp.objective() > PHASE1_TOL:

@@ -142,7 +142,8 @@ class SimplexSolver:
         self._xb = xb
 
     def _reduced_costs(self) -> np.ndarray:
-        return self.cost[: self.n] - self.duals() @ self._A[:, : self.n]
+        y = self.cost[self.basis] @ self._binv
+        return self.cost[: self.n] - y @ self._A[:, : self.n]
 
     def retire_columns(self, cols, candidates) -> int:
         """Swap zero-valued ``cols`` out of the basis, then seal them at cost 0.

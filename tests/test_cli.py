@@ -180,14 +180,18 @@ def test_integer_outside_int64_exits_3(tmp_path, capsys, command):
 
 
 WRAPPING_COSTS = "1 2\n9223372036854775807 9223372036854775807\n1 1\n5\n"
+# no spread between machines, but the only assignment costs -2^64
+WRAPPING_NEGATIVE_COSTS = "1 2\n-9223372036854775808 -9223372036854775808\n1 1\n5\n"
 
 
+@pytest.mark.parametrize("text", [WRAPPING_COSTS, WRAPPING_NEGATIVE_COSTS],
+                         ids=["positive", "negative"])
 @pytest.mark.parametrize("command", [["run", "--method", "dantzig"], ["sweep", "--taus", "1,2"]],
                          ids=["run", "sweep"])
-def test_sums_beyond_two_to_the_53_exit_3(tmp_path, capsys, command):
-    # each value fits int64, but the only assignment costs 2^64 - 2
+def test_sums_beyond_two_to_the_53_exit_3(tmp_path, capsys, command, text):
+    # each value fits int64, but the only assignment's cost does not
     bad = tmp_path / "wrap.txt"
-    bad.write_text(WRAPPING_COSTS)
+    bad.write_text(text)
     assert main([command[0], str(bad), *command[1:]]) == 3
     assert "exceeds 2^53" in capsys.readouterr().err
 

@@ -119,10 +119,11 @@ def test_validate_negative_capacity():
 
 
 @pytest.mark.parametrize("cost, resource, message", [
-    ([[2**52, 2**52 + 1]], [[1, 1]], "cost span"),
-    ([[2**52 + 1], [-2**52]], [[1], [1]], "cost span"),  # the shift widens the span
+    ([[2**52, 2**52 + 1]], [[1, 1]], "cost size"),
+    ([[2**52 + 1], [-2**52]], [[1], [1]], "cost size"),  # the shift widens the span
+    ([[-2**52, -2**52 - 1]], [[1, 1]], "cost size"),  # no spread, but the sum wraps
     ([[1, 1]], [[2**52, 2**52 + 1]], "machine resource sum"),
-], ids=["cost-sum", "negative-cost-widens-span", "resource-sum"])
+], ids=["cost-sum", "negative-cost-widens-span", "all-negative-costs", "resource-sum"])
 def test_validate_flags_sums_beyond_two_to_the_53(cost, resource, message):
     cost, resource = np.array(cost), np.array(resource)
     inst = GapInstance(*cost.shape, cost=cost, resource=resource,
@@ -132,6 +133,9 @@ def test_validate_flags_sums_beyond_two_to_the_53(cost, resource, message):
     exact = GapInstance(1, 2, cost=np.array([[2**52, 2**52]]),
                         resource=np.array([[2**52, 2**52]]), capacity=np.array([5]))
     assert not validate(exact).errors
+    exact_negative = GapInstance(1, 2, cost=np.array([[-2**52, -2**52]]),
+                                 resource=np.array([[1, 1]]), capacity=np.array([5]))
+    assert not validate(exact_negative).errors
 
 
 def test_instances_are_immutable(toy_2x3):
