@@ -64,14 +64,18 @@ class LtState:
         return cls(alpha_warm=np.full(num_machines, 0.5))
 
 
+def similarity_class(y_j: float, delta: float) -> int:
+    """Classify a template entry: +1 near one, -1 near zero, 0 in between."""
+    if y_j > 1.0 - delta:
+        return 1
+    if y_j < delta:
+        return -1
+    return 0
+
+
 def similarity_vector(y, delta: float) -> np.ndarray:
-    """Classify template entries: +1 near one, -1 near zero, 0 in between."""
     y = np.asarray(y, dtype=np.float64)
     return np.where(y > 1.0 - delta, 1, np.where(y < delta, -1, 0)).astype(np.int64)
-
-
-def similarity_class(y_j: float, delta: float) -> int:
-    return int(similarity_vector(y_j, delta))
 
 
 def reduced_cost_sum(cost_row, pi, selection) -> float:
