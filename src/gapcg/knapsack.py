@@ -110,14 +110,20 @@ def min_knapsack(p: KnapsackProblem) -> KnapsackSolution:
     return KnapsackSolution(value=float(p.profit[selection].sum()), selection=selection)
 
 
+_TAKE_CELLS = 1 << 22  # traceback cells (one byte each) one batched DP pass may hold
+
+
 def min_knapsack_batch(profit, weight, capacity):
     """:func:`min_knapsack` on every row of ``profit[m, n]`` and ``weight[m, n]``.
 
     Returns a list of m values and an (m, n) selection mask; row r of both is
     bit-identical to ``min_knapsack`` on row r. One DP over item positions
-    serves every row: step k offers each row its k-th candidate in item
-    order, gathering ``dp[c - w]`` from a row padded with +inf, and a row
-    out of candidates gets +inf profit, which improves no cell.
+    serves a group of consecutive rows: step k offers each row its k-th
+    candidate in item order, gathering ``dp[c - w]`` from a row padded with
+    +inf, and a row out of candidates gets +inf profit, which improves no
+    cell. A group's traceback table (steps x rows x capped capacity) stays
+    within ``_TAKE_CELLS`` unless one row alone needs more, so a call holds
+    about that much more than one :func:`min_knapsack` call, whatever m is.
     """
     profit = np.asarray(profit, dtype=np.float64)
     weight = np.asarray(weight, dtype=np.int64)
@@ -130,31 +136,43 @@ def min_knapsack_batch(profit, weight, capacity):
     selection = (weight == 0) & (profit < 0)
     cand = (profit < 0) & (weight > 0) & (weight <= capacity[:, None])
     count = cand.sum(axis=1)
-    steps = int(count.max(initial=0))
-    if steps:
-        rows = np.arange(m)
-        order = np.argsort(~cand, axis=1, kind="stable")[:, :steps]  # candidates first
-        live = np.arange(steps) < count[:, None]
-        p = np.where(live, profit[rows[:, None], order], np.inf)
-        w = np.where(live, weight[rows[:, None], order], 0)
-        caps = np.minimum(capacity, w.sum(axis=1))
-        width = int(caps.max()) + 1
-        table = np.zeros((m, 2 * width - 1))  # row r: +inf padding, then dp[r, 0 .. width-1]
-        table[:, : width - 1] = np.inf
-        dp = table[:, width - 1 :]
-        cells = (rows * (2 * width - 1) + width - 1)[:, None] + np.arange(width)
-        take = np.empty((steps, m, width), dtype=bool)
-        for k in range(steps):
-            with_item = table.take(cells - w[:, k, None]) + p[:, k, None]
-            np.less(with_item, dp, out=take[k])  # strict: ties resolve to not-selected
-            np.copyto(dp, with_item, where=take[k])
-        items, weights = order.tolist(), w.tolist()
-        for r, (c, kr) in enumerate(zip(caps.tolist(), count.tolist())):
-            for k in range(kr - 1, -1, -1):
-                if take[k, r, c]:
-                    selection[r, items[r][k]] = True
-                    c -= weights[r][k]
+    caps = np.minimum(capacity, np.where(cand, weight, 0).sum(axis=1))
+    row_cells = int(count.max(initial=0)) * (int(caps.max(initial=0)) + 1)
+    group_rows = max(1, _TAKE_CELLS // max(row_cells, 1))
+    for start in range(0, m, group_rows):
+        group = slice(start, start + group_rows)
+        _batch_dp(profit[group], weight[group], cand[group], count[group], caps[group],
+                  selection[group])
     return [float(profit[r][selection[r]].sum()) for r in range(m)], selection
+
+
+def _batch_dp(profit, weight, cand, count, caps, selection):
+    """The DP and traceback of :func:`min_knapsack_batch` on one group of
+    rows; marks the chosen candidates in ``selection``."""
+    steps = int(count.max(initial=0))
+    if not steps:
+        return
+    rows = np.arange(len(count))
+    order = np.argsort(~cand, axis=1, kind="stable")[:, :steps]  # candidates first
+    live = np.arange(steps) < count[:, None]
+    p = np.where(live, profit[rows[:, None], order], np.inf)
+    w = np.where(live, weight[rows[:, None], order], 0)
+    width = int(caps.max()) + 1
+    table = np.zeros((len(rows), 2 * width - 1))  # row r: +inf padding, then dp[r, :width]
+    table[:, : width - 1] = np.inf
+    dp = table[:, width - 1 :]
+    cells = (rows * (2 * width - 1) + width - 1)[:, None] + np.arange(width)
+    take = np.empty((steps, len(rows), width), dtype=bool)
+    for k in range(steps):
+        with_item = table.take(cells - w[:, k, None]) + p[:, k, None]
+        np.less(with_item, dp, out=take[k])  # strict: ties resolve to not-selected
+        np.copyto(dp, with_item, where=take[k])
+    items, weights = order.tolist(), w.tolist()
+    for r, (c, kr) in enumerate(zip(caps.tolist(), count.tolist())):
+        for k in range(kr - 1, -1, -1):
+            if take[k, r, c]:
+                selection[r, items[r][k]] = True
+                c -= weights[r][k]
 
 
 def lex_knapsack(p: LexKnapsackProblem):

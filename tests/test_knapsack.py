@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import full_level_lex, subsets
+from gapcg import knapsack
 from gapcg.instance import GeneratorSpec, generate
 from gapcg.knapsack import (KnapsackProblem, LexKnapsackProblem,
                             brute_force_lex, lex_knapsack, min_knapsack,
@@ -94,16 +96,35 @@ def knapsack_batches(draw):
     return profit.reshape(m, n), rng.integers(0, 8, (m, n)), np.array(capacity)
 
 
-@given(batch=knapsack_batches())
-def test_min_knapsack_batch_matches_min_knapsack_row_by_row(batch):
+@given(batch=knapsack_batches(), take_cells=st.sampled_from([1, 60, knapsack._TAKE_CELLS]))
+def test_min_knapsack_batch_matches_min_knapsack_row_by_row(batch, take_cells):
+    # small traceback budgets split the rows into groups, down to one row each
     profit, weight, capacity = batch
-    values, selection = min_knapsack_batch(profit, weight, capacity)
+    with patch.object(knapsack, "_TAKE_CELLS", take_cells):
+        values, selection = min_knapsack_batch(profit, weight, capacity)
     assert selection.shape == profit.shape and len(values) == len(capacity)
     for r in range(len(capacity)):
         ref = min_knapsack(KnapsackProblem(profit[r], weight[r], int(capacity[r])))
         assert type(values[r]) is float
         assert np.float64(values[r]).tobytes() == np.float64(ref.value).tobytes()
         assert selection[r].tobytes() == ref.selection.tobytes()
+
+
+def test_min_knapsack_batch_memory_does_not_grow_with_rows():
+    # 80 rows of 1,600 candidates at capacity ~240: one DP over all rows would
+    # hold a 31 MB traceback table, 80 times one row's
+    inst = generate(GeneratorSpec(80, 1600, seed=7))
+    profit = -np.random.default_rng(0).uniform(1.0, 2.0, (80, 1600))
+    tracemalloc.start()
+    try:
+        values, selection = min_knapsack_batch(profit, inst.resource, inst.capacity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+    for r in (0, 79):
+        ref = min_knapsack(KnapsackProblem(profit[r], inst.resource[r], int(inst.capacity[r])))
+        assert values[r] == ref.value and (selection[r] == ref.selection).all()
 
 
 def test_min_knapsack_batch_rejects_bad_shapes_and_negatives():
