@@ -6,8 +6,9 @@ Three dynamic programs over integer capacities with real objective values:
   constraint. Items with nonnegative profit are never selected (ties at
   zero resolve to not-selected), so the empty selection is the worst case.
 * :func:`min_knapsack_batch` solves one such problem per row of an (m, n)
-  batch in a single DP over item positions, row for row bit-identical to
-  :func:`min_knapsack`: whole rounds (LT steps, LR and Pessoa) use it.
+  batch, one DP over item positions per group of rows (groups bound the
+  traceback memory), row for row bit-identical to :func:`min_knapsack`:
+  whole rounds (LT steps, LR and Pessoa) use it.
 * :func:`lex_knapsack` maximizes a per-item score in {-1, 0, +1} subject
   to the capacity constraint and an upper budget on the reduced-cost sum,
   breaking ties among score-optimal selections by minimum reduced cost.
