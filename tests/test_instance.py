@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gapcg.instance import (GapInstance, GeneratorSpec, ParseError, generate,
                             parse, serialize, validate)
@@ -53,6 +55,11 @@ def test_parse_integer_outside_int64(text, section, offset):
         parse(text, format="single")
     assert section in str(err.value)
     assert err.value.token_offset == offset
+
+
+def test_parse_accepts_every_spelling_int_accepts():
+    inst, = parse("1 1 +5 0_1 \u0663", format="single")  # U+0663 is Arabic-Indic three
+    assert (inst.cost.tolist(), inst.resource.tolist(), inst.capacity.tolist()) == ([[5]], [[1]], [3])
 
 
 def test_parse_unknown_format():
@@ -141,3 +148,117 @@ def test_validate_flags_sums_beyond_two_to_the_53(cost, resource, message):
 def test_instances_are_immutable(toy_2x3):
     with pytest.raises(ValueError):
         toy_2x3.cost[0, 0] = 99
+
+
+# ------------------------------------------------------- parse properties
+
+INT64_EXTREMES = (-2**63, -1, 0, 1, 2**63 - 1)
+
+
+def _entries(lo: int):
+    return st.one_of(st.integers(lo, 2**63 - 1), st.sampled_from([v for v in INT64_EXTREMES if v >= lo]))
+
+
+@st.composite
+def _instances(draw):
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    matrix = lambda lo, size: np.array(draw(st.lists(_entries(lo), min_size=size, max_size=size)),
+                                       dtype=np.int64)
+    return GapInstance(m, n, cost=matrix(-2**63, m * n).reshape(m, n),
+                       resource=matrix(0, m * n).reshape(m, n), capacity=matrix(0, m))
+
+
+# a file is one instance in the single format or a few behind a count
+_files = st.tuples(st.lists(_instances(), min_size=1, max_size=3), st.booleans()).map(
+    lambda drawn: (drawn[0] if drawn[1] else drawn[0][:1], drawn[1]))
+
+
+def _text(insts, multi: bool) -> str:
+    body = "".join(serialize(inst) for inst in insts)
+    return f"{len(insts)}\n{body}" if multi else body
+
+
+def _parse(text: str, multi: bool):
+    return parse(text, format="orlib-multi" if multi else "single")
+
+
+def _sections(insts, multi: bool) -> list[str]:
+    """The section that ``parse`` names for each token of ``_text(insts, multi)``."""
+    out = ["instance count"] if multi else []
+    for inst in insts:
+        mn = inst.num_machines * inst.num_jobs
+        out += ["header"] * 2 + ["costs"] * mn + ["resources"] * mn + ["capacities"] * inst.num_machines
+    return out
+
+
+def _not_an_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return token.split() == [token]
+    return False
+
+
+NONNEGATIVE = {"resources": "resource", "capacities": "capacity"}
+
+
+@st.composite
+def _bad_token(draw, section: str):
+    """A token ``parse`` rejects in ``section``, with the message it must raise."""
+    kind = draw(st.sampled_from(["non-integer", "outside int64"] + ["negative"] * (section in NONNEGATIVE)))
+    if kind == "non-integer":
+        token = draw(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+                     .filter(_not_an_int))
+        return token, f"non-integer token {token!r} while reading {section}"
+    if kind == "outside int64":
+        value = draw(st.one_of(st.integers(min_value=2**63), st.integers(max_value=-2**63 - 1)))
+        return str(value), f"integer {value} outside int64 while reading {section}"
+    value = draw(st.integers(-2**63, -1))
+    return str(value), f"negative {NONNEGATIVE[section]} {value}"
+
+
+@given(_files)
+def test_serialize_parse_round_trip(file):
+    insts, multi = file
+    back = _parse(_text(insts, multi), multi)
+    assert len(back) == len(insts)
+    for inst, parsed in zip(insts, back):
+        assert (parsed.num_machines, parsed.num_jobs) == (inst.num_machines, inst.num_jobs)
+        for name in ("cost", "resource", "capacity"):
+            assert np.array_equal(getattr(parsed, name), getattr(inst, name)), name
+
+
+@given(_files, st.data())
+def test_parse_reports_the_corrupted_token(file, data):
+    insts, multi = file
+    tokens, sections = _text(insts, multi).split(), _sections(insts, multi)
+    pos = data.draw(st.integers(0, len(tokens) - 1))
+    tokens[pos], message = data.draw(_bad_token(sections[pos]))
+    with pytest.raises(ParseError) as err:
+        _parse(" ".join(tokens), multi)
+    assert err.value.token_offset == pos
+    assert str(err.value) == f"{message} (at token {pos})"
+
+
+@given(_files, st.data())
+def test_parse_reports_the_earlier_of_two_bad_tokens(file, data):
+    insts, multi = file
+    tokens, sections = _text(insts, multi).split(), _sections(insts, multi)
+    first, second = sorted(data.draw(st.lists(st.integers(0, len(tokens) - 1),
+                                              min_size=2, max_size=2, unique=True)))
+    tokens[first], message = data.draw(_bad_token(sections[first]))
+    tokens[second], _ = data.draw(_bad_token(sections[second]))
+    with pytest.raises(ParseError) as err:
+        _parse(" ".join(tokens), multi)
+    assert str(err.value) == f"{message} (at token {first})"
+
+
+@given(_files, st.data())
+def test_parse_of_a_truncated_file_reports_its_token_count(file, data):
+    insts, multi = file
+    tokens, sections = _text(insts, multi).split(), _sections(insts, multi)
+    cut = data.draw(st.integers(0, len(tokens) - 1))
+    with pytest.raises(ParseError) as err:
+        _parse(" ".join(tokens[:cut]), multi)
+    assert err.value.token_offset == cut
+    assert str(err.value) == f"unexpected end of input while reading {sections[cut]} (at token {cut})"
