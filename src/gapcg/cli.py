@@ -183,8 +183,9 @@ def cmd_bench(args) -> int:
     except (OSError, instance.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_cell, tasks))
     else:
         rows = [_bench_cell(t) for t in tasks]
@@ -296,7 +297,7 @@ _finite = _number_where(float, math.isfinite, "a finite number")
 _positive = _number_where(float, lambda v: 0.0 < v <= math.inf, "> 0")
 _half_unit = _number_where(float, lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]")
 _seed = _number_where(int, lambda v: v >= 0, "an integer >= 0")
-_tau = _number_where(int, lambda v: v >= 1, "an integer >= 1")
+_positive_int = _number_where(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _list_of(item):
@@ -349,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("instances", nargs="+")
     p_bench.add_argument("--methods", type=_method_list, default=",".join(cg_methods))
     p_bench.add_argument("--seeds", type=_list_of(_seed), default="0")
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=_positive_int, default=1,
+                         help="worker processes; never more than the number of cells")
     _add_common(p_bench)
     _add_age_policy(p_bench)
     p_bench.set_defaults(func=cmd_bench)
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="age-threshold sweep on one instance")
     p_sweep.add_argument("instance")
     p_sweep.add_argument("--method", choices=cg_methods, default="lt")
-    p_sweep.add_argument("--taus", type=_list_of(_tau), required=True, help="comma-separated thresholds")
+    p_sweep.add_argument("--taus", type=_list_of(_positive_int), required=True, help="comma-separated thresholds")
     p_sweep.add_argument("--replications", type=int, default=5)
     p_sweep.add_argument("--window", type=int, default=5)
     p_sweep.add_argument("--tie-rel", type=_finite_nonnegative, default=0.01)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lagrangian, pricing, rmp
-from .instance import GapInstance, require_valid
+from .instance import GapInstance, validate
 from .pricing import DEFAULT_DELTA, LtState, PessoaState, PricingOutcome
 from .rmp import AGE_POLICIES, ColumnPool, MasterLp
 
@@ -158,7 +158,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         return run_lr(inst, cfg)
     if method not in AGE_POLICIES:
         raise ValueError(f"unknown pricing method {method!r}")
-    require_valid(inst)
+    validate(inst)
     # every assignment pays each job once, so shifting a job's costs to a
     # zero minimum keeps the optimal assignments and makes the cover master
     # exact; reports add the offset back
@@ -278,7 +278,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
 
 def run_lr(inst: GapInstance, cfg: CgConfig) -> RunReport:
     """Lagrangian baseline wrapped into the common report shape."""
-    require_valid(inst)
+    validate(inst)
     t0 = time.perf_counter()
     best_bound, _, integer, trace = lagrangian.lr_solve(inst, cfg.time_limit)
     elapsed = time.perf_counter() - t0

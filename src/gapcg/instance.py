@@ -4,11 +4,16 @@ Instances are minimization problems: assign every job to exactly one
 machine, paying ``cost[i, j]`` and consuming ``resource[i, j]`` units of
 machine ``i``'s ``capacity[i]``. Matrices are immutable after
 construction so instances can be shared freely across pricing workers.
+
+``parse`` splits the text once and converts each section of a block in
+one numpy call; a malformed file raises :class:`ParseError` at its first
+bad token. ``validate`` raises :class:`InfeasibleInstanceError` for an
+instance the solver cannot take.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,64 +65,43 @@ class GeneratorSpec:
     seed: int = 0
 
 
-@dataclass
-class ValidationReport:
-    errors: list[str] = field(default_factory=list)
-    unassignable_jobs: list[int] = field(default_factory=list)
+def _ints(tokens: list[str], start: int, count: int, section: str,
+          nonnegative: str | None = None) -> np.ndarray:
+    """The ``count`` int64 values from token ``start`` on, converted in one call.
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors and not self.unassignable_jobs
-
-
-class _TokenStream:
-    def __init__(self, text: str):
-        self._tokens = text.split()
-        self._pos = 0
-
-    @property
-    def pos(self) -> int:
-        return self._pos
-
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._tokens)
-
-    def next_int(self, section: str) -> int:
-        if self._pos >= len(self._tokens):
-            raise ParseError(f"unexpected end of input while reading {section}", self._pos)
-        tok = self._tokens[self._pos]
+    ``nonnegative`` names the entries that must not be negative. Only when
+    the slice is bad does a scan find its first bad token, in file order.
+    """
+    chunk = tokens[start:start + count]
+    try:
+        values = np.array(chunk, dtype=np.int64)  # int() semantics, token by token
+    except (ValueError, OverflowError):
+        pass
+    else:
+        if len(chunk) == count and not (nonnegative and (values < 0).any()):
+            return values
+    for offset, tok in enumerate(chunk, start):
         try:
             value = int(tok)
         except ValueError:
-            raise ParseError(f"non-integer token {tok!r} while reading {section}", self._pos) from None
+            raise ParseError(f"non-integer token {tok!r} while reading {section}", offset) from None
         if not _INT64_MIN <= value <= _INT64_MAX:
-            raise ParseError(f"integer {tok} outside int64 while reading {section}", self._pos)
-        self._pos += 1
-        return value
+            raise ParseError(f"integer {tok} outside int64 while reading {section}", offset)
+        if nonnegative and value < 0:
+            raise ParseError(f"negative {nonnegative} {value}", offset)
+    raise ParseError(f"unexpected end of input while reading {section}", len(tokens))
 
 
-def _read_block(stream: _TokenStream, name: str) -> GapInstance:
-    m = stream.next_int("header")
-    n = stream.next_int("header")
+def _read_block(tokens: list[str], pos: int, name: str) -> tuple[GapInstance, int]:
+    """The block at token ``pos`` and the position after it."""
+    m, n = _ints(tokens, pos, 2, "header").tolist()
+    pos += 2
     if m < 1 or n < 1:
-        raise ParseError(f"invalid dimensions {m} x {n}", stream.pos)
-    cost = np.array([[stream.next_int("costs") for _ in range(n)] for _ in range(m)])
-    resource = np.empty((m, n), dtype=np.int64)
-    for i in range(m):
-        for j in range(n):
-            offset = stream.pos
-            value = stream.next_int("resources")
-            if value < 0:
-                raise ParseError(f"negative resource {value}", offset)
-            resource[i, j] = value
-    capacity = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        offset = stream.pos
-        value = stream.next_int("capacities")
-        if value < 0:
-            raise ParseError(f"negative capacity {value}", offset)
-        capacity[i] = value
-    return GapInstance(m, n, cost, resource, capacity, name=name)
+        raise ParseError(f"invalid dimensions {m} x {n}", pos)
+    cost = _ints(tokens, pos, m * n, "costs").reshape(m, n)
+    resource = _ints(tokens, pos + m * n, m * n, "resources", "resource").reshape(m, n)
+    capacity = _ints(tokens, pos + 2 * m * n, m, "capacities", "capacity")
+    return GapInstance(m, n, cost, resource, capacity, name=name), pos + 2 * m * n + m
 
 
 def parse(text: str, format: str = "single") -> list[GapInstance]:
@@ -127,30 +111,31 @@ def parse(text: str, format: str = "single") -> list[GapInstance]:
     reads a leading instance count followed by that many blocks. A block is
     ``m n``, then m*n costs row-major, m*n resources row-major, m capacities.
     """
-    stream = _TokenStream(text)
+    tokens = text.split()
     if format == "single":
-        inst = _read_block(stream, "block-1")
-        if not stream.exhausted():
-            raise ParseError("trailing tokens after single block", stream.pos)
+        inst, pos = _read_block(tokens, 0, "block-1")
+        if pos < len(tokens):
+            raise ParseError("trailing tokens after single block", pos)
         return [inst]
     if format == "orlib-multi":
-        count = stream.next_int("instance count")
+        count = int(_ints(tokens, 0, 1, "instance count")[0])
         if count < 1:
-            raise ParseError(f"invalid instance count {count}", stream.pos)
-        out = [_read_block(stream, f"block-{k + 1}") for k in range(count)]
-        if not stream.exhausted():
-            raise ParseError("trailing tokens after final block", stream.pos)
+            raise ParseError(f"invalid instance count {count}", 1)
+        out, pos = [], 1
+        for k in range(count):
+            inst, pos = _read_block(tokens, pos, f"block-{k + 1}")
+            out.append(inst)
+        if pos < len(tokens):
+            raise ParseError("trailing tokens after final block", pos)
         return out
     raise ValueError(f"unknown format {format!r}; expected 'single' or 'orlib-multi'")
 
 
 def serialize(inst: GapInstance) -> str:
     """Emit the single-block text format, one matrix row per line."""
-    lines = [f"{inst.num_machines} {inst.num_jobs}"]
-    lines.extend(" ".join(str(v) for v in row) for row in inst.cost)
-    lines.extend(" ".join(str(v) for v in row) for row in inst.resource)
-    lines.append(" ".join(str(v) for v in inst.capacity))
-    return "\n".join(lines) + "\n"
+    rows = [[inst.num_machines, inst.num_jobs], *inst.cost.tolist(), *inst.resource.tolist(),
+            inst.capacity.tolist()]
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
 def generate(spec: GeneratorSpec) -> GapInstance:
@@ -170,6 +155,9 @@ def generate(spec: GeneratorSpec) -> GapInstance:
         raise ValueError("resource_range must be positive")
     if not 0.0 < spec.capacity_slack <= 1.0:
         raise ValueError("capacity_slack must lie in (0, 1]")
+    # the largest cost size and machine resource sum this spec can draw
+    if max(max(chi, 0) - min(clo, 0), rhi) * spec.num_jobs > _EXACT_SUM:
+        raise ValueError("cost or resource range times num_jobs exceeds 2^53")
     rng = np.random.default_rng(spec.seed)
     cost = rng.integers(clo, chi + 1, size=(spec.num_machines, spec.num_jobs))
     resource = rng.integers(rlo, rhi + 1, size=(spec.num_machines, spec.num_jobs))
@@ -178,41 +166,31 @@ def generate(spec: GeneratorSpec) -> GapInstance:
     return GapInstance(spec.num_machines, spec.num_jobs, cost, resource, capacity, name=name)
 
 
-def validate(inst: GapInstance) -> ValidationReport:
-    """Report structural violations, sums too large to stay exact (see
-    ``_EXACT_SUM``) and jobs that fit on no machine."""
-    report = ValidationReport()
+def _fail_on(*checks: tuple[bool, str]):
+    """Raise one error that names the problem of every failed check."""
+    problems = [problem for failed, problem in checks if failed]
+    if problems:
+        raise InfeasibleInstanceError("; ".join(problems))
+
+
+def validate(inst: GapInstance):
+    """Raise :class:`InfeasibleInstanceError` unless ``inst`` can be solved.
+
+    The checks run in four stages and the first stage that fails raises:
+    the matrix shapes, negative entries, jobs that fit on no machine, and
+    sums too large to stay exact (see ``_EXACT_SUM``).
+    """
     m, n = inst.num_machines, inst.num_jobs
-    if inst.cost.shape != (m, n):
-        report.errors.append(f"cost matrix shape {inst.cost.shape} != ({m}, {n})")
-    if inst.resource.shape != (m, n):
-        report.errors.append(f"resource matrix shape {inst.resource.shape} != ({m}, {n})")
-    if inst.capacity.shape != (m,):
-        report.errors.append(f"capacity length {inst.capacity.shape} != ({m},)")
-    if report.errors:
-        return report
-    if (inst.resource < 0).any():
-        report.errors.append("negative resource entry")
-    if (inst.capacity < 0).any():
-        report.errors.append("negative capacity entry")
-    if report.errors:
-        return report
+    _fail_on((inst.cost.shape != (m, n), f"cost matrix shape {inst.cost.shape} != ({m}, {n})"),
+             (inst.resource.shape != (m, n),
+              f"resource matrix shape {inst.resource.shape} != ({m}, {n})"),
+             (inst.capacity.shape != (m,), f"capacity length {inst.capacity.shape} != ({m},)"))
+    _fail_on(((inst.resource < 0).any(), "negative resource entry"),
+             ((inst.capacity < 0).any(), "negative capacity entry"))
+    unassignable = np.flatnonzero(~(inst.resource <= inst.capacity[:, None]).any(axis=0)).tolist()
+    _fail_on((bool(unassignable), f"jobs {unassignable} fit on no machine"))
     size = sum(max(0, hi) - min(0, lo)
                for hi, lo in zip(inst.cost.max(0).tolist(), inst.cost.min(0).tolist()))
-    for what, total in (("cost size sum_j max_i |c_ij|", size),
-                        ("largest machine resource sum", max(map(sum, inst.resource.tolist())))):
-        if total > _EXACT_SUM:
-            report.errors.append(f"{what} {total} exceeds 2^53")
-    fits = inst.resource <= inst.capacity[:, None]
-    for j in np.flatnonzero(~fits.any(axis=0)):
-        report.unassignable_jobs.append(int(j))
-    return report
-
-
-def require_valid(inst: GapInstance):
-    """Raise :class:`InfeasibleInstanceError` unless ``validate`` passes."""
-    report = validate(inst)
-    if report.unassignable_jobs:
-        raise InfeasibleInstanceError(f"jobs {report.unassignable_jobs} fit on no machine")
-    if report.errors:
-        raise InfeasibleInstanceError("; ".join(report.errors))
+    largest = max(map(sum, inst.resource.tolist()))
+    _fail_on((size > _EXACT_SUM, f"cost size sum_j max_i |c_ij| {size} exceeds 2^53"),
+             (largest > _EXACT_SUM, f"largest machine resource sum {largest} exceeds 2^53"))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import GapInstance, InfeasibleInstanceError, require_valid
+from .instance import GapInstance, InfeasibleInstanceError, validate
 from .simplex import SimplexSolver
 
 PHASE1_TOL = 1e-7
@@ -251,7 +251,7 @@ def solve_compact_lp(inst: GapInstance) -> np.ndarray:
     entries for each job sum to one (so none exceeds one); it seeds the
     phase-one templates.
     """
-    require_valid(inst)
+    validate(inst)
     nj, ni = inst.num_jobs, inst.num_machines
     b = np.concatenate([np.ones(nj), inst.capacity.astype(np.float64)])
     lp = SimplexSolver(b)

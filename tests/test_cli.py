@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from gapcg import driver
+from gapcg import cli, driver
 from gapcg.cli import (SweepSpec, _make_config, build_parser, geomean, main,
                        rolling_geomean, run_sweep, select_tau)
 from gapcg.driver import CgConfig
@@ -143,7 +143,10 @@ def test_invalid_sweep_spec_exits_2(instance_file, capsys, flags):
     (["bench", "--methods", "dantzig"], "--seeds", "-1"),
     (["sweep"], "--taus", "-5,0,1"),
     (["sweep"], "--taus", "0,1"),
-], ids=["run-seed", "sweep-seed", "bench-seeds", "sweep-taus-negative", "sweep-taus-zero"])
+    (["bench", "--methods", "dantzig"], "--workers", "0"),
+    (["bench", "--methods", "dantzig"], "--workers", "-2"),
+], ids=["run-seed", "sweep-seed", "bench-seeds", "sweep-taus-negative", "sweep-taus-zero",
+        "bench-workers-zero", "bench-workers-negative"])
 def test_out_of_range_integer_flag_exits_2(instance_file, capsys, monkeypatch,
                                            command, flag, value):
     def no_run(inst, cfg):
@@ -242,6 +245,36 @@ def test_bench_row_counting(instance_file, tmp_path):
     summaries = [l for l in lines[1:] if l.startswith("GEOMEAN")]
     assert len(data) == 2 * 2 * 2
     assert len(summaries) == 2
+
+
+@pytest.mark.parametrize("workers, methods, pool_size", [
+    ("64", "dantzig", None),
+    ("64", "dantzig,lt,lr", 3),
+    ("2", "dantzig,lt,lr", 2),
+], ids=["one-cell-runs-serially", "capped-at-cells", "capped-at-workers"])
+def test_bench_pool_never_outnumbers_its_cells(instance_file, tmp_path, monkeypatch,
+                                               workers, methods, pool_size):
+    sizes = []
+
+    class RecordingPool:  # runs the cells in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    out = tmp_path / "bench.tsv"
+    assert main(["bench", instance_file, "--methods", methods, "--workers", workers,
+                 "--output", str(out)]) == 0
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert len(out.read_text().splitlines()) == 1 + 2 * len(methods.split(","))
 
 
 def test_bench_timed_out_row_keeps_partial_metrics(tmp_path):
@@ -412,6 +445,17 @@ def test_generate_bad_range_exits_2(tmp_path):
                  "--cost-lo", "9", "--cost-hi", "1",
                  "--output", str(tmp_path / "x.txt")])
     assert code == 2
+
+
+def test_generate_sums_beyond_two_to_the_53_exit_2(tmp_path, capsys):
+    # 3 resources of 2^62 would sum to 2^63 + 2^62, which wraps int64
+    out = tmp_path / "x.txt"
+    code = main(["generate", "--machines", "2", "--jobs", "3",
+                 "--resource-lo", "4611686018427387904", "--resource-hi", "4611686018427387904",
+                 "--seed", "1", "--output", str(out)])
+    assert code == 2
+    assert "2^53" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_geomean_of_constant():

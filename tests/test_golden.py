@@ -63,3 +63,16 @@ def render(case: str, workdir: Path) -> str:
 @pytest.mark.parametrize("case", CASES)
 def test_tsv_matches_golden(case, tmp_path):
     assert render(case, tmp_path) == (GOLDEN / f"{case}.tsv").read_text()
+
+
+def test_bench_pool_matches_serial(tmp_path):
+    path = tmp_path / "g3x12.txt"
+    path.write_text(INSTANCES["g3x12.txt"]())
+
+    def bench(workers: int) -> str:
+        out = tmp_path / f"bench-{workers}.tsv"
+        assert main(["bench", str(path), "--methods", ",".join(METHODS), "--seeds", "0,1",
+                     "--workers", str(workers), "--output", str(out)]) == 0
+        return mask_timing(out.read_text())
+
+    assert bench(2) == bench(1)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gapcg.instance import (GapInstance, GeneratorSpec, ParseError, generate,
-                            parse, serialize, validate)
+from gapcg.instance import (GapInstance, GeneratorSpec, InfeasibleInstanceError,
+                            ParseError, generate, parse, serialize, validate)
 
 SINGLE = "2 3  1 2 3  4 5 6  1 1 1  1 1 1  2 2"
 
@@ -104,25 +104,32 @@ def test_generate_rejects_bad_spec():
         generate(GeneratorSpec(num_machines=2, num_jobs=4, resource_range=(0, 3)))
     with pytest.raises(ValueError):
         generate(GeneratorSpec(num_machines=2, num_jobs=4, capacity_slack=0.0))
+    # a machine's resource sum could exceed 2^53 (and wrap int64)
+    with pytest.raises(ValueError, match="2\\^53"):
+        generate(GeneratorSpec(num_machines=2, num_jobs=3, resource_range=(2**62, 2**62)))
+    # so could the cost size, even when both cost bounds stay below 2^53 / n
+    with pytest.raises(ValueError, match="2\\^53"):
+        generate(GeneratorSpec(num_machines=2, num_jobs=4, cost_range=(-2**51, 2**51)))
+    generate(GeneratorSpec(num_machines=2, num_jobs=4, cost_range=(-2**50, 2**50),
+                           resource_range=(1, 2**51)))
 
 
 def test_validate_clean_instance(toy_2x3):
-    assert validate(toy_2x3).ok
+    validate(toy_2x3)
 
 
 def test_validate_flags_unassignable_job():
     inst = GapInstance(2, 2, cost=np.ones((2, 2)), resource=np.full((2, 2), 10),
                        capacity=np.array([5, 5]))
-    report = validate(inst)
-    assert report.unassignable_jobs == [0, 1]
-    assert not report.ok
+    with pytest.raises(InfeasibleInstanceError, match=r"^jobs \[0, 1\] fit on no machine$"):
+        validate(inst)
 
 
 def test_validate_negative_capacity():
     inst = GapInstance(1, 2, cost=np.ones((1, 2)), resource=np.ones((1, 2)),
                        capacity=np.array([-1]))
-    report = validate(inst)
-    assert any("negative capacity" in e for e in report.errors)
+    with pytest.raises(InfeasibleInstanceError, match="negative capacity entry"):
+        validate(inst)
 
 
 @pytest.mark.parametrize("cost, resource, message", [
@@ -133,16 +140,22 @@ def test_validate_negative_capacity():
 ], ids=["cost-sum", "negative-cost-widens-span", "all-negative-costs", "resource-sum"])
 def test_validate_flags_sums_beyond_two_to_the_53(cost, resource, message):
     cost, resource = np.array(cost), np.array(resource)
+    # every job fits, so the sum check is the one that fails
     inst = GapInstance(*cost.shape, cost=cost, resource=resource,
-                       capacity=np.full(len(cost), 5))
-    report = validate(inst)
-    assert any(message in e for e in report.errors)
-    exact = GapInstance(1, 2, cost=np.array([[2**52, 2**52]]),
-                        resource=np.array([[2**52, 2**52]]), capacity=np.array([5]))
-    assert not validate(exact).errors
-    exact_negative = GapInstance(1, 2, cost=np.array([[-2**52, -2**52]]),
-                                 resource=np.array([[1, 1]]), capacity=np.array([5]))
-    assert not validate(exact_negative).errors
+                       capacity=resource.max(axis=1))
+    with pytest.raises(InfeasibleInstanceError, match=f"{message} .* exceeds 2\\^53"):
+        validate(inst)
+    validate(GapInstance(1, 2, cost=np.array([[2**52, 2**52]]),
+                         resource=np.array([[2**52, 2**52]]), capacity=np.array([2**52])))
+    validate(GapInstance(1, 2, cost=np.array([[-2**52, -2**52]]),
+                         resource=np.array([[1, 1]]), capacity=np.array([5])))
+
+
+def test_validate_reports_unassignable_jobs_before_sums():
+    inst = GapInstance(1, 2, cost=np.array([[1, 1]]), resource=np.array([[2**52, 2**52 + 1]]),
+                       capacity=np.array([5]))
+    with pytest.raises(InfeasibleInstanceError, match=r"^jobs \[0, 1\] fit on no machine$"):
+        validate(inst)
 
 
 def test_instances_are_immutable(toy_2x3):
