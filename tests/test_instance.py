@@ -107,7 +107,7 @@ def test_generate_rejects_bad_spec():
     # a machine's resource sum could exceed 2^53 (and wrap int64)
     with pytest.raises(ValueError, match="2\\^53"):
         generate(GeneratorSpec(num_machines=2, num_jobs=3, resource_range=(2**62, 2**62)))
-    # so could the cost size, even when both cost bounds stay below 2^53 / n
+    # so could the cost size, even with both cost bounds at or below 2^53 / n
     with pytest.raises(ValueError, match="2\\^53"):
         generate(GeneratorSpec(num_machines=2, num_jobs=4, cost_range=(-2**51, 2**51)))
     generate(GeneratorSpec(num_machines=2, num_jobs=4, cost_range=(-2**50, 2**50),
@@ -168,17 +168,19 @@ def test_instances_are_immutable(toy_2x3):
 INT64_EXTREMES = (-2**63, -1, 0, 1, 2**63 - 1)
 
 
-def _entries(lo: int):
+def _int64s(lo: int):
     return st.one_of(st.integers(lo, 2**63 - 1), st.sampled_from([v for v in INT64_EXTREMES if v >= lo]))
 
 
 @st.composite
 def _instances(draw):
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    matrix = lambda lo, size: np.array(draw(st.lists(_entries(lo), min_size=size, max_size=size)),
-                                       dtype=np.int64)
-    return GapInstance(m, n, cost=matrix(-2**63, m * n).reshape(m, n),
-                       resource=matrix(0, m * n).reshape(m, n), capacity=matrix(0, m))
+
+    def entries(lo: int, size: int) -> np.ndarray:
+        return np.array(draw(st.lists(_int64s(lo), min_size=size, max_size=size)), dtype=np.int64)
+
+    return GapInstance(m, n, cost=entries(-2**63, m * n).reshape(m, n),
+                       resource=entries(0, m * n).reshape(m, n), capacity=entries(0, m))
 
 
 # a file is one instance in the single format or a few behind a count
