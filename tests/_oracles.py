@@ -4,8 +4,9 @@ Everything here is deliberately implemented without touching the package's
 solver paths: column enumeration is plain bit arithmetic and the master LP
 reference goes through scipy's HiGHS interface. The frozen copies of earlier
 kernels (:func:`full_level_lex`, :class:`DenseSimplexReference`,
-:func:`sequential_lt_price`, :func:`looped_lr_evaluate`) are the references
-their faster rewrites must match bit for bit.
+:func:`sequential_lt_price`, :func:`looped_lr_evaluate`) and LP builders
+(:class:`PerColumnMasterLp`, :func:`per_column_compact_lp`) are the
+references their rewrites must match bit for bit.
 """
 
 from __future__ import annotations
@@ -433,3 +434,87 @@ class DenseSimplexReference:
             if pivots >= _MAX_PIVOTS:
                 raise SimplexError("pivot limit exceeded")
         return pivots
+
+
+class PerColumnMasterLp:
+    """``rmp.MasterLp`` as it built its LP one ``add_column`` call per column.
+
+    ``__init__``, ``_entries`` and ``ensure_basis`` are the frozen copies;
+    ``sync`` keeps only the loop that adds pool columns, the one part of it
+    a first sync runs. The LP is a :class:`DenseSimplexReference`, so
+    ``lp`` holds what the block-built master must hand its first ``solve``.
+    """
+
+    def __init__(self, inst):
+        self.inst = inst
+        nj, ni = inst.num_jobs, inst.num_machines
+        self.lp = DenseSimplexReference(np.ones(nj + ni))
+        self.phase = 1
+        self.surplus = []
+        self.artificial = []  # +e_j, relaxes an uncovered row
+        for j in range(nj):
+            e = np.zeros(nj + ni)
+            e[j] = -1.0
+            self.surplus.append(self.lp.add_column(e, 0.0))
+        for j in range(nj):
+            e = np.zeros(nj + ni)
+            e[j] = 1.0
+            self.artificial.append(self.lp.add_column(e, 1.0))
+        self.lp_col = {}
+
+    def _entries(self, col) -> np.ndarray:
+        nj, ni = self.inst.num_jobs, self.inst.num_machines
+        e = np.zeros(nj + ni)
+        e[: nj][col.jobs] = 1.0
+        e[nj + col.machine] = 1.0
+        return e
+
+    def sync(self, pool):
+        for col in pool.iter_columns():
+            if col not in self.lp_col:
+                cost = 0.0 if self.phase == 1 else float(col.cost)
+                self.lp_col[col] = self.lp.add_column(self._entries(col), cost)
+
+    def ensure_basis(self, pool):
+        if self.lp.basis is not None:
+            return
+        nj, ni = self.inst.num_jobs, self.inst.num_machines
+        anchors = []
+        coverage = np.zeros(nj)
+        for i in range(ni):
+            if not pool.columns[i]:
+                raise ValueError(f"machine {i} has no column to anchor its convexity row")
+            empty = min(pool.columns[i], key=lambda c: int(c.jobs.sum()))
+            anchors.append(self.lp_col[empty])
+            coverage += empty.jobs
+        # an over-covered row starts on its surplus column, at value coverage - 1
+        basis = [self.surplus[j] if coverage[j] > 1 else self.artificial[j] for j in range(nj)]
+        self.lp.set_basis(basis + anchors)
+
+
+def per_column_compact_lp(inst) -> DenseSimplexReference:
+    """The compact LP of ``rmp.solve_compact_lp`` as its first ``solve`` sees
+    it, built by the frozen per-column loops: x_ij, then the slacks, then the
+    artificials, each through its own ``add_column`` call."""
+    nj, ni = inst.num_jobs, inst.num_machines
+    b = np.concatenate([np.ones(nj), inst.capacity.astype(np.float64)])
+    lp = DenseSimplexReference(b)
+    x_cols = np.empty((ni, nj), dtype=np.int64)
+    for i in range(ni):
+        for j in range(nj):
+            e = np.zeros(nj + ni)
+            e[j] = 1.0
+            e[nj + i] = float(inst.resource[i, j])
+            x_cols[i, j] = lp.add_column(e, 0.0)
+    slacks = []
+    for i in range(ni):
+        e = np.zeros(nj + ni)
+        e[nj + i] = 1.0
+        slacks.append(lp.add_column(e, 0.0))
+    arts = []
+    for j in range(nj):
+        e = np.zeros(nj + ni)
+        e[j] = 1.0
+        arts.append(lp.add_column(e, 1.0))
+    lp.set_basis(arts + slacks)
+    return lp

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import compact_lp_optimum
-from gapcg.instance import GapInstance, InfeasibleInstanceError
+from _oracles import PerColumnMasterLp, compact_lp_optimum, per_column_compact_lp
+from gapcg.instance import GapInstance, GeneratorSpec, InfeasibleInstanceError, generate
 from gapcg.rmp import (AGE_POLICIES, Column, ColumnPool, MasterLp,
                        age_threshold, build_and_solve, extract_integer_solution,
                        manage_columns, project_primal, solve_compact_lp)
+from gapcg.simplex import SimplexSolver
 
 
 def make_pool(inst, columns):
@@ -309,6 +310,51 @@ def test_extract_overcover_repair():
     assert ub == 2 + 1 + 1
     # never above the raw (double-counting) column cost total
     assert ub <= (5 + 1) + (2 + 1)
+
+
+# ------------------------------------------------------------------ LP builders
+
+@pytest.fixture
+def first_solve(monkeypatch):
+    """Bytes of the columns, costs and basis that each simplex solve starts from."""
+    seen = []
+    solve = SimplexSolver.solve
+
+    def recording(self):
+        seen.append(lp_bytes(self))
+        return solve(self)
+
+    monkeypatch.setattr(SimplexSolver, "solve", recording)
+    return seen
+
+
+def lp_bytes(lp):
+    # tobytes tells -0.0 from 0.0 and sees any change of column order
+    return lp._A[:, : lp.n].tobytes(), lp.cost[: lp.n].tobytes(), lp.basis.tobytes()
+
+
+@pytest.mark.parametrize("pool_of", [
+    lambda inst: ColumnPool(inst),
+    lambda inst: make_pool(inst, [(i % 3, np.arange(12) % 6 == i) for i in range(5)]),
+], ids=["seeded", "extra-columns"])
+def test_master_lp_matches_per_column_build(toy_3x12, pool_of, first_solve):
+    pool = pool_of(toy_3x12)
+    build_and_solve(pool, MasterLp(toy_3x12))
+    reference = PerColumnMasterLp(toy_3x12)
+    reference.sync(pool)
+    reference.ensure_basis(pool)
+    assert first_solve[0] == lp_bytes(reference.lp)
+
+
+@pytest.mark.parametrize("inst", [
+    generate(GeneratorSpec(num_machines=3, num_jobs=12, seed=7)),
+    generate(GeneratorSpec(num_machines=12, num_jobs=120, seed=7)),
+    GapInstance(2, 4, cost=np.array([[-3, 5, 0, -1], [2, -4, 6, 1]]),
+                resource=np.array([[0, 2, 0, 3], [1, 0, 0, 2]]), capacity=np.array([3, 2])),
+], ids=["G(3,12,7)", "G(12,120,7)", "zero-resource-negative-cost"])
+def test_compact_lp_matches_per_column_build(inst, first_solve):
+    solve_compact_lp(inst)
+    assert first_solve[0] == lp_bytes(per_column_compact_lp(inst))
 
 
 # ------------------------------------------------------------ warm-start safety
