@@ -69,11 +69,7 @@ def _write_tsv(rows: list[list], columns: list[str], path: str | None):
 def rolling_geomean(values: list[float], window: int) -> list[float]:
     """Centered rolling geometric mean; the window shrinks at the edges."""
     half = window // 2
-    out = []
-    for k in range(len(values)):
-        chunk = values[max(0, k - half): k + half + 1]
-        out.append(math.exp(sum(math.log(v) for v in chunk) / len(chunk)))
-    return out
+    return [geomean(values[max(0, k - half): k + half + 1]) for k in range(len(values))]
 
 
 def geomean(values: list[float]) -> float:
@@ -141,7 +137,7 @@ def cmd_run(args) -> int:
         cfg = _make_config(args, args.method, args.seed)
         try:
             report = driver.run(inst, cfg)
-        except (instance.InfeasibleInstanceError, rmp.MasterInfeasibleError) as exc:
+        except instance.InfeasibleInstanceError as exc:
             print(f"error: {inst.name}: {exc}", file=sys.stderr)
             return 3
         rows.extend(_report_rows(report))
@@ -156,7 +152,7 @@ def _bench_cell(task) -> dict:
     t0 = time.perf_counter()
     try:
         report = driver.run(inst, cfg)
-    except (instance.InfeasibleInstanceError, rmp.MasterInfeasibleError) as exc:
+    except instance.InfeasibleInstanceError as exc:
         return dict(zip(BENCH_COLUMNS, [path_name, method, seed, f"error:{exc}"]))
     except Exception as exc:  # one bad cell must not abort the sweep
         traceback.print_exc()
@@ -252,7 +248,7 @@ def cmd_sweep(args) -> int:
     try:
         selected, per_tau, smoothed = run_sweep(inst, args.method, spec, base,
                                                 rel_tol=args.tie_rel, abs_tol=args.tie_abs)
-    except (instance.InfeasibleInstanceError, rmp.MasterInfeasibleError) as exc:
+    except instance.InfeasibleInstanceError as exc:
         print(f"error: {inst.name}: {exc}", file=sys.stderr)
         return 3
     rows = [[tau, g, s, 1 if tau == selected else 0]
@@ -269,6 +265,7 @@ def cmd_generate(args) -> int:
                                   capacity_slack=args.slack, seed=args.seed)
     try:
         inst = instance.generate(spec)
+        instance.validate(inst)  # never write an instance that run rejects
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lagrangian, pricing, rmp
-from .instance import GapInstance, validate
+from .instance import GapInstance, InfeasibleInstanceError, validate
 from .pricing import DEFAULT_DELTA, LtState, PessoaState, PricingOutcome
 from .rmp import AGE_POLICIES, ColumnPool, MasterLp
 
@@ -253,7 +253,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         add_row(sol, rmp_time, added, removed, pricing_time, alphas, smoothed)
         if phase == "1":
             if added == 0:
-                raise rmp.MasterInfeasibleError(
+                raise InfeasibleInstanceError(
                     f"phase one stalled at objective {sol.objective:.6g}")
         elif not smoothed and abs(bounds.rc_sum) < RC_CONVERGENCE_TOL:
             status = "optimal"

@@ -3,9 +3,8 @@
 The master is kept in cover form: one >= 1 row per job plus one convexity
 row per machine, with a surplus column on every cover row. Feasibility is
 bootstrapped without big-M costs via one artificial column per cover row
-whose sum is minimized (phase one). The starting basis holds the emptiest
-column of each machine; a row those anchors cover more than once starts on
-its surplus column, every other row on its artificial. Within the
+whose sum is minimized (phase one), starting from every cover row on its
+artificial and each machine on its seeded empty column. Within the
 :func:`build_and_solve` call whose phase-one objective reaches zero, the
 artificials are pivoted out and sealed and the true column costs installed
 (phase two). :class:`MasterLp` owns the LP, keyed by :class:`Column` object,
@@ -37,10 +36,6 @@ AGE_POLICIES = {
     # exact template pricing reuses the heuristic-template retention curve
     "mt": (0.00044, 0.0405, 1.0),
 }
-
-
-class MasterInfeasibleError(RuntimeError):
-    """Phase one stalled at a positive objective: no cover exists."""
 
 
 @dataclass(eq=False)
@@ -112,34 +107,32 @@ class MasterLp:
         nj, ni = inst.num_jobs, inst.num_machines
         self.lp = SimplexSolver(np.ones(nj + ni))
         self.phase = 1
-        self.surplus = []
-        self.artificial = []  # +e_j, relaxes an uncovered row
-        for j in range(nj):
-            e = np.zeros(nj + ni)
-            e[j] = -1.0
-            self.surplus.append(self.lp.add_column(e, 0.0))
-        for j in range(nj):
-            e = np.zeros(nj + ni)
-            e[j] = 1.0
-            self.artificial.append(self.lp.add_column(e, 1.0))
+        # -e_j and +e_j are written into zeros: negating +e_j would give -0.0
+        block = np.zeros((nj + ni, nj))
+        np.fill_diagonal(block, -1.0)
+        self.surplus = self.lp.add_columns(block, 0.0).tolist()
+        np.fill_diagonal(block, 1.0)
+        self.artificial = self.lp.add_columns(block, 1.0).tolist()  # relaxes an uncovered row
         self.lp_col: dict[Column, int] = {}
 
-    def _entries(self, col: Column) -> np.ndarray:
-        nj, ni = self.inst.num_jobs, self.inst.num_machines
-        e = np.zeros(nj + ni)
-        e[: nj][col.jobs] = 1.0
-        e[nj + col.machine] = 1.0
-        return e
-
     def sync(self, pool: ColumnPool):
-        live = set()
-        for col in pool.iter_columns():
-            live.add(col)
-            if col not in self.lp_col:
-                cost = 0.0 if self.phase == 1 else float(col.cost)
-                self.lp_col[col] = self.lp.add_column(self._entries(col), cost)
+        """Add the pool's new columns and drop its dead ones; the first call sets the basis."""
+        nj = self.inst.num_jobs
+        new = [col for col in pool.iter_columns() if col not in self.lp_col]
+        if new:
+            block = np.zeros((nj + self.inst.num_machines, len(new)))
+            block[:nj] = np.array([col.jobs for col in new]).T
+            block[nj + np.array([col.machine for col in new]), np.arange(len(new))] = 1.0
+            costs = 0.0 if self.phase == 1 else [col.cost for col in new]
+            self.lp_col.update(zip(new, self.lp.add_columns(block, costs).tolist()))
+        live = set(pool.iter_columns())
         for col in [c for c in self.lp_col if c not in live]:
             self.lp.seal_column(self.lp_col.pop(col))
+        if self.lp.basis is None:
+            seeds = [cols[0] for cols in pool.columns if cols and not cols[0].jobs.any()]
+            if len(seeds) < self.inst.num_machines:
+                raise ValueError("a machine lost its seeded empty column before the first solve")
+            self.lp.set_basis(self.artificial + [self.lp_col[col] for col in seeds])
         remap = self.lp.compact()
         if len(remap) == self.lp.n:
             return
@@ -148,28 +141,11 @@ class MasterLp:
         # a retired artificial stays until it leaves the basis
         self.artificial = [int(remap[j]) for j in self.artificial if remap[j] >= 0]
 
-    def ensure_basis(self, pool: ColumnPool):
-        if self.lp.basis is not None:
-            return
-        nj, ni = self.inst.num_jobs, self.inst.num_machines
-        anchors = []
-        coverage = np.zeros(nj)
-        for i in range(ni):
-            if not pool.columns[i]:
-                raise MasterInfeasibleError(f"machine {i} has no column to anchor its convexity row")
-            empty = min(pool.columns[i], key=lambda c: int(c.jobs.sum()))
-            anchors.append(self.lp_col[empty])
-            coverage += empty.jobs
-        # an over-covered row starts on its surplus column, at value coverage - 1
-        basis = [self.surplus[j] if coverage[j] > 1 else self.artificial[j] for j in range(nj)]
-        self.lp.set_basis(basis + anchors)
-
-    def to_phase2(self, pool: ColumnPool) -> int:
+    def to_phase2(self) -> int:
         """Drop the artificials, install true costs, keep the basis warm."""
-        pivots = self.lp.retire_columns(self.artificial,
-                                        list(self.lp_col.values()) + self.surplus)
-        for col in pool.iter_columns():
-            self.lp.set_cost(self.lp_col[col], float(col.cost))
+        indices = list(self.lp_col.values())
+        pivots = self.lp.retire_columns(self.artificial, indices + self.surplus)
+        self.lp.set_cost(indices, [col.cost for col in self.lp_col])
         self.phase = 2
         return pivots
 
@@ -183,25 +159,20 @@ class MasterLp:
                            pi=y[:nj].copy(), mu=y[nj:].copy(), pivots=pivots)
 
 
-def build_and_solve(pool: ColumnPool, master: MasterLp | None = None) -> RmpSolution:
+def build_and_solve(pool: ColumnPool, master: MasterLp) -> RmpSolution:
     """Solve the master over the pool's columns and return duals and pivots.
 
     Phase one minimizes the artificial-variable sum, column costs ignored; a
     phase-one solve that ends below ``PHASE1_TOL`` retires the artificials and
-    returns the phase-two solution (``master.phase`` tells which).
-    Passing the same ``master`` across calls reuses the previous basis;
-    without one, a fresh master is built for this call. ``master`` must
-    belong to ``pool.inst``.
+    returns the phase-two solution (``master.phase`` tells which). ``master``
+    belongs to ``pool.inst`` and keeps its basis warm from one call to the next.
     """
-    if master is None:
-        master = MasterLp(pool.inst)
-    elif master.inst is not pool.inst:
+    if master.inst is not pool.inst:
         raise ValueError("master belongs to a different instance than the pool")
     master.sync(pool)
-    master.ensure_basis(pool)
     pivots = master.lp.solve()
     if master.phase == 1 and master.lp.objective() < PHASE1_TOL:
-        pivots += master.to_phase2(pool)
+        pivots += master.to_phase2()
         pivots += master.lp.solve()
     return master.extract(pivots)
 
@@ -253,37 +224,26 @@ def solve_compact_lp(inst: GapInstance) -> np.ndarray:
     """
     validate(inst)
     nj, ni = inst.num_jobs, inst.num_machines
-    b = np.concatenate([np.ones(nj), inst.capacity.astype(np.float64)])
-    lp = SimplexSolver(b)
-    x_cols = np.empty((ni, nj), dtype=np.int64)
-    for i in range(ni):
-        for j in range(nj):
-            e = np.zeros(nj + ni)
-            e[j] = 1.0
-            e[nj + i] = float(inst.resource[i, j])
-            x_cols[i, j] = lp.add_column(e, 0.0)
-    slacks = []
-    for i in range(ni):
-        e = np.zeros(nj + ni)
-        e[nj + i] = 1.0
-        slacks.append(lp.add_column(e, 0.0))
-    arts = []
-    for j in range(nj):
-        e = np.zeros(nj + ni)
-        e[j] = 1.0
-        arts.append(lp.add_column(e, 1.0))
+    lp = SimplexSolver(np.concatenate([np.ones(nj), inst.capacity.astype(np.float64)]))
+    # x_ij at column i * nj + j, then the machine slacks and the job artificials
+    nx = ni * nj
+    x = np.arange(nx)
+    block = np.zeros((nj + ni, nx + ni + nj))
+    block[x % nj, x] = 1.0
+    block[nj + x // nj, x] = inst.resource.ravel()
+    np.fill_diagonal(block[nj:, nx:], 1.0)
+    np.fill_diagonal(block[:nj, nx + ni:], 1.0)
+    cols = lp.add_columns(block, np.repeat([0.0, 1.0], [nx + ni, nj])).tolist()
+    x_cols, slacks, arts = cols[:nx], cols[nx: nx + ni], cols[nx + ni:]
     lp.set_basis(arts + slacks)
     lp.solve()
     if lp.objective() > PHASE1_TOL:
         raise InfeasibleInstanceError(
             f"compact LP infeasible (artificial sum {lp.objective():.6g})")
-    lp.retire_columns(arts, [int(j) for j in x_cols.ravel()] + slacks)
-    for i in range(ni):
-        for j in range(nj):
-            lp.set_cost(int(x_cols[i, j]), float(inst.cost[i, j]))
+    lp.retire_columns(arts, x_cols + slacks)
+    lp.set_cost(x_cols, inst.cost.ravel())
     lp.solve()
-    values = lp.values()
-    return np.clip(values[x_cols.ravel()].reshape(ni, nj), 0.0, 1.0)
+    return np.clip(lp.values()[x_cols].reshape(ni, nj), 0.0, 1.0)
 
 
 def extract_integer_solution(sol: RmpSolution, pool: ColumnPool):

@@ -1,8 +1,8 @@
 """Dense primal revised simplex in standard form.
 
 A small LP engine purpose-built for the masters in this package. Rows are
-equalities ``A x = b`` over columns ``x >= 0``. It supports incremental
-column addition, warm starts from the previous basis, sealing and retiring
+equalities ``A x = b`` over columns ``x >= 0``. It supports adding columns
+in blocks, warm starts from the previous basis, sealing and retiring
 columns (pinning them at zero so they never price again), per-solve pivot
 counts and dual extraction. The basis inverse is kept densely, refactorized
 by every ``solve`` and ``retire_columns`` call and every ``_REFACTOR_EVERY``
@@ -63,15 +63,20 @@ class SimplexSolver:
         A[:, : self.n] = self._A[:, : self.n]
         self._A = A
 
-    def add_column(self, entries: np.ndarray, cost: float) -> int:
-        self._grow(self.n + 1)
-        j = self.n
-        self._A[:, j] = entries
-        self.cost[j] = cost
-        self.n += 1
-        return j
+    def add_columns(self, entries: np.ndarray, costs) -> np.ndarray:
+        """Append the columns of an (m x k) block; returns their indices."""
+        n, k = self.n, entries.shape[1]
+        self._grow(n + k)
+        self._A[:, n : n + k] = entries
+        self.cost[n : n + k] = costs
+        self.n += k
+        return np.arange(n, n + k)
 
-    def set_cost(self, j: int, cost: float):
+    def add_column(self, entries: np.ndarray, cost: float) -> int:
+        return int(self.add_columns(np.reshape(entries, (self.m, 1)), cost)[0])
+
+    def set_cost(self, j, cost):
+        """Set the cost of column ``j``, or of each column in an index array."""
         self.cost[j] = cost
 
     def seal_column(self, j: int):

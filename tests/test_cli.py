@@ -458,5 +458,15 @@ def test_generate_sums_beyond_two_to_the_53_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_instance_that_run_rejects_exits_2(tmp_path, capsys):
+    # the draw gives capacities 6 5 4 5 2, too small for either job
+    out = tmp_path / "x.txt"
+    code = main(["generate", "--machines", "5", "--jobs", "2", "--seed", "1",
+                 "--output", str(out)])
+    assert code == 2
+    assert "jobs [0, 1] fit on no machine" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_geomean_of_constant():
     assert geomean([2.0, 2.0, 2.0]) == pytest.approx(2.0)

@@ -140,8 +140,8 @@ def test_master_lp_carries_only_live_columns(monkeypatch):
             assert self.lp.n == len(self.lp_col) + len(self.surplus) + len(self.artificial)
             if self.phase == 1:
                 assert len(self.artificial) == self.inst.num_jobs
-            else:  # only the retired artificials still basic remain
-                assert all(self.lp.is_basic(j) for j in self.artificial)
+            else:  # each basic artificial pivots out for its surplus column
+                assert self.artificial == []
             phases.append(self.phase)
 
     monkeypatch.setattr(driver, "MasterLp", CheckedMaster)
@@ -227,8 +227,7 @@ def test_master_infeasible_despite_assignable_jobs():
     # slack 0.7 makes the fractional capacity split insufficient for a cover
     inst = generate(GeneratorSpec(num_machines=4, num_jobs=32, cost_range=(10, 50),
                                   resource_range=(5, 25), capacity_slack=0.7, seed=302))
-    from gapcg.rmp import MasterInfeasibleError
-    with pytest.raises(MasterInfeasibleError):
+    with pytest.raises(InfeasibleInstanceError):
         run(inst, CgConfig(pricing_method="lt", time_limit=60))
 
 

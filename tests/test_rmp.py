@@ -70,7 +70,7 @@ def test_single_machine_forced_basis():
 def test_empty_pool_phase1_objective_is_num_jobs():
     inst = single_machine_instance()
     pool = ColumnPool(inst)  # only the seeded empty column
-    sol = build_and_solve(pool)
+    sol = build_and_solve(pool, MasterLp(inst))
     assert sol.objective == pytest.approx(3.0)
     # phase-one duals price uncovered jobs at one
     assert sol.pi == pytest.approx(np.ones(3))
@@ -129,21 +129,22 @@ def vertex_enumeration_oracle(inst, pool):
     return best, best_duals
 
 
-@pytest.mark.parametrize("drop_empty", [False, True],
-                         ids=["empty-anchors", "over-covered-start"])
-def test_two_machine_toy_matches_vertex_oracle(toy_2x3, drop_empty):
+def test_two_machine_toy_matches_vertex_oracle(toy_2x3):
     pool = make_pool(toy_2x3, [
         (0, [1, 1, 0]), (0, [0, 1, 1]), (1, [1, 0, 0]), (1, [0, 0, 1]),
     ])
-    if drop_empty:
-        # the anchors become [1, 1, 0] and [1, 0, 0]: job 0 starts covered twice
-        for col in [c for c in pool.iter_columns() if not c.jobs.any()]:
-            pool.drop(col)
-    sol = build_and_solve(pool)
+    sol = build_and_solve(pool, MasterLp(toy_2x3))
     ref_obj, ref_duals = vertex_enumeration_oracle(toy_2x3, pool)
     assert sol.objective == pytest.approx(ref_obj, abs=1e-9)
     duals = np.concatenate([sol.pi, sol.mu])
     assert any(np.allclose(duals, y, atol=1e-7) for y in ref_duals)
+
+
+def test_first_solve_needs_every_seeded_empty_column(toy_2x3):
+    pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (1, [1, 0, 0])])
+    pool.drop(pool.columns[1][0])
+    with pytest.raises(ValueError, match="seeded empty column"):
+        build_and_solve(pool, MasterLp(toy_2x3))
 
 
 def test_solution_invariants(toy_3x12):
@@ -165,7 +166,7 @@ def test_solution_invariants(toy_3x12):
 
 def test_project_primal_integral(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (1, [0, 0, 1])])
-    sol = build_and_solve(pool)
+    sol = build_and_solve(pool, MasterLp(toy_2x3))
     templates = project_primal(sol, pool)
     ids = {c.key(): c for c in pool.iter_columns()}
     assert templates.shape == (2, 3)
@@ -179,7 +180,7 @@ def test_project_primal_integral(toy_2x3):
 def test_project_primal_convex_combination(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (0, [0, 1, 1]),
                                (1, [1, 0, 0]), (1, [0, 0, 1])])
-    sol = build_and_solve(pool)
+    sol = build_and_solve(pool, MasterLp(toy_2x3))
     # recompute by hand
     expect = np.zeros((2, 3))
     for col in pool.iter_columns():
@@ -276,7 +277,7 @@ def test_compact_lp_unassignable_job_raises():
 
 def test_extract_integral_partition(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (1, [0, 0, 1])])
-    sol = build_and_solve(pool)
+    sol = build_and_solve(pool, MasterLp(toy_2x3))
     res = extract_integer_solution(sol, pool)
     assert res is not None
     assignment, ub = res
