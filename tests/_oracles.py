@@ -4,7 +4,8 @@ Everything here is deliberately implemented without touching the package's
 solver paths: column enumeration is plain bit arithmetic and the master LP
 reference goes through scipy's HiGHS interface. The frozen copies of earlier
 kernels (:func:`full_level_lex`, :class:`DenseSimplexReference`,
-:func:`sequential_lt_price`, :func:`looped_lr_evaluate`) and LP builders
+:func:`sequential_lt_price`, :func:`per_machine_dantzig_price`,
+:func:`looped_lr_evaluate`) and LP builders
 (:class:`PerColumnMasterLp`, :func:`per_column_compact_lp`) are the
 references their rewrites must match bit for bit.
 """
@@ -213,6 +214,17 @@ def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
         state.alpha_warm[i] = up
     return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
                           similarity=int(sim), alpha_used=up, proof_fired=proof_fired)
+
+
+def per_machine_dantzig_price(inst, i: int, pi, mu_i: float, eps: float) -> PricingOutcome:
+    """``pricing.dantzig_price`` as it was before the batched Dantzig round:
+    one ``min_knapsack`` call for machine i, the reference that
+    ``pricing.dantzig_round`` must match outcome for outcome."""
+    sol = min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i], int(inst.capacity[i])))
+    rc = sol.value - mu_i
+    if rc > -eps:
+        return PricingOutcome(machine=i, selection=None, dantzig_rc=rc)
+    return PricingOutcome(machine=i, selection=sol.selection, dantzig_rc=rc)
 
 
 def looped_lr_evaluate(inst, pi):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import min_reduced_cost, sequential_lt_price
+from _oracles import min_reduced_cost, per_machine_dantzig_price, sequential_lt_price
 from conftest import FrozenPessoaState, random_instance
 from gapcg.knapsack import LexKnapsackProblem, brute_force_lex
 from gapcg.pricing import (LtState, PessoaState, dantzig_price, lt_price,
@@ -85,6 +85,32 @@ def test_dantzig_completeness_vs_enumeration():
             assert (out.selection is None) == (out.dantzig_rc > -EPS)
             if out.selection is not None:
                 assert reduced_cost_sum(inst.cost[i], pi, out.selection) <= mu[i] - EPS
+
+
+def assert_same_outcome(out, ref):
+    """Every :class:`PricingOutcome` field equal in value and type, the
+    selection byte for byte."""
+    for name in OUTCOME_FIELDS:
+        mine, theirs = getattr(out, name), getattr(ref, name)
+        assert type(mine) is type(theirs) and mine == theirs, name
+    assert (out.selection is None) == (ref.selection is None)
+    if ref.selection is not None:
+        assert out.selection.tobytes() == ref.selection.tobytes()
+
+
+@given(m=st.integers(1, 5), n=st.integers(2, 14), seed=st.integers(0, 2**16),
+       phase_one=st.booleans())
+def test_dantzig_price_matches_per_machine_oracle_property(m, n, seed, phase_one):
+    inst = random_instance(seed, m=m, n=n)
+    if phase_one:
+        inst = zero_cost(inst)
+    rng = np.random.default_rng(seed)
+    pi, mu = random_duals(rng, inst)
+    if phase_one:
+        pi, mu = np.abs(pi) / 8, mu / 8
+    for i in rng.permutation(m).tolist():
+        assert_same_outcome(dantzig_price(inst, i, pi, float(mu[i]), EPS),
+                            per_machine_dantzig_price(inst, i, pi, float(mu[i]), EPS))
 
 
 # -------------------------------------------------------------------- mt_price
