@@ -146,8 +146,7 @@ def _price(inst: GapInstance, cfg: CgConfig, sol, templates: np.ndarray | None,
         outcomes = [pricing.mt_price(inst, i, templates[i], sol.pi, float(sol.mu[i]),
                                      cfg.epsilon, delta=cfg.template_delta) for i in order]
     else:
-        outcomes = [pricing.dantzig_price(inst, i, sol.pi, float(sol.mu[i]), cfg.epsilon)
-                    for i in order]
+        outcomes = pricing.dantzig_round(inst, order, sol.pi, sol.mu, cfg.epsilon)
     return outcomes, False, []
 
 

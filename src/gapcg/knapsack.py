@@ -62,7 +62,7 @@ class LexKnapsackProblem:
         self.weight = np.asarray(self.weight, dtype=np.int64)
         if not (len(self.sim) == len(self.rc_coeff) == len(self.weight)):
             raise ValueError("sim, rc_coeff and weight must have equal length")
-        if not np.isin(self.sim, (-1, 0, 1)).all():
+        if self.sim.min(initial=0) < -1 or self.sim.max(initial=0) > 1:
             raise ValueError("sim entries must lie in {-1, 0, +1}")
         if not np.isfinite(self.rc_coeff).all():
             raise ValueError("rc_coeff entries must be finite")

@@ -83,13 +83,25 @@ def reduced_cost_sum(cost_row, pi, selection) -> float:
     return float((np.asarray(cost_row, dtype=np.float64) - pi)[selection].sum())
 
 
+def dantzig_round(inst, machines, pi, mu, eps: float) -> list[PricingOutcome]:
+    """Minimum reduced-cost column of each of ``machines``, absent where none
+    is good; outcomes in that order. One :func:`min_knapsack_batch` call
+    prices every machine, row for row bit-identical to :func:`min_knapsack`."""
+    rows = list(machines)
+    values, selections = min_knapsack_batch(inst.cost[rows] - pi, inst.resource[rows],
+                                            inst.capacity[rows])
+    outcomes = []
+    for k, i in enumerate(rows):
+        rc = values[k] - float(mu[i])
+        outcomes.append(PricingOutcome(machine=i, selection=None if rc > -eps else selections[k],
+                                       dantzig_rc=rc))
+    return outcomes
+
+
 def dantzig_price(inst, i: int, pi, mu_i: float, eps: float) -> PricingOutcome:
-    """Minimum reduced-cost column for machine i, or absent if none is good."""
-    sol = min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i], int(inst.capacity[i])))
-    rc = sol.value - mu_i
-    if rc > -eps:
-        return PricingOutcome(machine=i, selection=None, dantzig_rc=rc)
-    return PricingOutcome(machine=i, selection=sol.selection, dantzig_rc=rc)
+    """:func:`dantzig_round` on machine i alone."""
+    (out,) = dantzig_round(inst, [i], pi, {i: mu_i}, eps)
+    return out
 
 
 def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,

@@ -224,7 +224,6 @@ def solve_compact_lp(inst: GapInstance) -> np.ndarray:
     """
     validate(inst)
     nj, ni = inst.num_jobs, inst.num_machines
-    lp = SimplexSolver(np.concatenate([np.ones(nj), inst.capacity.astype(np.float64)]))
     # x_ij at column i * nj + j, then the machine slacks and the job artificials
     nx = ni * nj
     x = np.arange(nx)
@@ -233,7 +232,10 @@ def solve_compact_lp(inst: GapInstance) -> np.ndarray:
     block[nj + x // nj, x] = inst.resource.ravel()
     np.fill_diagonal(block[nj:, nx:], 1.0)
     np.fill_diagonal(block[:nj, nx + ni:], 1.0)
-    cols = lp.add_columns(block, np.repeat([0.0, 1.0], [nx + ni, nj])).tolist()
+    # the solver keeps the block as its column storage, so it is not held twice
+    lp = SimplexSolver(np.concatenate([np.ones(nj), inst.capacity.astype(np.float64)]),
+                       block, np.repeat([0.0, 1.0], [nx + ni, nj]))
+    cols = list(range(lp.n))
     x_cols, slacks, arts = cols[:nx], cols[nx: nx + ni], cols[nx + ni:]
     lp.set_basis(arts + slacks)
     lp.solve()

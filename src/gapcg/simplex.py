@@ -16,6 +16,8 @@ the old-to-new index map; a caller holding column indices must remap them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _PRICE_TOL = 1e-9
@@ -34,15 +36,28 @@ class UnboundedError(SimplexError):
 
 
 class SimplexSolver:
-    def __init__(self, b):
+    def __init__(self, b, columns: np.ndarray | None = None, costs=0.0):
+        """An LP over the rows ``A x = b``, empty or starting on ``columns``.
+
+        ``columns`` is an (m x k) block with costs ``costs``. A C-ordered
+        float64 block becomes the column storage itself, not a copy: the
+        caller hands it over and must not write to it again.
+        """
         self.b = np.asarray(b, dtype=np.float64)
         self.m = len(self.b)
-        cap = 64
-        self._A = np.zeros((self.m, cap))
+        if columns is None:
+            self._A = np.zeros((self.m, 64))
+            self.n = 0
+        else:
+            self._A = np.ascontiguousarray(columns, dtype=np.float64)
+            if self._A.ndim != 2 or len(self._A) != self.m:
+                raise SimplexError(f"column block needs {self.m} rows")
+            self.n = self._A.shape[1]
+        cap = self._A.shape[1]
         self.cost = np.zeros(cap)
+        self.cost[: self.n] = costs
         self.basic = np.zeros(cap, dtype=bool)
         self.sealed = np.zeros(cap, dtype=bool)
-        self.n = 0
         self.basis: np.ndarray | None = None
         self._binv: np.ndarray | None = None
         self._xb: np.ndarray | None = None
@@ -146,10 +161,6 @@ class SimplexSolver:
         np.clip(xb, 0.0, None, out=xb)
         self._xb = xb
 
-    def _reduced_costs(self) -> np.ndarray:
-        y = self.cost[self.basis] @ self._binv
-        return self.cost[: self.n] - y @ self._A[:, : self.n]
-
     def retire_columns(self, cols, candidates) -> int:
         """Swap zero-valued ``cols`` out of the basis, then seal them at cost 0.
 
@@ -183,11 +194,12 @@ class SimplexSolver:
             self.seal_column(j)
         return pivots
 
-    def _apply_pivot(self, r: int, e: int, u: np.ndarray):
+    def _apply_pivot(self, r: int, e: int, u: np.ndarray, outer: np.ndarray | None = None):
         # a separate multiply and subtract gives every entry the rounding of
-        # the textbook update a - u_i * row_j; row r is then written back
+        # the textbook update a - u_i * row_j; row r is then written back.
+        # ``outer``, when given, is an m x m buffer for the outer product
         row = self._binv[r] / u[r]
-        self._binv -= np.multiply.outer(u, row)
+        self._binv -= np.multiply.outer(u, row, out=outer)
         self._binv[r] = row
         self.basic[self.basis[r]] = False
         self.basis[r] = e
@@ -198,52 +210,80 @@ class SimplexSolver:
         if self.basis is None:
             raise SimplexError("no starting basis")
         self._refactor()
+        m, n = self.m, self.n
+        A, cost, sealed, basis = self._A[:, :n], self.cost[:n], self.sealed, self.basis
+        binv, xb = self._binv, self._xb
+        # per-solve state: columns that may not enter, basic costs, and the
+        # basic columns that are sealed (only retirement leaves any)
+        skip = self.basic[:n] | sealed[:n]
+        cb = cost[basis]
+        sealed_basic = sealed[basis]
+        n_sealed_basic = int(sealed_basic.sum())
+        # scratch, written with out= at every pivot
+        y, rc, elig = np.empty(m), np.empty(n), np.empty(n, dtype=bool)
+        d, ratios, absd, td = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+        pos, near = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+        outer = np.empty((m, m))
         pivots = 0
         degenerate_run = 0
         bland = False
         while True:
-            rc = self._reduced_costs()
-            rc[self.basic[: self.n] | self.sealed[: self.n]] = 0.0
+            np.matmul(cb, binv, out=y)
+            np.matmul(y, A, out=rc)
+            np.subtract(cost, rc, out=rc)
+            np.copyto(rc, 0.0, where=skip)
             if bland:
-                elig = np.flatnonzero(rc < -_PRICE_TOL)
-                if not elig.size:
+                np.less(rc, -_PRICE_TOL, out=elig)
+                e = int(elig.argmax())  # the lowest eligible index
+                if not elig[e]:
                     break
-                e = int(elig[0])
             else:
                 # argmin keeps the lowest index among ties
-                e = int(np.argmin(rc))
+                e = int(rc.argmin())
                 if not rc[e] < -_PRICE_TOL:
                     break
-            d = self._binv @ self._A[:, e]
-            ratios = np.divide(self._xb, d, out=np.full(self.m, np.inf), where=d > _PIVOT_TOL)
-            sealed_basic = self.sealed[self.basis]
-            if sealed_basic.any():
+            np.matmul(binv, A[:, e], out=d)
+            ratios.fill(np.inf)
+            np.greater(d, _PIVOT_TOL, out=pos)
+            np.divide(xb, d, out=ratios, where=pos)
+            if n_sealed_basic:
                 # a sealed column that is still basic must not rise above zero
                 neg = (d < -_PIVOT_TOL) & sealed_basic
-                ratios[neg] = (0.0 - self._xb[neg]) / (-d[neg])
-            t = float(ratios.min(initial=np.inf))
-            if not np.isfinite(t):
+                ratios[neg] = (0.0 - xb[neg]) / (-d[neg])
+            t = float(ratios.min())
+            if not math.isfinite(t):
                 raise UnboundedError("LP is unbounded")
             t = max(t, 0.0)
-            cand = np.flatnonzero(ratios <= t + 1e-9)
-            r = int(cand[np.argmax(np.abs(d[cand]))])
-            if abs(d[r]) < 1e-11:
+            # the first row of largest |d| among the ratio-test ties
+            np.less_equal(ratios, t + 1e-9, out=near)
+            np.abs(d, out=absd)
+            r = int(np.multiply(absd, near, out=absd).argmax())
+            if absd[r] < 1e-11:
                 self._refactor()
+                binv, xb = self._binv, self._xb
                 bland = True
                 continue
-            self._xb -= t * d
-            self._apply_pivot(r, e, d)
-            self._xb[r] = t
+            xb -= np.multiply(t, d, out=td)
+            leaving = basis[r]
+            self._apply_pivot(r, e, d, outer)
+            xb[r] = t
+            skip[leaving] = sealed[leaving]
+            skip[e] = True
+            cb[r] = cost[e]
+            if sealed_basic[r]:
+                sealed_basic[r] = False
+                n_sealed_basic -= 1
             pivots += 1
             if t <= 1e-11:
                 degenerate_run += 1
-                if degenerate_run > 50 + 2 * self.m:
+                if degenerate_run > 50 + 2 * m:
                     bland = True
             else:
                 degenerate_run = 0
                 bland = False
             if pivots % _REFACTOR_EVERY == 0:
                 self._refactor()
+                binv, xb = self._binv, self._xb
             if pivots >= _MAX_PIVOTS:
                 raise SimplexError("pivot limit exceeded")
         return pivots

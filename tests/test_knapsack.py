@@ -186,6 +186,19 @@ def test_lex_problem_rejects_nan_budget_and_non_finite_rc(rc, budget):
         LexKnapsackProblem([1, 1, -1], rc, [5, 5, 1], 4, budget)
 
 
+@pytest.mark.parametrize("sim, ok", [
+    ([1, 0, -1], True), ([], True), ([2, 0, 0], False), ([0, -2, 0], False),
+    ([0, 0, np.iinfo(np.int64).min], False), ([np.iinfo(np.int64).max, 0, 0], False),
+], ids=["unit", "empty", "two", "minus-two", "int64-min", "int64-max"])
+def test_lex_problem_accepts_exactly_unit_scores(sim, ok):
+    n = len(sim)
+    if ok:
+        assert LexKnapsackProblem(sim, [0.0] * n, [1] * n, 4, 0.0).n == n
+    else:
+        with pytest.raises(ValueError, match="sim entries"):
+            LexKnapsackProblem(sim, [0.0] * n, [1] * n, 4, 0.0)
+
+
 def test_brute_force_guard():
     with pytest.raises(ValueError):
         brute_force_lex(lex_problem([0] * 21, [0.0] * 21, [1] * 21, 5, 0.0))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from _oracles import min_reduced_cost, per_machine_dantzig_price, sequential_lt_price
 from conftest import FrozenPessoaState, random_instance
 from gapcg.knapsack import LexKnapsackProblem, brute_force_lex
-from gapcg.pricing import (LtState, PessoaState, dantzig_price, lt_price,
+from gapcg.pricing import (LtState, PessoaState, dantzig_price, dantzig_round, lt_price,
                            lt_round, mt_price, pessoa_round, reduced_cost_sum,
                            similarity_class, similarity_vector)
 
@@ -98,9 +98,9 @@ def assert_same_outcome(out, ref):
         assert out.selection.tobytes() == ref.selection.tobytes()
 
 
-@given(m=st.integers(1, 5), n=st.integers(2, 14), seed=st.integers(0, 2**16),
-       phase_one=st.booleans())
-def test_dantzig_price_matches_per_machine_oracle_property(m, n, seed, phase_one):
+def oracle_case(m, n, seed, phase_one):
+    """Instance, duals and a machine order drawn from ``seed``; phase one
+    prices a zero-cost copy against small nonnegative duals."""
     inst = random_instance(seed, m=m, n=n)
     if phase_one:
         inst = zero_cost(inst)
@@ -108,9 +108,19 @@ def test_dantzig_price_matches_per_machine_oracle_property(m, n, seed, phase_one
     pi, mu = random_duals(rng, inst)
     if phase_one:
         pi, mu = np.abs(pi) / 8, mu / 8
-    for i in rng.permutation(m).tolist():
-        assert_same_outcome(dantzig_price(inst, i, pi, float(mu[i]), EPS),
-                            per_machine_dantzig_price(inst, i, pi, float(mu[i]), EPS))
+    return inst, pi, mu, rng.permutation(m).tolist(), rng
+
+
+@given(m=st.integers(1, 5), n=st.integers(2, 14), seed=st.integers(0, 2**16),
+       phase_one=st.booleans())
+def test_dantzig_round_matches_per_machine_dantzig_price_property(m, n, seed, phase_one):
+    inst, pi, mu, order, _ = oracle_case(m, n, seed, phase_one)
+    got = dantzig_round(inst, order, pi, mu, EPS)
+    assert [out.machine for out in got] == order
+    for out, i in zip(got, order):
+        ref = per_machine_dantzig_price(inst, i, pi, float(mu[i]), EPS)
+        assert_same_outcome(out, ref)
+        assert_same_outcome(dantzig_price(inst, i, pi, float(mu[i]), EPS), ref)
 
 
 # -------------------------------------------------------------------- mt_price

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,21 @@ def test_compact_lp_unassignable_job_raises():
                        capacity=np.array([5, 5]))
     with pytest.raises(InfeasibleInstanceError):
         solve_compact_lp(inst)
+
+
+def test_compact_lp_holds_its_column_block_once():
+    # G(12,120,7): a 132 x 1572 float64 block, 1.66 MB; the solver stores it
+    # as its own columns, so the peak stays below the block plus a copy
+    inst = generate(GeneratorSpec(num_machines=12, num_jobs=120, seed=7))
+    rows = inst.num_jobs + inst.num_machines
+    block_bytes = 8 * rows * (inst.num_machines * inst.num_jobs + rows)
+    tracemalloc.start()
+    try:
+        solve_compact_lp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block_bytes <= peak < 2 * block_bytes
 
 
 # ----------------------------------------------------- extract_integer_solution

@@ -237,6 +237,53 @@ def test_bit_identical_to_dense_reference(lp_data, rounds):
         scripted_trace(DenseSimplexReference, lp_data, rounds)
 
 
+def sealing_trace(solver_cls, lp_data, seal_rounds):
+    """Both phases of ``lp_data``, then rounds that seal basic columns too.
+
+    The LP is the one :func:`scripted_trace` builds. Each round seals every
+    drawn structural or bound-slack column that is nonbasic or basic at value
+    zero, adds the drawn columns and solves. A sealed basic column stays in
+    the basis, pinned at zero, until a pivot takes it out, so later solves
+    start with sealed basic columns. Each snapshot also records how many
+    there were before the solve.
+    """
+    A, b, c, ubs = lp_data
+    m, n = A.shape
+    rows = np.vstack([np.hstack([A, np.zeros((m, n))]), np.hstack([np.eye(n), np.eye(n)])])
+    rhs = np.concatenate([b, ubs])
+    lp = solver_cls(rhs)
+    for j in range(2 * n):
+        lp.add_column(rows[:, j], 0.0)
+    arts = [lp.add_column(np.where(np.arange(m + n) == r, 1.0 if rhs[r] >= 0 else -1.0, 0.0),
+                          1.0) for r in range(m + n)]
+    lp.set_basis(arts)
+    trace = []
+    try:
+        lp.solve()
+        lp.retire_columns(arts, range(2 * n))
+        for j in range(n):
+            lp.set_cost(j, float(c[j]))
+        trace.append(_snapshot(lp, lp.solve()))
+        for seal, extra in seal_rounds:
+            values = lp.values()
+            for j in seal:
+                if j < 2 * n and (not lp.is_basic(j) or values[j] == 0.0):
+                    lp.seal_column(j)
+            for entries, cost in extra:
+                lp.add_column(np.concatenate([entries[:m], np.zeros(n)]), cost)
+            sealed_basic = int((lp.sealed[: lp.n] & lp.basic[: lp.n]).sum())
+            trace.append((sealed_basic, _snapshot(lp, lp.solve())))
+    except SimplexError as exc:
+        trace.append(type(exc).__name__)
+    return trace
+
+
+@given(lp_data=degenerate_bounded_lps(), rounds=seal_rounds())
+def test_sealing_basic_columns_bit_identical_to_dense_reference(lp_data, rounds):
+    assert sealing_trace(SimplexSolver, lp_data, rounds) == \
+        sealing_trace(DenseSimplexReference, lp_data, rounds)
+
+
 def test_compact_drops_sealed_nonbasic_columns_in_order():
     rng = np.random.default_rng(11)
     A = rng.integers(0, 4, size=(4, 12)).astype(float)
