@@ -3,7 +3,8 @@
 Four strategies map master duals (and, for the template pair, a target
 vector per machine) to candidate columns:
 
-* ``dantzig_price``  - plain minimum reduced cost via a knapsack solve.
+* ``dantzig_round``  - plain minimum reduced cost, every machine in one
+  batched knapsack call; ``dantzig_price`` is its one-machine case.
 * ``pessoa_round``   - directional dual smoothing with adaptive mixing and
   a limited backtracking search over smoothing intensities; falls back to
   plain pricing when smoothing finds nothing. Each attempt prices every
@@ -12,7 +13,8 @@ vector per machine) to candidate columns:
   of (similarity, reduced cost) tuned by bisection on the trade-off weight,
   all machines bisecting in lockstep over batched knapsack calls;
   ``lt_price`` is its one-machine case.
-* ``mt_price``       - exact template pricing via the lexicographic knapsack.
+* ``mt_price``       - exact template pricing via the lexicographic knapsack,
+  one machine at a time, after a per-machine ``min_knapsack`` base step.
 
 Every strategy only ever returns columns whose reduced cost under the true
 duals clears ``mu_i - eps``; the heuristics differ in which such column they

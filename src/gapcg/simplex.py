@@ -7,7 +7,15 @@ columns (pinning them at zero so they never price again), per-solve pivot
 counts and dual extraction. The basis inverse is kept densely, refactorized
 by every ``solve`` and ``retire_columns`` call and every ``_REFACTOR_EVERY``
 pivots, and updated in place by a rank-1 step in between; Dantzig pricing
-with a Bland fallback guards against cycling.
+with a Bland fallback guards against cycling. Keeping the inverse from one
+solve to the next instead changes bounds and statuses of whole runs, so the
+refactorization at the start of each solve stays.
+
+A solve allocates its scratch vectors and the m x m outer-product buffer
+once and writes into them at every pivot. It keeps the mask of columns that
+may not enter (basic or sealed), the basic costs and the sealed basic rows
+up to date pivot by pivot; the ratio rule for sealed basic columns runs only
+while there is one.
 
 Column indices are stable until :meth:`SimplexSolver.compact`, which drops
 the sealed nonbasic columns, shifts the survivors down in order and returns
@@ -50,8 +58,6 @@ class SimplexSolver:
             self.n = 0
         else:
             self._A = np.ascontiguousarray(columns, dtype=np.float64)
-            if self._A.ndim != 2 or len(self._A) != self.m:
-                raise SimplexError(f"column block needs {self.m} rows")
             self.n = self._A.shape[1]
         cap = self._A.shape[1]
         self.cost = np.zeros(cap)
