@@ -98,9 +98,9 @@ def assert_same_outcome(out, ref):
         assert out.selection.tobytes() == ref.selection.tobytes()
 
 
-def oracle_case(m, n, seed, phase_one):
-    """Instance, duals and a machine order drawn from ``seed``; phase one
-    prices a zero-cost copy against small nonnegative duals."""
+@given(m=st.integers(1, 5), n=st.integers(2, 14), seed=st.integers(0, 2**16),
+       phase_one=st.booleans())
+def test_dantzig_round_matches_per_machine_dantzig_price_property(m, n, seed, phase_one):
     inst = random_instance(seed, m=m, n=n)
     if phase_one:
         inst = zero_cost(inst)
@@ -108,13 +108,7 @@ def oracle_case(m, n, seed, phase_one):
     pi, mu = random_duals(rng, inst)
     if phase_one:
         pi, mu = np.abs(pi) / 8, mu / 8
-    return inst, pi, mu, rng.permutation(m).tolist(), rng
-
-
-@given(m=st.integers(1, 5), n=st.integers(2, 14), seed=st.integers(0, 2**16),
-       phase_one=st.booleans())
-def test_dantzig_round_matches_per_machine_dantzig_price_property(m, n, seed, phase_one):
-    inst, pi, mu, order, _ = oracle_case(m, n, seed, phase_one)
+    order = rng.permutation(m).tolist()
     got = dantzig_round(inst, order, pi, mu, EPS)
     assert [out.machine for out in got] == order
     for out, i in zip(got, order):
