@@ -220,7 +220,7 @@ class SimplexSolver:
         A, cost, sealed, basis = self._A[:, :n], self.cost[:n], self.sealed, self.basis
         binv, xb = self._binv, self._xb
         # per-solve state: columns that may not enter, basic costs, and the
-        # basic columns that are sealed (only retirement leaves any)
+        # rows whose basic column is sealed
         skip = self.basic[:n] | sealed[:n]
         cb = cost[basis]
         sealed_basic = sealed[basis]
