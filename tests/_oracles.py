@@ -5,9 +5,10 @@ solver paths: column enumeration is plain bit arithmetic and the master LP
 reference goes through scipy's HiGHS interface. The frozen copies of earlier
 kernels (:func:`full_level_lex`, :class:`DenseSimplexReference`,
 :func:`sequential_lt_price`, :func:`per_machine_dantzig_price`,
-:func:`looped_lr_evaluate`) and LP builders
-(:class:`PerColumnMasterLp`, :func:`per_column_compact_lp`) are the
-references their rewrites must match bit for bit.
+:func:`looped_lr_evaluate`), LP builders
+(:class:`PerColumnMasterLp`, :func:`per_column_compact_lp`) and masters
+(:class:`ReconcilingMasterLp`) are the references their rewrites must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from scipy.optimize import linprog
 from gapcg.knapsack import KnapsackProblem, min_knapsack
 from gapcg.pricing import (DEFAULT_DELTA, LT_ABSOLUTE_FLOOR, LT_MAX_ITERATIONS,
                            LT_RELATIVE_GAP, PricingOutcome, similarity_vector)
-from gapcg.simplex import SimplexError, UnboundedError
+from gapcg.rmp import PHASE1_TOL, RmpSolution
+from gapcg.simplex import SimplexError, SimplexSolver, UnboundedError
 
 
 def subsets(n: int) -> np.ndarray:
@@ -530,3 +532,81 @@ def per_column_compact_lp(inst) -> DenseSimplexReference:
         arts.append(lp.add_column(e, 1.0))
     lp.set_basis(arts + slacks)
     return lp
+
+
+class ReconcilingMasterLp:
+    """The master LP kept apart from the column pool, reconciled at each sync.
+
+    A frozen copy of the master that held its own ``lp_col`` mirror of the
+    pool and walked the whole pool at every sync to add the new columns and
+    seal the dropped ones; :func:`reconciling_build_and_solve` is its solve.
+    The master the pool owns must reproduce it bit for bit.
+    """
+
+    def __init__(self, inst):
+        self.inst = inst
+        nj, ni = inst.num_jobs, inst.num_machines
+        self.lp = SimplexSolver(np.ones(nj + ni))
+        self.phase = 1
+        # -e_j and +e_j are written into zeros: negating +e_j would give -0.0
+        block = np.zeros((nj + ni, nj))
+        np.fill_diagonal(block, -1.0)
+        self.surplus = self.lp.add_columns(block, 0.0).tolist()
+        np.fill_diagonal(block, 1.0)
+        self.artificial = self.lp.add_columns(block, 1.0).tolist()  # relaxes an uncovered row
+        self.lp_col = {}
+
+    def sync(self, pool):
+        """Add the pool's new columns and drop its dead ones; the first call sets the basis."""
+        nj = self.inst.num_jobs
+        new = [col for col in pool.iter_columns() if col not in self.lp_col]
+        if new:
+            block = np.zeros((nj + self.inst.num_machines, len(new)))
+            block[:nj] = np.array([col.jobs for col in new]).T
+            block[nj + np.array([col.machine for col in new]), np.arange(len(new))] = 1.0
+            costs = 0.0 if self.phase == 1 else [col.cost for col in new]
+            self.lp_col.update(zip(new, self.lp.add_columns(block, costs).tolist()))
+        live = set(pool.iter_columns())
+        for col in [c for c in self.lp_col if c not in live]:
+            self.lp.seal_column(self.lp_col.pop(col))
+        if self.lp.basis is None:
+            seeds = [cols[0] for cols in pool.columns if cols and not cols[0].jobs.any()]
+            if len(seeds) < self.inst.num_machines:
+                raise ValueError("a machine lost its seeded empty column before the first solve")
+            self.lp.set_basis(self.artificial + [self.lp_col[col] for col in seeds])
+        remap = self.lp.compact()
+        if len(remap) == self.lp.n:
+            return
+        self.lp_col = {col: int(remap[j]) for col, j in self.lp_col.items()}
+        self.surplus = [int(remap[j]) for j in self.surplus]
+        # a retired artificial stays until it leaves the basis
+        self.artificial = [int(remap[j]) for j in self.artificial if remap[j] >= 0]
+
+    def to_phase2(self) -> int:
+        """Drop the artificials, install true costs, keep the basis warm."""
+        indices = list(self.lp_col.values())
+        pivots = self.lp.retire_columns(self.artificial, indices + self.surplus)
+        self.lp.set_cost(indices, [col.cost for col in self.lp_col])
+        self.phase = 2
+        return pivots
+
+    def extract(self, pivots: int) -> RmpSolution:
+        nj = self.inst.num_jobs
+        y = self.lp.duals()
+        x = self.lp.values()
+        basic = self.lp.basic
+        lam = {col: float(x[j]) for col, j in self.lp_col.items() if basic[j]}
+        return RmpSolution(objective=self.lp.objective(), lam=lam,
+                           pi=y[:nj].copy(), mu=y[nj:].copy(), pivots=pivots)
+
+
+def reconciling_build_and_solve(pool, master: ReconcilingMasterLp) -> RmpSolution:
+    """The two-argument master solve of :class:`ReconcilingMasterLp`, frozen."""
+    if master.inst is not pool.inst:
+        raise ValueError("master belongs to a different instance than the pool")
+    master.sync(pool)
+    pivots = master.lp.solve()
+    if master.phase == 1 and master.lp.objective() < PHASE1_TOL:
+        pivots += master.to_phase2()
+        pivots += master.lp.solve()
+    return master.extract(pivots)

@@ -1,16 +1,23 @@
 import itertools
 import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import PerColumnMasterLp, compact_lp_optimum, per_column_compact_lp
+from _oracles import (PerColumnMasterLp, ReconcilingMasterLp, compact_lp_optimum,
+                      per_column_compact_lp, reconciling_build_and_solve)
+from gapcg import rmp
+from gapcg.driver import CgConfig, run
 from gapcg.instance import GapInstance, GeneratorSpec, InfeasibleInstanceError, generate
 from gapcg.rmp import (AGE_POLICIES, Column, ColumnPool, MasterLp,
                        age_threshold, build_and_solve, extract_integer_solution,
                        manage_columns, project_primal, solve_compact_lp)
 from gapcg.simplex import SimplexSolver
+from test_properties import small_instances
 
 
 def make_pool(inst, columns):
@@ -387,3 +394,70 @@ def test_resolve_after_removal_is_pivot_free(toy_3x12):
     sol2 = build_and_solve(pool, master)
     assert sol2.pivots == 0
     assert sol2.objective == pytest.approx(sol.objective, abs=1e-7)
+
+
+# ------------------------------------------------ the frozen reconciling master
+
+def float_bytes(value):
+    return np.float64(value).tobytes()
+
+
+@contextmanager
+def reconciled_solves():
+    """Solve the frozen :class:`ReconcilingMasterLp` beside every master solve.
+
+    Each ``rmp.build_and_solve`` call of the runs inside is followed by a
+    solve of the frozen master over the same pool; both must leave the same
+    LP bytes and sealed columns and return the same objective, duals, pivots
+    and basic values, keys in the same order, bit for bit. Yields a list
+    that receives one entry per compared solve.
+    """
+    compared = []
+    frozen = {}  # pool -> the reconciling master that follows it
+    build_and_solve = rmp.build_and_solve
+
+    def checked(pool, *args):
+        sol = build_and_solve(pool, *args)
+        if pool not in frozen:
+            frozen[pool] = ReconcilingMasterLp(pool.inst)
+        master = frozen[pool]
+        ref = reconciling_build_and_solve(pool, master)
+        lp = args[0].lp
+        assert lp_bytes(lp) == lp_bytes(master.lp)
+        assert lp.sealed[: lp.n].tobytes() == master.lp.sealed[: master.lp.n].tobytes()
+        assert float_bytes(sol.objective) == float_bytes(ref.objective)
+        assert sol.pi.tobytes() == ref.pi.tobytes()
+        assert sol.mu.tobytes() == ref.mu.tobytes()
+        assert sol.pivots == ref.pivots
+        assert list(sol.lam) == list(ref.lam)
+        assert (np.array(list(sol.lam.values())).tobytes()
+                == np.array(list(ref.lam.values())).tobytes())
+        compared.append(sol)
+        return sol
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rmp, "build_and_solve", checked)
+        yield compared
+
+
+@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
+def test_master_matches_reconciling_master(method):
+    inst = generate(GeneratorSpec(num_machines=6, num_jobs=60, seed=7))
+    with reconciled_solves() as compared:
+        rep = run(inst, CgConfig(pricing_method=method))
+    assert len(compared) == len(rep.rows)
+    assert sum(r.columns_removed for r in rep.rows) > 0
+
+
+@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
+@settings(max_examples=40)
+@given(inst=small_instances(), tau=st.integers(1, 3))
+def test_master_matches_reconciling_master_property(method, inst, tau):
+    # short retention windows, so that columns leave the pool often
+    cfg = CgConfig(pricing_method=method, time_limit=60,
+                   age_policy_override=(0.0, 0.0, float(tau)))
+    with reconciled_solves():
+        try:
+            run(inst, cfg)
+        except InfeasibleInstanceError:
+            pass
