@@ -14,8 +14,8 @@ from .knapsack import (KnapsackProblem, KnapsackSolution, LexKnapsackProblem,
 from .lagrangian import lr_evaluate, lr_solve
 from .pricing import (LtState, PessoaState, PricingOutcome, dantzig_price,
                       lt_price, lt_round, mt_price, pessoa_round, similarity_class)
-from .rmp import (AGE_POLICIES, Column, ColumnPool, MasterLp, RmpSolution,
-                  age_threshold, build_and_solve, extract_integer_solution,
-                  manage_columns, project_primal, solve_compact_lp)
+from .rmp import (AGE_POLICIES, Column, ColumnPool, RmpSolution, age_threshold,
+                  build_and_solve, extract_integer_solution, manage_columns,
+                  project_primal, solve_compact_lp)
 
 __version__ = "0.1.0"

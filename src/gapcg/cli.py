@@ -205,23 +205,18 @@ def cmd_bench(args) -> int:
 
 
 def run_sweep(inst: instance.GapInstance, method: str, spec: SweepSpec,
-              base_cfg: driver.CgConfig, rel_tol: float = 0.01, abs_tol: float = 1.0,
-              time_fn=None):
+              base_cfg: driver.CgConfig, rel_tol: float = 0.01, abs_tol: float = 1.0):
     """Time the solver across age thresholds and pick the robust smallest.
 
-    ``time_fn(tau, seed) -> seconds`` may replace the real runs (testing).
     Returns ``(selected_tau, raw_times_per_tau, smoothed)``.
     """
     raw: list[list[float]] = []
     for tau in spec.tau_values:
         times = []
         for rep in range(spec.replications):
-            seed = base_cfg.seed + rep
-            if time_fn is not None:
-                times.append(min(float(time_fn(tau, seed)), spec.time_limit))
-                continue
             cfg = replace(base_cfg, pricing_method=method, time_limit=spec.time_limit,
-                          age_policy_override=(0.0, 0.0, float(tau)), seed=seed)
+                          age_policy_override=(0.0, 0.0, float(tau)),
+                          seed=base_cfg.seed + rep)
             t0 = time.perf_counter()
             driver.run(inst, cfg)
             times.append(min(time.perf_counter() - t0, spec.time_limit))

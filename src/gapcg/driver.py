@@ -3,9 +3,10 @@
 ``run`` executes the full loop for one instance and pricing method and
 returns a :class:`RunReport` with one row per iteration. Phase one is the
 same loop, priced against a zero-cost copy of the instance, until
-``rmp.build_and_solve`` hands the master to phase two; each row takes its
-phase from ``master.phase``. ``run_lr`` wraps the Lagrangian baseline into
-the same report shape; ``run`` dispatches to it for ``"lr"``.
+``rmp.build_and_solve`` hands the master to phase two. The column pool
+owns the master LP, so each row takes its phase from ``pool.phase``.
+``run_lr`` wraps the Lagrangian baseline into the same report shape;
+``run`` dispatches to it for ``"lr"``.
 
 Bounds bookkeeping: whenever an iteration priced with the true duals, the
 sum of negative minimum reduced costs added to the master objective is a
@@ -24,7 +25,7 @@ import numpy as np
 from . import lagrangian, pricing, rmp
 from .instance import GapInstance, InfeasibleInstanceError, validate
 from .pricing import DEFAULT_DELTA, LtState, PessoaState, PricingOutcome
-from .rmp import AGE_POLICIES, ColumnPool, MasterLp
+from .rmp import AGE_POLICIES, ColumnPool
 
 RC_CONVERGENCE_TOL = 1e-6
 CEIL_GUARD = 1e-9
@@ -171,7 +172,6 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     order = [int(i) for i in rng.permutation(inst.num_machines)]
 
     pool = ColumnPool(inst)
-    master = MasterLp(inst)
     bounds = Bounds()
     state = (LtState.fresh(inst.num_machines) if method == "lt" else
              PessoaState() if method == "pessoa" else None)
@@ -216,9 +216,9 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         it += 1
         pool.iteration = it
         t0 = time.perf_counter()
-        sol = rmp.build_and_solve(pool, master)
+        sol = rmp.build_and_solve(pool)
         rmp_time = time.perf_counter() - t0
-        phase = str(master.phase)
+        phase = str(pool.phase)
         priced = zero_cost if phase == "1" else inst
         # phase-one rows report the artificial sum, phase two the true scale
         objective = sol.objective + offset if phase == "2" else sol.objective

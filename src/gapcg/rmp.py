@@ -7,14 +7,16 @@ whose sum is minimized (phase one), starting from every cover row on its
 artificial and each machine on its seeded empty column. Within the
 :func:`build_and_solve` call whose phase-one objective reaches zero, the
 artificials are pivoted out and sealed and the true column costs installed
-(phase two). :class:`MasterLp` owns the LP, keyed by :class:`Column` object,
-and keeps its basis warm; a solution holds duals, pivots and basic values.
+(phase two). :class:`ColumnPool` owns both the columns and the LP, keyed by
+:class:`Column` object, and keeps its basis warm; a solution holds duals,
+pivots and basic values.
 
-The LP carries only live columns: after sealing the columns of dropped
-pool entries, every :meth:`MasterLp.sync` compacts the LP, which drops each
-sealed nonbasic column (a retired artificial too, once it has left the
-basis) and renumbers the rest. The LP indices held in ``lp_col``,
-``surplus`` and ``artificial`` change there and nowhere else.
+The LP carries only live columns: :meth:`ColumnPool.drop` seals a dropped
+column's LP column at once, and every :meth:`ColumnPool.sync` adds the new
+columns in pool order and compacts the LP, which drops each sealed nonbasic
+column (a retired artificial too, once it has left the basis) and renumbers
+the rest. The LP indices held in ``lp_col``, ``surplus`` and ``artificial``
+change there and nowhere else.
 """
 
 from __future__ import annotations
@@ -59,17 +61,28 @@ class RmpSolution:
 
 
 class ColumnPool:
-    """Per-machine column collections plus the iteration clock for ages."""
+    """Per-machine column collections, the iteration clock for ages, and the
+    master LP over the columns, kept warm across successive solves."""
 
     def __init__(self, inst: GapInstance):
         self.inst = inst
-        self.columns: list[list[Column]] = [[] for _ in range(inst.num_machines)]
+        nj, ni = inst.num_jobs, inst.num_machines
+        self.columns: list[list[Column]] = [[] for _ in range(ni)]
         self.iteration = 0
-        self._keys: list[set[bytes]] = [set() for _ in range(inst.num_machines)]
-        for i in range(inst.num_machines):
+        self._keys: list[set[bytes]] = [set() for _ in range(ni)]
+        self.lp = SimplexSolver(np.ones(nj + ni))
+        self.phase = 1
+        # -e_j and +e_j are written into zeros: negating +e_j would give -0.0
+        block = np.zeros((nj + ni, nj))
+        np.fill_diagonal(block, -1.0)
+        self.surplus = self.lp.add_columns(block, 0.0).tolist()
+        np.fill_diagonal(block, 1.0)
+        self.artificial = self.lp.add_columns(block, 1.0).tolist()  # relaxes an uncovered row
+        self.lp_col: dict[Column, int] = {}  # in ascending LP index order
+        for i in range(ni):
             # the empty assignment is always feasible and anchors the
             # convexity row before any real column exists
-            self.add(i, np.zeros(inst.num_jobs, dtype=bool))
+            self.add(i, np.zeros(nj, dtype=bool))
 
     def add(self, machine: int, jobs: np.ndarray) -> Column | None:
         """Insert a column; returns None when the same bit-vector already exists."""
@@ -95,41 +108,25 @@ class ColumnPool:
         return sum(len(cols) for cols in self.columns)
 
     def drop(self, col: Column):
+        """Remove a column; its LP column, if any, is sealed at once."""
+        if col in self.lp_col:
+            self.lp.seal_column(self.lp_col[col])
+            del self.lp_col[col]
         self.columns[col.machine].remove(col)
         self._keys[col.machine].discard(col.key())
 
-
-class MasterLp:
-    """The master LP of one instance, kept warm across successive solves."""
-
-    def __init__(self, inst: GapInstance):
-        self.inst = inst
-        nj, ni = inst.num_jobs, inst.num_machines
-        self.lp = SimplexSolver(np.ones(nj + ni))
-        self.phase = 1
-        # -e_j and +e_j are written into zeros: negating +e_j would give -0.0
-        block = np.zeros((nj + ni, nj))
-        np.fill_diagonal(block, -1.0)
-        self.surplus = self.lp.add_columns(block, 0.0).tolist()
-        np.fill_diagonal(block, 1.0)
-        self.artificial = self.lp.add_columns(block, 1.0).tolist()  # relaxes an uncovered row
-        self.lp_col: dict[Column, int] = {}
-
-    def sync(self, pool: ColumnPool):
-        """Add the pool's new columns and drop its dead ones; the first call sets the basis."""
+    def sync(self):
+        """Add the new columns to the LP and compact it; the first call sets the basis."""
         nj = self.inst.num_jobs
-        new = [col for col in pool.iter_columns() if col not in self.lp_col]
+        new = [col for col in self.iter_columns() if col not in self.lp_col]
         if new:
             block = np.zeros((nj + self.inst.num_machines, len(new)))
             block[:nj] = np.array([col.jobs for col in new]).T
             block[nj + np.array([col.machine for col in new]), np.arange(len(new))] = 1.0
             costs = 0.0 if self.phase == 1 else [col.cost for col in new]
             self.lp_col.update(zip(new, self.lp.add_columns(block, costs).tolist()))
-        live = set(pool.iter_columns())
-        for col in [c for c in self.lp_col if c not in live]:
-            self.lp.seal_column(self.lp_col.pop(col))
         if self.lp.basis is None:
-            seeds = [cols[0] for cols in pool.columns if cols and not cols[0].jobs.any()]
+            seeds = [cols[0] for cols in self.columns if cols and not cols[0].jobs.any()]
             if len(seeds) < self.inst.num_machines:
                 raise ValueError("a machine lost its seeded empty column before the first solve")
             self.lp.set_basis(self.artificial + [self.lp_col[col] for col in seeds])
@@ -159,30 +156,27 @@ class MasterLp:
                            pi=y[:nj].copy(), mu=y[nj:].copy(), pivots=pivots)
 
 
-def build_and_solve(pool: ColumnPool, master: MasterLp) -> RmpSolution:
+def build_and_solve(pool: ColumnPool) -> RmpSolution:
     """Solve the master over the pool's columns and return duals and pivots.
 
     Phase one minimizes the artificial-variable sum, column costs ignored; a
     phase-one solve that ends below ``PHASE1_TOL`` retires the artificials and
-    returns the phase-two solution (``master.phase`` tells which). ``master``
-    belongs to ``pool.inst`` and keeps its basis warm from one call to the next.
+    returns the phase-two solution (``pool.phase`` tells which). The pool's
+    LP keeps its basis warm from one call to the next.
     """
-    if master.inst is not pool.inst:
-        raise ValueError("master belongs to a different instance than the pool")
-    master.sync(pool)
-    pivots = master.lp.solve()
-    if master.phase == 1 and master.lp.objective() < PHASE1_TOL:
-        pivots += master.to_phase2()
-        pivots += master.lp.solve()
-    return master.extract(pivots)
+    pool.sync()
+    pivots = pool.lp.solve()
+    if pool.phase == 1 and pool.lp.objective() < PHASE1_TOL:
+        pivots += pool.to_phase2()
+        pivots += pool.lp.solve()
+    return pool.extract(pivots)
 
 
 def project_primal(sol: RmpSolution, pool: ColumnPool) -> np.ndarray:
     """Project the master solution onto per-machine job-fraction vectors in [0, 1]."""
     inst = pool.inst
     y = np.zeros((inst.num_machines, inst.num_jobs))
-    for col in pool.iter_columns():
-        weight = sol.lam.get(col, 0.0)
+    for col, weight in sol.lam.items():
         if weight > 0.0:
             y[col.machine][col.jobs] += weight
     if y.max(initial=0.0) > 1.0 + 1e-7:

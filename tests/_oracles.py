@@ -451,7 +451,8 @@ class DenseSimplexReference:
 
 
 class PerColumnMasterLp:
-    """``rmp.MasterLp`` as it built its LP one ``add_column`` call per column.
+    """The master LP that ``rmp.ColumnPool`` owns, as it was once built one
+    ``add_column`` call per column.
 
     ``__init__``, ``_entries`` and ``ensure_basis`` are the frozen copies;
     ``sync`` keeps only the loop that adds pool columns, the one part of it

@@ -44,36 +44,27 @@ def random_instance(seed: int, m: int = 3, n: int = 10) -> GapInstance:
 def removal_audit():
     """Re-solve the master after every column removal of the runs inside.
 
-    The audit first syncs the master, so the dropped columns have left the
+    The audit first syncs the pool, so the dropped columns have left the
     LP, and checks that none of them is still there. It yields a list that
     receives one ``(pivots, objective change)`` pair per re-solve; removing
     nonbasic columns from an optimal LP should need no pivot.
     """
     audits = []
-    current = []
     manage_columns = rmp.manage_columns
-
-    class RecordedMaster(driver.MasterLp):
-        def __init__(self, inst):
-            super().__init__(inst)
-            current[:] = [self]
 
     def audited(pool, sol, tau):
         kept_before = set(pool.iter_columns())
         removed = manage_columns(pool, sol, tau)
         if removed:
-            master, = current
-            assert master.inst is pool.inst
             dropped = kept_before - set(pool.iter_columns())
-            master.sync(pool)
-            assert dropped.isdisjoint(master.lp_col)
-            before = master.lp.objective()
-            pivots = master.lp.solve()
-            audits.append((pivots, master.lp.objective() - before))
+            pool.sync()
+            assert dropped.isdisjoint(pool.lp_col)
+            before = pool.lp.objective()
+            pivots = pool.lp.solve()
+            audits.append((pivots, pool.lp.objective() - before))
         return removed
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(driver, "MasterLp", RecordedMaster)
         patch.setattr(rmp, "manage_columns", audited)
         yield audits
 

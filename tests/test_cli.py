@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -356,23 +357,34 @@ def test_select_tau_one_second_tie():
     assert select_tau([1, 2], [11.1, 10.0]) == 2
 
 
-def test_run_sweep_with_injected_times(instance_file):
+def fake_timed_runs(monkeypatch, seconds):
+    """Replace the sweep's runs by ones that take ``seconds(tau)`` on a fake clock."""
+    clock = [0.0]
+
+    def fake_run(inst, cfg):
+        clock[0] += seconds(cfg.age_policy_override[2])
+
+    monkeypatch.setattr(cli.driver, "run", fake_run)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+
+def test_run_sweep_with_injected_times(monkeypatch):
     inst = generate(GeneratorSpec(num_machines=2, num_jobs=8, seed=1))
     spec = SweepSpec(tau_values=[5, 10, 20, 30, 40], replications=2,
                      time_limit=100.0, smoothing_window=3)
     table = {5: 10.0, 10: 3.0, 20: 3.01, 30: 3.2, 40: 9.0}
-    selected, per_tau, smoothed = run_sweep(inst, "lt", spec, CgConfig(),
-                                            time_fn=lambda tau, seed: table[tau])
+    fake_timed_runs(monkeypatch, lambda tau: table[tau])
+    selected, per_tau, smoothed = run_sweep(inst, "lt", spec, CgConfig())
     assert per_tau == pytest.approx(list(table.values()))
     assert selected == 20
 
 
-def test_run_sweep_counts_timeouts_at_limit(instance_file):
+def test_run_sweep_counts_timeouts_at_limit(monkeypatch):
     inst = generate(GeneratorSpec(num_machines=2, num_jobs=8, seed=1))
     spec = SweepSpec(tau_values=[1, 2, 3], replications=1, time_limit=5.0,
                      smoothing_window=3)
-    selected, per_tau, _ = run_sweep(inst, "lt", spec, CgConfig(),
-                                     time_fn=lambda tau, seed: 1e9)
+    fake_timed_runs(monkeypatch, lambda tau: 1e9)
+    selected, per_tau, _ = run_sweep(inst, "lt", spec, CgConfig())
     assert per_tau == pytest.approx([5.0, 5.0, 5.0])
     assert selected == 1
 

@@ -10,7 +10,7 @@ from gapcg.driver import Bounds, CgConfig, run, run_lr, update_bounds
 from gapcg.instance import (GapInstance, GeneratorSpec,
                             InfeasibleInstanceError, generate)
 from gapcg.pricing import PricingOutcome
-from gapcg.rmp import MasterLp
+from gapcg.rmp import ColumnPool
 from gapcg.simplex import SimplexSolver
 
 
@@ -133,10 +133,10 @@ def test_total_pivots_counts_every_master_pivot(toy_3x12, monkeypatch):
 def test_master_lp_carries_only_live_columns(monkeypatch):
     phases = []
 
-    class CheckedMaster(MasterLp):
-        def sync(self, pool):
-            super().sync(pool)
-            assert set(self.lp_col) == set(pool.iter_columns())
+    class CheckedPool(ColumnPool):
+        def sync(self):
+            super().sync()
+            assert set(self.lp_col) == set(self.iter_columns())
             assert self.lp.n == len(self.lp_col) + len(self.surplus) + len(self.artificial)
             if self.phase == 1:
                 assert len(self.artificial) == self.inst.num_jobs
@@ -144,7 +144,7 @@ def test_master_lp_carries_only_live_columns(monkeypatch):
                 assert self.artificial == []
             phases.append(self.phase)
 
-    monkeypatch.setattr(driver, "MasterLp", CheckedMaster)
+    monkeypatch.setattr(driver, "ColumnPool", CheckedPool)
     rep = run(generate(GeneratorSpec(num_machines=6, num_jobs=60, seed=7)),
               CgConfig(pricing_method="dantzig"))
     assert sum(r.columns_removed for r in rep.rows) > 0

@@ -13,10 +13,9 @@ from _oracles import (PerColumnMasterLp, ReconcilingMasterLp, compact_lp_optimum
 from gapcg import rmp
 from gapcg.driver import CgConfig, run
 from gapcg.instance import GapInstance, GeneratorSpec, InfeasibleInstanceError, generate
-from gapcg.rmp import (AGE_POLICIES, Column, ColumnPool, MasterLp,
-                       age_threshold, build_and_solve, extract_integer_solution,
+from gapcg.rmp import (AGE_POLICIES, Column, ColumnPool, age_threshold, build_and_solve, extract_integer_solution,
                        manage_columns, project_primal, solve_compact_lp)
-from gapcg.simplex import SimplexSolver
+from gapcg.simplex import SimplexError, SimplexSolver
 from test_properties import small_instances
 
 
@@ -67,9 +66,8 @@ def single_machine_instance():
 def test_single_machine_forced_basis():
     inst = single_machine_instance()
     pool = make_pool(inst, [(0, [1, 1, 1])])
-    master = MasterLp(inst)
-    sol = build_and_solve(pool, master)
-    assert master.phase == 2  # the covering solve handed off in the same call
+    sol = build_and_solve(pool)
+    assert pool.phase == 2  # the covering solve handed off in the same call
     assert sol.objective == pytest.approx(9.0)
     full = [c for c in pool.iter_columns() if c.jobs.all()][0]
     assert sol.lam.get(full, 0.0) == pytest.approx(1.0)
@@ -78,7 +76,7 @@ def test_single_machine_forced_basis():
 def test_empty_pool_phase1_objective_is_num_jobs():
     inst = single_machine_instance()
     pool = ColumnPool(inst)  # only the seeded empty column
-    sol = build_and_solve(pool, MasterLp(inst))
+    sol = build_and_solve(pool)
     assert sol.objective == pytest.approx(3.0)
     # phase-one duals price uncovered jobs at one
     assert sol.pi == pytest.approx(np.ones(3))
@@ -86,16 +84,10 @@ def test_empty_pool_phase1_objective_is_num_jobs():
 
 def test_uncoverable_pool_stays_in_phase1():
     inst = single_machine_instance()
-    master = MasterLp(inst)
-    sol = build_and_solve(ColumnPool(inst), master)
-    assert master.phase == 1
+    pool = ColumnPool(inst)
+    sol = build_and_solve(pool)
+    assert pool.phase == 1
     assert sol.objective == pytest.approx(3.0)
-
-
-def test_master_of_another_instance_is_rejected(toy_2x3):
-    twin = GapInstance(2, 3, toy_2x3.cost, toy_2x3.resource, toy_2x3.capacity)
-    with pytest.raises(ValueError):
-        build_and_solve(ColumnPool(toy_2x3), MasterLp(twin))
 
 
 def vertex_enumeration_oracle(inst, pool):
@@ -141,7 +133,7 @@ def test_two_machine_toy_matches_vertex_oracle(toy_2x3):
     pool = make_pool(toy_2x3, [
         (0, [1, 1, 0]), (0, [0, 1, 1]), (1, [1, 0, 0]), (1, [0, 0, 1]),
     ])
-    sol = build_and_solve(pool, MasterLp(toy_2x3))
+    sol = build_and_solve(pool)
     ref_obj, ref_duals = vertex_enumeration_oracle(toy_2x3, pool)
     assert sol.objective == pytest.approx(ref_obj, abs=1e-9)
     duals = np.concatenate([sol.pi, sol.mu])
@@ -152,12 +144,12 @@ def test_first_solve_needs_every_seeded_empty_column(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (1, [1, 0, 0])])
     pool.drop(pool.columns[1][0])
     with pytest.raises(ValueError, match="seeded empty column"):
-        build_and_solve(pool, MasterLp(toy_2x3))
+        build_and_solve(pool)
 
 
 def test_solution_invariants(toy_3x12):
     pool = covering_pool(toy_3x12, extras=10)
-    sol = build_and_solve(pool, MasterLp(toy_3x12))
+    sol = build_and_solve(pool)
     per_machine = {}
     for col in pool.iter_columns():
         per_machine.setdefault(col.machine, 0.0)
@@ -174,7 +166,7 @@ def test_solution_invariants(toy_3x12):
 
 def test_project_primal_integral(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (1, [0, 0, 1])])
-    sol = build_and_solve(pool, MasterLp(toy_2x3))
+    sol = build_and_solve(pool)
     templates = project_primal(sol, pool)
     ids = {c.key(): c for c in pool.iter_columns()}
     assert templates.shape == (2, 3)
@@ -188,7 +180,7 @@ def test_project_primal_integral(toy_2x3):
 def test_project_primal_convex_combination(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (0, [0, 1, 1]),
                                (1, [1, 0, 0]), (1, [0, 0, 1])])
-    sol = build_and_solve(pool, MasterLp(toy_2x3))
+    sol = build_and_solve(pool)
     # recompute by hand
     expect = np.zeros((2, 3))
     for col in pool.iter_columns():
@@ -300,7 +292,7 @@ def test_compact_lp_holds_its_column_block_once():
 
 def test_extract_integral_partition(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (1, [0, 0, 1])])
-    sol = build_and_solve(pool, MasterLp(toy_2x3))
+    sol = build_and_solve(pool)
     res = extract_integer_solution(sol, pool)
     assert res is not None
     assignment, ub = res
@@ -363,7 +355,7 @@ def lp_bytes(lp):
 ], ids=["seeded", "extra-columns"])
 def test_master_lp_matches_per_column_build(toy_3x12, pool_of, first_solve):
     pool = pool_of(toy_3x12)
-    build_and_solve(pool, MasterLp(toy_3x12))
+    build_and_solve(pool)
     reference = PerColumnMasterLp(toy_3x12)
     reference.sync(pool)
     reference.ensure_basis(pool)
@@ -386,14 +378,46 @@ def test_compact_lp_matches_per_column_build(inst, first_solve):
 def test_resolve_after_removal_is_pivot_free(toy_3x12):
     inst = toy_3x12
     pool = covering_pool(inst, seed=1, extras=25)
-    master = MasterLp(inst)
     pool.iteration = 5
-    sol = build_and_solve(pool, master)
+    sol = build_and_solve(pool)
     removed = manage_columns(pool, sol, tau=1)
     assert removed > 0
-    sol2 = build_and_solve(pool, master)
+    sol2 = build_and_solve(pool)
     assert sol2.pivots == 0
     assert sol2.objective == pytest.approx(sol.objective, abs=1e-7)
+
+
+def test_drop_seals_at_once_and_the_next_sync_compacts(toy_3x12):
+    pool = covering_pool(toy_3x12, seed=1, extras=25)
+    pool.iteration = 5
+    build_and_solve(pool)
+    sol = build_and_solve(pool)  # its sync compacts the retired artificials away
+    assert pool.phase == 2 and pool.artificial == []
+    in_lp, n = dict(pool.lp_col), pool.lp.n
+    removed = manage_columns(pool, sol, tau=1)
+    dropped = [col for col in in_lp if col not in pool.lp_col]
+    assert removed == len(dropped) > 0
+    assert all(pool.lp.sealed[in_lp[col]] for col in dropped)
+    assert pool.lp.n == n
+    pool.sync()
+    assert pool.lp.n == n - removed
+    # a column added and dropped between two syncs never enters the LP
+    col = pool.add(0, np.arange(toy_3x12.num_jobs) == 0)
+    assert col is not None
+    pool.drop(col)
+    pool.sync()
+    assert pool.lp.n == n - removed
+    assert col not in pool.lp_col
+
+
+def test_drop_that_cannot_seal_leaves_the_pool_unchanged(toy_3x12):
+    pool = covering_pool(toy_3x12, seed=1, extras=25)
+    sol = build_and_solve(pool)
+    col = next(col for col, value in sol.lam.items() if value > 1e-6)
+    with pytest.raises(SimplexError):
+        pool.drop(col)
+    assert col in pool.columns[col.machine] and col in pool.lp_col
+    assert pool.add(col.machine, col.jobs) is None
 
 
 # ------------------------------------------------ the frozen reconciling master
@@ -416,13 +440,13 @@ def reconciled_solves():
     frozen = {}  # pool -> the reconciling master that follows it
     build_and_solve = rmp.build_and_solve
 
-    def checked(pool, *args):
-        sol = build_and_solve(pool, *args)
+    def checked(pool):
+        sol = build_and_solve(pool)
         if pool not in frozen:
             frozen[pool] = ReconcilingMasterLp(pool.inst)
         master = frozen[pool]
         ref = reconciling_build_and_solve(pool, master)
-        lp = args[0].lp
+        lp = pool.lp
         assert lp_bytes(lp) == lp_bytes(master.lp)
         assert lp.sealed[: lp.n].tobytes() == master.lp.sealed[: master.lp.n].tobytes()
         assert float_bytes(sol.objective) == float_bytes(ref.objective)
