@@ -5,7 +5,7 @@ solver paths: column enumeration is plain bit arithmetic and the master LP
 reference goes through scipy's HiGHS interface. The frozen copies of earlier
 kernels (:func:`full_level_lex`, :class:`DenseSimplexReference`,
 :func:`sequential_lt_price`, :func:`per_machine_dantzig_price`,
-:func:`looped_lr_evaluate`), LP builders
+:func:`looped_lr_evaluate`, :func:`pool_walk_project_primal`), LP builders
 (:class:`PerColumnMasterLp`, :func:`per_column_compact_lp`) and masters
 (:class:`ReconcilingMasterLp`) are the references their rewrites must match
 bit for bit.
@@ -533,6 +533,20 @@ def per_column_compact_lp(inst) -> DenseSimplexReference:
         arts.append(lp.add_column(e, 1.0))
     lp.set_basis(arts + slacks)
     return lp
+
+
+def pool_walk_project_primal(sol, pool) -> np.ndarray:
+    """``rmp.project_primal`` as it walked the whole pool, looking each
+    column up in the solution, frozen."""
+    inst = pool.inst
+    y = np.zeros((inst.num_machines, inst.num_jobs))
+    for col in pool.iter_columns():
+        weight = sol.lam.get(col, 0.0)
+        if weight > 0.0:
+            y[col.machine][col.jobs] += weight
+    if y.max(initial=0.0) > 1.0 + 1e-7:
+        raise AssertionError(f"projected entry {y.max():.9f} above 1")
+    return np.clip(y, 0.0, 1.0)
 
 
 class ReconcilingMasterLp:

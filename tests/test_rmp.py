@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (PerColumnMasterLp, ReconcilingMasterLp, compact_lp_optimum,
-                      per_column_compact_lp, reconciling_build_and_solve)
+                      per_column_compact_lp, pool_walk_project_primal,
+                      reconciling_build_and_solve)
 from gapcg import rmp
 from gapcg.driver import CgConfig, run
 from gapcg.instance import GapInstance, GeneratorSpec, InfeasibleInstanceError, generate
@@ -189,6 +190,25 @@ def test_project_primal_convex_combination(toy_2x3):
     assert np.allclose(templates, np.clip(expect, 0, 1), atol=1e-9)
     cover = templates.sum(axis=0)
     assert (cover >= 1 - 1e-6).all()
+
+
+@pytest.mark.parametrize("method", ["lt", "mt"])
+def test_project_primal_matches_pool_walk(method, monkeypatch):
+    # the basic columns of one machine come in pool order, so each row sums
+    # its weights in the order the walk over the whole pool did
+    inst = generate(GeneratorSpec(num_machines=6, num_jobs=60, seed=7))
+    compared = []
+    project = rmp.project_primal
+
+    def checked(sol, pool):
+        templates = project(sol, pool)
+        assert templates.tobytes() == pool_walk_project_primal(sol, pool).tobytes()
+        compared.append(templates)
+        return templates
+
+    monkeypatch.setattr(rmp, "project_primal", checked)
+    run(inst, CgConfig(pricing_method=method))
+    assert compared
 
 
 # -------------------------------------------------------------- manage_columns
