@@ -15,8 +15,8 @@ The LP carries only live columns: :meth:`ColumnPool.drop` seals a dropped
 column's LP column at once, and every :meth:`ColumnPool.sync` adds the new
 columns in pool order and compacts the LP, which drops each sealed nonbasic
 column (a retired artificial too, once it has left the basis) and renumbers
-the rest. The LP indices held in ``lp_col``, ``surplus`` and ``artificial``
-change there and nowhere else.
+the rest. The LP indices held in ``lp_col`` and ``artificial`` change there
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ class ColumnPool:
         # -e_j and +e_j are written into zeros: negating +e_j would give -0.0
         block = np.zeros((nj + ni, nj))
         np.fill_diagonal(block, -1.0)
+        # the surplus columns come first and are never sealed, so no
+        # compaction moves them
         self.surplus = self.lp.add_columns(block, 0.0).tolist()
         np.fill_diagonal(block, 1.0)
         self.artificial = self.lp.add_columns(block, 1.0).tolist()  # relaxes an uncovered row
@@ -134,7 +136,6 @@ class ColumnPool:
         if len(remap) == self.lp.n:
             return
         self.lp_col = {col: int(remap[j]) for col, j in self.lp_col.items()}
-        self.surplus = [int(remap[j]) for j in self.surplus]
         # a retired artificial stays until it leaves the basis
         self.artificial = [int(remap[j]) for j in self.artificial if remap[j] >= 0]
 
