@@ -6,9 +6,13 @@ Three dynamic programs over integer capacities with real objective values:
   constraint. Items with nonnegative profit are never selected (ties at
   zero resolve to not-selected), so the empty selection is the worst case.
 * :func:`min_knapsack_batch` solves one such problem per row of an (m, n)
-  batch, one DP over item positions per group of rows (groups bound the
-  traceback memory), row for row bit-identical to :func:`min_knapsack`:
-  whole rounds (LT steps, LR and Pessoa) use it.
+  batch, row for row bit-identical to :func:`min_knapsack`: whole rounds
+  (Dantzig, LT steps, LR and Pessoa) use it. One DP over item positions
+  serves a group of rows; its table is one flat array of rows padded with
+  +inf, so a DP step is four numpy calls over contiguous memory (a window
+  gather, a per-cell profit add, the take bits, ``np.fmin``). Byte budgets
+  bound the take bits a group holds and the per-cell profits it writes at
+  a time.
 * :func:`lex_knapsack` maximizes a per-item score in {-1, 0, +1} subject
   to the capacity constraint and an upper budget on the reduced-cost sum,
   breaking ties among score-optimal selections by minimum reduced cost.
@@ -92,26 +96,31 @@ def min_knapsack(p: KnapsackProblem) -> KnapsackSolution:
     selection = np.zeros(n, dtype=bool)
     selection[(p.weight == 0) & (p.profit < 0)] = True
     cand = np.flatnonzero((p.profit < 0) & (p.weight > 0) & (p.weight <= p.capacity))
-    if cand.size:
-        cap = int(min(p.capacity, p.weight[cand].sum()))
-        dp = np.zeros(cap + 1)
-        take = np.zeros((cand.size, cap + 1), dtype=bool)
-        for k, j in enumerate(cand):
-            w = int(p.weight[j])
-            with_item = dp[: cap + 1 - w] + p.profit[j]
-            better = with_item < dp[w:]  # strict: ties resolve to not-selected
-            take[k, w:] = better
-            np.copyto(dp[w:], with_item, where=better)
-        w = cap
-        for k in range(cand.size - 1, -1, -1):
-            if take[k, w]:
-                j = int(cand[k])
-                selection[j] = True
-                w -= int(p.weight[j])
-    return KnapsackSolution(value=float(p.profit[selection].sum()), selection=selection)
+    # the inf arithmetic of +-inf and +-1e308 profits is meant: two -1e308
+    # profits overflow to -inf, and -inf stays -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cand.size:
+            cap = int(min(p.capacity, p.weight[cand].sum()))
+            dp = np.zeros(cap + 1)
+            take = np.zeros((cand.size, cap + 1), dtype=bool)
+            for k, j in enumerate(cand):
+                w = int(p.weight[j])
+                with_item = dp[: cap + 1 - w] + p.profit[j]
+                better = with_item < dp[w:]  # strict: ties resolve to not-selected
+                take[k, w:] = better
+                np.copyto(dp[w:], with_item, where=better)
+            w = cap
+            for k in range(cand.size - 1, -1, -1):
+                if take[k, w]:
+                    j = int(cand[k])
+                    selection[j] = True
+                    w -= int(p.weight[j])
+        value = float(p.profit[selection].sum())
+    return KnapsackSolution(value=value, selection=selection)
 
 
-_TAKE_CELLS = 1 << 22  # traceback cells (one byte each) one batched DP pass may hold
+_GROUP_BYTES = 1 << 22  # take bytes (one per step and table cell) a group of rows may hold
+_PROFIT_BYTES = 1 << 16  # per-cell profits a group holds at a time, one step's at least
 
 
 def min_knapsack_batch(profit, weight, capacity):
@@ -120,11 +129,24 @@ def min_knapsack_batch(profit, weight, capacity):
     Returns a list of m values and an (m, n) selection mask; row r of both is
     bit-identical to ``min_knapsack`` on row r. One DP over item positions
     serves a group of consecutive rows: step k offers each row its k-th
-    candidate in item order, gathering ``dp[c - w]`` from a row padded with
-    +inf, and a row out of candidates gets +inf profit, which improves no
-    cell. A group's traceback table (steps x rows x capped capacity) stays
-    within ``_TAKE_CELLS`` unless one row alone needs more, so a call holds
-    about that much more than one :func:`min_knapsack` call, whatever m is.
+    candidate in item order, and a row out of candidates gets +inf profit,
+    which improves no cell. The group's DP is one flat table, row after row,
+    each row ``pad`` cells of +inf (``pad`` the largest candidate weight)
+    followed by its capacities ``0..width-1``. A step runs four numpy calls
+    over the whole table, pads included: it gathers each row's window
+    shifted down by the row's weight, so a capacity cell c reads
+    ``dp[c - w]`` (a pad when c < w); adds a per-cell profit, +inf on the
+    pads, which keeps them +inf whatever the window brought in; records
+    ``with_item < dp`` as the take bit; and keeps the minimum with
+    ``np.fmin``. That minimum is the one :func:`min_knapsack` keeps: strict
+    ties keep ``dp``, no -0.0 arises (every candidate profit is below zero
+    and ``dp`` starts at +0.0), and ``fmin`` ignores the NaN that +inf plus
+    a -inf profit gives, where ``np.minimum`` would spread it. The traceback
+    walks integer offsets into the take bits. A group's take bytes (one per
+    step and cell) stay within ``_GROUP_BYTES`` unless one row alone needs
+    more, and its per-cell profits are written ``_PROFIT_BYTES`` at a time,
+    so a call holds about that much more than one :func:`min_knapsack`
+    call, whatever m is.
     """
     profit = np.asarray(profit, dtype=np.float64)
     weight = np.asarray(weight, dtype=np.int64)
@@ -134,17 +156,25 @@ def min_knapsack_batch(profit, weight, capacity):
         raise ValueError("profit and weight must be (m, n) and capacity (m,)")
     if (weight < 0).any() or (capacity < 0).any():
         raise ValueError("weights and capacity must be nonnegative")
-    selection = (weight == 0) & (profit < 0)
-    cand = (profit < 0) & (weight > 0) & (weight <= capacity[:, None])
+    negative = profit < 0
+    selection = negative & (weight == 0)  # taken up front
+    cand = (negative & (weight <= capacity[:, None])) ^ selection  # the others that fit
     count = cand.sum(axis=1)
-    caps = np.minimum(capacity, np.where(cand, weight, 0).sum(axis=1))
-    row_cells = int(count.max(initial=0)) * (int(caps.max(initial=0)) + 1)
-    group_rows = max(1, _TAKE_CELLS // max(row_cells, 1))
-    for start in range(0, m, group_rows):
-        group = slice(start, start + group_rows)
-        _batch_dp(profit[group], weight[group], cand[group], count[group], caps[group],
-                  selection[group])
-    return [float(profit[r][selection[r]].sum()) for r in range(m)], selection
+    live_weight = weight * cand
+    caps = np.minimum(capacity, live_weight.sum(axis=1))
+    row_cells = int(count.max(initial=0)) * (int(live_weight.max(initial=0))
+                                             + int(caps.max(initial=0)) + 1)
+    group_rows = max(1, _GROUP_BYTES // max(row_cells, 1))
+    # the inf arithmetic is meant, as in min_knapsack; +inf plus -inf gives
+    # the NaN that fmin ignores
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, group_rows):
+            group = slice(start, start + group_rows)
+            _batch_dp(profit[group], weight[group], cand[group], count[group], caps[group],
+                      selection[group])
+        # np.add.reduce is ndarray.sum without its Python wrapper: the same sum
+        return ([float(np.add.reduce(row[sel])) for row, sel in zip(profit, selection)],
+                selection)
 
 
 def _batch_dp(profit, weight, cand, count, caps, selection):
@@ -153,27 +183,46 @@ def _batch_dp(profit, weight, cand, count, caps, selection):
     steps = int(count.max(initial=0))
     if not steps:
         return
-    rows = np.arange(len(count))
-    order = np.argsort(~cand, axis=1, kind="stable")[:, :steps]  # candidates first
-    live = np.arange(steps) < count[:, None]
-    p = np.where(live, profit[rows[:, None], order], np.inf)
-    w = np.where(live, weight[rows[:, None], order], 0)
-    width = int(caps.max()) + 1
-    table = np.zeros((len(rows), 2 * width - 1))  # row r: +inf padding, then dp[r, :width]
-    table[:, : width - 1] = np.inf
-    dp = table[:, width - 1 :]
-    cells = (rows * (2 * width - 1) + width - 1)[:, None] + np.arange(width)
-    take = np.empty((steps, len(rows), width), dtype=bool)
-    for k in range(steps):
-        with_item = table.take(cells - w[:, k, None]) + p[:, k, None]
-        np.less(with_item, dp, out=take[k])  # strict: ties resolve to not-selected
-        np.copyto(dp, with_item, where=take[k])
-    items, weights = order.tolist(), w.tolist()
-    for r, (c, kr) in enumerate(zip(caps.tolist(), count.tolist())):
+    rows, n = profit.shape
+    order = np.argsort(~cand, axis=1, kind="stable")[:, :steps].T  # candidates first
+    live = np.arange(steps)[:, None] < count
+    row = np.arange(rows)
+    w = np.where(live, weight[row, order], 0)  # (steps, rows)
+    pad, width = int(w.max()), int(caps.max()) + 1
+    stride = pad + width
+    cells = rows * stride
+    # one more pad in front, for row 0's windows to reach into
+    flat = np.full(pad + cells, np.inf)
+    table = flat[pad:].reshape(rows, stride)
+    table[:, pad:] = 0.0
+    windows = np.ndarray((pad + cells - stride + 1, stride), buffer=flat,
+                         strides=flat.strides * 2)
+    starts = (row * stride + pad) - w  # step k, row r: the window of dp[c - w]
+    # per-cell profits, +inf on the pads, for up to `chunk` steps at a time
+    chunk = max(1, _PROFIT_BYTES // (8 * cells))
+    p = np.full((min(chunk, steps), rows, stride), np.inf)
+    step_profit = np.where(live, profit[row, order], np.inf)[:, :, None]
+    take = np.empty((steps, rows, stride), dtype=bool)
+    for first in range(0, steps, chunk):
+        block = slice(first, first + chunk)
+        profits = step_profit[block]
+        p[: len(profits), :, pad:] = profits
+        for start, add, bit in zip(starts[block], p, take[block]):
+            with_item = windows[start]
+            with_item += add
+            np.less(with_item, table, out=bit)  # strict: ties resolve to not-selected
+            np.fmin(table, with_item, out=table)
+    bits = memoryview(take.reshape(-1))
+    chosen = []
+    for r, (c, kr, items, weights) in enumerate(zip(caps.tolist(), count.tolist(),
+                                                    order.T.tolist(), w.T.tolist())):
+        at = (kr - 1) * cells + r * stride + pad + c
         for k in range(kr - 1, -1, -1):
-            if take[k, r, c]:
-                selection[r, items[r][k]] = True
-                c -= weights[r][k]
+            if bits[at]:
+                chosen.append(r * n + items[k])
+                at -= weights[k]
+            at -= cells
+    selection.flat[chosen] = True
 
 
 def lex_knapsack(p: LexKnapsackProblem):

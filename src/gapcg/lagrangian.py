@@ -34,7 +34,7 @@ class LrState:
     pi: np.ndarray
     best_bound: float = -np.inf
     best_pi: np.ndarray | None = None
-    memory: deque = field(default_factory=lambda: deque(maxlen=MEMORY))
+    memory: deque = field(default_factory=lambda: deque(maxlen=MEMORY))  # (s, y, rho)
 
 
 @dataclass
@@ -55,20 +55,21 @@ def lr_evaluate(inst, pi):
 
 
 def _two_loop(grad, memory):
-    """Quasi-Newton ascent direction H*grad from the stored (s, y) pairs."""
+    """Quasi-Newton ascent direction H*grad from the stored ``(s, y, rho)``
+    triples, ``rho = 1 / (y . s)`` computed once when the pair is stored."""
     q = grad.copy()
+    scratch = np.empty_like(q)  # a*y and (a-b)*s, one at a time
     alphas = []
-    for s, y in reversed(memory):
-        rho = 1.0 / float(y @ s)
+    for s, y, rho in reversed(memory):
         a = rho * float(s @ q)
-        q -= a * y
-        alphas.append((rho, a, s, y))
+        q -= np.multiply(a, y, out=scratch)
+        alphas.append(a)
     if memory:
-        s, y = memory[-1]
+        s, y, _ = memory[-1]
         q *= float(s @ y) / float(y @ y)
-    for rho, a, s, y in reversed(alphas):
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
         b = rho * float(y @ q)
-        q += (a - b) * s
+        q += np.multiply(a - b, s, out=scratch)
     return q
 
 
@@ -147,7 +148,7 @@ def lr_solve(inst, time_limit: float = 600.0):
         s = cand_pi - state.pi
         y = -(cand_grad - grad)  # curvature pair for the concave objective
         if float(s @ y) > 1e-10:
-            state.memory.append((s, y))
+            state.memory.append((s, y, 1.0 / float(y @ s)))
         state.pi, value, grad = cand_pi, cand_value, cand_grad
         if accepted:
             delta = value - last_accepted_value

@@ -136,15 +136,16 @@ def _lt_search(inst, i: int, y_i, pi, mu_i: float, eps: float, state: LtState | 
     if dantzig_rc > -eps:
         return PricingOutcome(machine=i, selection=None, dantzig_rc=dantzig_rc)
     f = similarity_vector(y_i, delta)
+    minus_f = (-f).astype(np.float64)
     budget = mu_i - eps
     lo, up = 0.0, math.inf
     alpha = float(state.alpha_warm[i]) if state is not None else 0.5
     best = None  # (sim, rc, selection) with max sim then min rc
     proof_fired = False
     for _ in range(LT_MAX_ITERATIONS):
-        value, x = yield -f + alpha * rc_coeff
-        rc_x = float(rc_coeff[x].sum())
-        sim_x = int(f[x].sum())
+        value, x = yield minus_f + alpha * rc_coeff
+        rc_x = float(np.add.reduce(rc_coeff[x]))  # ndarray.sum without its wrapper
+        sim_x = int(f @ x)
         member = rc_x <= budget
         if trace is not None:
             trace.append((alpha, lo, up, member))
@@ -200,16 +201,20 @@ def lt_round(inst, machines, templates, pi, mu, eps: float, state: LtState | Non
                 for i in machines}
     profits = {i: next(search) for i, search in searches.items()}
     outcomes = {}
+    rows = None
     while profits:
-        rows = list(profits)
+        if rows is None:  # the searching machines changed
+            rows = list(profits)
+            weight, capacity = inst.resource[rows], inst.capacity[rows]
         values, selections = min_knapsack_batch(np.array([profits[i] for i in rows]),
-                                                inst.resource[rows], inst.capacity[rows])
+                                                weight, capacity)
         for k, i in enumerate(rows):
             try:
                 profits[i] = searches[i].send((values[k], selections[k]))
             except StopIteration as done:
                 del profits[i]
                 outcomes[i] = done.value
+                rows = None
     return [outcomes[i] for i in machines]
 
 

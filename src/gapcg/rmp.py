@@ -12,17 +12,18 @@ artificials are pivoted out and sealed and the true column costs installed
 pivots and basic values.
 
 The LP carries only live columns: :meth:`ColumnPool.drop` seals a dropped
-column's LP column at once, and every :meth:`ColumnPool.sync` adds the new
-columns in pool order and compacts the LP, which drops each sealed nonbasic
-column (a retired artificial too, once it has left the basis) and renumbers
-the rest. The LP indices held in ``lp_col`` and ``artificial`` change there
-and nowhere else.
+column's LP column at once, and every :meth:`ColumnPool.sync` adds the
+columns added since the last sync, in pool order, and compacts the LP, which
+drops each sealed nonbasic column (a retired artificial too, once it has
+left the basis) and renumbers the rest. The LP indices held in ``lp_col``
+and ``artificial`` change there and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -81,6 +82,7 @@ class ColumnPool:
         np.fill_diagonal(block, 1.0)
         self.artificial = self.lp.add_columns(block, 1.0).tolist()  # relaxes an uncovered row
         self.lp_col: dict[Column, int] = {}  # in ascending LP index order
+        self._unsynced: dict[Column, None] = {}  # added since the last sync, in order
         for i in range(ni):
             # the empty assignment is always feasible and anchors the
             # convexity row before any real column exists
@@ -100,6 +102,7 @@ class ColumnPool:
                      age=self.iteration)
         self.columns[machine].append(col)
         self._keys[machine].add(key)
+        self._unsynced[col] = None
         return col
 
     def iter_columns(self):
@@ -114,13 +117,17 @@ class ColumnPool:
         if col in self.lp_col:
             self.lp.seal_column(self.lp_col[col])
             del self.lp_col[col]
+        else:
+            self._unsynced.pop(col, None)
         self.columns[col.machine].remove(col)
         self._keys[col.machine].discard(col.key())
 
     def sync(self):
         """Add the new columns to the LP and compact it; the first call sets the basis."""
         nj = self.inst.num_jobs
-        new = [col for col in self.iter_columns() if col not in self.lp_col]
+        # each machine's columns sit in the pool in the order they were added
+        new = sorted(self._unsynced, key=attrgetter("machine"))
+        self._unsynced.clear()
         if new:
             block = np.zeros((nj + self.inst.num_machines, len(new)))
             block[:nj] = np.array([col.jobs for col in new]).T
@@ -135,7 +142,8 @@ class ColumnPool:
         remap = self.lp.compact()
         if len(remap) == self.lp.n:
             return
-        self.lp_col = {col: int(remap[j]) for col, j in self.lp_col.items()}
+        index = np.fromiter(self.lp_col.values(), np.int64, len(self.lp_col))
+        self.lp_col = dict(zip(self.lp_col, remap[index].tolist()))
         # a retired artificial stays until it leaves the basis
         self.artificial = [int(remap[j]) for j in self.artificial if remap[j] >= 0]
 
@@ -196,7 +204,8 @@ def manage_columns(pool: ColumnPool, sol: RmpSolution, tau: int) -> int:
     t = pool.iteration
     for col in sol.lam:
         col.age = t
-    stale = [col for col in pool.iter_columns() if col.age < t - tau]
+    oldest = t - tau
+    stale = [col for cols in pool.columns for col in cols if col.age < oldest]
     for col in stale:
         pool.drop(col)
     return len(stale)

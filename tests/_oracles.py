@@ -5,7 +5,8 @@ solver paths: column enumeration is plain bit arithmetic and the master LP
 reference goes through scipy's HiGHS interface. The frozen copies of earlier
 kernels (:func:`full_level_lex`, :class:`DenseSimplexReference`,
 :func:`sequential_lt_price`, :func:`per_machine_dantzig_price`,
-:func:`looped_lr_evaluate`, :func:`pool_walk_project_primal`), LP builders
+:func:`looped_lr_evaluate`, :func:`recomputing_two_loop`,
+:func:`pool_walk_project_primal`), LP builders
 (:class:`PerColumnMasterLp`, :func:`per_column_compact_lp`) and masters
 (:class:`ReconcilingMasterLp`) are the references their rewrites must match
 bit for bit.
@@ -244,6 +245,26 @@ def looped_lr_evaluate(inst, pi):
         coverage += sol.selection
         selections.append(sol.selection)
     return value, 1.0 - coverage, selections
+
+
+def recomputing_two_loop(grad, memory):
+    """``lagrangian._two_loop`` as it recomputed ``rho = 1 / (y . s)`` for
+    every stored ``(s, y)`` pair on every call, frozen."""
+    q = grad.copy()
+    alphas = []
+    for s, y in reversed(memory):
+        rho = 1.0 / float(y @ s)
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append((rho, a, s, y))
+    if memory:
+        s, y = memory[-1]
+        q *= float(s @ y) / float(y @ y)
+    for rho, a, s, y in reversed(alphas):
+        b = rho * float(y @ q)
+        q += (a - b) * s
+    return q
+
 
 # tolerances of DenseSimplexReference, frozen at their values when it was copied
 _PRICE_TOL = 1e-9

@@ -80,27 +80,40 @@ def test_min_knapsack_capacity_monotone():
 
 @st.composite
 def knapsack_batches(draw):
-    """Up to six rows over a shared item count. Each row's profits are ties
-    (repeated values, exact zeros), sevenths or normal floats (whose sums
-    depend on the order they are added in), or nonnegative (no candidate).
-    Weights include zeros; capacities include zero and differ by row."""
+    """Up to six rows over a shared item count, single rows included. Each
+    row's profits are ties (repeated values, exact zeros), sevenths or normal
+    floats (whose sums depend on the order they are added in), nonnegative
+    (no candidate), or extremes (+-inf, +-1e308 and finite values: the inf
+    arithmetic and the overflow of the DP). Weights include zeros and reach
+    the row's capacity, so a heavy candidate makes the padding wide;
+    capacities run from 0 to 200 and differ by row."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(0, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(["tied", "sevenths", "normal", "no candidate"]),
-                          min_size=m, max_size=m))
+    kinds = draw(st.lists(st.sampled_from(["tied", "sevenths", "normal", "no candidate",
+                                           "extreme"]), min_size=m, max_size=m))
     profit = np.array([{"tied": rng.choice([-3.0, -2.5, -1.0, -0.5, 0.0, 1.0], n),
                         "sevenths": rng.integers(-140, 141, n) / 7,
                         "normal": rng.normal(-2, 8, n),
-                        "no candidate": rng.uniform(0, 5, n)}[kind] for kind in kinds])
-    capacity = draw(st.lists(st.one_of(st.just(0), st.integers(0, 30)), min_size=m, max_size=m))
-    return profit.reshape(m, n), rng.integers(0, 8, (m, n)), np.array(capacity)
+                        "no candidate": rng.uniform(0, 5, n),
+                        "extreme": rng.choice([-np.inf, np.inf, -1e308, 1e308, -1.0, 0.0], n),
+                        }[kind] for kind in kinds])
+    capacity = np.array(draw(st.lists(st.one_of(st.just(0), st.integers(0, 30),
+                                                st.integers(0, 200)),
+                                      min_size=m, max_size=m)))
+    heavy = draw(st.sampled_from(["small", "up to capacity"]))
+    if heavy == "small":
+        weight = rng.integers(0, 8, (m, n))
+    else:
+        weight = rng.integers(0, capacity[:, None] + 1, (m, n))
+    return profit.reshape(m, n), weight, capacity
 
 
-@given(batch=knapsack_batches(), take_cells=st.sampled_from([1, 60, knapsack._TAKE_CELLS]))
-def test_min_knapsack_batch_matches_min_knapsack_row_by_row(batch, take_cells):
-    # small traceback budgets split the rows into groups, down to one row each
+@given(batch=knapsack_batches(),
+       group_bytes=st.sampled_from([1, 600, knapsack._GROUP_BYTES]))
+def test_min_knapsack_batch_matches_min_knapsack_row_by_row(batch, group_bytes):
+    # small DP byte budgets split the rows into groups, down to one row each
     profit, weight, capacity = batch
-    with patch.object(knapsack, "_TAKE_CELLS", take_cells):
+    with patch.object(knapsack, "_GROUP_BYTES", group_bytes):
         values, selection = min_knapsack_batch(profit, weight, capacity)
     assert selection.shape == profit.shape and len(values) == len(capacity)
     for r in range(len(capacity)):
@@ -108,6 +121,16 @@ def test_min_knapsack_batch_matches_min_knapsack_row_by_row(batch, take_cells):
         assert type(values[r]) is float
         assert np.float64(values[r]).tobytes() == np.float64(ref.value).tobytes()
         assert selection[r].tobytes() == ref.selection.tobytes()
+
+
+def test_min_knapsack_batch_minus_inf_row_leaves_next_rows_pads_at_inf():
+    # row 0 reaches -inf at its top capacity, where row 1's pads gather
+    # from; +inf there plus -inf is NaN, which the DP must not keep
+    profit = np.array([[-np.inf, -2.0, -np.inf, -np.inf], [-2.0, -1.0, -2.0, -np.inf]])
+    weight = np.array([[4, 4, 4, 1], [1, 2, 3, 4]])
+    values, selection = min_knapsack_batch(profit, weight, np.array([1, 4]))
+    assert values == [-np.inf, -np.inf]
+    assert selection.tolist() == [[False, False, False, True], [False, False, False, True]]
 
 
 def test_min_knapsack_batch_memory_does_not_grow_with_rows():

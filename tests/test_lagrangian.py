@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import looped_lr_evaluate, master_lp_optimum
+from _oracles import looped_lr_evaluate, master_lp_optimum, recomputing_two_loop
 from conftest import random_instance
 from gapcg.instance import GapInstance
-from gapcg.lagrangian import lr_evaluate, lr_solve
+from gapcg.lagrangian import _two_loop, lr_evaluate, lr_solve
 
 
 def test_zero_duals_positive_costs():
@@ -100,3 +100,19 @@ def test_lr_evaluate_matches_machine_loop_property(m, n, seed, scale):
     assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
     assert len(sels) == len(ref_sels) == m
     assert all(a.tobytes() == b.tobytes() for a, b in zip(sels, ref_sels))
+
+
+@given(n=st.integers(1, 30), pairs=st.integers(0, 40), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_two_loop_matches_recomputing_rho_property(n, pairs, seed, scale):
+    # curvature pairs as lr_solve stores them: s . y > 1e-10, rho taken at append
+    rng = np.random.default_rng(seed)
+    memory = []
+    for _ in range(pairs):
+        s = rng.normal(0, scale, n)
+        y = s * rng.uniform(0.1, 10, n) + rng.normal(0, 0.1 * scale, n)
+        if float(s @ y) > 1e-10:
+            memory.append((s, y))
+    grad = rng.normal(0, 3, n)
+    mine = _two_loop(grad, [(s, y, 1.0 / float(y @ s)) for s, y in memory])
+    assert mine.tobytes() == recomputing_two_loop(grad, memory).tobytes()
