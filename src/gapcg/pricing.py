@@ -10,9 +10,10 @@ vector per machine) to candidate columns:
   plain pricing when smoothing finds nothing. Each attempt prices every
   machine in one batched knapsack call.
 * ``lt_round``       - heuristic template pricing: a Lagrangian scalarization
-  of (similarity, reduced cost) tuned by bisection on the trade-off weight,
-  all machines bisecting in lockstep over batched knapsack calls;
-  ``lt_price`` is its one-machine case.
+  of (similarity, reduced cost) whose trade-off weight walks the lower
+  convex hull of the (reduced cost, -similarity) points to the edge that
+  crosses the reduced-cost budget, all machines walking in lockstep over
+  batched knapsack calls; ``lt_price`` is its one-machine case.
 * ``mt_price``       - exact template pricing via the lexicographic knapsack,
   one machine at a time, after a per-machine ``min_knapsack`` base step.
 
@@ -34,7 +35,6 @@ from .knapsack import (KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_kn
 
 DEFAULT_DELTA = 1e-6
 LT_MAX_ITERATIONS = 64
-LT_RELATIVE_GAP = 1e-3
 LT_ABSOLUTE_FLOOR = 1e-9
 
 
@@ -138,46 +138,48 @@ def _lt_search(inst, i: int, y_i, pi, mu_i: float, eps: float, state: LtState | 
     f = similarity_vector(y_i, delta)
     minus_f = (-f).astype(np.float64)
     budget = mu_i - eps
-    lo, up = 0.0, math.inf
+
+    def point(x):  # (similarity, reduced cost, selection); add.reduce is ndarray.sum unwrapped
+        return int(f @ x), float(np.add.reduce(rc_coeff[x])), x
+
+    member_end = best = point(base_selection)
+    other_end = None  # the non-member endpoint, once a probe has found one
     alpha = float(state.alpha_warm[i]) if state is not None else 0.5
-    best = None  # (sim, rc, selection) with max sim then min rc
-    proof_fired = False
-    for _ in range(LT_MAX_ITERATIONS):
+    for step in range(1, LT_MAX_ITERATIONS + 1):
         value, x = yield minus_f + alpha * rc_coeff
-        rc_x = float(np.add.reduce(rc_coeff[x]))  # ndarray.sum without its wrapper
-        sim_x = int(f @ x)
-        member = rc_x <= budget
+        probe = point(x)
+        member = probe[1] <= budget
+        if member and (probe[0] > best[0] or (probe[0] == best[0] and probe[1] < best[1])):
+            best = probe
+        edge = alpha * member_end[1] - member_end[0]  # at a tie weight, both ends' value
+        if best[0] >= math.floor(alpha * mu_i - value + 1e-9):
+            stop = "proof"
+        elif other_end is not None and value >= edge - 1e-9 * (1.0 + abs(edge)):
+            stop = "hull"  # no column lies strictly below the edge
+        elif other_end is None and member and alpha <= LT_ABSOLUTE_FLOOR:
+            stop = "hull"  # the most similar column clears the budget: no edge crosses it
+        elif step == LT_MAX_ITERATIONS:
+            stop = "cap"
+        else:
+            stop = None
         if trace is not None:
-            trace.append((alpha, lo, up, member))
+            trace.append((alpha, value, probe[:2], None if other_end is None else other_end[:2],
+                          member_end[:2], stop))
+        if stop is not None:
+            break
         if member:
-            up = alpha
-            if best is None or sim_x > best[0] or (sim_x == best[0] and rc_x < best[1]):
-                best = (sim_x, rc_x, x)
+            member_end = probe
         else:
-            lo = alpha
-        if best is not None:
-            sim_cap = math.floor(alpha * mu_i - value + 1e-9)
-            if best[0] >= sim_cap:
-                proof_fired = True
-                break
-        if math.isfinite(up):
-            if lo > 0.0 and (up - lo) / lo <= LT_RELATIVE_GAP:
-                break
-            if lo == 0.0 and up <= LT_ABSOLUTE_FLOOR:
-                break
-            alpha = (lo + up) / 2.0
+            other_end = probe
+        if other_end is None:
+            alpha = LT_ABSOLUTE_FLOOR
         else:
-            alpha = 2.0 * alpha
-    if best is None:
-        # Bisection exhausted without confirming membership even though the
-        # minimum-rc column qualifies: fall back to it so the loop progresses.
-        return PricingOutcome(machine=i, selection=base_selection, dantzig_rc=dantzig_rc,
-                              similarity=int(f[base_selection].sum()), flagged=True)
-    sim, _, sel = best
+            alpha = (other_end[0] - member_end[0]) / (other_end[1] - member_end[1])
     if state is not None:
-        state.alpha_warm[i] = up
-    return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
-                          similarity=int(sim), alpha_used=up, proof_fired=proof_fired)
+        state.alpha_warm[i] = alpha
+    sim, _, sel = best
+    return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc, similarity=sim,
+                          alpha_used=alpha, flagged=stop == "cap", proof_fired=stop == "proof")
 
 
 def lt_round(inst, machines, templates, pi, mu, eps: float, state: LtState | None = None,
@@ -185,16 +187,30 @@ def lt_round(inst, machines, templates, pi, mu, eps: float, state: LtState | Non
     """Heuristic template pricing of ``machines``; outcomes in that order.
 
     For a trade-off weight ``alpha`` machine i's subproblem minimizes
-    ``-similarity + alpha * reduced_cost`` over its feasible selections.
-    Bisection finds the smallest alpha whose minimizer clears the reduced-cost
-    budget, warm-started per machine from the previous round. The best
-    budget-clearing selection seen is returned; when the search proves its
-    similarity optimal, it matches :func:`mt_price`. ``templates[i]`` and
-    ``mu[i]`` are machine i's target vector and dual. The searches run in
-    lockstep, one :func:`min_knapsack_batch` call per step over the machines
-    still searching; machines share nothing, so each outcome is that of a
-    search on its own. ``trace``, when given, maps a machine to the list that
-    receives its ``(alpha, lo, up, member)`` tuple per bisection step.
+    ``-similarity + alpha * reduced_cost`` over its feasible selections, whose
+    minimizers are the vertices of the lower convex hull of the
+    ``(reduced_cost, -similarity)`` points. The search walks that hull
+    (Handler & Zang's dual search for constrained shortest paths) between a
+    member end that clears the budget ``mu[i] - eps``, first the Dantzig
+    column, and a non-member end. It probes the previous round's weight,
+    then ``LT_ABSOLUTE_FLOOR`` while no non-member is known, then the weight
+    at which the two ends tie; each minimizer replaces the end on its side
+    of the budget. It stops when no point lies strictly below the edge (or
+    the floor probe is a member), when the similarity bound proves the best
+    column optimal (``proof_fired``; it then matches :func:`mt_price`), or
+    after ``LT_MAX_ITERATIONS`` probes (``flagged``), and returns the best
+    budget-clearing column seen, highest similarity then lowest reduced
+    cost. The last probed weight is ``alpha_used`` and the next warm start.
+
+    ``templates[i]`` and ``mu[i]`` are machine i's target vector and dual.
+    The searches run in lockstep, one :func:`min_knapsack_batch` call per
+    step over the machines still searching; machines share nothing, so each
+    outcome is that of a search on its own. ``trace``, when given, maps a
+    machine to the list that receives one ``(alpha, value, probe, other end,
+    member end, stop)`` tuple per probe: points are ``(sim, rc)``, the ends
+    those held when the probe was chosen (no other end yet: None), and
+    ``stop`` None or the rule that ended the walk, ``"hull"``, ``"proof"``
+    or ``"cap"``.
     """
     searches = {i: _lt_search(inst, i, templates[i], pi, float(mu[i]), eps, state, delta,
                               None if trace is None else trace.setdefault(i, []))

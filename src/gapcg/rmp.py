@@ -82,6 +82,7 @@ class ColumnPool:
         np.fill_diagonal(block, 1.0)
         self.artificial = self.lp.add_columns(block, 1.0).tolist()  # relaxes an uncovered row
         self.lp_col: dict[Column, int] = {}  # in ascending LP index order
+        self._owner: list[Column | None] = [None] * self.lp.n  # lp_col inverted; None: no column
         self._unsynced: dict[Column, None] = {}  # added since the last sync, in order
         for i in range(ni):
             # the empty assignment is always feasible and anchors the
@@ -115,8 +116,10 @@ class ColumnPool:
     def drop(self, col: Column):
         """Remove a column; its LP column, if any, is sealed at once."""
         if col in self.lp_col:
-            self.lp.seal_column(self.lp_col[col])
+            j = self.lp_col[col]
+            self.lp.seal_column(j)
             del self.lp_col[col]
+            self._owner[j] = None
         else:
             self._unsynced.pop(col, None)
         self.columns[col.machine].remove(col)
@@ -134,6 +137,7 @@ class ColumnPool:
             block[nj + np.array([col.machine for col in new]), np.arange(len(new))] = 1.0
             costs = 0.0 if self.phase == 1 else [col.cost for col in new]
             self.lp_col.update(zip(new, self.lp.add_columns(block, costs).tolist()))
+            self._owner.extend(new)
         if self.lp.basis is None:
             seeds = [cols[0] for cols in self.columns if cols and not cols[0].jobs.any()]
             if len(seeds) < self.inst.num_machines:
@@ -142,8 +146,8 @@ class ColumnPool:
         remap = self.lp.compact()
         if len(remap) == self.lp.n:
             return
-        index = np.fromiter(self.lp_col.values(), np.int64, len(self.lp_col))
-        self.lp_col = dict(zip(self.lp_col, remap[index].tolist()))
+        self._owner = [self._owner[j] for j in np.flatnonzero(remap >= 0).tolist()]
+        self.lp_col = {col: j for j, col in enumerate(self._owner) if col is not None}
         # a retired artificial stays until it leaves the basis
         self.artificial = [int(remap[j]) for j in self.artificial if remap[j] >= 0]
 
@@ -159,8 +163,9 @@ class ColumnPool:
         nj = self.inst.num_jobs
         y = self.lp.duals()
         x = self.lp.values()
-        basic = self.lp.basic
-        lam = {col: float(x[j]) for col, j in self.lp_col.items() if basic[j]}
+        # ascending LP index, the order project_primal sums in
+        owners = [(self._owner[j], j) for j in np.sort(self.lp.basis).tolist()]
+        lam = {col: float(x[j]) for col, j in owners if col is not None}
         return RmpSolution(objective=self.lp.objective(), lam=lam,
                            pi=y[:nj].copy(), mu=y[nj:].copy(), pivots=pivots)
 

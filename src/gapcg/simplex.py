@@ -120,10 +120,13 @@ class SimplexSolver:
         remap = np.full(n, -1, dtype=np.int64)
         remap[kept] = np.arange(k)
         if k < n:
-            self._A[:, :k] = self._A[:, kept]
+            # the columns before the first dropped one keep their places
+            first = int(np.argmin(remap))  # the first -1
+            moved = kept[first:]
+            self._A[:, first:k] = self._A[:, moved]
             # freed slots must read nonbasic and unsealed when reused
             for arr in (self.cost, self.basic, self.sealed):
-                arr[:k] = arr[kept]
+                arr[first:k] = arr[moved]
                 arr[k:n] = 0
             if self.basis is not None:
                 self.basis = remap[self.basis]

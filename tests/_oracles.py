@@ -4,12 +4,12 @@ Everything here is deliberately implemented without touching the package's
 solver paths: column enumeration is plain bit arithmetic and the master LP
 reference goes through scipy's HiGHS interface. The frozen copies of earlier
 kernels (:func:`full_level_lex`, :class:`DenseSimplexReference`,
-:func:`sequential_lt_price`, :func:`per_machine_dantzig_price`,
-:func:`looped_lr_evaluate`, :func:`recomputing_two_loop`,
-:func:`pool_walk_project_primal`), LP builders
+:func:`per_machine_dantzig_price`, :func:`looped_lr_evaluate`,
+:func:`recomputing_two_loop`, :func:`pool_walk_project_primal`), LP builders
 (:class:`PerColumnMasterLp`, :func:`per_column_compact_lp`) and masters
 (:class:`ReconcilingMasterLp`) are the references their rewrites must match
-bit for bit.
+bit for bit. :func:`sequential_lt_price`, the bisection that LT pricing used
+before its hull walk, is the floor that the walk's similarity must reach.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from gapcg.knapsack import KnapsackProblem, min_knapsack
-from gapcg.pricing import (DEFAULT_DELTA, LT_ABSOLUTE_FLOOR, LT_MAX_ITERATIONS,
-                           LT_RELATIVE_GAP, PricingOutcome, similarity_vector)
+from gapcg.pricing import DEFAULT_DELTA, PricingOutcome, similarity_vector
 from gapcg.rmp import PHASE1_TOL, RmpSolution
 from gapcg.simplex import SimplexError, SimplexSolver, UnboundedError
 
@@ -157,14 +156,21 @@ def full_level_lex(p):
     return None
 
 
+# The bisection's constants, kept here so that the reference below stays fixed
+# whatever ``gapcg.pricing`` uses.
+LT_MAX_ITERATIONS = 64
+LT_RELATIVE_GAP = 1e-3
+LT_ABSOLUTE_FLOOR = 1e-9
+
 
 def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
                         state=None, delta: float = DEFAULT_DELTA,
                         trace: list | None = None) -> PricingOutcome:
     """``pricing.lt_price`` as it was before the lockstep bisection.
 
-    One machine, one ``min_knapsack`` call per bisection step: the reference
-    that ``pricing.lt_round`` must match outcome for outcome.
+    One machine, one ``min_knapsack`` call per bisection step over the
+    trade-off weight. The hull walk that replaced it must return a column
+    that clears the budget with at least this search's similarity.
     """
     rc_coeff = inst.cost[i] - pi
     weights = inst.resource[i]

@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 
 from _oracles import min_reduced_cost, per_machine_dantzig_price, sequential_lt_price
 from conftest import FrozenPessoaState, random_instance
+from gapcg import pricing
 from gapcg.knapsack import LexKnapsackProblem, brute_force_lex
-from gapcg.pricing import (LtState, PessoaState, dantzig_price, dantzig_round, lt_price,
-                           lt_round, mt_price, pessoa_round, reduced_cost_sum,
-                           similarity_class, similarity_vector)
+from gapcg.pricing import (DEFAULT_DELTA, LT_ABSOLUTE_FLOOR, LT_MAX_ITERATIONS, LtState,
+                           PessoaState, dantzig_price, dantzig_round, lt_price, lt_round,
+                           mt_price, pessoa_round, reduced_cost_sum, similarity_class,
+                           similarity_vector)
 
 EPS = 1e-6
 
@@ -195,26 +199,6 @@ def test_lt_flat_template_reverts_to_dantzig():
         assert rc_lt == pytest.approx(rc_d, abs=1e-9)
 
 
-def test_lt_bisection_interval_invariants():
-    rng = np.random.default_rng(8)
-    seen_trace = False
-    for trial in range(120):
-        inst = random_instance(3000 + trial, m=1, n=8)
-        pi, mu = random_duals(rng, inst)
-        y = random_template(rng, inst)[0]
-        trace = []
-        out = lt_price(inst, 0, y, pi, float(mu[0]), EPS, LtState.fresh(1), trace=trace)
-        if len(trace) < 2:
-            continue
-        seen_trace = True
-        los = [t[1] for t in trace]
-        ups = [t[2] for t in trace]
-        assert all(a <= b + 1e-15 for a, b in zip(los, los[1:]))       # lo nondecreasing
-        assert all(a >= b - 1e-15 for a, b in zip(ups, ups[1:]))       # up nonincreasing
-        assert all(lo < up for lo, up, in zip(los, ups))
-    assert seen_trace
-
-
 def test_lt_against_mt_oracle():
     rng = np.random.default_rng(9)
     compared = 0
@@ -250,10 +234,13 @@ def test_lt_warm_start_updates():
 OUTCOME_FIELDS = ("machine", "dantzig_rc", "similarity", "alpha_used", "flagged",
                   "proof_fired")
 
+lt_draws = given(m=st.integers(1, 5), n=st.integers(2, 14), seed=st.integers(0, 2**16),
+                 phase_one=st.booleans(), fresh=st.booleans())
 
-@given(m=st.integers(1, 5), n=st.integers(2, 14), seed=st.integers(0, 2**16),
-       phase_one=st.booleans(), fresh=st.booleans())
-def test_lt_round_matches_sequential_lt_price_property(m, n, seed, phase_one, fresh):
+
+def lt_case(m, n, seed, phase_one, fresh):
+    """A drawn LT pricing case: instance, duals, templates, machine order and
+    warm weights."""
     inst = random_instance(seed, m=m, n=n)
     if phase_one:
         inst = zero_cost(inst)
@@ -264,22 +251,119 @@ def test_lt_round_matches_sequential_lt_price_property(m, n, seed, phase_one, fr
     templates = random_template(rng, inst)
     order = [int(i) for i in rng.permutation(m)]
     state = LtState.fresh(m) if fresh else LtState(alpha_warm=rng.random(m) * 4)
-    ref_state = LtState(alpha_warm=state.alpha_warm.copy())
+    return inst, pi, mu, templates, order, state
+
+
+def check_hull_walk(inst, i, y_i, pi, mu_i, warm, out, trace, cap=LT_MAX_ITERATIONS):
+    """The invariants of machine i's hull walk, read from its trace."""
+    budget = mu_i - EPS
+    base = dantzig_price(inst, i, pi, mu_i, EPS).selection
+    best = trace[0][4]                                  # the Dantzig column
+    assert best[1] == reduced_cost_sum(inst.cost[i], pi, base)
+    for k, (alpha, value, probe, other, member, stop) in enumerate(trace):
+        assert member[1] <= budget                      # the member end clears the budget
+        if other is None:                               # the warm probe, then the floor probe
+            assert alpha == (warm if k == 0 else LT_ABSOLUTE_FLOOR)
+            assert k == 0 or trace[0][2][1] <= budget
+        else:                                           # a walk probe: the edge's tie weight
+            assert other[1] > budget                    # the other end never clears it
+            assert alpha == (other[0] - member[0]) / (other[1] - member[1])
+        if probe[1] <= budget and (probe[0], -probe[1]) > (best[0], -best[1]):
+            best = probe
+        if k + 1 < len(trace):                          # the probe replaced its side's end
+            assert stop is None
+            assert trace[k + 1][3:5] == ((other, probe) if probe[1] <= budget
+                                         else (probe, member))
+    alpha, value, probe, other, member, stop = trace[-1]
+    if stop == "proof":
+        assert out.similarity >= math.floor(alpha * mu_i - value + 1e-9)
+    elif stop == "hull":
+        if other is None:                               # the most similar column is a member
+            assert alpha <= LT_ABSOLUTE_FLOOR and probe[1] <= budget
+        else:                                           # nothing lies strictly below the edge
+            edge = alpha * member[1] - member[0]
+            assert value >= edge - 1e-9 * (1.0 + abs(edge))
+    else:
+        assert stop == "cap" and len(trace) == cap
+    assert out.proof_fired == (stop == "proof") and out.flagged == (stop == "cap")
+    assert out.alpha_used == alpha
+    # the best budget-clearing column seen: highest similarity, then lowest reduced cost
+    assert out.similarity == int(similarity_vector(y_i, DEFAULT_DELTA) @ out.selection)
+    assert (out.similarity, reduced_cost_sum(inst.cost[i], pi, out.selection)) == best
+
+
+def hull_walks(cases: int):
+    """LT rounds over seeded draws of :func:`lt_case`; yields each searching
+    machine's ``(inst, i, template, pi, mu_i, warm, outcome, trace)``."""
+    for seed in range(cases):
+        inst, pi, mu, templates, order, state = lt_case(1 + seed % 5, 2 + seed % 13, seed,
+                                                        seed % 3 == 0, seed % 2 == 0)
+        warm = state.alpha_warm.copy()
+        trace = {}
+        got = lt_round(inst, order, templates, pi, mu, EPS, state, trace=trace)
+        for out, i in zip(got, order):
+            if out.selection is None:
+                assert trace[i] == [] and state.alpha_warm[i] == warm[i]
+            else:
+                assert state.alpha_warm[i] == out.alpha_used
+                yield inst, i, templates[i], pi, float(mu[i]), float(warm[i]), out, trace[i]
+
+
+def test_lt_hull_walk_invariants():
+    stops = Counter()
+    for *case, trace in hull_walks(400):
+        check_hull_walk(*case, trace)
+        stops[trace[-1][-1]] += 1
+        stops["walk probes"] += sum(other is not None for _, _, _, other, _, _ in trace)
+    # the draws reach both natural stop rules and walk along edges
+    assert stops["hull"] >= 10 and stops["proof"] >= 100 and stops["walk probes"] >= 100
+    assert stops["cap"] == 0
+
+
+def test_lt_walk_cut_by_the_iteration_cap_is_flagged(monkeypatch):
+    monkeypatch.setattr(pricing, "LT_MAX_ITERATIONS", 2)
+    flagged = 0
+    for *case, trace in hull_walks(200):
+        check_hull_walk(*case, trace, cap=2)
+        flagged += case[-1].flagged
+    assert flagged >= 10
+
+
+@lt_draws
+def test_lt_round_matches_lt_price_property(m, n, seed, phase_one, fresh):
+    inst, pi, mu, templates, order, state = lt_case(m, n, seed, phase_one, fresh)
+    one_state = LtState(alpha_warm=state.alpha_warm.copy())
     trace = {}
     got = lt_round(inst, order, templates, pi, mu, EPS, state, trace=trace)
     assert [out.machine for out in got] == order
     for out, i in zip(got, order):
-        ref_trace = []
-        ref = sequential_lt_price(inst, i, templates[i], pi, float(mu[i]), EPS, ref_state,
-                                  trace=ref_trace)
+        one_trace = []
+        ref = lt_price(inst, i, templates[i], pi, float(mu[i]), EPS, one_state, trace=one_trace)
         for name in OUTCOME_FIELDS:
             mine, theirs = getattr(out, name), getattr(ref, name)
             assert type(mine) is type(theirs) and mine == theirs, name
         assert (out.selection is None) == (ref.selection is None)
         if ref.selection is not None:
             assert out.selection.tobytes() == ref.selection.tobytes()
-        assert trace.get(i, []) == ref_trace
-    assert state.alpha_warm.tobytes() == ref_state.alpha_warm.tobytes()
+        assert trace.get(i, []) == one_trace
+    assert state.alpha_warm.tobytes() == one_state.alpha_warm.tobytes()
+
+
+@lt_draws
+def test_lt_hull_column_at_least_as_similar_as_bisection_property(m, n, seed, phase_one, fresh):
+    inst, pi, mu, templates, order, state = lt_case(m, n, seed, phase_one, fresh)
+    ref_state = LtState(alpha_warm=state.alpha_warm.copy())
+    got = lt_round(inst, order, templates, pi, mu, EPS, state)
+    for out, i in zip(got, order):
+        ref = sequential_lt_price(inst, i, templates[i], pi, float(mu[i]), EPS, ref_state)
+        assert (out.selection is None) == (ref.selection is None)
+        if out.selection is None:
+            continue
+        assert reduced_cost_sum(inst.cost[i], pi, out.selection) <= mu[i] - EPS
+        assert out.similarity >= ref.similarity
+        if out.proof_fired:
+            assert out.similarity == mt_price(inst, i, templates[i], pi, float(mu[i]),
+                                              EPS).similarity
 
 
 # ---------------------------------------------------------------- pessoa_round

@@ -440,6 +440,21 @@ def test_drop_that_cannot_seal_leaves_the_pool_unchanged(toy_3x12):
     assert pool.add(col.machine, col.jobs) is None
 
 
+def test_a_dropped_basic_column_leaves_the_solution_and_the_pool(toy_3x12):
+    pool = covering_pool(toy_3x12, seed=1, extras=25)
+    sol = build_and_solve(pool)
+    col = next(col for col, value in sol.lam.items() if value == 0.0)
+    j = pool.lp_col[col]
+    pool.drop(col)
+    assert pool.lp.basic[j] and pool.lp.sealed[j]
+    assert col not in pool.extract(0).lam
+    pool.sync()  # a sealed column stays in the LP while it is basic
+    assert col not in pool.lp_col and len(pool.lp_col) == pool.size()
+    sol = build_and_solve(pool)
+    assert col not in sol.lam and col not in pool.lp_col
+    assert list(sol.lam) == [c for c, k in pool.lp_col.items() if pool.lp.basic[k]]
+
+
 # ------------------------------------------------ the frozen reconciling master
 
 def float_bytes(value):
