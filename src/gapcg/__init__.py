@@ -10,10 +10,10 @@ from .driver import Bounds, CgConfig, RunReport, run, run_lr, update_bounds
 from .instance import (GapInstance, GeneratorSpec, InfeasibleInstanceError,
                        ParseError, generate, parse, serialize, validate)
 from .knapsack import (KnapsackProblem, KnapsackSolution, LexKnapsackProblem,
-                       brute_force_lex, lex_knapsack, min_knapsack, min_knapsack_batch)
+                       lex_knapsack, min_knapsack, min_knapsack_batch)
 from .lagrangian import lr_evaluate, lr_solve
 from .pricing import (LtState, PessoaState, PricingOutcome, dantzig_price,
-                      lt_price, lt_round, mt_price, pessoa_round, similarity_class)
+                      lt_price, lt_round, mt_price, pessoa_round)
 from .rmp import (AGE_POLICIES, Column, ColumnPool, RmpSolution, age_threshold,
                   build_and_solve, extract_integer_solution, manage_columns,
                   project_primal, solve_compact_lp)

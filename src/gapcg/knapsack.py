@@ -22,8 +22,6 @@ Three dynamic programs over integer capacities with real objective values:
   <= 0 and reduced cost >= 0) are dropped, only the reachable score band
   is stored, and each item keeps its ``take`` bits packed, so the memory is
   about items x band x capacity / 8 bytes.
-
-:func:`brute_force_lex` is the exhaustive reference used as a test oracle.
 """
 
 from __future__ import annotations
@@ -154,41 +152,41 @@ def min_knapsack_batch(profit, weight, capacity):
     m = len(capacity)
     if profit.ndim != 2 or profit.shape != weight.shape or len(profit) != m:
         raise ValueError("profit and weight must be (m, n) and capacity (m,)")
-    if (weight < 0).any() or (capacity < 0).any():
+    # ufunc reductions are ndarray.any, sum and max without their Python wrappers
+    if np.logical_or.reduce(weight < 0, axis=None) or np.logical_or.reduce(capacity < 0):
         raise ValueError("weights and capacity must be nonnegative")
     negative = profit < 0
     selection = negative & (weight == 0)  # taken up front
-    cand = (negative & (weight <= capacity[:, None])) ^ selection  # the others that fit
-    count = cand.sum(axis=1)
+    cand = weight <= capacity[:, None]
+    cand &= negative
+    cand ^= selection  # the others that fit
+    count = np.add.reduce(cand, axis=1)
     live_weight = weight * cand
-    caps = np.minimum(capacity, live_weight.sum(axis=1))
-    row_cells = int(count.max(initial=0)) * (int(live_weight.max(initial=0))
-                                             + int(caps.max(initial=0)) + 1)
+    caps = np.minimum(capacity, np.add.reduce(live_weight, axis=1))
+    steps = int(np.maximum.reduce(count, initial=0))
+    row_cells = steps * (int(np.maximum.reduce(live_weight, axis=None, initial=0))
+                         + int(np.maximum.reduce(caps, initial=0)) + 1)
     group_rows = max(1, _GROUP_BYTES // max(row_cells, 1))
     # the inf arithmetic is meant, as in min_knapsack; +inf plus -inf gives
     # the NaN that fmin ignores
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, m, group_rows):
+        for start in range(0, m if steps else 0, group_rows):  # no DP without a candidate
             group = slice(start, start + group_rows)
             _batch_dp(profit[group], weight[group], cand[group], count[group], caps[group],
-                      selection[group])
-        # np.add.reduce is ndarray.sum without its Python wrapper: the same sum
+                      selection[group], steps)
         return ([float(np.add.reduce(row[sel])) for row, sel in zip(profit, selection)],
                 selection)
 
 
-def _batch_dp(profit, weight, cand, count, caps, selection):
+def _batch_dp(profit, weight, cand, count, caps, selection, steps):
     """The DP and traceback of :func:`min_knapsack_batch` on one group of
-    rows; marks the chosen candidates in ``selection``."""
-    steps = int(count.max(initial=0))
-    if not steps:
-        return
+    rows, ``steps`` steps; marks the chosen candidates in ``selection``."""
     rows, n = profit.shape
-    order = np.argsort(~cand, axis=1, kind="stable")[:, :steps].T  # candidates first
+    order = (~cand).argsort(axis=1, kind="stable")[:, :steps].T  # candidates first
     live = np.arange(steps)[:, None] < count
     row = np.arange(rows)
     w = np.where(live, weight[row, order], 0)  # (steps, rows)
-    pad, width = int(w.max()), int(caps.max()) + 1
+    pad, width = int(np.maximum.reduce(w, axis=None)), int(np.maximum.reduce(caps)) + 1
     stride = pad + width
     cells = rows * stride
     # one more pad in front, for row 0's windows to reach into
@@ -274,32 +272,3 @@ def lex_knapsack(p: LexKnapsackProblem):
             continue
         return row - neg, rc, sel
     return None
-
-
-def brute_force_lex(p: LexKnapsackProblem):
-    """Exhaustive reference for :func:`lex_knapsack`; rejects n > 20.
-
-    Exact ties in (score, reduced cost) resolve to the lexicographically
-    smallest selection bit-vector.
-    """
-    n = p.n
-    if n > 20:
-        raise ValueError("brute_force_lex is limited to n <= 20")
-    if n == 0:
-        if p.rc_budget < 0:
-            return None
-        return 0, 0.0, np.zeros(0, dtype=bool)
-    masks = np.arange(2**n, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    feasible = bits @ p.weight <= p.capacity
-    rcs = bits @ p.rc_coeff
-    sims = bits @ p.sim
-    best = None
-    for idx in np.flatnonzero(feasible & (rcs <= p.rc_budget)):
-        key = (-int(sims[idx]), float(rcs[idx]), tuple(bits[idx].astype(int)))
-        if best is None or key < best[0]:
-            best = (key, idx)
-    if best is None:
-        return None
-    idx = best[1]
-    return int(sims[idx]), float(rcs[idx]), bits[idx].copy()

@@ -66,23 +66,15 @@ class LtState:
         return cls(alpha_warm=np.full(num_machines, 0.5))
 
 
-def similarity_class(y_j: float, delta: float) -> int:
-    """Classify a template entry: +1 near one, -1 near zero, 0 in between."""
-    if y_j > 1.0 - delta:
-        return 1
-    if y_j < delta:
-        return -1
-    return 0
-
-
 def similarity_vector(y, delta: float) -> np.ndarray:
+    """Classify each template entry: +1 near one, -1 near zero, 0 in between."""
     y = np.asarray(y, dtype=np.float64)
     return np.where(y > 1.0 - delta, 1, np.where(y < delta, -1, 0)).astype(np.int64)
 
 
 def reduced_cost_sum(cost_row, pi, selection) -> float:
     """Shared reduced-cost accumulation so pricing and audits agree exactly."""
-    return float((np.asarray(cost_row, dtype=np.float64) - pi)[selection].sum())
+    return float(np.add.reduce((np.asarray(cost_row, dtype=np.float64) - pi)[selection]))
 
 
 def dantzig_round(inst, machines, pi, mu, eps: float) -> list[PricingOutcome]:
@@ -250,19 +242,22 @@ def _smoothed_duals(pi_t, pi_hat, g_hat, alpha_k: float, k: int):
     pi_k = alpha_k * pi_hat + (1.0 - alpha_k) * pi_t
     if k != 1:
         return pi_k
-    g_norm = float(np.linalg.norm(g_hat))
+    # math.sqrt(v.dot(v)) is what np.linalg.norm(v) computes for a 1-D float64 v
+    g_norm = math.sqrt(g_hat.dot(g_hat))
     gap = pi_t - pi_hat
-    gap_norm = float(np.linalg.norm(gap))
+    gap_norm = math.sqrt(gap.dot(gap))
     if g_norm <= 0.0 or gap_norm <= 0.0:
         return pi_k
     pi_g = pi_hat + gap_norm * g_hat / g_norm
-    beta = float(gap @ (pi_g - pi_hat)) / (gap_norm * float(np.linalg.norm(pi_g - pi_hat)))
+    to_g = pi_g - pi_hat
+    beta = float(gap @ to_g) / (gap_norm * math.sqrt(to_g.dot(to_g)))
     rho = beta * pi_g + (1.0 - beta) * pi_t
     dev = rho - pi_hat
-    dev_norm = float(np.linalg.norm(dev))
+    dev_norm = math.sqrt(dev.dot(dev))
     if dev_norm <= 0.0:
         return pi_k
-    pk_norm = float(np.linalg.norm(pi_k - pi_hat))
+    to_k = pi_k - pi_hat
+    pk_norm = math.sqrt(to_k.dot(to_k))
     return np.maximum(0.0, pi_hat + pk_norm * dev / dev_norm)
 
 

@@ -95,20 +95,16 @@ class ColumnPool:
         key = jobs.tobytes()
         if key in self._keys[machine]:
             return None
-        load = int(self.inst.resource[machine][jobs].sum())
+        load = int(np.add.reduce(self.inst.resource[machine][jobs]))
         if load > self.inst.capacity[machine]:
             raise ValueError(f"column violates capacity of machine {machine}")
         col = Column(machine=machine, jobs=jobs,
-                     cost=int(self.inst.cost[machine][jobs].sum()),
+                     cost=int(np.add.reduce(self.inst.cost[machine][jobs])),
                      age=self.iteration)
         self.columns[machine].append(col)
         self._keys[machine].add(key)
         self._unsynced[col] = None
         return col
-
-    def iter_columns(self):
-        for cols in self.columns:
-            yield from cols
 
     def size(self) -> int:
         return sum(len(cols) for cols in self.columns)

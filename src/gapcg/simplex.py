@@ -93,9 +93,6 @@ class SimplexSolver:
         self.n += k
         return np.arange(n, n + k)
 
-    def add_column(self, entries: np.ndarray, cost: float) -> int:
-        return int(self.add_columns(np.reshape(entries, (self.m, 1)), cost)[0])
-
     def set_cost(self, j, cost):
         """Set the cost of column ``j``, or of each column in an index array."""
         self.cost[j] = cost
@@ -141,9 +138,6 @@ class SimplexSolver:
         self.basic[: self.n] = False
         self.basic[basis] = True
         self._refactor()
-
-    def is_basic(self, j: int) -> bool:
-        return bool(self.basic[j])
 
     def values(self) -> np.ndarray:
         x = np.zeros(self.n)
@@ -259,7 +253,7 @@ class SimplexSolver:
                 # a sealed column that is still basic must not rise above zero
                 neg = (d < -_PIVOT_TOL) & sealed_basic
                 ratios[neg] = (0.0 - xb[neg]) / (-d[neg])
-            t = float(ratios.min())
+            t = float(np.minimum.reduce(ratios))  # ndarray.min without its Python wrapper
             if not math.isfinite(t):
                 raise UnboundedError("LP is unbounded")
             t = max(t, 0.0)

@@ -2,8 +2,10 @@
 
 Everything here is deliberately implemented without touching the package's
 solver paths: column enumeration is plain bit arithmetic and the master LP
-reference goes through scipy's HiGHS interface. The frozen copies of earlier
-kernels (:func:`full_level_lex`, :class:`DenseSimplexReference`,
+reference goes through scipy's HiGHS interface; :func:`brute_force_lex`
+enumerates every selection for ``lex_knapsack``, and :func:`similarity_class`
+is the scalar rule that ``similarity_vector`` vectorizes. The frozen copies
+of earlier kernels (:func:`full_level_lex`, :class:`DenseSimplexReference`,
 :func:`per_machine_dantzig_price`, :func:`looped_lr_evaluate`,
 :func:`recomputing_two_loop`, :func:`pool_walk_project_primal`), LP builders
 (:class:`PerColumnMasterLp`, :func:`per_column_compact_lp`) and masters
@@ -37,6 +39,11 @@ def feasible_columns(inst, machine: int) -> np.ndarray:
     bits = subsets(inst.num_jobs)
     ok = bits @ inst.resource[machine] <= inst.capacity[machine]
     return bits[ok]
+
+
+def pool_columns(pool) -> list:
+    """Every column of ``pool``, machine by machine, each in insertion order."""
+    return [col for cols in pool.columns for col in cols]
 
 
 def min_reduced_cost(inst, machine: int, pi, cost_row=None):
@@ -107,6 +114,43 @@ def compact_lp_optimum(inst):
                   bounds=[(0, 1)] * nv, method="highs")
     assert res.status == 0, f"oracle compact LP failed: {res.message}"
     return float(res.fun)
+
+
+def similarity_class(y_j: float, delta: float) -> int:
+    """Classify a template entry: +1 near one, -1 near zero, 0 in between."""
+    if y_j > 1.0 - delta:
+        return 1
+    if y_j < delta:
+        return -1
+    return 0
+
+
+def brute_force_lex(p):
+    """Exhaustive reference for ``knapsack.lex_knapsack``; rejects n > 20.
+
+    Exact ties in (score, reduced cost) resolve to the lexicographically
+    smallest selection bit-vector.
+    """
+    n = p.n
+    if n > 20:
+        raise ValueError("brute_force_lex is limited to n <= 20")
+    if n == 0:
+        if p.rc_budget < 0:
+            return None
+        return 0, 0.0, np.zeros(0, dtype=bool)
+    bits = subsets(n)
+    feasible = bits @ p.weight <= p.capacity
+    rcs = bits @ p.rc_coeff
+    sims = bits @ p.sim
+    best = None
+    for idx in np.flatnonzero(feasible & (rcs <= p.rc_budget)):
+        key = (-int(sims[idx]), float(rcs[idx]), tuple(bits[idx].astype(int)))
+        if best is None or key < best[0]:
+            best = (key, idx)
+    if best is None:
+        return None
+    idx = best[1]
+    return int(sims[idx]), float(rcs[idx]), bits[idx].copy()
 
 
 def full_level_lex(p):
@@ -512,7 +556,7 @@ class PerColumnMasterLp:
         return e
 
     def sync(self, pool):
-        for col in pool.iter_columns():
+        for col in pool_columns(pool):
             if col not in self.lp_col:
                 cost = 0.0 if self.phase == 1 else float(col.cost)
                 self.lp_col[col] = self.lp.add_column(self._entries(col), cost)
@@ -567,7 +611,7 @@ def pool_walk_project_primal(sol, pool) -> np.ndarray:
     column up in the solution, frozen."""
     inst = pool.inst
     y = np.zeros((inst.num_machines, inst.num_jobs))
-    for col in pool.iter_columns():
+    for col in pool_columns(pool):
         weight = sol.lam.get(col, 0.0)
         if weight > 0.0:
             y[col.machine][col.jobs] += weight
@@ -601,14 +645,14 @@ class ReconcilingMasterLp:
     def sync(self, pool):
         """Add the pool's new columns and drop its dead ones; the first call sets the basis."""
         nj = self.inst.num_jobs
-        new = [col for col in pool.iter_columns() if col not in self.lp_col]
+        new = [col for col in pool_columns(pool) if col not in self.lp_col]
         if new:
             block = np.zeros((nj + self.inst.num_machines, len(new)))
             block[:nj] = np.array([col.jobs for col in new]).T
             block[nj + np.array([col.machine for col in new]), np.arange(len(new))] = 1.0
             costs = 0.0 if self.phase == 1 else [col.cost for col in new]
             self.lp_col.update(zip(new, self.lp.add_columns(block, costs).tolist()))
-        live = set(pool.iter_columns())
+        live = set(pool_columns(pool))
         for col in [c for c in self.lp_col if c not in live]:
             self.lp.seal_column(self.lp_col.pop(col))
         if self.lp.basis is None:

@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
+from _oracles import pool_columns
 from gapcg import driver, rmp
 from gapcg.instance import GapInstance, GeneratorSpec, generate
 
@@ -53,10 +54,10 @@ def removal_audit():
     manage_columns = rmp.manage_columns
 
     def audited(pool, sol, tau):
-        kept_before = set(pool.iter_columns())
+        kept_before = set(pool_columns(pool))
         removed = manage_columns(pool, sol, tau)
         if removed:
-            dropped = kept_before - set(pool.iter_columns())
+            dropped = kept_before - set(pool_columns(pool))
             pool.sync()
             assert dropped.isdisjoint(pool.lp_col)
             before = pool.lp.objective()

@@ -13,15 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import master_lp_optimum, subsets
+from _oracles import brute_force_lex, master_lp_optimum, similarity_class, subsets
 from conftest import FrozenPessoaState, removal_audit
 from gapcg.cli import rolling_geomean, select_tau
 from gapcg.driver import CgConfig, run, run_lr
 from gapcg.instance import GeneratorSpec, generate
-from gapcg.knapsack import (KnapsackProblem, LexKnapsackProblem,
-                            brute_force_lex, lex_knapsack, min_knapsack)
-from gapcg.pricing import (LtState, lt_price, mt_price, reduced_cost_sum,
-                           similarity_class)
+from gapcg.knapsack import KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_knapsack
+from gapcg.pricing import LtState, lt_price, mt_price, reduced_cost_sum
 from gapcg import driver as driver_module
 from gapcg.rmp import ColumnPool
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import master_lp_optimum
+from _oracles import master_lp_optimum, pool_columns
 from conftest import removal_audit
 from gapcg import driver
 from gapcg.driver import Bounds, CgConfig, run, run_lr, update_bounds
@@ -136,7 +136,7 @@ def test_master_lp_carries_only_live_columns(monkeypatch):
     class CheckedPool(ColumnPool):
         def sync(self):
             super().sync()
-            assert set(self.lp_col) == set(self.iter_columns())
+            assert set(self.lp_col) == set(pool_columns(self))
             assert self.lp.n == len(self.lp_col) + len(self.surplus) + len(self.artificial)
             if self.phase == 1:
                 assert len(self.artificial) == self.inst.num_jobs

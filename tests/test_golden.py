@@ -12,10 +12,14 @@ The fixtures were written once, from the repository root, by::
         [pathlib.Path('tests/golden', c + '.tsv').write_text(g.render(c, pathlib.Path(tempfile.mkdtemp()))) for c in g.CASES]"
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gapcg
 from gapcg.cli import main
 from gapcg.instance import GeneratorSpec, generate, serialize
 
@@ -76,3 +80,37 @@ def test_bench_pool_matches_serial(tmp_path):
         return mask_timing(out.read_text())
 
     assert bench(2) == bench(1)
+
+
+# The command line run with hypothesis, scipy and pytest unimportable: a
+# meta-path finder refuses them, after checking that it does.
+NUMPY_ONLY = """
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("hypothesis", "scipy", "pytest"):
+            raise ModuleNotFoundError(f"no module named {name!r}", name=name)
+
+sys.meta_path.insert(0, Refuse())
+try:
+    import scipy
+except ModuleNotFoundError:
+    pass
+else:
+    sys.exit("scipy is still importable")
+from gapcg.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_run_needs_only_numpy(tmp_path):
+    # the test oracles and their dependencies stay out of the package
+    path, out = tmp_path / "g3x12.txt", tmp_path / "run.tsv"
+    path.write_text(INSTANCES["g3x12.txt"]())
+    env = dict(os.environ, PYTHONPATH=str(Path(gapcg.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", NUMPY_ONLY, "run", str(path), "--method", "mt",
+                           "--seed", "0", "--output", str(out)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert mask_timing(out.read_text()) == (GOLDEN / "run-g3x12-mt.tsv").read_text()

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import full_level_lex, subsets
+from _oracles import brute_force_lex, full_level_lex, subsets
 from gapcg import knapsack
 from gapcg.instance import GeneratorSpec, generate
-from gapcg.knapsack import (KnapsackProblem, LexKnapsackProblem,
-                            brute_force_lex, lex_knapsack, min_knapsack,
+from gapcg.knapsack import (KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_knapsack,
                             min_knapsack_batch)
 
 
@@ -80,14 +79,15 @@ def test_min_knapsack_capacity_monotone():
 
 @st.composite
 def knapsack_batches(draw):
-    """Up to six rows over a shared item count, single rows included. Each
-    row's profits are ties (repeated values, exact zeros), sevenths or normal
+    """Up to six rows over a shared item count, single rows and the empty
+    batch (which no reduction of the kernel may reject) included. Each row's
+    profits are ties (repeated values, exact zeros), sevenths or normal
     floats (whose sums depend on the order they are added in), nonnegative
     (no candidate), or extremes (+-inf, +-1e308 and finite values: the inf
     arithmetic and the overflow of the DP). Weights include zeros and reach
     the row's capacity, so a heavy candidate makes the padding wide;
     capacities run from 0 to 200 and differ by row."""
-    m, n = draw(st.integers(1, 6)), draw(st.integers(0, 14))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from(["tied", "sevenths", "normal", "no candidate",
                                            "extreme"]), min_size=m, max_size=m))

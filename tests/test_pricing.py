@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import min_reduced_cost, per_machine_dantzig_price, sequential_lt_price
+from _oracles import (brute_force_lex, min_reduced_cost, per_machine_dantzig_price,
+                      sequential_lt_price, similarity_class)
 from conftest import FrozenPessoaState, random_instance
 from gapcg import pricing
-from gapcg.knapsack import LexKnapsackProblem, brute_force_lex
+from gapcg.knapsack import LexKnapsackProblem
 from gapcg.pricing import (DEFAULT_DELTA, LT_ABSOLUTE_FLOOR, LT_MAX_ITERATIONS, LtState,
                            PessoaState, dantzig_price, dantzig_round, lt_price, lt_round,
-                           mt_price, pessoa_round, reduced_cost_sum, similarity_class,
-                           similarity_vector)
+                           mt_price, pessoa_round, reduced_cost_sum, similarity_vector)
 
 EPS = 1e-6
 
@@ -51,10 +51,13 @@ def test_similarity_boundaries_are_inclusive():
 
 
 def test_similarity_vector_matches_scalar():
+    # random entries, then the cases of the two tests above at their deltas
     rng = np.random.default_rng(0)
-    y = rng.random(50)
-    vec = similarity_vector(y, 0.2)
-    assert all(vec[k] == similarity_class(float(y[k]), 0.2) for k in range(50))
+    for delta in (0.2, 1e-6, 0.1):
+        y = np.concatenate([rng.random(50), [1.0, 1 - 1e-7, 0.5, 1e-7, 0.0, delta, 1 - delta,
+                                             np.nextafter(delta, 0), np.nextafter(1 - delta, 1)]])
+        vec = similarity_vector(y, delta)
+        assert all(vec[k] == similarity_class(float(y[k]), delta) for k in range(len(y)))
 
 
 # ---------------------------------------------------------------- dantzig_price

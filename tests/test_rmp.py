@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (PerColumnMasterLp, ReconcilingMasterLp, compact_lp_optimum,
-                      per_column_compact_lp, pool_walk_project_primal,
+                      per_column_compact_lp, pool_columns, pool_walk_project_primal,
                       reconciling_build_and_solve)
 from gapcg import rmp
 from gapcg.driver import CgConfig, run
@@ -70,7 +70,7 @@ def test_single_machine_forced_basis():
     sol = build_and_solve(pool)
     assert pool.phase == 2  # the covering solve handed off in the same call
     assert sol.objective == pytest.approx(9.0)
-    full = [c for c in pool.iter_columns() if c.jobs.all()][0]
+    full = [c for c in pool_columns(pool) if c.jobs.all()][0]
     assert sol.lam.get(full, 0.0) == pytest.approx(1.0)
 
 
@@ -99,7 +99,7 @@ def vertex_enumeration_oracle(inst, pool):
     nj, ni = inst.num_jobs, inst.num_machines
     m = nj + ni
     cols = []   # (entries, cost)
-    for col in pool.iter_columns():
+    for col in pool_columns(pool):
         e = np.zeros(m)
         e[:nj][col.jobs] = 1.0
         e[nj + col.machine] = 1.0
@@ -152,7 +152,7 @@ def test_solution_invariants(toy_3x12):
     pool = covering_pool(toy_3x12, extras=10)
     sol = build_and_solve(pool)
     per_machine = {}
-    for col in pool.iter_columns():
+    for col in pool_columns(pool):
         per_machine.setdefault(col.machine, 0.0)
         per_machine[col.machine] += sol.lam.get(col, 0.0)
     for total in per_machine.values():
@@ -169,11 +169,11 @@ def test_project_primal_integral(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (1, [0, 0, 1])])
     sol = build_and_solve(pool)
     templates = project_primal(sol, pool)
-    ids = {c.key(): c for c in pool.iter_columns()}
+    ids = {c.key(): c for c in pool_columns(pool)}
     assert templates.shape == (2, 3)
     assert templates.min() >= 0.0 and templates.max() <= 1.0
     # integral solution: templates equal the chosen bit-vectors
-    for col in pool.iter_columns():
+    for col in pool_columns(pool):
         if sol.lam.get(col, 0.0) > 0.5:
             assert np.allclose(templates[col.machine], col.jobs.astype(float))
 
@@ -184,7 +184,7 @@ def test_project_primal_convex_combination(toy_2x3):
     sol = build_and_solve(pool)
     # recompute by hand
     expect = np.zeros((2, 3))
-    for col in pool.iter_columns():
+    for col in pool_columns(pool):
         expect[col.machine] += sol.lam.get(col, 0.0) * col.jobs
     templates = project_primal(sol, pool)
     assert np.allclose(templates, np.clip(expect, 0, 1), atol=1e-9)
@@ -232,7 +232,7 @@ def test_manage_columns_interval(toy_2x3):
     fake = type("S", (), {"lam": {}})()
     removed = manage_columns(pool, fake, tau=3)
     # retain ages {10, 9, 7}; the empty seeds carry age 0 and go too
-    ages = sorted(c.age for c in pool.iter_columns())
+    ages = sorted(c.age for c in pool_columns(pool))
     assert 6 not in ages
     assert {10, 9, 7}.issubset(set(ages))
     assert removed == 1 + 2  # the age-6 column plus both age-0 empty seeds
@@ -322,8 +322,8 @@ def test_extract_integral_partition(toy_2x3):
 
 def test_extract_fractional_returns_none(toy_2x3):
     fake_cols = make_pool(toy_2x3, [(0, [1, 1, 0]), (0, [0, 1, 1])])
-    cols = [c for c in fake_cols.iter_columns() if c.jobs.any()]
-    lam = {c: 0.0 for c in fake_cols.iter_columns()}
+    cols = [c for c in pool_columns(fake_cols) if c.jobs.any()]
+    lam = {c: 0.0 for c in pool_columns(fake_cols)}
     lam[cols[0]] = 0.5
     lam[cols[1]] = 0.5
     sol = type("S", (), {"lam": lam})()
@@ -335,8 +335,8 @@ def test_extract_overcover_repair():
     inst = GapInstance(2, 3, cost=np.array([[5, 1, 9], [2, 8, 1]]),
                        resource=np.ones((2, 3), dtype=int), capacity=np.array([3, 3]))
     pool = make_pool(inst, [(0, [1, 1, 0]), (1, [1, 0, 1])])
-    cols = {tuple(c.jobs): c for c in pool.iter_columns()}
-    lam = {c: 0.0 for c in pool.iter_columns()}
+    cols = {tuple(c.jobs): c for c in pool_columns(pool)}
+    lam = {c: 0.0 for c in pool_columns(pool)}
     lam[cols[(True, True, False)]] = 1.0
     lam[cols[(True, False, True)]] = 1.0
     sol = type("S", (), {"lam": lam})()

@@ -8,6 +8,14 @@ from _oracles import DenseSimplexReference
 from gapcg.simplex import SimplexError, SimplexSolver, UnboundedError
 
 
+def add_column(lp, entries, cost) -> int:
+    """Append one column to ``lp`` and return its index; a ``SimplexSolver``
+    takes it as a one-column block."""
+    if isinstance(lp, SimplexSolver):
+        return int(lp.add_columns(np.reshape(entries, (lp.m, 1)), cost)[0])
+    return lp.add_column(entries, cost)
+
+
 def two_phase(A, b, c, ubs):
     """Drive the solver through an explicit artificial phase, then real costs.
 
@@ -22,12 +30,12 @@ def two_phase(A, b, c, ubs):
     b = np.concatenate([b, ubs[bounded]])
     lp = SimplexSolver(b)
     for j in range(n + k):
-        lp.add_column(A[:, j], 0.0)
+        add_column(lp, A[:, j], 0.0)
     arts = []
     for r in range(m + k):
         e = np.zeros(m + k)
         e[r] = 1.0 if b[r] >= 0 else -1.0
-        arts.append(lp.add_column(e, 1.0))
+        arts.append(add_column(lp, e, 1.0))
     lp.set_basis(arts)
     lp.solve()
     if lp.objective() > 1e-7:
@@ -130,10 +138,10 @@ def test_warm_restart_does_zero_pivots():
 def test_added_column_prices_in():
     # min -x subject to x <= 4 via one row x + s = 4
     lp = SimplexSolver(np.array([4.0]))
-    s = lp.add_column(np.array([1.0]), 0.0)
+    s = add_column(lp, np.array([1.0]), 0.0)
     lp.set_basis([s])
     assert lp.solve() == 0
-    x = lp.add_column(np.array([1.0]), -1.0)
+    x = add_column(lp, np.array([1.0]), -1.0)
     assert lp.solve() == 1
     assert lp.objective() == pytest.approx(-4.0)
     assert lp.values()[x] == pytest.approx(4.0)
@@ -141,15 +149,15 @@ def test_added_column_prices_in():
 
 def test_sealed_column_never_reenters():
     lp = SimplexSolver(np.array([4.0]))
-    s = lp.add_column(np.array([1.0]), 0.0)
-    x = lp.add_column(np.array([1.0]), -1.0)
+    s = add_column(lp, np.array([1.0]), 0.0)
+    x = add_column(lp, np.array([1.0]), -1.0)
     lp.set_basis([s])
     lp.solve()
-    assert lp.is_basic(x)
+    assert lp.basic[x]
     # push it out by making it unattractive, then seal and re-attract
     lp.set_cost(x, 1.0)
     lp.solve()
-    assert not lp.is_basic(x)
+    assert not lp.basic[x]
     lp.seal_column(x)
     lp.set_cost(x, -5.0)
     assert lp.solve() == 0
@@ -158,9 +166,9 @@ def test_sealed_column_never_reenters():
 
 def test_unbounded_detected():
     lp = SimplexSolver(np.array([0.0]))
-    lp.add_column(np.array([1.0]), -1.0)   # x - y = 0, min -x
-    lp.add_column(np.array([-1.0]), 0.0)
-    s = lp.add_column(np.array([1.0]), 0.0)
+    add_column(lp, np.array([1.0]), -1.0)   # x - y = 0, min -x
+    add_column(lp, np.array([-1.0]), 0.0)
+    s = add_column(lp, np.array([1.0]), 0.0)
     lp.set_basis([s])
     with pytest.raises(UnboundedError):
         lp.solve()
@@ -170,11 +178,11 @@ def test_sealed_basic_column_stays_at_zero():
     # rows s + x = 1 and z - x = 0; z is basic and sealed at zero, so the
     # entering x must stop at zero instead of lifting z
     lp = SimplexSolver(np.array([1.0, 0.0]))
-    s = lp.add_column(np.array([1.0, 0.0]), 0.0)
-    z = lp.add_column(np.array([0.0, 1.0]), 0.0)
+    s = add_column(lp, np.array([1.0, 0.0]), 0.0)
+    z = add_column(lp, np.array([0.0, 1.0]), 0.0)
     lp.set_basis([s, z])
     lp.seal_column(z)
-    x = lp.add_column(np.array([1.0, -1.0]), -1.0)
+    x = add_column(lp, np.array([1.0, -1.0]), -1.0)
     lp.solve()
     assert lp.values()[z] == 0.0
     assert lp.values()[x] == 0.0
@@ -199,9 +207,9 @@ def scripted_trace(solver_cls, lp_data, seal_rounds):
     rhs = np.concatenate([b, ubs])
     lp = solver_cls(rhs)
     for j in range(2 * n):
-        lp.add_column(rows[:, j], 0.0)
-    arts = [lp.add_column(np.where(np.arange(m + n) == r, 1.0 if rhs[r] >= 0 else -1.0, 0.0),
-                          1.0) for r in range(m + n)]
+        add_column(lp, rows[:, j], 0.0)
+    arts = [add_column(lp, np.where(np.arange(m + n) == r, 1.0 if rhs[r] >= 0 else -1.0, 0.0),
+                       1.0) for r in range(m + n)]
     lp.set_basis(arts)
     trace = []
     try:
@@ -212,10 +220,10 @@ def scripted_trace(solver_cls, lp_data, seal_rounds):
         trace.append(_snapshot(lp, lp.solve()))
         for seal, extra in seal_rounds:
             for j in seal:
-                if j < n and not lp.is_basic(j):
+                if j < n and not lp.basic[j]:
                     lp.seal_column(j)
             for entries, cost in extra:
-                lp.add_column(np.concatenate([entries[:m], np.zeros(n)]), cost)
+                add_column(lp, np.concatenate([entries[:m], np.zeros(n)]), cost)
             trace.append(_snapshot(lp, lp.solve()))
     except SimplexError as exc:
         trace.append(type(exc).__name__)
@@ -253,9 +261,9 @@ def sealing_trace(solver_cls, lp_data, seal_rounds):
     rhs = np.concatenate([b, ubs])
     lp = solver_cls(rhs)
     for j in range(2 * n):
-        lp.add_column(rows[:, j], 0.0)
-    arts = [lp.add_column(np.where(np.arange(m + n) == r, 1.0 if rhs[r] >= 0 else -1.0, 0.0),
-                          1.0) for r in range(m + n)]
+        add_column(lp, rows[:, j], 0.0)
+    arts = [add_column(lp, np.where(np.arange(m + n) == r, 1.0 if rhs[r] >= 0 else -1.0, 0.0),
+                       1.0) for r in range(m + n)]
     lp.set_basis(arts)
     trace = []
     try:
@@ -267,10 +275,10 @@ def sealing_trace(solver_cls, lp_data, seal_rounds):
         for seal, extra in seal_rounds:
             values = lp.values()
             for j in seal:
-                if j < 2 * n and (not lp.is_basic(j) or values[j] == 0.0):
+                if j < 2 * n and (not lp.basic[j] or values[j] == 0.0):
                     lp.seal_column(j)
             for entries, cost in extra:
-                lp.add_column(np.concatenate([entries[:m], np.zeros(n)]), cost)
+                add_column(lp, np.concatenate([entries[:m], np.zeros(n)]), cost)
             sealed_basic = int((lp.sealed[: lp.n] & lp.basic[: lp.n]).sum())
             trace.append((sealed_basic, _snapshot(lp, lp.solve())))
     except SimplexError as exc:
@@ -291,7 +299,7 @@ def test_compact_drops_sealed_nonbasic_columns_in_order():
     lp = two_phase(A, A @ rng.random(12), rng.normal(0, 2, 12).round(3), np.full(12, np.inf))
     assert lp is not None
     for j in range(0, 12, 3):
-        if not lp.is_basic(j):
+        if not lp.basic[j]:
             lp.seal_column(j)
     n = lp.n
     sealed, basic = lp.sealed[:n].copy(), lp.basic[:n].copy()
@@ -318,8 +326,8 @@ def test_compact_drops_sealed_nonbasic_columns_in_order():
 
 def test_compact_without_sealed_columns_is_the_identity():
     lp = SimplexSolver(np.array([4.0]))
-    s = lp.add_column(np.array([1.0]), 0.0)
-    lp.add_column(np.array([1.0]), -1.0)
+    s = add_column(lp, np.array([1.0]), 0.0)
+    add_column(lp, np.array([1.0]), -1.0)
     lp.set_basis([s])
     lp.solve()
     assert (lp.compact() == np.arange(2)).all()
