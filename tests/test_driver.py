@@ -156,6 +156,12 @@ def test_time_limit_zero_stops_in_phase1(toy_3x12):
     assert rep.status == "time_limit"
 
 
+def test_lr_time_limit_is_reported(toy_3x12):
+    rep = run(toy_3x12, CgConfig(pricing_method="lr", time_limit=1e-9))
+    assert rep.status == "time_limit" and rep.method == "lr"
+    assert len(rep.rows) == 2  # the start and the first line-search probe
+
+
 def test_seed_changes_machine_order_not_result(toy_3x12):
     ref = master_lp_optimum(toy_3x12)
     values = set()

@@ -159,6 +159,10 @@ def test_min_knapsack_batch_rejects_bad_shapes_and_negatives():
         min_knapsack_batch(np.zeros((1, 2)), [[1, -1]], [1])
     with pytest.raises(ValueError):
         min_knapsack_batch(np.zeros((1, 2)), [[1, 1]], [-1])
+    for profit, weight, capacity in [([0.0, 1.0], [1], 1), ([0.0, 1.0], [1, -1], 1),
+                                     ([0.0, 1.0], [1, 1], -1)]:
+        with pytest.raises(ValueError):
+            KnapsackProblem(profit, weight, capacity)
 
 
 # ---------------------------------------------------------------- lex_knapsack
@@ -199,14 +203,17 @@ def test_lex_infinite_budget_skips_unreachable_levels():
     assert res[:2] == (1, 1.0) and list(res[2]) == [True, False]
 
 
-@pytest.mark.parametrize("rc, budget", [
-    ([3.0, 2.0, -1.0], np.nan),
-    ([3.0, np.nan, -1.0], 0.0),
-    ([3.0, 2.0, -np.inf], 0.0),
-], ids=["nan-budget", "nan-rc", "inf-rc"])
-def test_lex_problem_rejects_nan_budget_and_non_finite_rc(rc, budget):
+@pytest.mark.parametrize("rc, weight, budget", [
+    ([3.0, 2.0, -1.0], [5, 5, 1], np.nan),
+    ([3.0, np.nan, -1.0], [5, 5, 1], 0.0),
+    ([3.0, 2.0, -np.inf], [5, 5, 1], 0.0),
+    ([3.0, 2.0], [5, 5, 1], 0.0),
+    ([3.0, 2.0, -1.0], [5, 5], 0.0),
+    ([3.0, 2.0, -1.0], [5, -5, 1], 0.0),
+], ids=["nan-budget", "nan-rc", "inf-rc", "short-rc", "short-weight", "negative-weight"])
+def test_lex_problem_rejects_nan_budget_and_non_finite_rc(rc, weight, budget):
     with pytest.raises(ValueError):
-        LexKnapsackProblem([1, 1, -1], rc, [5, 5, 1], 4, budget)
+        LexKnapsackProblem([1, 1, -1], rc, weight, 4, budget)
 
 
 @pytest.mark.parametrize("sim, ok", [

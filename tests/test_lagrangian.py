@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,8 +8,9 @@ from hypothesis import strategies as st
 
 from _oracles import looped_lr_evaluate, master_lp_optimum, recomputing_two_loop
 from conftest import random_instance
-from gapcg.instance import GapInstance
-from gapcg.lagrangian import _two_loop, lr_evaluate, lr_solve
+from gapcg import lagrangian
+from gapcg.instance import GapInstance, GeneratorSpec, generate
+from gapcg.lagrangian import MAX_BACKTRACKS, _two_loop, lr_evaluate, lr_solve
 
 
 def test_zero_duals_positive_costs():
@@ -86,6 +90,57 @@ def test_lr_immediate_optimum_at_zero():
     assert best == pytest.approx(-3.0)
     assert integer is not None
     assert len(trace) == 1  # zero gradient at the start: stop immediately
+
+
+def g3_12_7():
+    return generate(GeneratorSpec(num_machines=3, num_jobs=12, seed=7))
+
+
+def test_lr_stops_after_three_consecutive_fallbacks(monkeypatch):
+    monkeypatch.setattr(lagrangian, "ARMIJO", 1e9)  # no line-search step is ever accepted
+    _, _, _, trace = lr_solve(g3_12_7(), time_limit=60)
+    # the start, then three rounds of a full line search and one fallback probe
+    assert len(trace) == 1 + 3 * (MAX_BACKTRACKS + 2) == 97
+
+
+def test_lr_deadline_inside_the_line_search():
+    _, _, _, trace = lr_solve(g3_12_7(), time_limit=1e-9)
+    assert len(trace) == 2  # the start and the first line-search probe
+
+
+def test_lr_deadline_after_an_accepted_step(monkeypatch):
+    # a clock that passes the deadline only once the first step is accepted:
+    # the deadline is set, then the line search checks it once
+    ticks = iter([0.0, 0.0])
+    monkeypatch.setattr(lagrangian, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks, math.inf)))
+    best, _, _, trace = lr_solve(g3_12_7(), time_limit=60)
+    assert len(trace) == 2 and trace[1].value > trace[0].value
+    assert best == trace[1].value
+
+
+def test_lr_ascends_along_the_gradient_when_the_direction_is_not_ascent(monkeypatch):
+    directions = []
+
+    def downhill(grad, memory):
+        directions.append(grad)
+        return -grad
+
+    probes = []
+
+    def recording_evaluate(inst, pi):
+        out = lr_evaluate(inst, pi)
+        probes.append((pi.copy(), out[1]))
+        return out
+
+    monkeypatch.setattr(lagrangian, "_two_loop", downhill)
+    monkeypatch.setattr(lagrangian, "lr_evaluate", recording_evaluate)
+    _, _, _, trace = lr_solve(g3_12_7(), time_limit=60)
+    assert len(directions) > 5 and len(probes) == len(trace)
+    for grad in directions:
+        # the line search starts a full gradient step from the iterate whose gradient it is
+        k = next(k for k, (_, g) in enumerate(probes) if g is grad)
+        assert np.array_equal(probes[k + 1][0], probes[k][0] + grad)
 
 
 @given(m=st.integers(1, 6), n=st.integers(1, 14), seed=st.integers(0, 2**16),

@@ -11,6 +11,7 @@ from _oracles import (brute_force_lex, min_reduced_cost, per_machine_dantzig_pri
                       sequential_lt_price, similarity_class)
 from conftest import FrozenPessoaState, random_instance
 from gapcg import pricing
+from gapcg.instance import GapInstance
 from gapcg.knapsack import LexKnapsackProblem
 from gapcg.pricing import (DEFAULT_DELTA, LT_ABSOLUTE_FLOOR, LT_MAX_ITERATIONS, LtState,
                            PessoaState, dantzig_price, dantzig_round, lt_price, lt_round,
@@ -453,6 +454,53 @@ def test_pessoa_smoothed_duals_nonnegative_and_formula():
             expect = np.maximum(0.0, pi_hat + np.linalg.norm(pi_k - pi_hat)
                                 * (rho - pi_hat) / np.linalg.norm(rho - pi_hat))
             assert np.allclose(out, expect, atol=1e-10)
+
+
+def backtracking_toy():
+    """Two machines and four jobs on which Pessoa's backtracking runs long."""
+    return GapInstance(2, 4, cost=np.array([[10, 12, 15, 11], [14, 10, 13, 16]]),
+                       resource=np.array([[3, 4, 5, 3], [4, 3, 4, 5]]),
+                       capacity=np.array([8, 8]))
+
+
+@pytest.mark.parametrize("level, k_used, alpha_after", [
+    (30.0, 7, 0.9 * 0.95 + 0.1),  # accepted at a smoothed step
+    (21.0, 10, 0.95 - 0.1),       # every smoothed step fails: the pure fallback
+], ids=["smoothed-step-7", "pure-fallback"])
+def test_pessoa_backtracking_prices_each_step_at_its_mixed_point(monkeypatch, level, k_used,
+                                                                 alpha_after):
+    inst = backtracking_toy()
+    pi_t, mu = np.full(4, level), np.zeros(2)
+    priced = []
+    batch = pricing.min_knapsack_batch
+
+    def recording_batch(profit, weight, capacity):
+        priced.append(profit.copy())
+        return batch(profit, weight, capacity)
+
+    monkeypatch.setattr(pricing, "min_knapsack_batch", recording_batch)
+    state = PessoaState(pi_hat=np.zeros(4), g_hat=np.zeros(4), alpha=0.95,
+                        last_rmp_objective=math.inf)
+    outcomes, state, k = pessoa_round(state, inst, pi_t, mu, EPS, rmp_objective=1.0)
+    assert k == k_used and len(priced) == k_used
+    # step k mixes alpha_k * pi_hat + (1 - alpha_k) * pi_t, alpha_k = 1 - k(1 - 0.95),
+    # and step 10 prices the pure duals
+    alphas = [max(0.0, 1.0 - step * (1.0 - 0.95)) for step in range(1, 10)] + [0.0]
+    points = [(1.0 - a) * pi_t for a in alphas[:k_used]]
+    for profit, point in zip(priced, points):
+        assert np.allclose(profit, inst.cost - point, rtol=0.0, atol=1e-12)
+    fallback = k_used == 10
+    for out in outcomes:
+        i = out.machine
+        ref = dantzig_price(inst, i, points[-1], 1e9, EPS)
+        assert out.selection is not None and np.array_equal(out.selection, ref.selection)
+        assert reduced_cost_sum(inst.cost[i], pi_t, out.selection) <= mu[i] - EPS
+        assert out.alpha_used == 0.95
+        if fallback:
+            assert out.dantzig_rc == dantzig_price(inst, i, pi_t, 0.0, EPS).dantzig_rc
+        else:
+            assert out.dantzig_rc is None
+    assert state.alpha == pytest.approx(alpha_after, abs=1e-15)
 
 
 def test_pessoa_frozen_alpha_stays_zero():
