@@ -12,8 +12,8 @@ from .instance import (GapInstance, GeneratorSpec, InfeasibleInstanceError,
 from .knapsack import (KnapsackProblem, KnapsackSolution, LexKnapsackProblem,
                        lex_knapsack, min_knapsack, min_knapsack_batch)
 from .lagrangian import lr_evaluate, lr_solve
-from .pricing import (LtState, PessoaState, PricingOutcome, dantzig_price,
-                      lt_price, lt_round, mt_price, pessoa_round)
+from .pricing import (PessoaState, PricingOutcome, dantzig_price, lt_price, lt_round,
+                      mt_price, pessoa_round)
 from .rmp import (AGE_POLICIES, Column, ColumnPool, RmpSolution, age_threshold,
                   build_and_solve, extract_integer_solution, manage_columns,
                   project_primal, solve_compact_lp)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lagrangian, pricing, rmp
 from .instance import GapInstance, InfeasibleInstanceError, validate
-from .pricing import DEFAULT_DELTA, LtState, PessoaState, PricingOutcome
+from .pricing import DEFAULT_DELTA, PessoaState, PricingOutcome
 from .rmp import AGE_POLICIES, ColumnPool
 
 RC_CONVERGENCE_TOL = 1e-6
@@ -131,8 +131,8 @@ def _price(inst: GapInstance, cfg: CgConfig, sol, templates: np.ndarray | None,
            phase1: bool, order, state):
     """One pricing round; returns (outcomes, smoothed, alpha_values).
 
-    ``state`` is the method's warm-start record (:class:`LtState`,
-    :class:`PessoaState` or None). Phase-one Pessoa prices like Dantzig.
+    ``state`` is the method's warm start: LT's per-machine weights, the
+    :class:`PessoaState`, or None. Phase-one Pessoa prices like Dantzig.
     """
     method = cfg.pricing_method
     if method == "pessoa" and not phase1:
@@ -173,7 +173,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
 
     pool = ColumnPool(inst)
     bounds = Bounds()
-    state = (LtState.fresh(inst.num_machines) if method == "lt" else
+    state = (np.full(inst.num_machines, 0.5) if method == "lt" else
              PessoaState() if method == "pessoa" else None)
     coefficients = (cfg.age_policy_override if cfg.age_policy_override is not None
                     else AGE_POLICIES[method])

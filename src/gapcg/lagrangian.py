@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,6 @@ ARMIJO = 1e-4
 MAX_BACKTRACKS = 30
 FALLBACK_STEP = 1e-8
 CONVERGENCE_TOL = 1e-6
-
-
-@dataclass
-class LrState:
-    pi: np.ndarray
-    best_bound: float = -np.inf
-    best_pi: np.ndarray | None = None
-    memory: deque = field(default_factory=lambda: deque(maxlen=MEMORY))  # (s, y, rho)
 
 
 @dataclass
@@ -94,46 +86,46 @@ def lr_solve(inst, time_limit: float = 600.0):
     t_end = time.perf_counter() + time_limit
     worst_assignment = int(inst.cost.max(axis=0).sum())
     trace: list[LrTraceRow] = []
-    state = LrState(pi=np.zeros(inst.num_jobs))
-    integer_solution = None
+    pi = np.zeros(inst.num_jobs)
+    memory = deque(maxlen=MEMORY)  # curvature pairs (s, y, rho)
+    best_bound, best_pi, integer_solution = -np.inf, None, None
 
-    def probe(pi):
-        nonlocal integer_solution
-        value, grad, sels = lr_evaluate(inst, pi)
+    def probe(point):
+        nonlocal best_bound, best_pi, integer_solution
+        value, grad, sels = lr_evaluate(inst, point)
         if math.ceil(value - 1e-9) > worst_assignment:
             raise InfeasibleInstanceError(
                 f"Lagrangian bound {value:.6g} exceeds the cost {worst_assignment} "
                 "of any assignment: no feasible assignment exists")
-        if value > state.best_bound:
-            state.best_bound = value
-            state.best_pi = pi.copy()
+        if value > best_bound:
+            best_bound, best_pi = value, point.copy()
         if not grad.any():
             found = _integer_from_partition(inst, sels)
             if integer_solution is None or found[1] < integer_solution[1]:
                 integer_solution = found
-        trace.append(LrTraceRow(len(trace) + 1, value, state.best_bound))
+        trace.append(LrTraceRow(len(trace) + 1, value, best_bound))
         return value, grad
 
-    value, grad = probe(state.pi)
+    value, grad = probe(pi)
     if time_limit <= 0:
-        return state.best_bound, state.best_pi, integer_solution, trace
+        return best_bound, best_pi, integer_solution, trace
     last_accepted_value = value
     consecutive_fallbacks = 0
     while True:
         if not grad.any():
             break  # stationary: dual optimum (and an exact partition)
         gnorm2 = float(grad @ grad)
-        direction = _two_loop(grad, state.memory)
+        direction = _two_loop(grad, memory)
         if float(direction @ grad) <= 0.0:
             direction = grad.copy()
         step = 1.0
         accepted = False
         cand_pi = cand_value = cand_grad = None
         for _ in range(MAX_BACKTRACKS + 1):
-            cand_pi = state.pi + step * direction
+            cand_pi = pi + step * direction
             cand_value, cand_grad = probe(cand_pi)
             if time.perf_counter() > t_end:
-                return state.best_bound, state.best_pi, integer_solution, trace
+                return best_bound, best_pi, integer_solution, trace
             if cand_value >= value + ARMIJO * step * gnorm2:
                 accepted = True
                 break
@@ -141,15 +133,15 @@ def lr_solve(inst, time_limit: float = 600.0):
         if not accepted:
             # nonsmooth kink: take a tiny safeguarded gradient step, drop the
             # curvature history, and give the plain gradient a fresh chance
-            state.memory.clear()
-            cand_pi = state.pi + FALLBACK_STEP * grad
+            memory.clear()
+            cand_pi = pi + FALLBACK_STEP * grad
             cand_value, cand_grad = probe(cand_pi)
             consecutive_fallbacks += 1
-        s = cand_pi - state.pi
+        s = cand_pi - pi
         y = -(cand_grad - grad)  # curvature pair for the concave objective
         if float(s @ y) > 1e-10:
-            state.memory.append((s, y, 1.0 / float(y @ s)))
-        state.pi, value, grad = cand_pi, cand_value, cand_grad
+            memory.append((s, y, 1.0 / float(y @ s)))
+        pi, value, grad = cand_pi, cand_value, cand_grad
         if accepted:
             delta = value - last_accepted_value
             last_accepted_value = value
@@ -160,4 +152,4 @@ def lr_solve(inst, time_limit: float = 600.0):
             break  # repeated kinks: the ascent has stalled for good
         if time.perf_counter() > t_end:
             break
-    return state.best_bound, state.best_pi, integer_solution, trace
+    return best_bound, best_pi, integer_solution, trace

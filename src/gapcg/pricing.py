@@ -26,7 +26,7 @@ all zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,15 +55,6 @@ class PessoaState:
     g_hat: np.ndarray | None = None
     alpha: float = 0.0
     last_rmp_objective: float = math.inf
-
-
-@dataclass(eq=False)
-class LtState:
-    alpha_warm: np.ndarray = field(default_factory=lambda: np.array([]))
-
-    @classmethod
-    def fresh(cls, num_machines: int) -> "LtState":
-        return cls(alpha_warm=np.full(num_machines, 0.5))
 
 
 def similarity_vector(y, delta: float) -> np.ndarray:
@@ -117,8 +108,8 @@ def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
                           similarity=int(best_sim))
 
 
-def _lt_search(inst, i: int, y_i, pi, mu_i: float, eps: float, state: LtState | None,
-               delta: float, trace: list | None):
+def _lt_search(inst, i: int, y_i, pi, mu_i: float, eps: float,
+               alpha_warm: np.ndarray | None, delta: float, trace: list | None):
     """Machine i's side of :func:`lt_round`, as a coroutine: it yields each
     profit row it wants minimized, receives that knapsack's ``(value,
     selection)`` and returns the machine's :class:`PricingOutcome`."""
@@ -136,7 +127,7 @@ def _lt_search(inst, i: int, y_i, pi, mu_i: float, eps: float, state: LtState | 
 
     member_end = best = point(base_selection)
     other_end = None  # the non-member endpoint, once a probe has found one
-    alpha = float(state.alpha_warm[i]) if state is not None else 0.5
+    alpha = float(alpha_warm[i]) if alpha_warm is not None else 0.5
     for step in range(1, LT_MAX_ITERATIONS + 1):
         value, x = yield minus_f + alpha * rc_coeff
         probe = point(x)
@@ -167,15 +158,16 @@ def _lt_search(inst, i: int, y_i, pi, mu_i: float, eps: float, state: LtState | 
             alpha = LT_ABSOLUTE_FLOOR
         else:
             alpha = (other_end[0] - member_end[0]) / (other_end[1] - member_end[1])
-    if state is not None:
-        state.alpha_warm[i] = alpha
+    if alpha_warm is not None:
+        alpha_warm[i] = alpha
     sim, _, sel = best
     return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc, similarity=sim,
                           alpha_used=alpha, flagged=stop == "cap", proof_fired=stop == "proof")
 
 
-def lt_round(inst, machines, templates, pi, mu, eps: float, state: LtState | None = None,
-             delta: float = DEFAULT_DELTA, trace: dict | None = None) -> list[PricingOutcome]:
+def lt_round(inst, machines, templates, pi, mu, eps: float,
+             alpha_warm: np.ndarray | None = None, delta: float = DEFAULT_DELTA,
+             trace: dict | None = None) -> list[PricingOutcome]:
     """Heuristic template pricing of ``machines``; outcomes in that order.
 
     For a trade-off weight ``alpha`` machine i's subproblem minimizes
@@ -192,7 +184,8 @@ def lt_round(inst, machines, templates, pi, mu, eps: float, state: LtState | Non
     column optimal (``proof_fired``; it then matches :func:`mt_price`), or
     after ``LT_MAX_ITERATIONS`` probes (``flagged``), and returns the best
     budget-clearing column seen, highest similarity then lowest reduced
-    cost. The last probed weight is ``alpha_used`` and the next warm start.
+    cost. The last probed weight is ``alpha_used`` and, in ``alpha_warm[i]``
+    when given, the next warm start (0.5 without one).
 
     ``templates[i]`` and ``mu[i]`` are machine i's target vector and dual.
     The searches run in lockstep, one :func:`min_knapsack_batch` call per
@@ -204,7 +197,7 @@ def lt_round(inst, machines, templates, pi, mu, eps: float, state: LtState | Non
     ``stop`` None or the rule that ended the walk, ``"hull"``, ``"proof"``
     or ``"cap"``.
     """
-    searches = {i: _lt_search(inst, i, templates[i], pi, float(mu[i]), eps, state, delta,
+    searches = {i: _lt_search(inst, i, templates[i], pi, float(mu[i]), eps, alpha_warm, delta,
                               None if trace is None else trace.setdefault(i, []))
                 for i in machines}
     profits = {i: next(search) for i, search in searches.items()}
@@ -227,10 +220,10 @@ def lt_round(inst, machines, templates, pi, mu, eps: float, state: LtState | Non
 
 
 def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
-             state: LtState | None = None, delta: float = DEFAULT_DELTA,
+             alpha_warm: np.ndarray | None = None, delta: float = DEFAULT_DELTA,
              trace: list | None = None) -> PricingOutcome:
     """:func:`lt_round` on machine i alone, ``trace`` being its step list."""
-    (out,) = lt_round(inst, [i], {i: y_i}, pi, {i: mu_i}, eps, state, delta,
+    (out,) = lt_round(inst, [i], {i: y_i}, pi, {i: mu_i}, eps, alpha_warm, delta,
                       None if trace is None else {i: trace})
     return out
 
@@ -265,12 +258,13 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float,
                  rmp_objective: float = math.inf):
     """One full smoothing round across all machines.
 
-    Tries smoothing intensities k = 1..9 (k = 1 additionally bends the
-    smoothed point toward the stored subgradient direction when available),
-    then reverts to pure duals. A round is accepted as soon as one machine's
-    minimizer clears the true reduced-cost budget; only the machines that
-    clear it contribute columns. Returns ``(outcomes, state, k_used)``;
-    ``dantzig_rc`` is populated only on rounds priced with the pure duals.
+    Step k < 10 smooths with ``alpha_k = max(0, 1 - k (1 - alpha))`` (k = 1
+    also bends toward the stored subgradient direction when available);
+    step 10, like any step with ``alpha_k = 0``, prices the pure duals. The
+    round stops at the first pure step or the first step at which some
+    machine clears the true reduced-cost budget; only those machines
+    contribute columns. Returns ``(outcomes, state, k_used)``; ``dantzig_rc``
+    is populated only on rounds priced with the pure duals.
     """
     pi_t = np.asarray(pi_t, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -285,27 +279,16 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float,
                             for i in range(ni)])
         return values, sels, true_rc
 
-    k_used = None
-    pure_round = False
-    for k in range(1, 10):
-        alpha_k = max(0.0, 1.0 - k * (1.0 - state.alpha))
-        pi_tilde = _smoothed_duals(pi_t, state.pi_hat, state.g_hat, alpha_k, k)
+    for k_used in range(1, 11):
+        alpha_k = max(0.0, 1.0 - k_used * (1.0 - state.alpha)) if k_used < 10 else 0.0
+        pi_tilde = _smoothed_duals(pi_t, state.pi_hat, state.g_hat, alpha_k, k_used)
         pure = pi_tilde is None
         values, sels, true_rc = price_all(pi_t if pure else pi_tilde)
-        k_used = k
-        pure_round = pure
-        if (true_rc <= -eps).any():
+        if pure or (true_rc <= -eps).any():  # nothing is weaker than the pure duals
             break
-        if pure:  # weaker smoothing cannot help once pure duals failed
-            break
-    else:
-        k_used = 10
-    if k_used == 10:  # all smoothed attempts failed: revert to pure duals
-        values, sels, true_rc = price_all(pi_t)
-        pure_round = True
 
     outcomes = [PricingOutcome(machine=i, selection=sels[i] if true_rc[i] <= -eps else None,
-                               dantzig_rc=float(values[i] - mu[i]) if pure_round else None,
+                               dantzig_rc=float(values[i] - mu[i]) if pure else None,
                                alpha_used=state.alpha)
                 for i in range(ni)]
     g_round = 1.0 - sels.sum(axis=0)

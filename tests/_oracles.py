@@ -208,7 +208,7 @@ LT_ABSOLUTE_FLOOR = 1e-9
 
 
 def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
-                        state=None, delta: float = DEFAULT_DELTA,
+                        alpha_warm=None, delta: float = DEFAULT_DELTA,
                         trace: list | None = None) -> PricingOutcome:
     """``pricing.lt_price`` as it was before the lockstep bisection.
 
@@ -226,7 +226,7 @@ def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
     f = similarity_vector(y_i, delta)
     budget = mu_i - eps
     lo, up = 0.0, math.inf
-    alpha = float(state.alpha_warm[i]) if state is not None else 0.5
+    alpha = float(alpha_warm[i]) if alpha_warm is not None else 0.5
     best = None  # (sim, rc, selection) with max sim then min rc
     proof_fired = False
     for _ in range(LT_MAX_ITERATIONS):
@@ -263,8 +263,8 @@ def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
         return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
                               similarity=int(f[sel].sum()), flagged=True)
     sim, _, sel = best
-    if state is not None:
-        state.alpha_warm[i] = up
+    if alpha_warm is not None:
+        alpha_warm[i] = up
     return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
                           similarity=int(sim), alpha_used=up, proof_fired=proof_fired)
 

@@ -13,9 +13,9 @@ from conftest import FrozenPessoaState, random_instance
 from gapcg import pricing
 from gapcg.instance import GapInstance
 from gapcg.knapsack import LexKnapsackProblem
-from gapcg.pricing import (DEFAULT_DELTA, LT_ABSOLUTE_FLOOR, LT_MAX_ITERATIONS, LtState,
-                           PessoaState, dantzig_price, dantzig_round, lt_price, lt_round,
-                           mt_price, pessoa_round, reduced_cost_sum, similarity_vector)
+from gapcg.pricing import (DEFAULT_DELTA, LT_ABSOLUTE_FLOOR, LT_MAX_ITERATIONS, PessoaState,
+                           dantzig_price, dantzig_round, lt_price, lt_round, mt_price,
+                           pessoa_round, reduced_cost_sum, similarity_vector)
 
 EPS = 1e-6
 
@@ -173,8 +173,8 @@ def test_mt_full_template_recovered_when_budget_allows():
 
 def test_lt_absent_when_dantzig_absent():
     inst = random_instance(5, m=1, n=5)
-    state = LtState.fresh(1)
-    out = lt_price(inst, 0, np.zeros(5), inst.cost[0].astype(float), 0.0, EPS, state)
+    alpha_warm = np.full(1, 0.5)
+    out = lt_price(inst, 0, np.zeros(5), inst.cost[0].astype(float), 0.0, EPS, alpha_warm)
     assert out.selection is None
     assert out.dantzig_rc is not None
 
@@ -185,7 +185,7 @@ def test_lt_template_aligned_with_dantzig_column():
     pi = inst.cost[0] + rng.random(6).round(3) + 0.5  # every item improving
     base = dantzig_price(inst, 0, pi, 0.0, EPS)
     assert base.selection is not None
-    out = lt_price(inst, 0, base.selection.astype(float), pi, 0.0, EPS, LtState.fresh(1))
+    out = lt_price(inst, 0, base.selection.astype(float), pi, 0.0, EPS, np.full(1, 0.5))
     assert np.array_equal(out.selection, base.selection)
 
 
@@ -194,7 +194,7 @@ def test_lt_flat_template_reverts_to_dantzig():
     inst = random_instance(7, m=1, n=8)
     pi, _ = random_duals(rng, inst)
     base = dantzig_price(inst, 0, pi, 3.0, EPS)
-    out = lt_price(inst, 0, np.full(8, 0.5), pi, 3.0, EPS, LtState.fresh(1))
+    out = lt_price(inst, 0, np.full(8, 0.5), pi, 3.0, EPS, np.full(1, 0.5))
     if base.selection is None:
         assert out.selection is None
     else:
@@ -210,8 +210,8 @@ def test_lt_against_mt_oracle():
         inst = random_instance(4000 + trial, m=1, n=int(rng.integers(3, 10)))
         pi, mu = random_duals(rng, inst)
         y = random_template(rng, inst)[0]
-        state = LtState.fresh(1)
-        lt = lt_price(inst, 0, y, pi, float(mu[0]), EPS, state)
+        alpha_warm = np.full(1, 0.5)
+        lt = lt_price(inst, 0, y, pi, float(mu[0]), EPS, alpha_warm)
         mt = mt_price(inst, 0, y, pi, float(mu[0]), EPS)
         assert (lt.selection is None) == (mt.selection is None)
         if lt.selection is None:
@@ -221,7 +221,7 @@ def test_lt_against_mt_oracle():
         assert lt.similarity <= mt.similarity
         if lt.proof_fired:
             assert lt.similarity == mt.similarity
-        assert state.alpha_warm[0] > 0
+        assert alpha_warm[0] > 0
     assert compared > 50
 
 
@@ -229,10 +229,10 @@ def test_lt_warm_start_updates():
     inst = random_instance(10, m=1, n=8)
     rng = np.random.default_rng(10)
     pi, mu = random_duals(rng, inst)
-    state = LtState.fresh(1)
-    out = lt_price(inst, 0, random_template(rng, inst)[0], pi, float(mu[0]), EPS, state)
+    alpha_warm = np.full(1, 0.5)
+    out = lt_price(inst, 0, random_template(rng, inst)[0], pi, float(mu[0]), EPS, alpha_warm)
     if out.selection is not None and not out.flagged:
-        assert state.alpha_warm[0] == out.alpha_used
+        assert alpha_warm[0] == out.alpha_used
 
 
 OUTCOME_FIELDS = ("machine", "dantzig_rc", "similarity", "alpha_used", "flagged",
@@ -254,8 +254,8 @@ def lt_case(m, n, seed, phase_one, fresh):
         pi, mu = np.abs(pi) / 8, mu / 8
     templates = random_template(rng, inst)
     order = [int(i) for i in rng.permutation(m)]
-    state = LtState.fresh(m) if fresh else LtState(alpha_warm=rng.random(m) * 4)
-    return inst, pi, mu, templates, order, state
+    alpha_warm = np.full(m, 0.5) if fresh else rng.random(m) * 4
+    return inst, pi, mu, templates, order, alpha_warm
 
 
 def check_hull_walk(inst, i, y_i, pi, mu_i, warm, out, trace, cap=LT_MAX_ITERATIONS):
@@ -300,16 +300,17 @@ def hull_walks(cases: int):
     """LT rounds over seeded draws of :func:`lt_case`; yields each searching
     machine's ``(inst, i, template, pi, mu_i, warm, outcome, trace)``."""
     for seed in range(cases):
-        inst, pi, mu, templates, order, state = lt_case(1 + seed % 5, 2 + seed % 13, seed,
-                                                        seed % 3 == 0, seed % 2 == 0)
-        warm = state.alpha_warm.copy()
+        inst, pi, mu, templates, order, alpha_warm = lt_case(1 + seed % 5, 2 + seed % 13,
+                                                             seed, seed % 3 == 0,
+                                                             seed % 2 == 0)
+        warm = alpha_warm.copy()
         trace = {}
-        got = lt_round(inst, order, templates, pi, mu, EPS, state, trace=trace)
+        got = lt_round(inst, order, templates, pi, mu, EPS, alpha_warm, trace=trace)
         for out, i in zip(got, order):
             if out.selection is None:
-                assert trace[i] == [] and state.alpha_warm[i] == warm[i]
+                assert trace[i] == [] and alpha_warm[i] == warm[i]
             else:
-                assert state.alpha_warm[i] == out.alpha_used
+                assert alpha_warm[i] == out.alpha_used
                 yield inst, i, templates[i], pi, float(mu[i]), float(warm[i]), out, trace[i]
 
 
@@ -335,14 +336,14 @@ def test_lt_walk_cut_by_the_iteration_cap_is_flagged(monkeypatch):
 
 @lt_draws
 def test_lt_round_matches_lt_price_property(m, n, seed, phase_one, fresh):
-    inst, pi, mu, templates, order, state = lt_case(m, n, seed, phase_one, fresh)
-    one_state = LtState(alpha_warm=state.alpha_warm.copy())
+    inst, pi, mu, templates, order, alpha_warm = lt_case(m, n, seed, phase_one, fresh)
+    one_warm = alpha_warm.copy()
     trace = {}
-    got = lt_round(inst, order, templates, pi, mu, EPS, state, trace=trace)
+    got = lt_round(inst, order, templates, pi, mu, EPS, alpha_warm, trace=trace)
     assert [out.machine for out in got] == order
     for out, i in zip(got, order):
         one_trace = []
-        ref = lt_price(inst, i, templates[i], pi, float(mu[i]), EPS, one_state, trace=one_trace)
+        ref = lt_price(inst, i, templates[i], pi, float(mu[i]), EPS, one_warm, trace=one_trace)
         for name in OUTCOME_FIELDS:
             mine, theirs = getattr(out, name), getattr(ref, name)
             assert type(mine) is type(theirs) and mine == theirs, name
@@ -350,16 +351,16 @@ def test_lt_round_matches_lt_price_property(m, n, seed, phase_one, fresh):
         if ref.selection is not None:
             assert out.selection.tobytes() == ref.selection.tobytes()
         assert trace.get(i, []) == one_trace
-    assert state.alpha_warm.tobytes() == one_state.alpha_warm.tobytes()
+    assert alpha_warm.tobytes() == one_warm.tobytes()
 
 
 @lt_draws
 def test_lt_hull_column_at_least_as_similar_as_bisection_property(m, n, seed, phase_one, fresh):
-    inst, pi, mu, templates, order, state = lt_case(m, n, seed, phase_one, fresh)
-    ref_state = LtState(alpha_warm=state.alpha_warm.copy())
-    got = lt_round(inst, order, templates, pi, mu, EPS, state)
+    inst, pi, mu, templates, order, alpha_warm = lt_case(m, n, seed, phase_one, fresh)
+    ref_warm = alpha_warm.copy()
+    got = lt_round(inst, order, templates, pi, mu, EPS, alpha_warm)
     for out, i in zip(got, order):
-        ref = sequential_lt_price(inst, i, templates[i], pi, float(mu[i]), EPS, ref_state)
+        ref = sequential_lt_price(inst, i, templates[i], pi, float(mu[i]), EPS, ref_warm)
         assert (out.selection is None) == (ref.selection is None)
         if out.selection is None:
             continue
@@ -544,7 +545,7 @@ def test_phase1_lt_mt_dominance():
         pi = np.abs(rng.normal(1, 1, 8)).round(3)
         mu = float(rng.normal(-1, 1))
         y = random_template(rng, inst)[0]
-        lt = lt_price(inst, 0, y, pi, mu, EPS, LtState.fresh(1))
+        lt = lt_price(inst, 0, y, pi, mu, EPS, np.full(1, 0.5))
         mt = mt_price(inst, 0, y, pi, mu, EPS)
         assert (lt.selection is None) == (mt.selection is None)
         if lt.selection is not None:
