@@ -6,10 +6,13 @@ in blocks, warm starts from the previous basis, sealing and retiring
 columns (pinning them at zero so they never price again), per-solve pivot
 counts and dual extraction. The basis inverse is kept densely, refactorized
 by every ``solve`` and ``retire_columns`` call and every ``_REFACTOR_EVERY``
-pivots, and updated in place by a rank-1 step in between; Dantzig pricing
-with a Bland fallback guards against cycling. Keeping the inverse from one
-solve to the next instead changes bounds and statuses of whole runs, so the
-refactorization at the start of each solve stays.
+pivots, and updated in place by a rank-1 step in between. Pricing follows
+Dantzig's rule. After more than ``_BLAND_AFTER + 2 m`` degenerate pivots in
+a row, Bland's rule guards against cycling until a pivot makes progress:
+the lowest-index improving column enters, and of the ratio-test ties the
+row whose basic column has the lowest index leaves. Keeping the inverse
+from one solve to the next instead changes bounds and statuses of whole
+runs, so the refactorization at the start of each solve stays.
 
 A solve allocates its scratch vectors and the m x m outer-product buffer
 once and writes into them at every pivot. It keeps the mask of columns that
@@ -32,6 +35,7 @@ _PRICE_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
 _REFACTOR_EVERY = 256
+_BLAND_AFTER = 50  # degenerate pivots in a row, plus two per row, before Bland's rule
 _MAX_PIVOTS = 5_000_000
 
 
@@ -257,15 +261,13 @@ class SimplexSolver:
             if not math.isfinite(t):
                 raise UnboundedError("LP is unbounded")
             t = max(t, 0.0)
-            # the first row of largest |d| among the ratio-test ties
+            # every ratio-test tie has |d| > _PIVOT_TOL
             np.less_equal(ratios, t + 1e-9, out=near)
-            np.abs(d, out=absd)
-            r = int(np.multiply(absd, near, out=absd).argmax())
-            if absd[r] < 1e-11:
-                self._refactor()
-                binv, xb = self._binv, self._xb
-                bland = True
-                continue
+            if bland:  # the tie whose basic column has the lowest index
+                r = int(np.where(near, basis, n).argmin())
+            else:  # the first row of largest |d| among the ties
+                np.abs(d, out=absd)
+                r = int(np.multiply(absd, near, out=absd).argmax())
             xb -= np.multiply(t, d, out=td)
             leaving = basis[r]
             self._apply_pivot(r, e, d, outer)
@@ -279,7 +281,7 @@ class SimplexSolver:
             pivots += 1
             if t <= 1e-11:
                 degenerate_run += 1
-                if degenerate_run > 50 + 2 * m:
+                if degenerate_run > _BLAND_AFTER + 2 * m:
                     bland = True
             else:
                 degenerate_run = 0

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from _oracles import DenseSimplexReference
+from gapcg import simplex
 from gapcg.simplex import SimplexError, SimplexSolver, UnboundedError
 
 
@@ -332,3 +333,42 @@ def test_compact_without_sealed_columns_is_the_identity():
     lp.solve()
     assert (lp.compact() == np.arange(2)).all()
     assert lp.n == 2
+
+
+# ---------------------------------------------------------------- Bland's rule
+
+def bland_from_the_first_degenerate_pivot(monkeypatch):
+    monkeypatch.setattr(simplex, "_BLAND_AFTER", -10**6)
+
+
+def test_bland_solves_beales_cycling_lp(monkeypatch):
+    # Beale (1955): min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 over three rows, two of
+    # them with a zero right-hand side, from the slack basis
+    bland_from_the_first_degenerate_pivot(monkeypatch)
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    lp = SimplexSolver(np.array([0.0, 0.0, 1.0]), np.hstack([np.eye(3), A]),
+                       [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+    lp.set_basis([0, 1, 2])
+    lp.solve()
+    assert lp.objective() == pytest.approx(-1.25, abs=1e-12)
+
+
+def test_bland_leaves_on_the_lowest_basic_index_among_ratio_ties(monkeypatch):
+    # the first pivot, by Dantzig's rule, is degenerate: column 3 enters on row 0.
+    # Column 4 then ties rows 1 and 2 at ratio 0, the larger |d| on row 2
+    def solve():
+        lp = SimplexSolver(np.zeros(3), np.array([[1.0, 0, 0, 1, 0], [0, 1, 0, 0, 1],
+                                                  [0, 0, 1, 0, 2]]), [0, 0, 0, -1.0, -0.5])
+        lp.set_basis([0, 1, 2])
+        assert lp.solve() == 2
+        return lp.basis.tolist()
+
+    assert solve() == [3, 1, 4]  # Dantzig's rule: the largest |d| leaves
+    bland_from_the_first_degenerate_pivot(monkeypatch)
+    assert solve() == [3, 4, 2]  # Bland's rule: basic column 1 leaves
+
+
+def test_bland_reaches_the_reference_optimum(monkeypatch):
+    bland_from_the_first_degenerate_pivot(monkeypatch)
+    test_matches_reference_solver_on_random_lps()
+    test_matches_reference_solver_property()
