@@ -284,7 +284,7 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float,
         pi_tilde = _smoothed_duals(pi_t, state.pi_hat, state.g_hat, alpha_k, k_used)
         pure = pi_tilde is None
         values, sels, true_rc = price_all(pi_t if pure else pi_tilde)
-        if pure or (true_rc <= -eps).any():  # nothing is weaker than the pure duals
+        if pure or (true_rc <= -eps).any():  # every later step would price pure duals too
             break
 
     outcomes = [PricingOutcome(machine=i, selection=sels[i] if true_rc[i] <= -eps else None,
