@@ -6,7 +6,7 @@ kernel and a warm-started simplex master, plus a Lagrangian-relaxation
 baseline and a benchmark harness.
 """
 
-from .driver import Bounds, CgConfig, RunReport, run, run_lr, update_bounds
+from .driver import CgConfig, RunReport, run, run_lr
 from .instance import (GapInstance, GeneratorSpec, InfeasibleInstanceError,
                        ParseError, generate, parse, serialize, validate)
 from .knapsack import (KnapsackProblem, KnapsackSolution, LexKnapsackProblem,

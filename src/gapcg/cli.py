@@ -310,7 +310,6 @@ def _add_common(parser):
     defaults = driver.CgConfig()
     parser.add_argument("--time-limit", type=_positive, default=defaults.time_limit,
                         help="seconds per run")
-    parser.add_argument("--seed", type=_seed, default=defaults.seed)
     parser.add_argument("--epsilon", type=_finite_nonnegative, default=defaults.epsilon)
     parser.add_argument("--delta", type=_half_unit, default=defaults.template_delta)
     parser.add_argument("--mip-gap", type=_finite_nonnegative, default=defaults.mip_gap)
@@ -334,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="solve one instance file")
     p_run.add_argument("instance")
     p_run.add_argument("--method", choices=METHODS, default="lt")
+    p_run.add_argument("--seed", type=_seed, default=driver.CgConfig.seed)
     _add_common(p_run)
     _add_age_policy(p_run)
     p_run.set_defaults(func=cmd_run)
@@ -351,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="age-threshold sweep on one instance")
     p_sweep.add_argument("instance")
     p_sweep.add_argument("--method", choices=cg_methods, default="lt")
+    p_sweep.add_argument("--seed", type=_seed, default=driver.CgConfig.seed)
     p_sweep.add_argument("--taus", type=_list_of(_positive_int), required=True, help="comma-separated thresholds")
     p_sweep.add_argument("--replications", type=int, default=5)
     p_sweep.add_argument("--window", type=int, default=5)

@@ -246,6 +246,11 @@ def test_bench_row_counting(instance_file, tmp_path):
     summaries = [l for l in lines[1:] if l.startswith("GEOMEAN")]
     assert len(data) == 2 * 2 * 2
     assert len(summaries) == 2
+    # bench has no --seed of its own: argparse reads it as a prefix of --seeds
+    assert main(["bench", instance_file, "--methods", "dantzig", "--seed", "5",
+                 "--time-limit", "30", "--output", str(out)]) == 0
+    header, row = out.read_text().splitlines()[:2]
+    assert dict(zip(header.split("\t"), row.split("\t")))["seed"] == "5"
 
 
 @pytest.mark.parametrize("workers, methods, pool_size", [

@@ -1,12 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from _oracles import master_lp_optimum, pool_columns
 from conftest import removal_audit
-from gapcg import driver
-from gapcg.driver import Bounds, CgConfig, run, run_lr, update_bounds
+from gapcg import driver, pricing
+from gapcg.driver import CgConfig, RunReport, run, run_lr, update_bounds
 from gapcg.instance import (GapInstance, GeneratorSpec,
                             InfeasibleInstanceError, generate)
 from gapcg.pricing import PricingOutcome
@@ -21,34 +22,47 @@ def outcome(machine, rc):
 # --------------------------------------------------------------- update_bounds
 
 def test_update_bounds_all_nonnegative_rc():
-    b = update_bounds(Bounds(), [outcome(0, 0.3), outcome(1, 0.0)], 100.0, False)
-    assert b.rc_sum == 0.0
-    assert b.lb_raw == 100.0
-    assert b.lb_int == 100
+    rep = RunReport("toy", "dantzig")
+    assert update_bounds(rep, [outcome(0, 0.3), outcome(1, 0.0)], 100.0) == 0.0
+    assert rep.lb_raw == 100.0
+    assert rep.lb_int == 100
 
 
 def test_update_bounds_float_dust_guard():
-    b = update_bounds(Bounds(), [outcome(0, 0.0)], 99.0000000001, False)
-    assert b.lb_int == 99  # ceil(99.0000000001 - 1e-9)
+    rep = RunReport("toy", "dantzig")
+    update_bounds(rep, [outcome(0, 0.0)], 99.0000000001)
+    assert rep.lb_int == 99  # ceil(99.0000000001 - 1e-9)
 
 
 def test_update_bounds_min_with_zero():
-    b = update_bounds(Bounds(), [outcome(0, -1.5), outcome(1, 0.3)], 50.0, False)
-    assert b.rc_sum == pytest.approx(-1.5)
-    assert b.lb_raw == pytest.approx(48.5)
-    assert b.lb_int == 49
-
-
-def test_update_bounds_smoothed_rounds_are_noops():
-    before = Bounds(rc_sum=-2.0, lb_raw=10.0, lb_int=10)
-    after = update_bounds(before, [], 99.0, True)
-    assert after is before
+    rep = RunReport("toy", "dantzig")
+    assert update_bounds(rep, [outcome(0, -1.5), outcome(1, 0.3)], 50.0) == pytest.approx(-1.5)
+    assert rep.lb_raw == pytest.approx(48.5)
+    assert rep.lb_int == 49
 
 
 def test_update_bounds_keeps_running_maximum():
-    b = Bounds(lb_raw=95.0, lb_int=95)
-    b = update_bounds(b, [outcome(0, -10.0)], 100.0, False)
-    assert b.lb_raw == 95.0  # 100 - 10 = 90 does not beat 95
+    rep = RunReport("toy", "dantzig", lb_raw=95.0, lb_int=95)
+    update_bounds(rep, [outcome(0, -10.0)], 100.0)
+    assert rep.lb_raw == 95.0  # 100 - 10 = 90 does not beat 95
+
+
+def test_pessoa_rows_fold_only_true_dual_rounds_into_the_bound():
+    rep = run(generate(GeneratorSpec(num_machines=6, num_jobs=60, seed=7)),
+              CgConfig(pricing_method="pessoa"))
+    phase2 = [r for r in rep.rows if r.phase == "2"]
+    assert sum(r.rc_sum is None for r in phase2) > 0  # smoothed rounds
+    lb_raw, lb_int = -math.inf, None
+    for row in phase2:
+        if row.rc_sum is None:
+            assert row.lb_raw == (None if lb_raw == -math.inf else lb_raw)
+            assert row.lb_int == lb_int
+        else:
+            assert row.lb_raw == max(lb_raw, row.rmp_objective + row.rc_sum)
+        lb_raw = -math.inf if row.lb_raw is None else row.lb_raw
+        lb_int = row.lb_int
+    for row in rep.rows:
+        assert row.lb_int == (None if row.lb_raw is None else math.ceil(row.lb_raw - 1e-9))
 
 
 # ------------------------------------------------------------------------- run
@@ -149,6 +163,56 @@ def test_master_lp_carries_only_live_columns(monkeypatch):
               CgConfig(pricing_method="dantzig"))
     assert sum(r.columns_removed for r in rep.rows) > 0
     assert phases.count(2) > 1
+
+
+def test_deadline_passed_while_pricing_ends_after_the_priced_row(toy_3x12, monkeypatch):
+    # the clock jumps past the deadline inside the first phase-two round, so
+    # only the check after the round can see it
+    now = [0.0]
+    dantzig_round = pricing.dantzig_round
+
+    def jumping_round(inst, *args, **kwargs):
+        if inst.cost.any():  # phase one prices a zero-cost copy
+            now[0] = math.inf
+        return dantzig_round(inst, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(pricing, "dantzig_round", jumping_round)
+    rep = run(toy_3x12, CgConfig(pricing_method="dantzig"))
+    assert rep.status == "time_limit"
+    last = rep.rows[-1]
+    assert last.phase == "2" and last.rc_sum is not None and last.columns_added > 0
+
+
+def test_round_without_columns_ends_optimal_above_the_rc_tolerance():
+    # with a budget of 2 the last true-dual round finds reduced costs that
+    # sum below -1e-6, yet no machine clears its budget
+    rep = run(generate(GeneratorSpec(num_machines=6, num_jobs=60, seed=7)),
+              CgConfig(pricing_method="dantzig", epsilon=2.0))
+    assert rep.status == "optimal"
+    last = rep.rows[-1]
+    assert last.phase == "2" and last.columns_added == 0
+    assert last.rc_sum <= -driver.RC_CONVERGENCE_TOL
+
+
+@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
+@pytest.mark.parametrize("epsilon", [1.5, 2.0])
+def test_phase_one_prices_below_its_unit_costs_at_any_epsilon(method, epsilon):
+    # phase-one reduced costs are in units of one uncovered job, so a budget
+    # above 1 would stall phase one on this feasible instance
+    inst = generate(GeneratorSpec(num_machines=3, num_jobs=12, seed=0))
+    default = run(inst, CgConfig(pricing_method=method))
+    rep = run(inst, CgConfig(pricing_method=method, epsilon=epsilon))
+    assert any(r.phase == "2" for r in rep.rows)
+    assert rep.status in ("optimal", "rc_converged", "gap_closed")
+    assert rep.lb_int <= default.lb_int
+    assert rep.max_rc_margin <= 0.0
+
+
+@pytest.mark.parametrize("method, delta", [("lt", -0.1), ("mt", 0.6)])
+def test_template_delta_outside_zero_to_half_rejected(toy_3x12, method, delta):
+    with pytest.raises(ValueError, match="delta"):
+        run(toy_3x12, CgConfig(pricing_method=method, template_delta=delta))
 
 
 def test_time_limit_zero_stops_in_phase1(toy_3x12):

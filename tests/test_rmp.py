@@ -438,6 +438,10 @@ def test_drop_that_cannot_seal_leaves_the_pool_unchanged(toy_3x12):
         pool.drop(col)
     assert col in pool.columns[col.machine] and col in pool.lp_col
     assert pool.add(col.machine, col.jobs) is None
+    size = pool.size()
+    with pytest.raises(ValueError, match="capacity"):
+        pool.add(0, np.ones(toy_3x12.num_jobs, dtype=bool))
+    assert pool.size() == size
 
 
 def test_a_dropped_basic_column_leaves_the_solution_and_the_pool(toy_3x12):

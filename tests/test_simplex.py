@@ -175,6 +175,29 @@ def test_unbounded_detected():
         lp.solve()
 
 
+def _two_columns(first, second, basis=None):
+    lp = SimplexSolver(np.ones(2))
+    add_column(lp, np.array(first), 0.0)
+    add_column(lp, np.array(second), 0.0)
+    if basis is not None:
+        lp.set_basis(basis)
+    return lp
+
+
+@pytest.mark.parametrize("misuse, message", [
+    (lambda: _two_columns([1.0, 0.0], [0.0, 1.0], basis=[0]), "basis needs 2"),
+    (lambda: _two_columns([1.0, 1.0], [2.0, 2.0], basis=[0, 1]), "singular"),
+    (lambda: _two_columns([-1.0, 0.0], [0.0, 1.0], basis=[0, 1]), "infeasible"),
+    (lambda: _two_columns([1.0, 0.0], [0.0, 1.0], basis=[0, 1]).retire_columns([0], []),
+     "nonzero value"),
+    (lambda: _two_columns([1.0, 0.0], [0.0, 1.0]).solve(), "no starting basis"),
+], ids=["basis-count", "singular-basis", "infeasible-warm-basis", "retire-nonzero-basic",
+        "no-basis"])
+def test_misuse_raises_simplex_error(misuse, message):
+    with pytest.raises(SimplexError, match=message):
+        misuse()
+
+
 def test_sealed_basic_column_stays_at_zero():
     # rows s + x = 1 and z - x = 0; z is basic and sealed at zero, so the
     # entering x must stop at zero instead of lifting z
