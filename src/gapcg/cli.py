@@ -8,15 +8,11 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 from . import driver, instance, rmp
 
-RUN_COLUMNS = [
-    "instance", "method", "iteration", "phase", "rmp_objective", "lb_raw", "lb_int",
-    "ub", "rc_sum", "columns_added", "columns_removed", "pivots", "rmp_time",
-    "pricing_time", "alpha_min", "alpha_avg", "alpha_max", "status", "gap_percent",
-]
+RUN_COLUMNS = ["instance", "method", *(f.name for f in fields(driver.IterRow))]
 
 METHODS = [*rmp.AGE_POLICIES, "lr"]
 
@@ -58,7 +54,11 @@ def _cell(value) -> str:
 def _write_tsv(rows: list[list], columns: list[str], path: str | None):
     lines = ["\t".join(columns)]
     lines.extend("\t".join(_cell(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    _write("\n".join(lines) + "\n", path)
+
+
+def _write(text: str, path: str | None):
+    """Write ``text`` to the file ``path``, or to stdout for None or '-'."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -90,18 +90,9 @@ def select_tau(tau_values: list[int], smoothed: list[float],
 
 
 def _report_rows(report: driver.RunReport) -> list[list]:
-    rows = []
-    for r in report.rows:
-        rows.append([report.instance, report.method, r.iteration, r.phase,
-                     r.rmp_objective, r.lb_raw, r.lb_int, r.ub, r.rc_sum,
-                     r.columns_added, r.columns_removed, r.pivots, r.rmp_time,
-                     r.pricing_time, r.alpha_min, r.alpha_avg, r.alpha_max, None, None])
-    rows.append([report.instance, report.method, None, "summary",
-                 report.final_objective, report.lb_raw if math.isfinite(report.lb_raw) else None,
-                 report.lb_int, report.ub, None, report.total_columns_added, None,
-                 report.total_pivots, report.total_rmp_time, report.total_pricing_time,
-                 None, None, None, report.status, report.gap_percent])
-    return rows
+    """The run TSV's rows under ``RUN_COLUMNS``: one per iteration, then the summary."""
+    return [[report.instance, report.method, *astuple(row)]
+            for row in (*report.rows, report.summary())]
 
 
 def _make_config(args, method: str, seed: int) -> driver.CgConfig:
@@ -116,10 +107,17 @@ def _make_config(args, method: str, seed: int) -> driver.CgConfig:
                            template_delta=args.delta, seed=seed)
 
 
+class InstanceFileError(Exception):
+    """An instance file that cannot be read or parsed; ``main`` exits 3."""
+
+
 def _load_instances(path: str, fmt: str) -> list[instance.GapInstance]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    instances = instance.parse(text, format=fmt)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        instances = instance.parse(text, format=fmt)
+    except (OSError, instance.ParseError) as exc:
+        raise InstanceFileError(exc) from exc
     stem = path.rsplit("/", 1)[-1]
     for k, inst in enumerate(instances):
         inst.name = stem if len(instances) == 1 else f"{stem}#{k}"
@@ -127,16 +125,10 @@ def _load_instances(path: str, fmt: str) -> list[instance.GapInstance]:
 
 
 def cmd_run(args) -> int:
-    try:
-        instances = _load_instances(args.instance, args.format)
-    except (OSError, instance.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     rows = []
-    for inst in instances:
-        cfg = _make_config(args, args.method, args.seed)
+    for inst in _load_instances(args.instance, args.format):
         try:
-            report = driver.run(inst, cfg)
+            report = driver.run(inst, _make_config(args, args.method, args.seed))
         except instance.InfeasibleInstanceError as exc:
             print(f"error: {inst.name}: {exc}", file=sys.stderr)
             return 3
@@ -148,37 +140,31 @@ def cmd_run(args) -> int:
 def _bench_cell(task) -> dict:
     """One bench row keyed by ``BENCH_COLUMNS``; a failing cell becomes an error row."""
     path_name, inst, method, seed, args_ns = task
-    cfg = _make_config(args_ns, method, seed)
+    cell = {"instance": path_name, "method": method, "seed": seed}
     t0 = time.perf_counter()
     try:
-        report = driver.run(inst, cfg)
+        report = driver.run(inst, _make_config(args_ns, method, seed))
     except instance.InfeasibleInstanceError as exc:
-        return dict(zip(BENCH_COLUMNS, [path_name, method, seed, f"error:{exc}"]))
+        return {**cell, "status": f"error:{exc}"}
     except Exception as exc:  # one bad cell must not abort the sweep
         traceback.print_exc()
-        return dict(zip(BENCH_COLUMNS, [path_name, method, seed,
-                                        f"error:{type(exc).__name__}: {exc}"]))
+        return {**cell, "status": f"error:{type(exc).__name__}: {exc}"}
     total = time.perf_counter() - t0
     ppc = (report.total_pivots / report.total_columns_added
            if report.total_columns_added else None)
-    return dict(zip(BENCH_COLUMNS, [
-        report.instance, method, seed, report.status, len(report.rows),
-        report.phase1_iterations, report.lb_int, report.ub, report.gap_percent,
-        report.integral_final, report.total_pivots, report.total_columns_added,
-        ppc, report.total_rmp_time, report.total_pricing_time, total]))
+    return {**cell, "status": report.status, "iterations": len(report.rows),
+            "phase1_iterations": report.phase1_iterations, "lb_int": report.lb_int,
+            "ub": report.ub, "gap_percent": report.gap_percent,
+            "integral": report.integral_final, "total_pivots": report.total_pivots,
+            "columns_added": report.total_columns_added, "pivots_per_column": ppc,
+            "rmp_time": report.total_rmp_time, "pricing_time": report.total_pricing_time,
+            "total_time": total}
 
 
 def cmd_bench(args) -> int:
-    tasks = []
-    try:
-        for path in args.instances:
-            for inst in _load_instances(path, args.format):
-                for method in args.methods:
-                    for seed in args.seeds:
-                        tasks.append((inst.name, inst, method, seed, args))
-    except (OSError, instance.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    tasks = [(inst.name, inst, method, seed, args)
+             for path in args.instances for inst in _load_instances(path, args.format)
+             for method in args.methods for seed in args.seeds]
     workers = min(args.workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -234,11 +220,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        inst = _load_instances(args.instance, args.format)[0]
-    except (OSError, instance.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    inst = _load_instances(args.instance, args.format)[0]
     base = _make_config(args, args.method, args.seed)
     try:
         selected, per_tau, smoothed = run_sweep(inst, args.method, spec, base,
@@ -264,12 +246,7 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = instance.serialize(inst)
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(instance.serialize(inst), args.output)
     print(f"job/machine ratio: {inst.ratio:g}", file=sys.stderr)
     return 0
 
@@ -377,7 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InstanceFileError as exc:  # reading the instance only; --output errors propagate
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -46,21 +46,26 @@ class CgConfig:
 
 @dataclass
 class IterRow:
-    iteration: int
+    """One row of the ``run`` TSV: its fields are the columns after
+    ``instance`` and ``method``, in order. ``status`` and ``gap_percent``
+    are set on the summary row only; new columns are appended."""
+    iteration: int | None
     phase: str
-    rmp_objective: float | None
-    lb_raw: float | None
-    lb_int: int | None
-    ub: int | None
-    rc_sum: float | None
-    columns_added: int
-    columns_removed: int
-    pivots: int
-    rmp_time: float
-    pricing_time: float
+    rmp_objective: float | None = None
+    lb_raw: float | None = None
+    lb_int: int | None = None
+    ub: int | None = None
+    rc_sum: float | None = None
+    columns_added: int = 0
+    columns_removed: int | None = 0
+    pivots: int = 0
+    rmp_time: float = 0.0
+    pricing_time: float = 0.0
     alpha_min: float | None = None
     alpha_avg: float | None = None
     alpha_max: float | None = None
+    status: str | None = None
+    gap_percent: float | None = None
 
 
 @dataclass
@@ -91,9 +96,22 @@ class RunReport:
         if self.ub is not None and self.lb_int is not None and self.ub != 0:
             self.gap_percent = 100.0 * (self.ub - self.lb_int) / abs(self.ub)
 
+    def summary(self) -> IterRow:
+        """The run's totals as the last row of its TSV."""
+        return IterRow(iteration=None, phase="summary", rmp_objective=self.final_objective,
+                       lb_raw=_finite(self.lb_raw), lb_int=self.lb_int, ub=self.ub,
+                       columns_added=self.total_columns_added, columns_removed=None,
+                       pivots=self.total_pivots, rmp_time=self.total_rmp_time,
+                       pricing_time=self.total_pricing_time, status=self.status,
+                       gap_percent=self.gap_percent)
+
+
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
 
 def _integer_bound(lb_raw: float) -> int | None:
-    return math.ceil(lb_raw - CEIL_GUARD) if math.isfinite(lb_raw) else None
+    return None if _finite(lb_raw) is None else math.ceil(lb_raw - CEIL_GUARD)
 
 
 def update_bounds(report: RunReport, outcomes: list[PricingOutcome],
@@ -232,7 +250,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
                 report.max_rc_margin = max(report.max_rc_margin,
                                            rc - (float(sol.mu[i]) - eps))
         report.rows.append(IterRow(
-            it, phase, objective, report.lb_raw if math.isfinite(report.lb_raw) else None,
+            it, phase, objective, _finite(report.lb_raw),
             report.lb_int, report.ub, None if phase == "1" or smoothed else rc_sum,
             added, removed, sol.pivots, rmp_time, pricing_time, *_alpha_stats(alphas)))
         if status is not None:
@@ -267,9 +285,8 @@ def run_lr(inst: GapInstance, cfg: CgConfig) -> RunReport:
     elapsed = time.perf_counter() - t0
     out = RunReport(instance=inst.name, method="lr")
     for row in trace:
-        out.rows.append(IterRow(row.evaluation, "lr", None, row.best_bound,
-                                _integer_bound(row.best_bound), None, None, 0, 0, 0,
-                                0.0, 0.0))
+        out.rows.append(IterRow(row.evaluation, "lr", lb_raw=row.best_bound,
+                                lb_int=_integer_bound(row.best_bound)))
     out.lb_raw = best_bound
     out.lb_int = _integer_bound(best_bound)
     out.ub = integer[1] if integer is not None else None

@@ -170,8 +170,43 @@ def test_every_config_field_has_a_flag():
         assert getattr(cfg, f.name) != getattr(default, f.name), f.name
 
 
-def test_run_missing_file_exits_3(tmp_path):
-    assert main(["run", str(tmp_path / "nope.txt")]) == 3
+@pytest.mark.parametrize("command", [["run"], ["bench"], ["sweep", "--taus", "1,2"]],
+                         ids=["run", "bench", "sweep"])
+def test_run_missing_file_exits_3(tmp_path, capsys, command):
+    missing = tmp_path / "nope.txt"
+    assert main([command[0], str(missing), *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_unwritable_output_is_not_an_instance_error(instance_file, tmp_path):
+    # only reading the instance maps to exit 3; a failed write propagates (exit 1)
+    with pytest.raises(OSError):
+        main(["run", instance_file, "--method", "dantzig",
+              "--output", str(tmp_path / "missing" / "x.tsv")])
+
+
+# the g3x12 golden instance of tests/test_golden.py
+G3X12 = generate(GeneratorSpec(3, 12, seed=7))
+
+
+@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
+def test_summary_row_totals_its_iteration_rows(method):
+    report = driver.run(G3X12, CgConfig(pricing_method=method, seed=0))
+    *rows, summary = [dict(zip(cli.RUN_COLUMNS, r)) for r in cli._report_rows(report)]
+    assert len(rows) == len(report.rows) and summary["phase"] == "summary"
+    for column in ("columns_added", "pivots", "rmp_time", "pricing_time"):
+        assert summary[column] == sum(row[column] for row in rows), column
+    assert all(row["status"] is None and row["gap_percent"] is None for row in rows)
+    assert summary["status"] == report.status
+    assert summary["gap_percent"] == report.gap_percent
+
+
+def test_lr_summary_row_reports_the_ascent_time():
+    report = driver.run(G3X12, CgConfig(pricing_method="lr", seed=0))
+    summary = dict(zip(cli.RUN_COLUMNS, cli._report_rows(report)[-1]))
+    assert summary["pricing_time"] == report.total_pricing_time > 0.0
+    assert summary["rmp_time"] == 0.0
 
 
 @pytest.mark.parametrize("command", [["run"], ["bench"], ["sweep", "--taus", "1,2"]],
