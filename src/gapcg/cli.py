@@ -194,7 +194,9 @@ def run_sweep(inst: instance.GapInstance, method: str, spec: SweepSpec,
               base_cfg: driver.CgConfig, rel_tol: float = 0.01, abs_tol: float = 1.0):
     """Time the solver across age thresholds and pick the robust smallest.
 
-    Returns ``(selected_tau, raw_times_per_tau, smoothed)``.
+    Replication ``rep`` runs the labeling ``base_cfg.seed + rep`` (see
+    ``instance.relabel``), so every threshold is timed over the same
+    labelings. Returns ``(selected_tau, raw_times_per_tau, smoothed)``.
     """
     raw: list[list[float]] = []
     for tau in spec.tau_values:
@@ -310,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="solve one instance file")
     p_run.add_argument("instance")
     p_run.add_argument("--method", choices=METHODS, default="lt")
-    p_run.add_argument("--seed", type=_seed, default=driver.CgConfig.seed)
+    p_run.add_argument("--seed", type=_seed, default=driver.CgConfig.seed,
+                       help="relabel jobs and machines; 0 keeps the file's labels")
     _add_common(p_run)
     _add_age_policy(p_run)
     p_run.set_defaults(func=cmd_run)
@@ -318,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="compare methods over instances and seeds")
     p_bench.add_argument("instances", nargs="+")
     p_bench.add_argument("--methods", type=_method_list, default=",".join(cg_methods))
-    p_bench.add_argument("--seeds", type=_list_of(_seed), default="0")
+    p_bench.add_argument("--seeds", type=_list_of(_seed), default="0",
+                         help="comma-separated; each entry relabels jobs and machines, "
+                              "0 keeps the file's labels")
     p_bench.add_argument("--workers", type=_positive_int, default=1,
                          help="worker processes; never more than the number of cells")
     _add_common(p_bench)
@@ -328,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="age-threshold sweep on one instance")
     p_sweep.add_argument("instance")
     p_sweep.add_argument("--method", choices=cg_methods, default="lt")
-    p_sweep.add_argument("--seed", type=_seed, default=driver.CgConfig.seed)
+    p_sweep.add_argument("--seed", type=_seed, default=driver.CgConfig.seed,
+                         help="relabel jobs and machines; 0 keeps the file's labels")
     p_sweep.add_argument("--taus", type=_list_of(_positive_int), required=True, help="comma-separated thresholds")
     p_sweep.add_argument("--replications", type=int, default=5)
     p_sweep.add_argument("--window", type=int, default=5)

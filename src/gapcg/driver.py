@@ -1,12 +1,13 @@
 """Column-generation driver: one loop for both phases, bounds, termination.
 
 ``run`` executes the full loop for one instance and pricing method and
-returns a :class:`RunReport` with one row per iteration. Phase one is the
-same loop, priced against a zero-cost copy of the instance, until
-``rmp.build_and_solve`` hands the master to phase two. The column pool
-owns the master LP, so each row takes its phase from ``pool.phase``.
-``run_lr`` wraps the Lagrangian baseline into the same report shape;
-``run`` dispatches to it for ``"lr"``.
+returns a :class:`RunReport` with one row per iteration. It first relabels
+the instance by ``CgConfig.seed`` and then prices machines in label order.
+Phase one is the same loop, priced against a zero-cost copy of the
+instance, until ``rmp.build_and_solve`` hands the master to phase two. The
+column pool owns the master LP, so each row takes its phase from
+``pool.phase``. ``run_lr`` wraps the Lagrangian baseline, relabeled alike,
+into the same report shape; ``run`` dispatches to it for ``"lr"``.
 
 Bounds bookkeeping: the report holds the running bounds. Whenever a
 phase-two round priced with the true duals, the sum of negative minimum
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lagrangian, pricing, rmp
-from .instance import GapInstance, InfeasibleInstanceError, validate
+from .instance import GapInstance, InfeasibleInstanceError, relabel, validate
 from .pricing import DEFAULT_DELTA, PessoaState, PricingOutcome
 from .rmp import AGE_POLICIES, ColumnPool
 
@@ -41,7 +42,7 @@ class CgConfig:
     mip_gap: float = 1e-5  # 0.001 percent
     age_policy_override: tuple[float, float, float] | None = None
     template_delta: float = DEFAULT_DELTA
-    seed: int = 0
+    seed: int = 0  # the labeling, see instance.relabel; 0 keeps the instance's own
 
 
 @dataclass
@@ -143,26 +144,26 @@ def _alpha_stats(values):
 
 
 def _price(inst: GapInstance, cfg: CgConfig, eps: float, sol,
-           templates: np.ndarray | None, phase1: bool, order, state):
+           templates: np.ndarray | None, phase1: bool, state):
     """One pricing round at budget ``eps``; returns (outcomes, smoothed, alpha_values).
 
     ``state`` is the method's warm start: LT's per-machine weights, the
     :class:`PessoaState`, or None. Phase-one Pessoa prices like Dantzig.
     """
-    method = cfg.pricing_method
+    method, machines = cfg.pricing_method, range(inst.num_machines)
     if method == "pessoa" and not phase1:
         outcomes, _, _ = pricing.pessoa_round(state, inst, sol.pi, sol.mu, eps,
                                               rmp_objective=sol.objective)
         return outcomes, any(o.dantzig_rc is None for o in outcomes), [state.alpha]
     if method == "lt":
-        outcomes = pricing.lt_round(inst, order, templates, sol.pi, sol.mu, eps,
+        outcomes = pricing.lt_round(inst, machines, templates, sol.pi, sol.mu, eps,
                                     state, cfg.template_delta)
         return outcomes, False, [out.alpha_used for out in outcomes]
     if method == "mt":
         outcomes = [pricing.mt_price(inst, i, templates[i], sol.pi, float(sol.mu[i]),
-                                     eps, delta=cfg.template_delta) for i in order]
+                                     eps, delta=cfg.template_delta) for i in machines]
     else:
-        outcomes = pricing.dantzig_round(inst, order, sol.pi, sol.mu, eps)
+        outcomes = pricing.dantzig_round(inst, machines, sol.pi, sol.mu, eps)
     return outcomes, False, []
 
 
@@ -174,6 +175,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     if method not in AGE_POLICIES:
         raise ValueError(f"unknown pricing method {method!r}")
     validate(inst)
+    inst = relabel(inst, cfg.seed)
     # every assignment pays each job once, so shifting a job's costs to a
     # zero minimum keeps the optimal assignments and makes the cover master
     # exact; reports add the offset back
@@ -183,8 +185,6 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
 
     report = RunReport(instance=inst.name, method=method)
     deadline = time.perf_counter() + cfg.time_limit
-    rng = np.random.default_rng(cfg.seed)
-    order = [int(i) for i in rng.permutation(inst.num_machines)]
 
     pool = ColumnPool(inst)
     state = (np.full(inst.num_machines, 0.5) if method == "lt" else
@@ -200,7 +200,6 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
 
     it = 0
     status = None
-    rc_sum = 0.0  # of the latest true-dual round; a phase-two stop row repeats it
     while status is None:
         it += 1
         pool.iteration = it
@@ -225,7 +224,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         elif time.perf_counter() > deadline:
             status = "time_limit"
         added = removed = 0
-        pricing_time, alphas, smoothed = 0.0, [], False
+        pricing_time, alphas, smoothed, rc_sum = 0.0, [], False, None
         if status is None:
             if templates is not None and (phase == "2" or it > 1):
                 templates = rmp.project_primal(sol, pool)
@@ -233,16 +232,13 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
                            else (inst, cfg.epsilon))
             t0 = time.perf_counter()
             outcomes, smoothed, alphas = _price(priced, cfg, eps, sol, templates,
-                                                phase == "1", order, state)
+                                                phase == "1", state)
             pricing_time = time.perf_counter() - t0
             if phase == "2" and not smoothed:
                 rc_sum = update_bounds(report, outcomes, objective)
             removed = rmp.manage_columns(pool, sol, tau)
-            # canonical insertion order: the run's machine permutation, whatever
-            # order the pricing dispatch produced the outcomes in
-            by_machine = {out.machine: out for out in outcomes}
-            for i in order:
-                selection = by_machine[i].selection
+            for out in outcomes:
+                i, selection = out.machine, out.selection
                 if selection is None or pool.add(i, selection) is None:
                     continue
                 added += 1
@@ -251,7 +247,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
                                            rc - (float(sol.mu[i]) - eps))
         report.rows.append(IterRow(
             it, phase, objective, _finite(report.lb_raw),
-            report.lb_int, report.ub, None if phase == "1" or smoothed else rc_sum,
+            report.lb_int, report.ub, rc_sum,
             added, removed, sol.pivots, rmp_time, pricing_time, *_alpha_stats(alphas)))
         if status is not None:
             break
@@ -259,7 +255,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
             if added == 0:
                 raise InfeasibleInstanceError(
                     f"phase one stalled at objective {sol.objective:.6g}")
-        elif not smoothed and abs(rc_sum) < RC_CONVERGENCE_TOL:
+        elif rc_sum is not None and abs(rc_sum) < RC_CONVERGENCE_TOL:
             status = "optimal"
         elif report.lb_int is not None and report.lb_int >= objective - CEIL_GUARD:
             status = "rc_converged"
@@ -280,6 +276,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
 def run_lr(inst: GapInstance, cfg: CgConfig) -> RunReport:
     """Lagrangian baseline wrapped into the common report shape."""
     validate(inst)
+    inst = relabel(inst, cfg.seed)
     t0 = time.perf_counter()
     best_bound, _, integer, trace = lagrangian.lr_solve(inst, cfg.time_limit)
     elapsed = time.perf_counter() - t0

@@ -8,7 +8,8 @@ construction so instances can be shared freely across pricing workers.
 ``parse`` splits the text once and converts each section of a block in
 one numpy call; a malformed file raises :class:`ParseError` at its first
 bad token. ``validate`` raises :class:`InfeasibleInstanceError` for an
-instance the solver cannot take.
+instance the solver cannot take. ``relabel`` renumbers the jobs and
+machines of an instance by a seed.
 """
 
 from __future__ import annotations
@@ -164,6 +165,23 @@ def generate(spec: GeneratorSpec) -> GapInstance:
     capacity = np.rint(spec.capacity_slack * resource.sum(axis=1) / spec.num_machines).astype(np.int64)
     name = f"gen-m{spec.num_machines}-n{spec.num_jobs}-s{spec.seed}"
     return GapInstance(spec.num_machines, spec.num_jobs, cost, resource, capacity, name=name)
+
+
+def relabel(inst: GapInstance, seed: int) -> GapInstance:
+    """``inst`` with its jobs and machines renumbered by ``seed``.
+
+    Seed 0 returns ``inst`` itself. Any other seed draws a job and then a
+    machine permutation from ``np.random.default_rng(seed)``; the copy keeps
+    the name, so the same problem runs under another labeling.
+    """
+    if seed == 0:
+        return inst
+    rng = np.random.default_rng(seed)
+    jobs = rng.permutation(inst.num_jobs)
+    machines = rng.permutation(inst.num_machines)
+    cells = np.ix_(machines, jobs)
+    return GapInstance(inst.num_machines, inst.num_jobs, inst.cost[cells], inst.resource[cells],
+                       inst.capacity[machines], name=inst.name)
 
 
 def _fail_on(*checks: tuple[bool, str]):

@@ -22,6 +22,7 @@ and ``artificial`` change there and nowhere else.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -213,11 +214,18 @@ def manage_columns(pool: ColumnPool, sol: RmpSolution, tau: int) -> int:
 
 
 def age_threshold(coefficients: tuple[float, float, float], inst: GapInstance) -> int:
-    """Retention window from a policy polynomial ``(a2, a1, a0)`` in the ratio."""
+    """Retention window from a policy polynomial ``(a2, a1, a0)`` in the ratio.
+
+    The window is the polynomial's ceiling, at least 1 and at most
+    ``sys.maxsize`` (which keeps every column); a NaN value raises."""
     a2, a1, a0 = coefficients
     r = inst.ratio
     value = a2 * r * r + a1 * r + a0
-    return max(1, math.ceil(value - 1e-9))
+    if math.isnan(value):
+        raise ValueError(f"age policy {coefficients} is NaN at ratio {r:g}")
+    if math.isinf(value):
+        return sys.maxsize if value > 0 else 1
+    return min(sys.maxsize, max(1, math.ceil(value - 1e-9)))
 
 
 def solve_compact_lp(inst: GapInstance) -> np.ndarray:

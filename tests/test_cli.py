@@ -258,6 +258,22 @@ def test_run_infeasible_instance_exits_3(tmp_path, capsys, text, method):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", "--method", "dantzig"], ["bench", "--methods", "dantzig"]],
+                         ids=["run", "bench"])
+def test_age_policy_overflowing_to_inf_keeps_every_column(tmp_path, command):
+    # a2 * 10^2 overflows to +inf on this ratio-10 instance
+    path, out = tmp_path / "g2x20.txt", tmp_path / "out.tsv"
+    path.write_text(serialize(generate(GeneratorSpec(2, 20, seed=1))))
+    assert main([command[0], str(path), *command[1:], "--age-a2", "1e308",
+                 "--output", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    rows = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
+    if command[0] == "bench":
+        assert rows[0]["status"] in ("optimal", "rc_converged", "gap_closed")
+    else:
+        assert {row["columns_removed"] for row in rows} == {"0", "-"}
+
+
 def test_run_tsv_stable_across_invocations(instance_file, tmp_path):
     outs = []
     for k in range(2):

@@ -226,13 +226,23 @@ def test_lr_time_limit_is_reported(toy_3x12):
     assert len(rep.rows) == 2  # the start and the first line-search probe
 
 
-def test_seed_changes_machine_order_not_result(toy_3x12):
+def test_seed_relabels_the_instance_not_the_bound(toy_3x12):
     ref = master_lp_optimum(toy_3x12)
     values = set()
     for seed in (0, 1, 2):
         rep = run(toy_3x12, CgConfig(pricing_method="dantzig", time_limit=60, seed=seed))
         values.add(rep.lb_int)
     assert values == {math.ceil(ref - 1e-9)}
+
+
+def test_unpriced_rows_print_no_rc_sum(toy_3x12):
+    # a row that stopped before pricing has no round whose rc_sum it could print
+    unpriced = []
+    for inst in (toy_3x12, generate(GeneratorSpec(num_machines=4, num_jobs=24, seed=3))):
+        for method in ("dantzig", "pessoa", "lt", "mt"):
+            rep = run(inst, CgConfig(pricing_method=method, time_limit=60))
+            unpriced += [row for row in rep.rows if row.pricing_time == 0]
+    assert unpriced and all(row.rc_sum is None for row in unpriced)
 
 
 def test_management_audit_records_clean_resolves(toy_3x12):

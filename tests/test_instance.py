@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gapcg.instance import (GapInstance, GeneratorSpec, InfeasibleInstanceError,
-                            ParseError, generate, parse, serialize, validate)
+                            ParseError, generate, parse, relabel, serialize, validate)
 
 SINGLE = "2 3  1 2 3  4 5 6  1 1 1  1 1 1  2 2"
 
@@ -161,6 +161,26 @@ def test_validate_reports_unassignable_jobs_before_sums():
 def test_instances_are_immutable(toy_2x3):
     with pytest.raises(ValueError):
         toy_2x3.cost[0, 0] = 99
+
+
+# ---------------------------------------------------------------- relabel
+
+def test_relabel_seed_zero_is_the_instance_itself(toy_2x3):
+    assert relabel(toy_2x3, 0) is toy_2x3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_relabel_permutes_jobs_then_machines(seed):
+    inst = generate(GeneratorSpec(num_machines=4, num_jobs=9, seed=5))
+    rng = np.random.default_rng(seed)
+    jobs, machines = rng.permutation(9), rng.permutation(4)
+    out = relabel(inst, seed)
+    assert out is not inst and out.name == inst.name
+    assert (out.num_machines, out.num_jobs) == (4, 9)
+    assert (out.cost == inst.cost[np.ix_(machines, jobs)]).all()
+    assert (out.resource == inst.resource[np.ix_(machines, jobs)]).all()
+    assert (out.capacity == inst.capacity[machines]).all()
+    assert not (out.cost == inst.cost).all()  # this draw moves something
 
 
 # ------------------------------------------------------- parse properties

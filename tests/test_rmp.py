@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from contextlib import contextmanager
 
@@ -266,6 +267,25 @@ def test_age_threshold_paper_policies():
     assert age_threshold(AGE_POLICIES["dantzig"], inst20) == 34
     assert age_threshold(AGE_POLICIES["pessoa"], inst10) == 4
     assert age_threshold(AGE_POLICIES["lt"], inst80) == 8
+
+
+RATIO_10 = GapInstance(1, 10, np.ones((1, 10)), np.ones((1, 10)), np.array([10]))
+
+
+def test_age_threshold_overflowing_to_inf_keeps_every_column():
+    # 1e308 * 10^2 overflows to +inf
+    assert age_threshold((1e308, 0.0, 1.0), RATIO_10) == sys.maxsize
+    assert age_threshold((0.0, 0.0, 1e300), RATIO_10) == sys.maxsize
+
+
+def test_age_threshold_overflowing_to_minus_inf_is_one():
+    assert age_threshold((-1e308, 0.0, 1.0), RATIO_10) == 1
+
+
+def test_age_threshold_nan_names_the_coefficients():
+    # +inf from a2 meets -inf from a1
+    with pytest.raises(ValueError, match=r"\(1e\+308, -1e\+308, 1.0\)"):
+        age_threshold((1e308, -1e308, 1.0), RATIO_10)
 
 
 # -------------------------------------------------------------- solve_compact_lp
