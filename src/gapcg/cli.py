@@ -8,7 +8,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, fields, replace
 
 from . import driver, instance, rmp
 
@@ -23,20 +23,9 @@ BENCH_COLUMNS = [
 ]
 
 
-@dataclass
-class SweepSpec:
-    tau_values: list[int]
-    replications: int = 5
-    time_limit: float = 60.0
-    smoothing_window: int = 5
-
-    def __post_init__(self):
-        if not self.tau_values or sorted(set(self.tau_values)) != list(self.tau_values):
-            raise ValueError("tau values must be nonempty and strictly increasing")
-        if self.replications < 1:
-            raise ValueError("replications must be positive")
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
-            raise ValueError("smoothing window must be an odd positive integer")
+SWEEP_WINDOW = 5  # thresholds per smoothing window
+TIE_REL = 0.01
+TIE_ABS = 1.0
 
 
 def _cell(value) -> str:
@@ -76,15 +65,14 @@ def geomean(values: list[float]) -> float:
     return math.exp(sum(math.log(max(v, 1e-12)) for v in values) / len(values))
 
 
-def select_tau(tau_values: list[int], smoothed: list[float],
-               rel_tol: float = 0.01, abs_tol: float = 1.0) -> int:
+def select_tau(tau_values: list[int], smoothed: list[float]) -> int:
     """Smallest threshold whose smoothed time is tied with the best.
 
-    Ties are within ``rel_tol`` relatively or ``abs_tol`` seconds absolutely.
+    Ties are within ``TIE_REL`` relatively or ``TIE_ABS`` seconds absolutely.
     """
     best = min(smoothed)
     for tau, value in zip(tau_values, smoothed):
-        if value <= best * (1.0 + rel_tol) or value <= best + abs_tol:
+        if value <= best * (1.0 + TIE_REL) or value <= best + TIE_ABS:
             return tau
     raise AssertionError("the minimum itself always qualifies")
 
@@ -96,14 +84,11 @@ def _report_rows(report: driver.RunReport) -> list[list]:
 
 
 def _make_config(args, method: str, seed: int) -> driver.CgConfig:
-    # sweep has no age flags: run_sweep sets the threshold itself
-    a2, a1, a0 = (getattr(args, name, None) for name in ("age_a2", "age_a1", "age_a0"))
-    override = None
-    if a2 is not None or a1 is not None or a0 is not None:
-        override = (a2 or 0.0, a1 or 0.0, a0 if a0 is not None else 1.0)
+    # sweep has no --age-threshold: run_sweep sets the threshold itself
     return driver.CgConfig(pricing_method=method,
                            epsilon=args.epsilon, time_limit=args.time_limit,
-                           mip_gap=args.mip_gap, age_policy_override=override,
+                           mip_gap=args.mip_gap,
+                           age_threshold=getattr(args, "age_threshold", None),
                            template_delta=args.delta, seed=seed)
 
 
@@ -190,48 +175,49 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def run_sweep(inst: instance.GapInstance, method: str, spec: SweepSpec,
-              base_cfg: driver.CgConfig, rel_tol: float = 0.01, abs_tol: float = 1.0):
+def run_sweep(inst: instance.GapInstance, method: str, taus: list[int],
+              replications: int, base_cfg: driver.CgConfig):
     """Time the solver across age thresholds and pick the robust smallest.
 
-    Replication ``rep`` runs the labeling ``base_cfg.seed + rep`` (see
-    ``instance.relabel``), so every threshold is timed over the same
-    labelings. Returns ``(selected_tau, raw_times_per_tau, smoothed)``.
+    Each run is capped at ``base_cfg.time_limit``. Replication ``rep`` runs
+    the labeling ``base_cfg.seed + rep`` (see ``instance.relabel``), so every
+    threshold is timed over the same labelings. Returns
+    ``(selected_tau, geomean_time_per_tau, smoothed)``.
     """
-    raw: list[list[float]] = []
-    for tau in spec.tau_values:
+    per_tau = []
+    for tau in taus:
         times = []
-        for rep in range(spec.replications):
-            cfg = replace(base_cfg, pricing_method=method, time_limit=spec.time_limit,
-                          age_policy_override=(0.0, 0.0, float(tau)),
+        for rep in range(replications):
+            cfg = replace(base_cfg, pricing_method=method, age_threshold=tau,
                           seed=base_cfg.seed + rep)
             t0 = time.perf_counter()
             driver.run(inst, cfg)
-            times.append(min(time.perf_counter() - t0, spec.time_limit))
-        raw.append(times)
-    per_tau = [geomean(times) for times in raw]
-    smoothed = rolling_geomean(per_tau, spec.smoothing_window)
-    selected = select_tau(spec.tau_values, smoothed, rel_tol, abs_tol)
-    return selected, per_tau, smoothed
+            times.append(min(time.perf_counter() - t0, base_cfg.time_limit))
+        per_tau.append(geomean(times))
+    smoothed = rolling_geomean(per_tau, SWEEP_WINDOW)
+    return select_tau(taus, smoothed), per_tau, smoothed
 
 
 def cmd_sweep(args) -> int:
-    try:
-        spec = SweepSpec(tau_values=args.taus, replications=args.replications,
-                         time_limit=args.time_limit, smoothing_window=args.window)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if any(a >= b for a, b in zip(args.taus, args.taus[1:])) or args.replications < 1:
+        print("error: --taus must strictly increase and --replications be at least 1",
+              file=sys.stderr)
         return 2
-    inst = _load_instances(args.instance, args.format)[0]
+    instances = _load_instances(args.instance, args.format)
+    if len(instances) != 1:
+        print(f"error: sweep takes one instance; {args.instance} holds {len(instances)}",
+              file=sys.stderr)
+        return 2
+    inst, = instances
     base = _make_config(args, args.method, args.seed)
     try:
-        selected, per_tau, smoothed = run_sweep(inst, args.method, spec, base,
-                                                rel_tol=args.tie_rel, abs_tol=args.tie_abs)
+        selected, per_tau, smoothed = run_sweep(inst, args.method, args.taus,
+                                                args.replications, base)
     except instance.InfeasibleInstanceError as exc:
         print(f"error: {inst.name}: {exc}", file=sys.stderr)
         return 3
     rows = [[tau, g, s, 1 if tau == selected else 0]
-            for tau, g, s in zip(spec.tau_values, per_tau, smoothed)]
+            for tau, g, s in zip(args.taus, per_tau, smoothed)]
     _write_tsv(rows, ["tau", "geomean_time", "smoothed_time", "selected"], args.output)
     print(f"selected tau: {selected}", file=sys.stderr)
     return 0
@@ -264,7 +250,6 @@ def _number_where(convert, ok, requirement: str):
 
 
 _finite_nonnegative = _number_where(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-_finite = _number_where(float, math.isfinite, "a finite number")
 _positive = _number_where(float, lambda v: 0.0 < v <= math.inf, "> 0")
 _half_unit = _number_where(float, lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]")
 _seed = _number_where(int, lambda v: v >= 0, "an integer >= 0")
@@ -296,13 +281,6 @@ def _add_common(parser):
     parser.add_argument("--output", default=None, help="TSV path; '-' for stdout")
 
 
-def _add_age_policy(parser):
-    """The retention polynomial ``(a2, a1, a0)``; sweep sets its own threshold."""
-    parser.add_argument("--age-a2", type=_finite, default=None)
-    parser.add_argument("--age-a1", type=_finite, default=None)
-    parser.add_argument("--age-a0", type=_finite, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gapcg",
                                      description="Column generation for the GAP")
@@ -315,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=_seed, default=driver.CgConfig.seed,
                        help="relabel jobs and machines; 0 keeps the file's labels")
     _add_common(p_run)
-    _add_age_policy(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="compare methods over instances and seeds")
@@ -327,8 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--workers", type=_positive_int, default=1,
                          help="worker processes; never more than the number of cells")
     _add_common(p_bench)
-    _add_age_policy(p_bench)
     p_bench.set_defaults(func=cmd_bench)
+    for p in (p_run, p_bench):  # not sweep, which sets the threshold itself
+        p.add_argument("--age-threshold", type=_positive_int, default=None,
+                       help="drop a column once more iterations than this have passed "
+                            "since it was added or last basic; default: the method's policy")
 
     p_sweep = sub.add_parser("sweep", help="age-threshold sweep on one instance")
     p_sweep.add_argument("instance")
@@ -337,9 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="relabel jobs and machines; 0 keeps the file's labels")
     p_sweep.add_argument("--taus", type=_list_of(_positive_int), required=True, help="comma-separated thresholds")
     p_sweep.add_argument("--replications", type=int, default=5)
-    p_sweep.add_argument("--window", type=int, default=5)
-    p_sweep.add_argument("--tie-rel", type=_finite_nonnegative, default=0.01)
-    p_sweep.add_argument("--tie-abs", type=_finite_nonnegative, default=1.0)
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

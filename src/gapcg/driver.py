@@ -40,7 +40,7 @@ class CgConfig:
     epsilon: float = 1e-6
     time_limit: float = 600.0
     mip_gap: float = 1e-5  # 0.001 percent
-    age_policy_override: tuple[float, float, float] | None = None
+    age_threshold: int | None = None  # None: the method's policy, rmp.age_threshold
     template_delta: float = DEFAULT_DELTA
     seed: int = 0  # the labeling, see instance.relabel; 0 keeps the instance's own
 
@@ -189,9 +189,8 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     pool = ColumnPool(inst)
     state = (np.full(inst.num_machines, 0.5) if method == "lt" else
              PessoaState() if method == "pessoa" else None)
-    coefficients = (cfg.age_policy_override if cfg.age_policy_override is not None
-                    else AGE_POLICIES[method])
-    tau = rmp.age_threshold(coefficients, inst)
+    tau = (cfg.age_threshold if cfg.age_threshold is not None
+           else rmp.age_threshold(method, inst))
 
     if method in ("lt", "mt") and not 0.0 <= cfg.template_delta <= 0.5:
         raise ValueError("delta must lie in [0, 0.5]")

@@ -22,7 +22,6 @@ and ``artificial`` change there and nowhere else.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -213,19 +212,12 @@ def manage_columns(pool: ColumnPool, sol: RmpSolution, tau: int) -> int:
     return len(stale)
 
 
-def age_threshold(coefficients: tuple[float, float, float], inst: GapInstance) -> int:
-    """Retention window from a policy polynomial ``(a2, a1, a0)`` in the ratio.
-
-    The window is the polynomial's ceiling, at least 1 and at most
-    ``sys.maxsize`` (which keeps every column); a NaN value raises."""
-    a2, a1, a0 = coefficients
+def age_threshold(method: str, inst: GapInstance) -> int:
+    """Retention window of ``method``'s age policy: the ceiling, at least 1, of
+    its polynomial ``a2 r^2 + a1 r + a0`` in the job/machine ratio ``r``."""
+    a2, a1, a0 = AGE_POLICIES[method]
     r = inst.ratio
-    value = a2 * r * r + a1 * r + a0
-    if math.isnan(value):
-        raise ValueError(f"age policy {coefficients} is NaN at ratio {r:g}")
-    if math.isinf(value):
-        return sys.maxsize if value > 0 else 1
-    return min(sys.maxsize, max(1, math.ceil(value - 1e-9)))
+    return max(1, math.ceil(a2 * r * r + a1 * r + a0 - 1e-9))
 
 
 def solve_compact_lp(inst: GapInstance) -> np.ndarray:

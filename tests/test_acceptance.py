@@ -21,7 +21,7 @@ from gapcg.instance import GeneratorSpec, generate
 from gapcg.knapsack import KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_knapsack
 from gapcg.pricing import lt_price, mt_price, reduced_cost_sum
 from gapcg import driver as driver_module
-from gapcg.rmp import ColumnPool
+from gapcg.rmp import ColumnPool, age_threshold
 
 EPS = 1e-6
 
@@ -200,15 +200,13 @@ def _run_with_column_log(inst, cfg):
 def test_criterion_05_pessoa_degeneration(monkeypatch):
     monkeypatch.setattr(driver_module, "ColumnPool", _LoggingPool)
     monkeypatch.setattr(driver_module, "PessoaState", FrozenPessoaState)
-    same_policy = (0.081875, 0.0, 1.0)  # shared so only pricing differs
     for seed in (11, 12, 13, 14, 15):
         inst = toy_instance(3, 18, seed)
+        same_tau = age_threshold("dantzig", inst)  # shared so only pricing differs
         rep_d, log_d = _run_with_column_log(inst, CgConfig(
-            pricing_method="dantzig", time_limit=60,
-            age_policy_override=same_policy))
+            pricing_method="dantzig", time_limit=60, age_threshold=same_tau))
         rep_p, log_p = _run_with_column_log(inst, CgConfig(
-            pricing_method="pessoa", time_limit=60,
-            age_policy_override=same_policy))
+            pricing_method="pessoa", time_limit=60, age_threshold=same_tau))
         assert log_d == log_p, f"seed {seed}: column sequences diverged"
         assert len(rep_d.rows) == len(rep_p.rows)
         ALL_REPORTS.extend([rep_d, rep_p])

@@ -1,12 +1,15 @@
+import argparse
 import dataclasses
 import math
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from gapcg import cli, driver
-from gapcg.cli import (SweepSpec, _make_config, build_parser, geomean, main,
-                       rolling_geomean, run_sweep, select_tau)
+from gapcg.cli import (_make_config, build_parser, geomean, main, rolling_geomean, run_sweep,
+                       select_tau)
 from gapcg.driver import CgConfig
 from gapcg.instance import GeneratorSpec, generate, serialize
 from gapcg.simplex import SimplexError
@@ -78,6 +81,7 @@ def test_epsilon_negative_or_not_finite_exits_2(instance_file, capsys, command, 
     (["run", "--method", "dantzig"], "--mip-gap", "nan"),
     (["bench"], "--mip-gap", "inf"),
     (["sweep", "--taus", "1,2"], "--mip-gap", "-0.1"),
+    # flags that no command takes, named in the usage error like a bad value
     (["run", "--method", "dantzig"], "--age-a0", "nan"),
     (["bench"], "--age-a1", "inf"),
     (["sweep", "--taus", "1,2"], "--age-a2", "-inf"),
@@ -92,19 +96,20 @@ def test_out_of_range_float_flag_exits_2(instance_file, capsys, command, flag, v
 
 
 @pytest.mark.parametrize("flags", [
+    ["--age-threshold", "3"],
     ["--tie-rel", "-1"], ["--tie-rel", "nan"], ["--tie-abs", "-1"], ["--tie-abs", "nan"],
     ["--tie-abs", "inf"], ["--age-a2", "1"], ["--age-a1", "1"], ["--age-a0", "1"],
-], ids=["tie-rel-negative", "tie-rel-nan", "tie-abs-negative", "tie-abs-nan", "tie-abs-inf",
-        "age-a2", "age-a1", "age-a0"])
+], ids=["age-threshold", "tie-rel-negative", "tie-rel-nan", "tie-abs-negative", "tie-abs-nan",
+        "tie-abs-inf", "age-a2", "age-a1", "age-a0"])
 def test_sweep_rejects_bad_flags_before_any_run(instance_file, capsys, monkeypatch, flags):
-    # the sweep sets the age threshold itself, so an age flag would be ignored
+    # the sweep sets the age threshold itself, so --age-threshold would be
+    # ignored; the tie rule is fixed, and no command takes --age-a2/a1/a0
     def no_run(inst, cfg):
         raise AssertionError("the sweep ran before rejecting its flags")
 
     monkeypatch.setattr(driver, "run", no_run)
     with pytest.raises(SystemExit) as err:
-        main(["sweep", instance_file, "--taus", "1,2", "--replications", "1",
-              "--window", "1", *flags])
+        main(["sweep", instance_file, "--taus", "1,2", "--replications", "1", *flags])
     assert err.value.code == 2
     assert flags[0] in capsys.readouterr().err
 
@@ -131,11 +136,22 @@ def test_malformed_list_flag_exits_2(instance_file, capsys, command, flag):
 @pytest.mark.parametrize("flags", [
     ["--taus", "4,2"],
     ["--taus", "1,2", "--replications", "0"],
-    ["--taus", "1,2", "--window", "4"],
-], ids=["taus-decreasing", "replications-0", "window-even"])
+], ids=["taus-decreasing", "replications-0"])
 def test_invalid_sweep_spec_exits_2(instance_file, capsys, flags):
     assert main(["sweep", instance_file, *flags]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_sweep_multi_instance_file_exits_2(tmp_path, capsys, monkeypatch):
+    def no_run(inst, cfg):
+        raise AssertionError("the sweep ran on a file of two instances")
+
+    monkeypatch.setattr(driver, "run", no_run)
+    path = tmp_path / "two.txt"
+    path.write_text("2\n" + "".join(serialize(generate(GeneratorSpec(2, 6, seed=s)))
+                                     for s in (1, 2)))
+    assert main(["sweep", str(path), "--format", "orlib-multi", "--taus", "1,2"]) == 2
+    assert capsys.readouterr().err == f"error: sweep takes one instance; {path} holds 2\n"
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -146,8 +162,16 @@ def test_invalid_sweep_spec_exits_2(instance_file, capsys, flags):
     (["sweep"], "--taus", "0,1"),
     (["bench", "--methods", "dantzig"], "--workers", "0"),
     (["bench", "--methods", "dantzig"], "--workers", "-2"),
+    (["run", "--method", "dantzig"], "--age-threshold", "0"),
+    (["run", "--method", "dantzig"], "--age-threshold", "1.5"),
+    (["run", "--method", "dantzig"], "--age-threshold", "nan"),
+    (["bench", "--methods", "dantzig"], "--age-threshold", "0"),
+    (["bench", "--methods", "dantzig"], "--age-threshold", "1.5"),
+    (["bench", "--methods", "dantzig"], "--age-threshold", "nan"),
 ], ids=["run-seed", "sweep-seed", "bench-seeds", "sweep-taus-negative", "sweep-taus-zero",
-        "bench-workers-zero", "bench-workers-negative"])
+        "bench-workers-zero", "bench-workers-negative", "run-age-threshold-zero",
+        "run-age-threshold-fraction", "run-age-threshold-nan", "bench-age-threshold-zero",
+        "bench-age-threshold-fraction", "bench-age-threshold-nan"])
 def test_out_of_range_integer_flag_exits_2(instance_file, capsys, monkeypatch,
                                            command, flag, value):
     def no_run(inst, cfg):
@@ -164,10 +188,22 @@ def test_every_config_field_has_a_flag():
     # a CgConfig field that no flag sets is a switch only tests can reach
     args = build_parser().parse_args([
         "run", "x.txt", "--method", "mt", "--time-limit", "5", "--seed", "3",
-        "--epsilon", "1e-4", "--delta", "0.01", "--mip-gap", "0.5", "--age-a0", "2"])
+        "--epsilon", "1e-4", "--delta", "0.01", "--mip-gap", "0.5", "--age-threshold", "2"])
     cfg, default = _make_config(args, args.method, args.seed), CgConfig()
     for f in dataclasses.fields(CgConfig):
         assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+
+
+def test_readme_names_every_flag():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {option for sub in subparsers.choices.values() for action in sub._actions
+             for option in action.option_strings if option.startswith("--")} - {"--help"}
+    assert sorted(flags - documented) == []
+    assert sorted(documented - flags) == []
 
 
 @pytest.mark.parametrize("command", [["run"], ["bench"], ["sweep", "--taus", "1,2"]],
@@ -260,18 +296,22 @@ def test_run_infeasible_instance_exits_3(tmp_path, capsys, text, method):
 
 @pytest.mark.parametrize("command", [["run", "--method", "dantzig"], ["bench", "--methods", "dantzig"]],
                          ids=["run", "bench"])
-def test_age_policy_overflowing_to_inf_keeps_every_column(tmp_path, command):
-    # a2 * 10^2 overflows to +inf on this ratio-10 instance
-    path, out = tmp_path / "g2x20.txt", tmp_path / "out.tsv"
-    path.write_text(serialize(generate(GeneratorSpec(2, 20, seed=1))))
-    assert main([command[0], str(path), *command[1:], "--age-a2", "1e308",
-                 "--output", str(out)]) == 0
-    header, *lines = out.read_text().splitlines()
-    rows = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
-    if command[0] == "bench":
-        assert rows[0]["status"] in ("optimal", "rc_converged", "gap_closed")
-    else:
-        assert {row["columns_removed"] for row in rows} == {"0", "-"}
+def test_age_threshold_flag_sets_column_retention(tmp_path, monkeypatch, command):
+    path = tmp_path / "g4x24.txt"
+    path.write_text(serialize(generate(GeneratorSpec(4, 24, seed=3))))
+    removed, real_run = {}, driver.run
+
+    def counting_run(inst, cfg):
+        report = real_run(inst, cfg)
+        removed[cfg.age_threshold] = [row.columns_removed for row in report.rows]
+        return report
+
+    monkeypatch.setattr(driver, "run", counting_run)
+    for tau in ("1000000", "1"):
+        assert main([command[0], str(path), *command[1:], "--age-threshold", tau,
+                     "--output", str(tmp_path / "out.tsv")]) == 0
+    assert set(removed[1000000]) == {0}
+    assert sum(removed[1]) > 0
 
 
 def test_run_tsv_stable_across_invocations(instance_file, tmp_path):
@@ -418,7 +458,7 @@ def fake_timed_runs(monkeypatch, seconds):
     clock = [0.0]
 
     def fake_run(inst, cfg):
-        clock[0] += seconds(cfg.age_policy_override[2])
+        clock[0] += seconds(cfg.age_threshold)
 
     monkeypatch.setattr(cli.driver, "run", fake_run)
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
@@ -426,32 +466,21 @@ def fake_timed_runs(monkeypatch, seconds):
 
 def test_run_sweep_with_injected_times(monkeypatch):
     inst = generate(GeneratorSpec(num_machines=2, num_jobs=8, seed=1))
-    spec = SweepSpec(tau_values=[5, 10, 20, 30, 40], replications=2,
-                     time_limit=100.0, smoothing_window=3)
-    table = {5: 10.0, 10: 3.0, 20: 3.01, 30: 3.2, 40: 9.0}
+    # the window around 20 holds the profile 10, 3, 3.01, 3.2, 9; the slow
+    # ends keep every other window more than 1 second above it
+    table = {2: 30.0, 5: 10.0, 10: 3.0, 20: 3.01, 30: 3.2, 40: 9.0, 50: 30.0}
     fake_timed_runs(monkeypatch, lambda tau: table[tau])
-    selected, per_tau, smoothed = run_sweep(inst, "lt", spec, CgConfig())
+    selected, per_tau, smoothed = run_sweep(inst, "lt", list(table), 2, CgConfig(time_limit=100.0))
     assert per_tau == pytest.approx(list(table.values()))
     assert selected == 20
 
 
 def test_run_sweep_counts_timeouts_at_limit(monkeypatch):
     inst = generate(GeneratorSpec(num_machines=2, num_jobs=8, seed=1))
-    spec = SweepSpec(tau_values=[1, 2, 3], replications=1, time_limit=5.0,
-                     smoothing_window=3)
     fake_timed_runs(monkeypatch, lambda tau: 1e9)
-    selected, per_tau, _ = run_sweep(inst, "lt", spec, CgConfig())
+    selected, per_tau, _ = run_sweep(inst, "lt", [1, 2, 3], 1, CgConfig(time_limit=5.0))
     assert per_tau == pytest.approx([5.0, 5.0, 5.0])
     assert selected == 1
-
-
-def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
-        SweepSpec(tau_values=[])
-    with pytest.raises(ValueError):
-        SweepSpec(tau_values=[3, 2])
-    with pytest.raises(ValueError):
-        SweepSpec(tau_values=[1, 2], smoothing_window=4)
 
 
 def test_sweep_infeasible_instance_exits_3(tmp_path, capsys):
@@ -464,7 +493,7 @@ def test_sweep_infeasible_instance_exits_3(tmp_path, capsys):
 def test_sweep_command_end_to_end(instance_file, tmp_path):
     out = tmp_path / "sweep.tsv"
     code = main(["sweep", instance_file, "--method", "lt", "--taus", "2,4,8",
-                 "--replications", "1", "--time-limit", "20", "--window", "3",
+                 "--replications", "1", "--time-limit", "20",
                  "--output", str(out)])
     assert code == 0
     lines = out.read_text().strip().split("\n")

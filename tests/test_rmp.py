@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import tracemalloc
 from contextlib import contextmanager
 
@@ -15,7 +14,7 @@ from _oracles import (PerColumnMasterLp, ReconcilingMasterLp, compact_lp_optimum
 from gapcg import rmp
 from gapcg.driver import CgConfig, run
 from gapcg.instance import GapInstance, GeneratorSpec, InfeasibleInstanceError, generate
-from gapcg.rmp import (AGE_POLICIES, Column, ColumnPool, age_threshold, build_and_solve, extract_integer_solution,
+from gapcg.rmp import (Column, ColumnPool, age_threshold, build_and_solve, extract_integer_solution,
                        manage_columns, project_primal, solve_compact_lp)
 from gapcg.simplex import SimplexError, SimplexSolver
 from test_properties import small_instances
@@ -264,28 +263,9 @@ def test_age_threshold_paper_policies():
     inst20 = GapInstance(1, 20, np.ones((1, 20)), np.ones((1, 20)), np.array([20]))
     inst10 = GapInstance(1, 10, np.ones((1, 10)), np.ones((1, 10)), np.array([10]))
     inst80 = GapInstance(1, 80, np.ones((1, 80)), np.ones((1, 80)), np.array([80]))
-    assert age_threshold(AGE_POLICIES["dantzig"], inst20) == 34
-    assert age_threshold(AGE_POLICIES["pessoa"], inst10) == 4
-    assert age_threshold(AGE_POLICIES["lt"], inst80) == 8
-
-
-RATIO_10 = GapInstance(1, 10, np.ones((1, 10)), np.ones((1, 10)), np.array([10]))
-
-
-def test_age_threshold_overflowing_to_inf_keeps_every_column():
-    # 1e308 * 10^2 overflows to +inf
-    assert age_threshold((1e308, 0.0, 1.0), RATIO_10) == sys.maxsize
-    assert age_threshold((0.0, 0.0, 1e300), RATIO_10) == sys.maxsize
-
-
-def test_age_threshold_overflowing_to_minus_inf_is_one():
-    assert age_threshold((-1e308, 0.0, 1.0), RATIO_10) == 1
-
-
-def test_age_threshold_nan_names_the_coefficients():
-    # +inf from a2 meets -inf from a1
-    with pytest.raises(ValueError, match=r"\(1e\+308, -1e\+308, 1.0\)"):
-        age_threshold((1e308, -1e308, 1.0), RATIO_10)
+    assert age_threshold("dantzig", inst20) == 34
+    assert age_threshold("pessoa", inst10) == 4
+    assert age_threshold("lt", inst80) == 8
 
 
 # -------------------------------------------------------------- solve_compact_lp
@@ -537,8 +517,7 @@ def test_master_matches_reconciling_master(method):
 @given(inst=small_instances(), tau=st.integers(1, 3))
 def test_master_matches_reconciling_master_property(method, inst, tau):
     # short retention windows, so that columns leave the pool often
-    cfg = CgConfig(pricing_method=method, time_limit=60,
-                   age_policy_override=(0.0, 0.0, float(tau)))
+    cfg = CgConfig(pricing_method=method, time_limit=60, age_threshold=tau)
     with reconciled_solves():
         try:
             run(inst, cfg)
