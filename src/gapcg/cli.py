@@ -92,8 +92,12 @@ def _make_config(args, method: str, seed: int) -> driver.CgConfig:
                            template_delta=args.delta, seed=seed)
 
 
-class InstanceFileError(Exception):
-    """An instance file that cannot be read or parsed; ``main`` exits 3."""
+class CliError(Exception):
+    """A failure that ``main`` reports as one ``error:`` line and exit ``code``."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
 
 
 def _load_instances(path: str, fmt: str) -> list[instance.GapInstance]:
@@ -101,8 +105,10 @@ def _load_instances(path: str, fmt: str) -> list[instance.GapInstance]:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         instances = instance.parse(text, format=fmt)
-    except (OSError, instance.ParseError) as exc:
-        raise InstanceFileError(exc) from exc
+    except OSError as exc:  # its message already names the path
+        raise CliError(str(exc), 3) from exc
+    except (UnicodeDecodeError, instance.ParseError) as exc:
+        raise CliError(f"{path}: {exc}", 3) from exc
     stem = path.rsplit("/", 1)[-1]
     for k, inst in enumerate(instances):
         inst.name = stem if len(instances) == 1 else f"{stem}#{k}"
@@ -115,8 +121,7 @@ def cmd_run(args) -> int:
         try:
             report = driver.run(inst, _make_config(args, args.method, args.seed))
         except instance.InfeasibleInstanceError as exc:
-            print(f"error: {inst.name}: {exc}", file=sys.stderr)
-            return 3
+            raise CliError(f"{inst.name}: {exc}", 3) from exc
         rows.extend(_report_rows(report))
     _write_tsv(rows, RUN_COLUMNS, args.output)
     return 0
@@ -175,21 +180,19 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def run_sweep(inst: instance.GapInstance, method: str, taus: list[int],
-              replications: int, base_cfg: driver.CgConfig):
+def run_sweep(inst: instance.GapInstance, taus: list[int], seeds: list[int],
+              base_cfg: driver.CgConfig):
     """Time the solver across age thresholds and pick the robust smallest.
 
-    Each run is capped at ``base_cfg.time_limit``. Replication ``rep`` runs
-    the labeling ``base_cfg.seed + rep`` (see ``instance.relabel``), so every
-    threshold is timed over the same labelings. Returns
+    Each run is capped at ``base_cfg.time_limit``. Every threshold is timed
+    once per labeling in ``seeds`` (see ``instance.relabel``). Returns
     ``(selected_tau, geomean_time_per_tau, smoothed)``.
     """
     per_tau = []
     for tau in taus:
         times = []
-        for rep in range(replications):
-            cfg = replace(base_cfg, pricing_method=method, age_threshold=tau,
-                          seed=base_cfg.seed + rep)
+        for seed in seeds:
+            cfg = replace(base_cfg, age_threshold=tau, seed=seed)
             t0 = time.perf_counter()
             driver.run(inst, cfg)
             times.append(min(time.perf_counter() - t0, base_cfg.time_limit))
@@ -199,23 +202,15 @@ def run_sweep(inst: instance.GapInstance, method: str, taus: list[int],
 
 
 def cmd_sweep(args) -> int:
-    if any(a >= b for a, b in zip(args.taus, args.taus[1:])) or args.replications < 1:
-        print("error: --taus must strictly increase and --replications be at least 1",
-              file=sys.stderr)
-        return 2
     instances = _load_instances(args.instance, args.format)
     if len(instances) != 1:
-        print(f"error: sweep takes one instance; {args.instance} holds {len(instances)}",
-              file=sys.stderr)
-        return 2
+        raise CliError(f"sweep takes one instance; {args.instance} holds {len(instances)}", 2)
     inst, = instances
-    base = _make_config(args, args.method, args.seed)
+    base = _make_config(args, args.method, seed=0)  # run_sweep sets each run's seed
     try:
-        selected, per_tau, smoothed = run_sweep(inst, args.method, args.taus,
-                                                args.replications, base)
+        selected, per_tau, smoothed = run_sweep(inst, args.taus, args.seeds, base)
     except instance.InfeasibleInstanceError as exc:
-        print(f"error: {inst.name}: {exc}", file=sys.stderr)
-        return 3
+        raise CliError(f"{inst.name}: {exc}", 3) from exc
     rows = [[tau, g, s, 1 if tau == selected else 0]
             for tau, g, s in zip(args.taus, per_tau, smoothed)]
     _write_tsv(rows, ["tau", "geomean_time", "smoothed_time", "selected"], args.output)
@@ -230,17 +225,16 @@ def cmd_generate(args) -> int:
                                   capacity_slack=args.slack, seed=args.seed)
     try:
         inst = instance.generate(spec)
-        instance.validate(inst)  # never write an instance that run rejects
+        instance.validate(inst)  # a valid draw can still be infeasible: run then exits 3
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc), 2) from exc
     _write(instance.serialize(inst), args.output)
     print(f"job/machine ratio: {inst.ratio:g}", file=sys.stderr)
     return 0
 
 
-def _number_where(convert, ok, requirement: str):
-    """An argparse type: a ``convert``ed number for which ``ok`` holds, else a usage error."""
+def _checked(convert, ok, requirement: str):
+    """An argparse type: a ``convert``ed value for which ``ok`` holds, else a usage error."""
     def parse(text: str):
         if not ok(convert(text)):
             raise argparse.ArgumentTypeError(f"{text} is not {requirement}")
@@ -249,11 +243,11 @@ def _number_where(convert, ok, requirement: str):
     return parse
 
 
-_finite_nonnegative = _number_where(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-_positive = _number_where(float, lambda v: 0.0 < v <= math.inf, "> 0")
-_half_unit = _number_where(float, lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]")
-_seed = _number_where(int, lambda v: v >= 0, "an integer >= 0")
-_positive_int = _number_where(int, lambda v: v >= 1, "an integer >= 1")
+_finite_nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_positive = _checked(float, lambda v: 0.0 < v <= math.inf, "> 0")
+_half_unit = _checked(float, lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _list_of(item):
@@ -262,6 +256,10 @@ def _list_of(item):
         return [item(s) for s in text.split(",")]
     parse.__name__ = f"{item.__name__} list"
     return parse
+
+
+_increasing_taus = _checked(_list_of(_positive_int), lambda v: all(a < b for a, b in zip(v, v[1:])),
+                            "a strictly increasing list")
 
 
 def _method_list(text: str) -> list[str]:
@@ -282,12 +280,13 @@ def _add_common(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gapcg",
+    # allow_abbrev=False: each flag has one spelling, and a prefix is a usage error
+    parser = argparse.ArgumentParser(prog="gapcg", allow_abbrev=False,
                                      description="Column generation for the GAP")
     sub = parser.add_subparsers(dest="command", required=True)
     cg_methods = list(rmp.AGE_POLICIES)
 
-    p_run = sub.add_parser("run", help="solve one instance file")
+    p_run = sub.add_parser("run", allow_abbrev=False, help="solve one instance file")
     p_run.add_argument("instance")
     p_run.add_argument("--method", choices=METHODS, default="lt")
     p_run.add_argument("--seed", type=_seed, default=driver.CgConfig.seed,
@@ -295,12 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_bench = sub.add_parser("bench", help="compare methods over instances and seeds")
+    p_bench = sub.add_parser("bench", allow_abbrev=False,
+                             help="compare methods over instances and seeds")
     p_bench.add_argument("instances", nargs="+")
     p_bench.add_argument("--methods", type=_method_list, default=",".join(cg_methods))
-    p_bench.add_argument("--seeds", type=_list_of(_seed), default="0",
-                         help="comma-separated; each entry relabels jobs and machines, "
-                              "0 keeps the file's labels")
     p_bench.add_argument("--workers", type=_positive_int, default=1,
                          help="worker processes; never more than the number of cells")
     _add_common(p_bench)
@@ -310,17 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drop a column once more iterations than this have passed "
                             "since it was added or last basic; default: the method's policy")
 
-    p_sweep = sub.add_parser("sweep", help="age-threshold sweep on one instance")
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False,
+                             help="age-threshold sweep on one instance")
     p_sweep.add_argument("instance")
     p_sweep.add_argument("--method", choices=cg_methods, default="lt")
-    p_sweep.add_argument("--seed", type=_seed, default=driver.CgConfig.seed,
-                         help="relabel jobs and machines; 0 keeps the file's labels")
-    p_sweep.add_argument("--taus", type=_list_of(_positive_int), required=True, help="comma-separated thresholds")
-    p_sweep.add_argument("--replications", type=int, default=5)
+    p_sweep.add_argument("--taus", type=_increasing_taus, required=True,
+                         help="comma-separated, strictly increasing thresholds")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
+    for p, default in ((p_bench, "0"), (p_sweep, "0,1,2,3,4")):
+        p.add_argument("--seeds", type=_list_of(_seed), default=default,
+                       help="comma-separated; each entry relabels jobs and machines, "
+                            "0 keeps the file's labels")
 
-    p_gen = sub.add_parser("generate", help="write a random instance file")
+    p_gen = sub.add_parser("generate", allow_abbrev=False, help="write a random instance file")
     p_gen.add_argument("--machines", type=int, required=True)
     p_gen.add_argument("--jobs", type=int, required=True)
     p_gen.add_argument("--cost-lo", type=int, default=10)
@@ -339,9 +339,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFileError as exc:  # reading the instance only; --output errors propagate
+    except CliError as exc:  # an OSError from writing --output propagates (exit 1)
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -99,19 +99,21 @@ def test_out_of_range_float_flag_exits_2(instance_file, capsys, command, flag, v
     ["--age-threshold", "3"],
     ["--tie-rel", "-1"], ["--tie-rel", "nan"], ["--tie-abs", "-1"], ["--tie-abs", "nan"],
     ["--tie-abs", "inf"], ["--age-a2", "1"], ["--age-a1", "1"], ["--age-a0", "1"],
+    ["--replications", "5"], ["--seed", "3"],
 ], ids=["age-threshold", "tie-rel-negative", "tie-rel-nan", "tie-abs-negative", "tie-abs-nan",
-        "tie-abs-inf", "age-a2", "age-a1", "age-a0"])
+        "tie-abs-inf", "age-a2", "age-a1", "age-a0", "replications", "seed"])
 def test_sweep_rejects_bad_flags_before_any_run(instance_file, capsys, monkeypatch, flags):
     # the sweep sets the age threshold itself, so --age-threshold would be
-    # ignored; the tie rule is fixed, and no command takes --age-a2/a1/a0
+    # ignored; the tie rule is fixed, no command takes --age-a2/a1/a0, and
+    # --seeds names the sweep's labelings in place of --seed and --replications
     def no_run(inst, cfg):
         raise AssertionError("the sweep ran before rejecting its flags")
 
     monkeypatch.setattr(driver, "run", no_run)
     with pytest.raises(SystemExit) as err:
-        main(["sweep", instance_file, "--taus", "1,2", "--replications", "1", *flags])
+        main(["sweep", instance_file, "--taus", "1,2", "--seeds", "0", *flags])
     assert err.value.code == 2
-    assert flags[0] in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 def test_infinite_time_limit_is_accepted(instance_file, tmp_path):
@@ -125,21 +127,16 @@ def test_infinite_time_limit_is_accepted(instance_file, tmp_path):
     (["bench", "--methods", "dantzig,foo"], "--methods"),
     (["bench", "--seeds", "0,x"], "--seeds"),
     (["sweep", "--taus", "1,x"], "--taus"),
-], ids=["bench-methods", "bench-seeds", "sweep-taus"])
+    (["sweep", "--taus", "4,2"], "--taus"),
+    (["sweep", "--taus", "1,2,2"], "--taus"),
+    (["sweep", "--taus", "1,2", "--seeds", "0,x"], "--seeds"),
+], ids=["bench-methods", "bench-seeds", "sweep-taus", "sweep-taus-not-increasing",
+        "sweep-taus-repeated", "sweep-seeds"])
 def test_malformed_list_flag_exits_2(instance_file, capsys, command, flag):
     with pytest.raises(SystemExit) as err:
         main([command[0], instance_file, *command[1:]])
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags", [
-    ["--taus", "4,2"],
-    ["--taus", "1,2", "--replications", "0"],
-], ids=["taus-decreasing", "replications-0"])
-def test_invalid_sweep_spec_exits_2(instance_file, capsys, flags):
-    assert main(["sweep", instance_file, *flags]) == 2
-    assert "error" in capsys.readouterr().err
 
 
 def test_sweep_multi_instance_file_exits_2(tmp_path, capsys, monkeypatch):
@@ -156,7 +153,7 @@ def test_sweep_multi_instance_file_exits_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command, flag, value", [
     (["run", "--method", "dantzig"], "--seed", "-1"),
-    (["sweep", "--taus", "1,2"], "--seed", "-1"),
+    (["sweep", "--taus", "1,2"], "--seeds", "-1"),
     (["bench", "--methods", "dantzig"], "--seeds", "-1"),
     (["sweep"], "--taus", "-5,0,1"),
     (["sweep"], "--taus", "0,1"),
@@ -168,7 +165,7 @@ def test_sweep_multi_instance_file_exits_2(tmp_path, capsys, monkeypatch):
     (["bench", "--methods", "dantzig"], "--age-threshold", "0"),
     (["bench", "--methods", "dantzig"], "--age-threshold", "1.5"),
     (["bench", "--methods", "dantzig"], "--age-threshold", "nan"),
-], ids=["run-seed", "sweep-seed", "bench-seeds", "sweep-taus-negative", "sweep-taus-zero",
+], ids=["run-seed", "sweep-seeds", "bench-seeds", "sweep-taus-negative", "sweep-taus-zero",
         "bench-workers-zero", "bench-workers-negative", "run-age-threshold-zero",
         "run-age-threshold-fraction", "run-age-threshold-nan", "bench-age-threshold-zero",
         "bench-age-threshold-fraction", "bench-age-threshold-nan"])
@@ -194,16 +191,40 @@ def test_every_config_field_has_a_flag():
         assert getattr(cfg, f.name) != getattr(default, f.name), f.name
 
 
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def long_options(parser: argparse.ArgumentParser) -> set[str]:
+    return {option for action in parser._actions for option in action.option_strings
+            if option.startswith("--")}
+
+
 def test_readme_names_every_flag():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    flags = {option for sub in subparsers.choices.values() for action in sub._actions
-             for option in action.option_strings if option.startswith("--")} - {"--help"}
+    flags = set().union(*map(long_options, subparsers().values())) - {"--help"}
     assert sorted(flags - documented) == []
     assert sorted(documented - flags) == []
+
+
+# the fewest arguments each command parses without error
+MINIMAL_ARGS = {"run": ["x.txt"], "bench": ["x.txt"], "sweep": ["x.txt", "--taus", "1"],
+                "generate": ["--machines", "1", "--jobs", "1"]}
+
+
+def test_no_flag_prefix_is_accepted(capsys):
+    # argparse would otherwise read any unique prefix as the whole flag
+    for command, parser in subparsers().items():
+        build_parser().parse_args([command, *MINIMAL_ARGS[command]])
+        options = long_options(parser)
+        for prefix in sorted({option[:-1] for option in options} - options):
+            with pytest.raises(SystemExit) as err:
+                build_parser().parse_args([command, *MINIMAL_ARGS[command], f"{prefix}=1"])
+            assert err.value.code == 2, (command, prefix)
+            assert f"unrecognized arguments: {prefix}=1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["run"], ["bench"], ["sweep", "--taus", "1,2"]],
@@ -213,6 +234,42 @@ def test_run_missing_file_exits_3(tmp_path, capsys, command):
     assert main([command[0], str(missing), *command[1:]]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
+
+
+MALFORMED = b"1 2\n1 x\n1 1\n5\n"  # 'x' among the costs
+INFEASIBLE = b"1 2\n1 1\n9 9\n3\n"  # both jobs exceed the single capacity
+TWO_INSTANCES = ("2\n" + "".join(serialize(generate(GeneratorSpec(2, 6, seed=s)))
+                                 for s in (1, 2))).encode()
+
+
+@pytest.mark.parametrize("argv, text, code", [
+    (["run", "BAD"], None, 3),
+    (["bench", "GOOD", "BAD"], None, 3),
+    (["sweep", "BAD", "--taus", "1,2"], None, 3),
+    (["run", "BAD"], MALFORMED, 3),
+    (["run", "BAD"], b"\xff\xfe 1 2", 3),
+    (["bench", "GOOD", "BAD"], MALFORMED, 3),
+    (["sweep", "BAD", "--taus", "1,2"], MALFORMED, 3),
+    (["run", "BAD", "--method", "dantzig"], INFEASIBLE, 3),
+    (["sweep", "BAD", "--taus", "1,2", "--seeds", "0"], INFEASIBLE, 3),
+    (["sweep", "BAD", "--format", "orlib-multi", "--taus", "1,2"], TWO_INSTANCES, 2),
+    (["generate", "--machines", "5", "--jobs", "2", "--seed", "1"], None, 2),
+], ids=["run-missing", "bench-missing", "sweep-missing", "run-malformed", "run-not-utf8",
+        "bench-malformed", "sweep-malformed", "run-infeasible", "sweep-infeasible",
+        "sweep-two-instances", "generate-rejected"])
+def test_every_failure_is_one_error_line_and_no_output(instance_file, tmp_path, capsys,
+                                                       argv, text, code):
+    # every failure that argparse does not report: one line that names the
+    # file or the instance, the documented exit code, and no --output file
+    bad, out = tmp_path / "bad.txt", tmp_path / "out.tsv"
+    if text is not None:
+        bad.write_bytes(text)
+    paths = {"BAD": str(bad), "GOOD": instance_file}
+    assert main([paths.get(arg, arg) for arg in argv] + ["--output", str(out)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert argv[0] == "generate" or "bad.txt" in lines[0]
+    assert not out.exists()
 
 
 def test_unwritable_output_is_not_an_instance_error(instance_file, tmp_path):
@@ -251,7 +308,8 @@ def test_integer_outside_int64_exits_3(tmp_path, capsys, command):
     bad = tmp_path / "huge.txt"
     bad.write_text("1 1\n99999999999999999999999\n1\n1\n")
     assert main([command[0], str(bad), *command[1:]]) == 3
-    assert "outside int64" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "outside int64" in err and str(bad) in err
 
 
 WRAPPING_COSTS = "1 2\n9223372036854775807 9223372036854775807\n1 1\n5\n"
@@ -327,7 +385,7 @@ def test_run_tsv_stable_across_invocations(instance_file, tmp_path):
 
 # ----------------------------------------------------------------------- bench
 
-def test_bench_row_counting(instance_file, tmp_path):
+def test_bench_row_counting(instance_file, tmp_path, capsys):
     out = tmp_path / "bench.tsv"
     code = main(["bench", instance_file, instance_file, "--methods", "dantzig,lt",
                  "--seeds", "0,1", "--time-limit", "30", "--output", str(out)])
@@ -337,11 +395,12 @@ def test_bench_row_counting(instance_file, tmp_path):
     summaries = [l for l in lines[1:] if l.startswith("GEOMEAN")]
     assert len(data) == 2 * 2 * 2
     assert len(summaries) == 2
-    # bench has no --seed of its own: argparse reads it as a prefix of --seeds
-    assert main(["bench", instance_file, "--methods", "dantzig", "--seed", "5",
-                 "--time-limit", "30", "--output", str(out)]) == 0
-    header, row = out.read_text().splitlines()[:2]
-    assert dict(zip(header.split("\t"), row.split("\t")))["seed"] == "5"
+    # bench has no --seed of its own, and a prefix is no spelling of --seeds
+    with pytest.raises(SystemExit) as err:
+        main(["bench", instance_file, "--methods", "dantzig", "--seed", "5",
+              "--time-limit", "30", "--output", str(out)])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers, methods, pool_size", [
@@ -470,7 +529,7 @@ def test_run_sweep_with_injected_times(monkeypatch):
     # ends keep every other window more than 1 second above it
     table = {2: 30.0, 5: 10.0, 10: 3.0, 20: 3.01, 30: 3.2, 40: 9.0, 50: 30.0}
     fake_timed_runs(monkeypatch, lambda tau: table[tau])
-    selected, per_tau, smoothed = run_sweep(inst, "lt", list(table), 2, CgConfig(time_limit=100.0))
+    selected, per_tau, smoothed = run_sweep(inst, list(table), [0, 1], CgConfig(time_limit=100.0))
     assert per_tau == pytest.approx(list(table.values()))
     assert selected == 20
 
@@ -478,7 +537,7 @@ def test_run_sweep_with_injected_times(monkeypatch):
 def test_run_sweep_counts_timeouts_at_limit(monkeypatch):
     inst = generate(GeneratorSpec(num_machines=2, num_jobs=8, seed=1))
     fake_timed_runs(monkeypatch, lambda tau: 1e9)
-    selected, per_tau, _ = run_sweep(inst, "lt", [1, 2, 3], 1, CgConfig(time_limit=5.0))
+    selected, per_tau, _ = run_sweep(inst, [1, 2, 3], [0], CgConfig(time_limit=5.0))
     assert per_tau == pytest.approx([5.0, 5.0, 5.0])
     assert selected == 1
 
@@ -486,14 +545,23 @@ def test_run_sweep_counts_timeouts_at_limit(monkeypatch):
 def test_sweep_infeasible_instance_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n1 1\n9 9\n3\n")  # both jobs exceed the single capacity
-    assert main(["sweep", str(bad), "--taus", "1,2", "--replications", "1"]) == 3
+    assert main(["sweep", str(bad), "--taus", "1,2", "--seeds", "0"]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_sweep_runs_seeds_zero_to_four_by_default(instance_file, tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(driver, "run", lambda inst, cfg: runs.append(
+        (cfg.pricing_method, cfg.age_threshold, cfg.seed)))
+    assert main(["sweep", instance_file, "--method", "mt", "--taus", "2,4",
+                 "--output", str(tmp_path / "sweep.tsv")]) == 0
+    assert runs == [("mt", tau, seed) for tau in (2, 4) for seed in range(5)]
 
 
 def test_sweep_command_end_to_end(instance_file, tmp_path):
     out = tmp_path / "sweep.tsv"
     code = main(["sweep", instance_file, "--method", "lt", "--taus", "2,4,8",
-                 "--replications", "1", "--time-limit", "20",
+                 "--seeds", "0", "--time-limit", "20",
                  "--output", str(out)])
     assert code == 0
     lines = out.read_text().strip().split("\n")
@@ -563,6 +631,19 @@ def test_generate_instance_that_run_rejects_exits_2(tmp_path, capsys):
     assert code == 2
     assert "jobs [0, 1] fit on no machine" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_generate_writes_a_valid_instance_that_run_finds_infeasible(tmp_path, capsys):
+    # generate rejects only what validate rejects; capacities 29 and 31 hold
+    # at most two of these four jobs on machine 0 and one on machine 1
+    path = tmp_path / "g.txt"
+    assert main(["generate", "--machines", "2", "--jobs", "4", "--seed", "0",
+                 "--output", str(path)]) == 0
+    assert path.read_text().split()[-2:] == ["29", "31"]
+    capsys.readouterr()
+    for method in cli.METHODS:
+        assert main(["run", str(path), "--method", method]) == 3, method
+        assert capsys.readouterr().err.startswith("error: g.txt: "), method
 
 
 def test_geomean_of_constant():
