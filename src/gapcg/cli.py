@@ -244,6 +244,8 @@ def _checked(convert, ok, requirement: str):
 
 
 _finite_nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_epsilon = _checked(float, lambda v: driver.MIN_EPSILON <= v < math.inf,
+                    f"a finite number >= {driver.MIN_EPSILON:g}")
 _positive = _checked(float, lambda v: 0.0 < v <= math.inf, "> 0")
 _half_unit = _checked(float, lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
@@ -272,7 +274,9 @@ def _add_common(parser):
     defaults = driver.CgConfig()
     parser.add_argument("--time-limit", type=_positive, default=defaults.time_limit,
                         help="seconds per run")
-    parser.add_argument("--epsilon", type=_finite_nonnegative, default=defaults.epsilon)
+    parser.add_argument("--epsilon", type=_epsilon, default=defaults.epsilon,
+                        help="reduced-cost budget of pricing; at least the master's "
+                             f"pricing tolerance, {driver.MIN_EPSILON:g}")
     parser.add_argument("--delta", type=_half_unit, default=defaults.template_delta)
     parser.add_argument("--mip-gap", type=_finite_nonnegative, default=defaults.mip_gap)
     parser.add_argument("--format", choices=["single", "orlib-multi"], default="single")

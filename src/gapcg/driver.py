@@ -29,9 +29,13 @@ from . import lagrangian, pricing, rmp
 from .instance import GapInstance, InfeasibleInstanceError, relabel, validate
 from .pricing import DEFAULT_DELTA, PessoaState, PricingOutcome
 from .rmp import AGE_POLICIES, ColumnPool
+from .simplex import PRICE_TOL
 
 RC_CONVERGENCE_TOL = 1e-6
 CEIL_GUARD = 1e-9
+# a smaller budget lets a column the master already holds clear it, and
+# pricing then returns a duplicate that the pool refuses
+MIN_EPSILON = PRICE_TOL
 
 
 @dataclass
@@ -43,6 +47,23 @@ class CgConfig:
     age_threshold: int | None = None  # None: the method's policy, rmp.age_threshold
     template_delta: float = DEFAULT_DELTA
     seed: int = 0  # the labeling, see instance.relabel; 0 keeps the instance's own
+
+    def __post_init__(self):
+        """Reject, before any solve, every value that ``run`` cannot honour."""
+        for ok, message in [
+            (self.pricing_method in (*AGE_POLICIES, "lr"),
+             f"unknown pricing method {self.pricing_method!r}"),
+            (MIN_EPSILON <= self.epsilon < math.inf,
+             f"epsilon must be finite and at least the pricing tolerance {MIN_EPSILON:g}"),
+            (0.0 <= self.time_limit <= math.inf, "time_limit must be a number >= 0"),
+            (0.0 <= self.mip_gap < math.inf, "mip_gap must be a finite number >= 0"),
+            (self.age_threshold is None or self.age_threshold >= 1,
+             "age_threshold must be at least 1"),
+            (0.0 <= self.template_delta <= 0.5, "delta must lie in [0, 0.5]"),
+            (self.seed >= 0, "seed must be at least 0"),
+        ]:
+            if not ok:
+                raise ValueError(message)
 
 
 @dataclass
@@ -172,8 +193,6 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     method = cfg.pricing_method
     if method == "lr":
         return run_lr(inst, cfg)
-    if method not in AGE_POLICIES:
-        raise ValueError(f"unknown pricing method {method!r}")
     validate(inst)
     inst = relabel(inst, cfg.seed)
     # every assignment pays each job once, so shifting a job's costs to a
@@ -192,8 +211,6 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     tau = (cfg.age_threshold if cfg.age_threshold is not None
            else rmp.age_threshold(method, inst))
 
-    if method in ("lt", "mt") and not 0.0 <= cfg.template_delta <= 0.5:
-        raise ValueError("delta must lie in [0, 0.5]")
     templates = rmp.solve_compact_lp(inst) if method in ("lt", "mt") else None
     zero_cost = replace(inst, cost=np.zeros_like(inst.cost))  # phase one prices against it
 

@@ -7,15 +7,15 @@ whose sum is minimized (phase one), starting from every cover row on its
 artificial and each machine on its seeded empty column. Within the
 :func:`build_and_solve` call whose phase-one objective reaches zero, the
 artificials are pivoted out and sealed and the true column costs installed
-(phase two). :class:`ColumnPool` owns both the columns and the LP, keyed by
-:class:`Column` object, and keeps its basis warm; a solution holds duals,
-pivots and basic values.
+(phase two). :class:`ColumnPool` owns the columns, one dict per machine
+keyed by the job bit-string, and the LP, whose basis it keeps warm; a
+solution holds duals, pivots and basic values.
 
 The LP carries only live columns: :meth:`ColumnPool.drop` seals a dropped
 column's LP column at once, and every :meth:`ColumnPool.sync` adds the
 columns added since the last sync, in pool order, and compacts the LP, which
 drops each sealed nonbasic column (a retired artificial too, once it has
-left the basis) and renumbers the rest. The LP indices held in ``lp_col``
+left the basis) and renumbers the rest. The LP indices held in ``Column.lp``
 and ``artificial`` change there and nowhere else.
 """
 
@@ -47,9 +47,7 @@ class Column:
     jobs: np.ndarray  # bool mask over jobs
     cost: int
     age: int
-
-    def key(self) -> bytes:
-        return self.jobs.tobytes()
+    lp: int | None = None  # its LP column, set by ColumnPool.sync; None: not in the LP
 
 
 @dataclass(eq=False)
@@ -68,9 +66,9 @@ class ColumnPool:
     def __init__(self, inst: GapInstance):
         self.inst = inst
         nj, ni = inst.num_jobs, inst.num_machines
-        self.columns: list[list[Column]] = [[] for _ in range(ni)]
+        # per machine, insertion-ordered and keyed by the job bit-string
+        self.columns: list[dict[bytes, Column]] = [{} for _ in range(ni)]
         self.iteration = 0
-        self._keys: list[set[bytes]] = [set() for _ in range(ni)]
         self.lp = SimplexSolver(np.ones(nj + ni))
         self.phase = 1
         # -e_j and +e_j are written into zeros: negating +e_j would give -0.0
@@ -81,8 +79,7 @@ class ColumnPool:
         self.surplus = self.lp.add_columns(block, 0.0).tolist()
         np.fill_diagonal(block, 1.0)
         self.artificial = self.lp.add_columns(block, 1.0).tolist()  # relaxes an uncovered row
-        self.lp_col: dict[Column, int] = {}  # in ascending LP index order
-        self._owner: list[Column | None] = [None] * self.lp.n  # lp_col inverted; None: no column
+        self._owner: list[Column | None] = [None] * self.lp.n  # LP index -> column, or None
         self._unsynced: dict[Column, None] = {}  # added since the last sync, in order
         for i in range(ni):
             # the empty assignment is always feasible and anchors the
@@ -92,17 +89,18 @@ class ColumnPool:
     def add(self, machine: int, jobs: np.ndarray) -> Column | None:
         """Insert a column; returns None when the same bit-vector already exists."""
         jobs = np.ascontiguousarray(jobs, dtype=bool)
+        if not 0 <= machine < self.inst.num_machines or jobs.shape != (self.inst.num_jobs,):
+            raise ValueError(f"machine {machine}, job mask {jobs.shape}: not in the instance")
         key = jobs.tobytes()
-        if key in self._keys[machine]:
+        cols = self.columns[machine]
+        if key in cols:
             return None
         load = int(np.add.reduce(self.inst.resource[machine][jobs]))
         if load > self.inst.capacity[machine]:
             raise ValueError(f"column violates capacity of machine {machine}")
-        col = Column(machine=machine, jobs=jobs,
-                     cost=int(np.add.reduce(self.inst.cost[machine][jobs])),
-                     age=self.iteration)
-        self.columns[machine].append(col)
-        self._keys[machine].add(key)
+        col = cols[key] = Column(machine=machine, jobs=jobs,
+                                 cost=int(np.add.reduce(self.inst.cost[machine][jobs])),
+                                 age=self.iteration)
         self._unsynced[col] = None
         return col
 
@@ -111,15 +109,12 @@ class ColumnPool:
 
     def drop(self, col: Column):
         """Remove a column; its LP column, if any, is sealed at once."""
-        if col in self.lp_col:
-            j = self.lp_col[col]
-            self.lp.seal_column(j)
-            del self.lp_col[col]
-            self._owner[j] = None
+        if col.lp is None:
+            del self._unsynced[col]  # KeyError for a column no longer in the pool
         else:
-            self._unsynced.pop(col, None)
-        self.columns[col.machine].remove(col)
-        self._keys[col.machine].discard(col.key())
+            self.lp.seal_column(col.lp)
+            self._owner[col.lp] = col.lp = None
+        del self.columns[col.machine][col.jobs.tobytes()]
 
     def sync(self):
         """Add the new columns to the LP and compact it; the first call sets the basis."""
@@ -132,26 +127,30 @@ class ColumnPool:
             block[:nj] = np.array([col.jobs for col in new]).T
             block[nj + np.array([col.machine for col in new]), np.arange(len(new))] = 1.0
             costs = 0.0 if self.phase == 1 else [col.cost for col in new]
-            self.lp_col.update(zip(new, self.lp.add_columns(block, costs).tolist()))
+            for col, j in zip(new, self.lp.add_columns(block, costs).tolist()):
+                col.lp = j
             self._owner.extend(new)
         if self.lp.basis is None:
-            seeds = [cols[0] for cols in self.columns if cols and not cols[0].jobs.any()]
-            if len(seeds) < self.inst.num_machines:
+            seeds = [cols.get(bytes(nj)) for cols in self.columns]  # the all-zero key
+            if None in seeds:
                 raise ValueError("a machine lost its seeded empty column before the first solve")
-            self.lp.set_basis(self.artificial + [self.lp_col[col] for col in seeds])
+            self.lp.set_basis(self.artificial + [col.lp for col in seeds])
         remap = self.lp.compact()
         if len(remap) == self.lp.n:
             return
         self._owner = [self._owner[j] for j in np.flatnonzero(remap >= 0).tolist()]
-        self.lp_col = {col: j for j, col in enumerate(self._owner) if col is not None}
+        for j, col in enumerate(self._owner):
+            if col is not None:
+                col.lp = j
         # a retired artificial stays until it leaves the basis
         self.artificial = [int(remap[j]) for j in self.artificial if remap[j] >= 0]
 
     def to_phase2(self) -> int:
         """Drop the artificials, install true costs, keep the basis warm."""
-        indices = list(self.lp_col.values())
+        live = [col for col in self._owner if col is not None]  # in LP order
+        indices = [col.lp for col in live]
         pivots = self.lp.retire_columns(self.artificial, indices + self.surplus)
-        self.lp.set_cost(indices, [col.cost for col in self.lp_col])
+        self.lp.set_cost(indices, [col.cost for col in live])
         self.phase = 2
         return pivots
 
@@ -160,8 +159,8 @@ class ColumnPool:
         y = self.lp.duals()
         x = self.lp.values()
         # ascending LP index, the order project_primal sums in
-        owners = [(self._owner[j], j) for j in np.sort(self.lp.basis).tolist()]
-        lam = {col: float(x[j]) for col, j in owners if col is not None}
+        owners = [self._owner[j] for j in np.sort(self.lp.basis).tolist()]
+        lam = {col: float(x[col.lp]) for col in owners if col is not None}
         return RmpSolution(objective=self.lp.objective(), lam=lam,
                            pi=y[:nj].copy(), mu=y[nj:].copy(), pivots=pivots)
 
@@ -206,7 +205,7 @@ def manage_columns(pool: ColumnPool, sol: RmpSolution, tau: int) -> int:
     for col in sol.lam:
         col.age = t
     oldest = t - tau
-    stale = [col for cols in pool.columns for col in cols if col.age < oldest]
+    stale = [col for cols in pool.columns for col in cols.values() if col.age < oldest]
     for col in stale:
         pool.drop(col)
     return len(stale)

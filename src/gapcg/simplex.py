@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-_PRICE_TOL = 1e-9
+PRICE_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
 _REFACTOR_EVERY = 256
@@ -240,14 +240,14 @@ class SimplexSolver:
             np.subtract(cost, rc, out=rc)
             np.copyto(rc, 0.0, where=skip)
             if bland:
-                np.less(rc, -_PRICE_TOL, out=elig)
+                np.less(rc, -PRICE_TOL, out=elig)
                 e = int(elig.argmax())  # the lowest eligible index
                 if not elig[e]:
                     break
             else:
                 # argmin keeps the lowest index among ties
                 e = int(rc.argmin())
-                if not rc[e] < -_PRICE_TOL:
+                if not rc[e] < -PRICE_TOL:
                     break
             np.matmul(binv, A[:, e], out=d)
             ratios.fill(np.inf)

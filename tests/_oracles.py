@@ -43,7 +43,13 @@ def feasible_columns(inst, machine: int) -> np.ndarray:
 
 def pool_columns(pool) -> list:
     """Every column of ``pool``, machine by machine, each in insertion order."""
-    return [col for cols in pool.columns for col in cols]
+    return [col for cols in pool.columns for col in cols.values()]
+
+
+def lp_columns(pool) -> dict:
+    """Every pool column that owns an LP column, mapped to its LP index, in
+    ascending LP index order."""
+    return {col: j for j, col in enumerate(pool._owner) if col is not None}
 
 
 def min_reduced_cost(inst, machine: int, pi, cost_row=None):
@@ -570,7 +576,7 @@ class PerColumnMasterLp:
         for i in range(ni):
             if not pool.columns[i]:
                 raise ValueError(f"machine {i} has no column to anchor its convexity row")
-            empty = min(pool.columns[i], key=lambda c: int(c.jobs.sum()))
+            empty = min(pool.columns[i].values(), key=lambda c: int(c.jobs.sum()))
             anchors.append(self.lp_col[empty])
             coverage += empty.jobs
         # an over-covered row starts on its surplus column, at value coverage - 1
@@ -656,7 +662,8 @@ class ReconcilingMasterLp:
         for col in [c for c in self.lp_col if c not in live]:
             self.lp.seal_column(self.lp_col.pop(col))
         if self.lp.basis is None:
-            seeds = [cols[0] for cols in pool.columns if cols and not cols[0].jobs.any()]
+            firsts = [next(iter(cols.values()), None) for cols in pool.columns]
+            seeds = [col for col in firsts if col is not None and not col.jobs.any()]
             if len(seeds) < self.inst.num_machines:
                 raise ValueError("a machine lost its seeded empty column before the first solve")
             self.lp.set_basis(self.artificial + [self.lp_col[col] for col in seeds])

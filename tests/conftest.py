@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
-from _oracles import pool_columns
+from _oracles import lp_columns, pool_columns
 from gapcg import driver, rmp
 from gapcg.instance import GapInstance, GeneratorSpec, generate
 
@@ -59,7 +59,7 @@ def removal_audit():
         if removed:
             dropped = kept_before - set(pool_columns(pool))
             pool.sync()
-            assert dropped.isdisjoint(pool.lp_col)
+            assert dropped.isdisjoint(lp_columns(pool))
             before = pool.lp.objective()
             pivots = pool.lp.solve()
             audits.append((pivots, pool.lp.objective() - before))

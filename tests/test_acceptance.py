@@ -183,7 +183,7 @@ class _LoggingPool(ColumnPool):
     def add(self, machine, jobs):
         col = super().add(machine, jobs)
         if col is not None and _LoggingPool.sink is not None:
-            _LoggingPool.sink.append((self.iteration, machine, col.key()))
+            _LoggingPool.sink.append((self.iteration, machine, col.jobs.tobytes()))
         return col
 
 

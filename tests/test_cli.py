@@ -24,6 +24,13 @@ def instance_file(tmp_path):
     return str(path)
 
 
+def rejected_flag(stderr: str) -> str | None:
+    """The flag that an argparse usage error names as rejected; the usage
+    line above the error names every flag of the command."""
+    match = re.search(r"error: (?:argument (\S+):|unrecognized arguments: (\S+))", stderr)
+    return match and (match[1] or match[2])
+
+
 # ------------------------------------------------------------------------- run
 
 def test_run_writes_tsv(instance_file, tmp_path):
@@ -59,7 +66,7 @@ def test_delta_outside_zero_to_half_exits_2(instance_file, capsys, command, delt
     with pytest.raises(SystemExit) as err:
         main([command[0], instance_file, *command[1:], "--delta", delta])
     assert err.value.code == 2
-    assert "--delta" in capsys.readouterr().err
+    assert rejected_flag(capsys.readouterr().err) == "--delta"
 
 
 @pytest.mark.parametrize("command, epsilon", [
@@ -71,7 +78,36 @@ def test_epsilon_negative_or_not_finite_exits_2(instance_file, capsys, command, 
     with pytest.raises(SystemExit) as err:
         main([command[0], instance_file, *command[1:], "--epsilon", epsilon])
     assert err.value.code == 2
-    assert "--epsilon" in capsys.readouterr().err
+    assert rejected_flag(capsys.readouterr().err) == "--epsilon"
+
+
+@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt", "lr"])
+@pytest.mark.parametrize("epsilon", ["0", "1e-12", "9.9e-10"])
+def test_epsilon_below_the_pricing_tolerance_exits_2(instance_file, capsys, monkeypatch,
+                                                     method, epsilon):
+    # a budget below the master's pricing tolerance lets a column the master
+    # already holds clear it, so pricing would return a duplicate
+    def no_run(inst, cfg):
+        raise AssertionError("ran before rejecting its flags")
+
+    monkeypatch.setattr(driver, "run", no_run)
+    with pytest.raises(SystemExit) as err:
+        main(["run", instance_file, "--method", method, "--epsilon", epsilon])
+    assert err.value.code == 2
+    assert rejected_flag(capsys.readouterr().err) == "--epsilon"
+
+
+@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
+@pytest.mark.parametrize("size, lb_int", [((3, 12), "273"), ((4, 24), "495")],
+                         ids=["g3x12", "g4x24"])
+def test_epsilon_at_the_pricing_tolerance_runs(method, size, lb_int, tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text(serialize(generate(GeneratorSpec(*size, seed=0))))
+    out = tmp_path / "run.tsv"
+    assert main(["run", str(path), "--method", method, "--epsilon", "1e-9",
+                 "--output", str(out)]) == 0
+    summary = out.read_text().strip().split("\n")[-1].split("\t")
+    assert summary[cli.RUN_COLUMNS.index("lb_int")] == lb_int
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -92,7 +128,7 @@ def test_out_of_range_float_flag_exits_2(instance_file, capsys, command, flag, v
     with pytest.raises(SystemExit) as err:
         main([command[0], instance_file, *command[1:], flag, value])
     assert err.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert rejected_flag(capsys.readouterr().err) == flag
 
 
 @pytest.mark.parametrize("flags", [
@@ -136,7 +172,7 @@ def test_malformed_list_flag_exits_2(instance_file, capsys, command, flag):
     with pytest.raises(SystemExit) as err:
         main([command[0], instance_file, *command[1:]])
     assert err.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert rejected_flag(capsys.readouterr().err) == flag
 
 
 def test_sweep_multi_instance_file_exits_2(tmp_path, capsys, monkeypatch):
@@ -178,7 +214,7 @@ def test_out_of_range_integer_flag_exits_2(instance_file, capsys, monkeypatch,
     with pytest.raises(SystemExit) as err:
         main([command[0], instance_file, *command[1:], f"{flag}={value}"])
     assert err.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert rejected_flag(capsys.readouterr().err) == flag
 
 
 def test_every_config_field_has_a_flag():

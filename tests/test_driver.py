@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _oracles import master_lp_optimum, pool_columns
+from _oracles import lp_columns, master_lp_optimum, pool_columns
 from conftest import removal_audit
 from gapcg import driver, pricing
 from gapcg.driver import CgConfig, RunReport, run, run_lr, update_bounds
@@ -102,6 +102,35 @@ def test_unknown_method_rejected(toy_3x12):
         run(toy_3x12, CgConfig(pricing_method="steepest-edge"))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("pricing_method", "steepest-edge", "pricing method"),
+    ("epsilon", math.nan, "epsilon"),
+    ("epsilon", -1.0, "epsilon"),
+    ("epsilon", 0.0, "epsilon"),
+    ("epsilon", 1e-12, "epsilon"),
+    ("epsilon", math.inf, "epsilon"),
+    ("time_limit", math.nan, "time_limit"),
+    ("time_limit", -1.0, "time_limit"),
+    ("mip_gap", math.nan, "mip_gap"),
+    ("mip_gap", -0.1, "mip_gap"),
+    ("age_threshold", 0, "age_threshold"),
+    ("template_delta", math.nan, "delta"),
+    ("template_delta", 0.6, "delta"),
+    ("seed", -1, "seed"),
+])
+@pytest.mark.parametrize("method", ["dantzig", "lt", "lr"])
+def test_invalid_config_rejected_before_any_solve(monkeypatch, method, field, value, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting the configuration")
+
+    for module, name in [(driver.rmp, "build_and_solve"), (driver.rmp, "solve_compact_lp"),
+                         (driver.lagrangian, "lr_solve")]:
+        monkeypatch.setattr(module, name, no_solve)
+    inst = generate(GeneratorSpec(3, 12, seed=3))
+    with pytest.raises(ValueError, match=message):
+        run(inst, CgConfig(**{"pricing_method": method, field: value}))
+
+
 @pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
 def test_methods_agree_with_enumeration_oracle(method, toy_3x12):
     ref = master_lp_optimum(toy_3x12)
@@ -150,8 +179,10 @@ def test_master_lp_carries_only_live_columns(monkeypatch):
     class CheckedPool(ColumnPool):
         def sync(self):
             super().sync()
-            assert set(self.lp_col) == set(pool_columns(self))
-            assert self.lp.n == len(self.lp_col) + len(self.surplus) + len(self.artificial)
+            in_lp = lp_columns(self)
+            assert set(in_lp) == set(pool_columns(self))
+            assert all(col.lp == j for col, j in in_lp.items())
+            assert self.lp.n == len(in_lp) + len(self.surplus) + len(self.artificial)
             if self.phase == 1:
                 assert len(self.artificial) == self.inst.num_jobs
             else:  # each basic artificial pivots out for its surplus column

@@ -6,15 +6,21 @@ master has many optimal bases, so the labeling may move a run's iterations,
 pivots, status and incumbent, but not its integer lower bound. Adding k_j to
 job j's cost on every machine adds k_j to every assignment, so it moves the
 optimum and the master bound by the sum of the k_j.
+
+Besides two generated instances, the relabeling check runs over the small
+instances of the property tests, which reach negative costs, cost ties,
+zero weights, zero capacities and infeasible instances.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gapcg.driver import CgConfig, run
-from gapcg.instance import GeneratorSpec, generate
+from gapcg.instance import GeneratorSpec, InfeasibleInstanceError, generate
+from test_properties import small_instances
 
 CG_METHODS = ("dantzig", "pessoa", "lt", "mt")
 SEEDS = (0, 1, 2, 3)
@@ -39,6 +45,27 @@ def test_relabeling_keeps_the_integer_bound(spec):
     assert len({(len(rep.rows), rep.total_pivots) for rep in runs.values()}) > len(CG_METHODS)
     for seed in SEEDS:
         assert run(inst, CgConfig(pricing_method="lr", seed=seed)).lb_int <= bound
+
+
+@settings(max_examples=100)
+@given(inst=small_instances())
+def test_relabeling_keeps_the_integer_bound_of_small_instances(inst):
+    bounds = {}
+    for method in CG_METHODS:
+        for seed in SEEDS:
+            try:
+                rep = run(inst, CgConfig(pricing_method=method, seed=seed, time_limit=60))
+            except InfeasibleInstanceError:
+                bounds[method, seed] = "infeasible"
+                continue
+            assert rep.lb_int is not None and rep.status != "time_limit", (method, seed)
+            assert rep.ub is None or rep.ub >= rep.lb_int, (method, seed)
+            bounds[method, seed] = rep.lb_int
+    assert len(set(bounds.values())) == 1, bounds
+    bound = bounds["dantzig", 0]
+    if bound != "infeasible":
+        for seed in SEEDS:
+            assert run(inst, CgConfig(pricing_method="lr", seed=seed)).lb_int <= bound, seed
 
 
 @INSTANCES

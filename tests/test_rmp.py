@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (PerColumnMasterLp, ReconcilingMasterLp, compact_lp_optimum,
+from _oracles import (PerColumnMasterLp, ReconcilingMasterLp, compact_lp_optimum, lp_columns,
                       per_column_compact_lp, pool_columns, pool_walk_project_primal,
                       reconciling_build_and_solve)
 from gapcg import rmp
@@ -141,9 +141,33 @@ def test_two_machine_toy_matches_vertex_oracle(toy_2x3):
     assert any(np.allclose(duals, y, atol=1e-7) for y in ref_duals)
 
 
+@pytest.mark.parametrize("machine, jobs", [
+    (0, [1, 0]), (0, [1, 0, 0, 0]), (0, [[1, 0, 0]]), (0, [[1, 0, 0], [0, 1, 0]]), (0, 1),
+    (-1, [1, 0, 0]), (2, [1, 0, 0]),
+], ids=["short", "long", "row", "matrix", "scalar", "machine-negative", "machine-past-the-end"])
+def test_add_rejects_a_column_outside_the_instance(toy_2x3, machine, jobs):
+    pool = ColumnPool(toy_2x3)
+    with pytest.raises(ValueError, match="not in the instance"):
+        pool.add(machine, np.asarray(jobs, dtype=bool))
+    assert pool.size() == toy_2x3.num_machines
+
+
+def test_a_second_drop_leaves_an_equal_column_added_since_in_place(toy_3x12):
+    pool = ColumnPool(toy_3x12)
+    jobs = np.arange(toy_3x12.num_jobs) == 0
+    col = pool.add(0, jobs)
+    pool.drop(col)
+    again = pool.add(0, jobs)
+    with pytest.raises(KeyError):
+        pool.drop(col)
+    assert pool.columns[0][jobs.tobytes()] is again
+    build_and_solve(pool)
+    assert again in lp_columns(pool)
+
+
 def test_first_solve_needs_every_seeded_empty_column(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (1, [1, 0, 0])])
-    pool.drop(pool.columns[1][0])
+    pool.drop(pool.columns[1][bytes(3)])  # the seeded empty column's key
     with pytest.raises(ValueError, match="seeded empty column"):
         build_and_solve(pool)
 
@@ -169,7 +193,6 @@ def test_project_primal_integral(toy_2x3):
     pool = make_pool(toy_2x3, [(0, [1, 1, 0]), (1, [0, 0, 1])])
     sol = build_and_solve(pool)
     templates = project_primal(sol, pool)
-    ids = {c.key(): c for c in pool_columns(pool)}
     assert templates.shape == (2, 3)
     assert templates.min() >= 0.0 and templates.max() <= 1.0
     # integral solution: templates equal the chosen bit-vectors
@@ -413,9 +436,9 @@ def test_drop_seals_at_once_and_the_next_sync_compacts(toy_3x12):
     build_and_solve(pool)
     sol = build_and_solve(pool)  # its sync compacts the retired artificials away
     assert pool.phase == 2 and pool.artificial == []
-    in_lp, n = dict(pool.lp_col), pool.lp.n
+    in_lp, n = lp_columns(pool), pool.lp.n
     removed = manage_columns(pool, sol, tau=1)
-    dropped = [col for col in in_lp if col not in pool.lp_col]
+    dropped = [col for col in in_lp if col not in lp_columns(pool)]
     assert removed == len(dropped) > 0
     assert all(pool.lp.sealed[in_lp[col]] for col in dropped)
     assert pool.lp.n == n
@@ -427,7 +450,7 @@ def test_drop_seals_at_once_and_the_next_sync_compacts(toy_3x12):
     pool.drop(col)
     pool.sync()
     assert pool.lp.n == n - removed
-    assert col not in pool.lp_col
+    assert col not in lp_columns(pool) and col.lp is None
 
 
 def test_drop_that_cannot_seal_leaves_the_pool_unchanged(toy_3x12):
@@ -436,7 +459,7 @@ def test_drop_that_cannot_seal_leaves_the_pool_unchanged(toy_3x12):
     col = next(col for col, value in sol.lam.items() if value > 1e-6)
     with pytest.raises(SimplexError):
         pool.drop(col)
-    assert col in pool.columns[col.machine] and col in pool.lp_col
+    assert col in pool.columns[col.machine].values() and col in lp_columns(pool)
     assert pool.add(col.machine, col.jobs) is None
     size = pool.size()
     with pytest.raises(ValueError, match="capacity"):
@@ -448,15 +471,15 @@ def test_a_dropped_basic_column_leaves_the_solution_and_the_pool(toy_3x12):
     pool = covering_pool(toy_3x12, seed=1, extras=25)
     sol = build_and_solve(pool)
     col = next(col for col, value in sol.lam.items() if value == 0.0)
-    j = pool.lp_col[col]
+    j = col.lp
     pool.drop(col)
     assert pool.lp.basic[j] and pool.lp.sealed[j]
     assert col not in pool.extract(0).lam
     pool.sync()  # a sealed column stays in the LP while it is basic
-    assert col not in pool.lp_col and len(pool.lp_col) == pool.size()
+    assert col not in lp_columns(pool) and len(lp_columns(pool)) == pool.size()
     sol = build_and_solve(pool)
-    assert col not in sol.lam and col not in pool.lp_col
-    assert list(sol.lam) == [c for c, k in pool.lp_col.items() if pool.lp.basic[k]]
+    assert col not in sol.lam and col not in lp_columns(pool)
+    assert list(sol.lam) == [c for c, k in lp_columns(pool).items() if pool.lp.basic[k]]
 
 
 # ------------------------------------------------ the frozen reconciling master
