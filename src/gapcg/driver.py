@@ -11,15 +11,19 @@ into the same report shape; ``run`` dispatches to it for ``"lr"``.
 
 Bounds bookkeeping: the report holds the running bounds. Whenever a
 phase-two round priced with the true duals, the sum of negative minimum
-reduced costs added to the master objective is a valid lower bound on the
-master optimum; with integer costs its ceiling is a valid integer bound.
-Smoothed rounds leave the bounds untouched. Phase one prices in units of
+reduced costs added to the master objective is a lower bound on the master
+optimum, ``lb_raw``. Computed in float it can round up past an integer, so
+``lb_int`` rises only as far as both its ceiling and the exact integer
+Lagrangian bound at the round's duals (``lagrangian.certified_bound``)
+allow. Smoothed rounds leave the bounds untouched. Phase one prices in units of
 one uncovered job, so its budget is at most ``RC_CONVERGENCE_TOL``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -49,7 +53,17 @@ class CgConfig:
     seed: int = 0  # the labeling, see instance.relabel; 0 keeps the instance's own
 
     def __post_init__(self):
-        """Reject, before any solve, every value that ``run`` cannot honour."""
+        """Reject, before any solve, every value that ``run`` cannot honour:
+        a field of the wrong type with TypeError, a value out of range with
+        ValueError. ``seed`` and ``age_threshold`` take any integer type that
+        ``operator.index`` accepts, numpy's among them."""
+        for name in ("epsilon", "time_limit", "mip_gap", "template_delta"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
+        _require_integer("seed", self.seed)
+        if self.age_threshold is not None:  # None: the method's policy
+            _require_integer("age_threshold", self.age_threshold)
         for ok, message in [
             (self.pricing_method in (*AGE_POLICIES, "lr"),
              f"unknown pricing method {self.pricing_method!r}"),
@@ -64,6 +78,13 @@ class CgConfig:
         ]:
             if not ok:
                 raise ValueError(message)
+
+
+def _require_integer(name: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 @dataclass
@@ -137,16 +158,28 @@ def _integer_bound(lb_raw: float) -> int | None:
 
 
 def update_bounds(report: RunReport, outcomes: list[PricingOutcome],
-                  rmp_objective: float) -> float:
+                  rmp_objective: float, certify, offset: int) -> float:
     """Fold a round priced at the true duals into the report's lower bound;
-    returns the round's sum of negative reduced costs."""
+    returns the round's sum of negative reduced costs.
+
+    ``lb_raw`` takes the float sum. Where its ceiling would raise ``lb_int``,
+    ``certify()`` gives the exact integer bound at the round's duals on the
+    shifted instance (None where it cannot), ``offset`` unshifts it, and
+    ``lb_int`` rises to the lower of the two: at a large cost scale the
+    float sum can round up past an integer that the true bound reaches.
+    """
     rc_sum = 0.0
     for out in outcomes:  # not sum(), which compensates from Python 3.12 on
         if out.dantzig_rc is None:
             raise ValueError("true-dual round lacks a dantzig_rc value")
         rc_sum += min(out.dantzig_rc, 0.0)
     report.lb_raw = max(report.lb_raw, rmp_objective + rc_sum)
-    report.lb_int = _integer_bound(report.lb_raw)
+    ceiling = _integer_bound(report.lb_raw)
+    if ceiling is not None and (report.lb_int is None or ceiling > report.lb_int):
+        certified = certify()
+        if certified is not None:
+            raised = min(ceiling, certified + offset)
+            report.lb_int = raised if report.lb_int is None else max(report.lb_int, raised)
     return rc_sum
 
 
@@ -251,7 +284,8 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
                                                 phase == "1", state)
             pricing_time = time.perf_counter() - t0
             if phase == "2" and not smoothed:
-                rc_sum = update_bounds(report, outcomes, objective)
+                rc_sum = update_bounds(report, outcomes, objective,
+                                       lambda: lagrangian.certified_bound(inst, sol.pi), offset)
             removed = rmp.manage_columns(pool, sol, tau)
             for out in outcomes:
                 i, selection = out.machine, out.selection

@@ -1,18 +1,18 @@
 """Exact 0/1 knapsack kernels shared by every pricing strategy.
 
-Three dynamic programs over integer capacities with real objective values:
+Two dynamic programs over integer capacities with real objective values:
 
-* :func:`min_knapsack` minimizes a linear profit subject to one capacity
-  constraint. Items with nonnegative profit are never selected (ties at
-  zero resolve to not-selected), so the empty selection is the worst case.
-* :func:`min_knapsack_batch` solves one such problem per row of an (m, n)
-  batch, row for row bit-identical to :func:`min_knapsack`: whole rounds
-  (Dantzig, LT steps, LR and Pessoa) use it. One DP over item positions
-  serves a group of rows; its table is one flat array of rows padded with
-  +inf, so a DP step is four numpy calls over contiguous memory (a window
-  gather, a per-cell profit add, the take bits, ``np.fmin``). Byte budgets
-  bound the take bits a group holds and the per-cell profits it writes at
-  a time.
+* :func:`min_knapsack_batch` minimizes a linear profit subject to one
+  capacity constraint, once per row of an (m, n) batch. Items with
+  nonnegative profit are never selected (ties at zero resolve to
+  not-selected), so the empty selection is the worst case. Whole rounds
+  (Dantzig, LT steps, LR and Pessoa) make one call; :func:`min_knapsack` is
+  its one-row case, which mt's per-machine base step uses. One DP over item
+  positions serves a group of rows; its table is one flat array of rows
+  padded with +inf, so a DP step is four numpy calls over contiguous memory
+  (a window gather, a per-cell profit add, the take bits, ``np.fmin``).
+  Byte budgets bound the take bits a group holds and the per-cell profits
+  it writes at a time.
 * :func:`lex_knapsack` maximizes a per-item score in {-1, 0, +1} subject
   to the capacity constraint and an upper budget on the reduced-cost sum,
   breaking ties among score-optimal selections by minimum reduced cost.
@@ -85,36 +85,10 @@ class KnapsackSolution:
 
 
 def min_knapsack(p: KnapsackProblem) -> KnapsackSolution:
-    """Minimize ``profit . x`` over 0/1 selections with ``weight . x <= capacity``.
-
-    Only strictly negative profits can help, so the DP runs over that
-    candidate set; zero-weight negative-profit items are taken up front.
-    """
-    n = p.n
-    selection = np.zeros(n, dtype=bool)
-    selection[(p.weight == 0) & (p.profit < 0)] = True
-    cand = np.flatnonzero((p.profit < 0) & (p.weight > 0) & (p.weight <= p.capacity))
-    # the inf arithmetic of +-inf and +-1e308 profits is meant: two -1e308
-    # profits overflow to -inf, and -inf stays -inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cand.size:
-            cap = int(min(p.capacity, p.weight[cand].sum()))
-            dp = np.zeros(cap + 1)
-            take = np.zeros((cand.size, cap + 1), dtype=bool)
-            for k, j in enumerate(cand):
-                w = int(p.weight[j])
-                with_item = dp[: cap + 1 - w] + p.profit[j]
-                better = with_item < dp[w:]  # strict: ties resolve to not-selected
-                take[k, w:] = better
-                np.copyto(dp[w:], with_item, where=better)
-            w = cap
-            for k in range(cand.size - 1, -1, -1):
-                if take[k, w]:
-                    j = int(cand[k])
-                    selection[j] = True
-                    w -= int(p.weight[j])
-        value = float(p.profit[selection].sum())
-    return KnapsackSolution(value=value, selection=selection)
+    """Minimize ``profit . x`` over 0/1 selections with ``weight . x <= capacity``:
+    :func:`min_knapsack_batch` on the one row ``p``."""
+    (value,), selection = min_knapsack_batch(p.profit[None], p.weight[None], [p.capacity])
+    return KnapsackSolution(value=value, selection=selection[0])
 
 
 _GROUP_BYTES = 1 << 22  # take bytes (one per step and table cell) a group of rows may hold
@@ -122,29 +96,34 @@ _PROFIT_BYTES = 1 << 16  # per-cell profits a group holds at a time, one step's 
 
 
 def min_knapsack_batch(profit, weight, capacity):
-    """:func:`min_knapsack` on every row of ``profit[m, n]`` and ``weight[m, n]``.
+    """Minimize ``profit[r] . x`` over 0/1 selections with ``weight[r] . x <=
+    capacity[r]``, for every row r of ``profit[m, n]`` and ``weight[m, n]``.
 
-    Returns a list of m values and an (m, n) selection mask; row r of both is
-    bit-identical to ``min_knapsack`` on row r. One DP over item positions
-    serves a group of consecutive rows: step k offers each row its k-th
-    candidate in item order, and a row out of candidates gets +inf profit,
-    which improves no cell. The group's DP is one flat table, row after row,
-    each row ``pad`` cells of +inf (``pad`` the largest candidate weight)
-    followed by its capacities ``0..width-1``. A step runs four numpy calls
-    over the whole table, pads included: it gathers each row's window
-    shifted down by the row's weight, so a capacity cell c reads
+    Returns a list of m values and an (m, n) selection mask. Row r of both is
+    bit-identical to a DP over row r alone, the one frozen in
+    ``tests/_oracles.py`` as ``per_problem_min_knapsack``: its candidates
+    are the negative-profit items that fit, each step keeps
+    ``dp[c - w] + p`` where it is strictly below ``dp[c]``, and the value is
+    the sum of the selected profits in item order. One DP over item
+    positions serves a group of consecutive rows: step k offers each row its
+    k-th candidate in item order, and a row out of candidates gets +inf
+    profit, which improves no cell. The group's DP is one flat table, row
+    after row, each row ``pad`` cells of +inf (``pad`` the largest candidate
+    weight) followed by its capacities ``0..width-1``. A step runs four
+    numpy calls over the whole table, pads included: it gathers each row's
+    window shifted down by the row's weight, so a capacity cell c reads
     ``dp[c - w]`` (a pad when c < w); adds a per-cell profit, +inf on the
     pads, which keeps them +inf whatever the window brought in; records
     ``with_item < dp`` as the take bit; and keeps the minimum with
-    ``np.fmin``. That minimum is the one :func:`min_knapsack` keeps: strict
-    ties keep ``dp``, no -0.0 arises (every candidate profit is below zero
-    and ``dp`` starts at +0.0), and ``fmin`` ignores the NaN that +inf plus
-    a -inf profit gives, where ``np.minimum`` would spread it. The traceback
+    ``np.fmin``. That minimum is the one the strict comparison keeps: ties
+    keep ``dp``, no -0.0 arises (every candidate profit is below zero and
+    ``dp`` starts at +0.0), and ``fmin`` ignores the NaN that +inf plus a
+    -inf profit gives, where ``np.minimum`` would spread it. The traceback
     walks integer offsets into the take bits. A group's take bytes (one per
     step and cell) stay within ``_GROUP_BYTES`` unless one row alone needs
     more, and its per-cell profits are written ``_PROFIT_BYTES`` at a time,
-    so a call holds about that much more than one :func:`min_knapsack`
-    call, whatever m is.
+    so a call holds about that much more than a DP over one row, whatever m
+    is.
     """
     profit = np.asarray(profit, dtype=np.float64)
     weight = np.asarray(weight, dtype=np.int64)
@@ -152,8 +131,9 @@ def min_knapsack_batch(profit, weight, capacity):
     m = len(capacity)
     if profit.ndim != 2 or profit.shape != weight.shape or len(profit) != m:
         raise ValueError("profit and weight must be (m, n) and capacity (m,)")
-    # ufunc reductions are ndarray.any, sum and max without their Python wrappers
-    if np.logical_or.reduce(weight < 0, axis=None) or np.logical_or.reduce(capacity < 0):
+    # ufunc reductions are ndarray.min, sum and max without their Python wrappers
+    lightest = np.minimum.reduce(weight, axis=None, initial=0)
+    if lightest < 0 or np.minimum.reduce(capacity, initial=0) < 0:
         raise ValueError("weights and capacity must be nonnegative")
     negative = profit < 0
     selection = negative & (weight == 0)  # taken up front
@@ -164,29 +144,30 @@ def min_knapsack_batch(profit, weight, capacity):
     live_weight = weight * cand
     caps = np.minimum(capacity, np.add.reduce(live_weight, axis=1))
     steps = int(np.maximum.reduce(count, initial=0))
-    row_cells = steps * (int(np.maximum.reduce(live_weight, axis=None, initial=0))
-                         + int(np.maximum.reduce(caps, initial=0)) + 1)
-    group_rows = max(1, _GROUP_BYTES // max(row_cells, 1))
-    # the inf arithmetic is meant, as in min_knapsack; +inf plus -inf gives
+    # every group's table rows hold `pad` cells of +inf, the largest candidate
+    # weight, then the capacities 0..width-1
+    pad = int(np.maximum.reduce(live_weight, axis=None, initial=0))
+    width = int(np.maximum.reduce(caps, initial=0)) + 1
+    group_rows = max(1, _GROUP_BYTES // max(steps * (pad + width), 1))
+    # the inf arithmetic of +-inf and +-1e308 profits is meant: two -1e308
+    # profits overflow to -inf, -inf stays -inf, and +inf plus -inf gives
     # the NaN that fmin ignores
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, m if steps else 0, group_rows):  # no DP without a candidate
             group = slice(start, start + group_rows)
-            _batch_dp(profit[group], weight[group], cand[group], count[group], caps[group],
-                      selection[group], steps)
+            _batch_dp(profit[group], live_weight[group], cand[group], count[group], caps[group],
+                      selection[group], steps, pad, width)
         return ([float(np.add.reduce(row[sel])) for row, sel in zip(profit, selection)],
                 selection)
 
 
-def _batch_dp(profit, weight, cand, count, caps, selection, steps):
+def _batch_dp(profit, live_weight, cand, count, caps, selection, steps, pad, width):
     """The DP and traceback of :func:`min_knapsack_batch` on one group of
     rows, ``steps`` steps; marks the chosen candidates in ``selection``."""
     rows, n = profit.shape
     order = (~cand).argsort(axis=1, kind="stable")[:, :steps].T  # candidates first
-    live = np.arange(steps)[:, None] < count
     row = np.arange(rows)
-    w = np.where(live, weight[row, order], 0)  # (steps, rows)
-    pad, width = int(np.maximum.reduce(w, axis=None)), int(np.maximum.reduce(caps)) + 1
+    w = live_weight[row, order]  # (steps, rows); 0 past a row's candidates
     stride = pad + width
     cells = rows * stride
     # one more pad in front, for row 0's windows to reach into
@@ -199,7 +180,7 @@ def _batch_dp(profit, weight, cand, count, caps, selection, steps):
     # per-cell profits, +inf on the pads, for up to `chunk` steps at a time
     chunk = max(1, _PROFIT_BYTES // (8 * cells))
     p = np.full((min(chunk, steps), rows, stride), np.inf)
-    step_profit = np.where(live, profit[row, order], np.inf)[:, :, None]
+    step_profit = np.where(cand, profit, np.inf)[row, order][:, :, None]  # +inf past them
     take = np.empty((steps, rows, stride), dtype=bool)
     for first in range(0, steps, chunk):
         block = slice(first, first + chunk)

@@ -15,7 +15,8 @@ vector per machine) to candidate columns:
   crosses the reduced-cost budget, all machines walking in lockstep over
   batched knapsack calls; ``lt_price`` is its one-machine case.
 * ``mt_price``       - exact template pricing via the lexicographic knapsack,
-  one machine at a time, after a per-machine ``min_knapsack`` base step.
+  one machine at a time, after a base step that is ``min_knapsack``, the
+  batched kernel's one-row case.
 
 Every strategy only ever returns columns whose reduced cost under the true
 duals clears ``mu_i - eps``; the heuristics differ in which such column they
@@ -71,7 +72,7 @@ def reduced_cost_sum(cost_row, pi, selection) -> float:
 def dantzig_round(inst, machines, pi, mu, eps: float) -> list[PricingOutcome]:
     """Minimum reduced-cost column of each of ``machines``, absent where none
     is good; outcomes in that order. One :func:`min_knapsack_batch` call
-    prices every machine, row for row bit-identical to :func:`min_knapsack`."""
+    prices every machine."""
     rows = list(machines)
     values, selections = min_knapsack_batch(inst.cost[rows] - pi, inst.resource[rows],
                                             inst.capacity[rows])

@@ -5,23 +5,27 @@ solver paths: column enumeration is plain bit arithmetic and the master LP
 reference goes through scipy's HiGHS interface; :func:`brute_force_lex`
 enumerates every selection for ``lex_knapsack``, and :func:`similarity_class`
 is the scalar rule that ``similarity_vector`` vectorizes. The frozen copies
-of earlier kernels (:func:`full_level_lex`, :class:`DenseSimplexReference`,
-:func:`per_machine_dantzig_price`, :func:`looped_lr_evaluate`,
-:func:`recomputing_two_loop`, :func:`pool_walk_project_primal`), LP builders
+of earlier kernels (:func:`per_problem_min_knapsack`, :func:`full_level_lex`,
+:class:`DenseSimplexReference`, :func:`per_machine_dantzig_price`,
+:func:`looped_lr_evaluate`, :func:`recomputing_two_loop`,
+:func:`pool_walk_project_primal`), LP builders
 (:class:`PerColumnMasterLp`, :func:`per_column_compact_lp`) and masters
 (:class:`ReconcilingMasterLp`) are the references their rewrites must match
 bit for bit. :func:`sequential_lt_price`, the bisection that LT pricing used
-before its hull walk, is the floor that the walk's similarity must reach.
+before its hull walk, is the floor that the walk's similarity must reach, and
+:func:`grid_lagrangian_bound` recomputes the certified integer bound with
+Python integers.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
 
-from gapcg.knapsack import KnapsackProblem, min_knapsack
+from gapcg.knapsack import KnapsackProblem, KnapsackSolution
 from gapcg.pricing import DEFAULT_DELTA, PricingOutcome, similarity_vector
 from gapcg.rmp import PHASE1_TOL, RmpSolution
 from gapcg.simplex import SimplexError, SimplexSolver, UnboundedError
@@ -50,6 +54,41 @@ def lp_columns(pool) -> dict:
     """Every pool column that owns an LP column, mapped to its LP index, in
     ascending LP index order."""
     return {col: j for j, col in enumerate(pool._owner) if col is not None}
+
+
+def per_problem_min_knapsack(p: KnapsackProblem) -> KnapsackSolution:
+    """``knapsack.min_knapsack`` as it was before it became the one-row case
+    of ``min_knapsack_batch``: its own DP over one problem, frozen. It is the
+    reference that the batch kernel must match row for row, bit for bit.
+
+    Only strictly negative profits can help, so the DP runs over that
+    candidate set; zero-weight negative-profit items are taken up front.
+    """
+    n = p.n
+    selection = np.zeros(n, dtype=bool)
+    selection[(p.weight == 0) & (p.profit < 0)] = True
+    cand = np.flatnonzero((p.profit < 0) & (p.weight > 0) & (p.weight <= p.capacity))
+    # the inf arithmetic of +-inf and +-1e308 profits is meant: two -1e308
+    # profits overflow to -inf, and -inf stays -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cand.size:
+            cap = int(min(p.capacity, p.weight[cand].sum()))
+            dp = np.zeros(cap + 1)
+            take = np.zeros((cand.size, cap + 1), dtype=bool)
+            for k, j in enumerate(cand):
+                w = int(p.weight[j])
+                with_item = dp[: cap + 1 - w] + p.profit[j]
+                better = with_item < dp[w:]  # strict: ties resolve to not-selected
+                take[k, w:] = better
+                np.copyto(dp[w:], with_item, where=better)
+            w = cap
+            for k in range(cand.size - 1, -1, -1):
+                if take[k, w]:
+                    j = int(cand[k])
+                    selection[j] = True
+                    w -= int(p.weight[j])
+        value = float(p.profit[selection].sum())
+    return KnapsackSolution(value=value, selection=selection)
 
 
 def min_reduced_cost(inst, machine: int, pi, cost_row=None):
@@ -218,14 +257,14 @@ def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
                         trace: list | None = None) -> PricingOutcome:
     """``pricing.lt_price`` as it was before the lockstep bisection.
 
-    One machine, one ``min_knapsack`` call per bisection step over the
+    One machine, one per-problem knapsack call per bisection step over the
     trade-off weight. The hull walk that replaced it must return a column
     that clears the budget with at least this search's similarity.
     """
     rc_coeff = inst.cost[i] - pi
     weights = inst.resource[i]
     cap = int(inst.capacity[i])
-    base = min_knapsack(KnapsackProblem(rc_coeff, weights, cap))
+    base = per_problem_min_knapsack(KnapsackProblem(rc_coeff, weights, cap))
     dantzig_rc = base.value - mu_i
     if dantzig_rc > -eps:
         return PricingOutcome(machine=i, selection=None, dantzig_rc=dantzig_rc)
@@ -236,7 +275,8 @@ def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
     best = None  # (sim, rc, selection) with max sim then min rc
     proof_fired = False
     for _ in range(LT_MAX_ITERATIONS):
-        scalarized = min_knapsack(KnapsackProblem(-f + alpha * rc_coeff, weights, cap))
+        scalarized = per_problem_min_knapsack(KnapsackProblem(-f + alpha * rc_coeff, weights,
+                                                              cap))
         x = scalarized.selection
         rc_x = float(rc_coeff[x].sum())
         sim_x = int(f[x].sum())
@@ -277,9 +317,10 @@ def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
 
 def per_machine_dantzig_price(inst, i: int, pi, mu_i: float, eps: float) -> PricingOutcome:
     """``pricing.dantzig_price`` as it was before the batched Dantzig round:
-    one ``min_knapsack`` call for machine i, the reference that
+    one :func:`per_problem_min_knapsack` call for machine i, the reference that
     ``pricing.dantzig_round`` must match outcome for outcome."""
-    sol = min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i], int(inst.capacity[i])))
+    sol = per_problem_min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i],
+                                                   int(inst.capacity[i])))
     rc = sol.value - mu_i
     if rc > -eps:
         return PricingOutcome(machine=i, selection=None, dantzig_rc=rc)
@@ -288,19 +329,42 @@ def per_machine_dantzig_price(inst, i: int, pi, mu_i: float, eps: float) -> Pric
 
 def looped_lr_evaluate(inst, pi):
     """``lagrangian.lr_evaluate`` as it was before the batched kernel: one
-    ``min_knapsack`` call per machine. Dual function value, subgradient, and
-    the per-machine selections."""
+    :func:`per_problem_min_knapsack` call per machine. Dual function value,
+    subgradient, and the per-machine selections."""
     pi = np.asarray(pi, dtype=np.float64)
     value = float(pi.sum())
     coverage = np.zeros(inst.num_jobs)
     selections = []
     for i in range(inst.num_machines):
-        sol = min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i],
-                                           int(inst.capacity[i])))
+        sol = per_problem_min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i],
+                                                       int(inst.capacity[i])))
         value += sol.value
         coverage += sol.selection
         selections.append(sol.selection)
     return value, 1.0 - coverage, selections
+
+
+def grid_lagrangian_bound(inst, pi) -> int:
+    """``lagrangian.certified_bound`` in Python integers, by enumeration.
+
+    ``pi`` is rounded down onto the grid ``2^-s`` with the exponent rule
+    that function documents, every value is an integer over ``2^s``, and
+    each machine's minimum is taken over all its feasible columns (n <= 16).
+    Returns the ceiling of ``L`` at that grid point.
+    """
+    fractions = [Fraction(x) for x in np.asarray(pi, dtype=np.float64).tolist()]
+    size = (sum(max(abs(int(c)) for c in job_costs) for job_costs in inst.cost.T)
+            + sum(math.ceil(abs(x)) + 1 for x in fractions))
+    s = 52 - size.bit_length()
+    assert s >= 0, "costs or duals too large for the grid"
+    scale = 1 << s
+    num = [math.floor(x * scale) for x in fractions]
+    total = sum(num)
+    for i in range(inst.num_machines):
+        costs = [int(c) * scale - nj for c, nj in zip(inst.cost[i].tolist(), num)]
+        total += min(sum(c for c, x in zip(costs, col) if x)
+                     for col in feasible_columns(inst, i).tolist())
+    return -(-total // scale)
 
 
 def recomputing_two_loop(grad, memory):

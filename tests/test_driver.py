@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,30 +22,81 @@ def outcome(machine, rc):
 
 # --------------------------------------------------------------- update_bounds
 
+def uncertified():
+    raise AssertionError("certify asked although the float ceiling did not rise")
+
+
 def test_update_bounds_all_nonnegative_rc():
     rep = RunReport("toy", "dantzig")
-    assert update_bounds(rep, [outcome(0, 0.3), outcome(1, 0.0)], 100.0) == 0.0
+    assert update_bounds(rep, [outcome(0, 0.3), outcome(1, 0.0)], 100.0,
+                         lambda: 1000, 0) == 0.0
     assert rep.lb_raw == 100.0
     assert rep.lb_int == 100
 
 
 def test_update_bounds_float_dust_guard():
     rep = RunReport("toy", "dantzig")
-    update_bounds(rep, [outcome(0, 0.0)], 99.0000000001)
+    update_bounds(rep, [outcome(0, 0.0)], 99.0000000001, lambda: 1000, 0)
     assert rep.lb_int == 99  # ceil(99.0000000001 - 1e-9)
 
 
 def test_update_bounds_min_with_zero():
     rep = RunReport("toy", "dantzig")
-    assert update_bounds(rep, [outcome(0, -1.5), outcome(1, 0.3)], 50.0) == pytest.approx(-1.5)
+    assert update_bounds(rep, [outcome(0, -1.5), outcome(1, 0.3)], 50.0,
+                         lambda: 1000, 0) == pytest.approx(-1.5)
     assert rep.lb_raw == pytest.approx(48.5)
-    assert rep.lb_int == 49
+    assert rep.lb_int == 49  # the float ceiling caps a higher certified value
 
 
 def test_update_bounds_keeps_running_maximum():
     rep = RunReport("toy", "dantzig", lb_raw=95.0, lb_int=95)
-    update_bounds(rep, [outcome(0, -10.0)], 100.0)
+    update_bounds(rep, [outcome(0, -10.0)], 100.0, uncertified, 0)
     assert rep.lb_raw == 95.0  # 100 - 10 = 90 does not beat 95
+    assert rep.lb_int == 95
+
+
+def test_update_bounds_takes_the_certified_value_below_the_float_ceiling():
+    rep = RunReport("toy", "dantzig", lb_raw=95.0, lb_int=95)
+    update_bounds(rep, [outcome(0, 0.0)], 100.0000001, lambda: 100, 0)
+    assert rep.lb_raw == 100.0000001 and rep.lb_int == 100
+    update_bounds(rep, [outcome(0, 0.0)], 100.5, lambda: 100, 0)  # ceiling 101, certified 100
+    assert rep.lb_raw == 100.5 and rep.lb_int == 100
+    update_bounds(rep, [outcome(0, 0.0)], 100.5, lambda: 99, 0)  # never below the last bound
+    assert rep.lb_int == 100
+    update_bounds(rep, [outcome(0, 0.0)], 100.5, lambda: None, 0)  # nothing certified
+    assert rep.lb_int == 100
+    first = RunReport("toy", "dantzig")
+    update_bounds(first, [outcome(0, 0.0)], 7.5, lambda: None, 0)
+    assert first.lb_raw == 7.5 and first.lb_int is None
+    update_bounds(first, [outcome(0, 0.0)], 7.5, lambda: 12, -5)  # 12 on the shifted costs
+    assert first.lb_int == 7
+
+
+LARGE_SCALES = [(GeneratorSpec(6, 60, seed=seed), k) for seed in (7, 8) for k in (8, 14, 20)]
+
+
+@pytest.mark.parametrize("method", ["dantzig", "mt"])
+@pytest.mark.parametrize("spec, k", [
+    *LARGE_SCALES, (GeneratorSpec(6, 60, cost_range=(100_000, 1_000_000), seed=9), 0),
+], ids=[*(f"G(6,60,{spec.seed})x2^{k}" for spec, k in LARGE_SCALES), "G(6,60,9)-costs-1e5-1e6"])
+def test_integer_bound_stays_at_or_below_the_run_s_own_cost_at_large_scales(method, spec, k):
+    # the float bound rounds up past the integer optimum at these scales;
+    # the certified bound does not
+    inst = generate(spec)
+    rep = run(replace(inst, cost=inst.cost * 2**k), CgConfig(pricing_method=method))
+    assert rep.ub is not None and rep.lb_int <= rep.ub
+    assert rep.gap_percent >= 0.0
+
+
+@pytest.mark.parametrize("method", ["dantzig", "lt", "mt"])
+def test_a_run_past_the_certifiable_cost_scale_ends_without_an_integer_bound(method):
+    # a valid instance whose cost size reaches 2^52: no grid keeps the
+    # knapsack sums exact, so lb_int is never set and pricing alone ends the run
+    inst = generate(GeneratorSpec(3, 12, seed=0))
+    big = replace(inst, cost=inst.cost * -(-2**52 // int(inst.cost.max(axis=0).sum())))
+    rep = run(big, CgConfig(pricing_method=method))
+    assert rep.status == "optimal" and rep.ub is not None
+    assert rep.lb_int is None and rep.gap_percent is None
 
 
 def test_pessoa_rows_fold_only_true_dual_rounds_into_the_bound():
@@ -129,6 +181,24 @@ def test_invalid_config_rejected_before_any_solve(monkeypatch, method, field, va
     inst = generate(GeneratorSpec(3, 12, seed=3))
     with pytest.raises(ValueError, match=message):
         run(inst, CgConfig(**{"pricing_method": method, field: value}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", None), ("seed", "3"),
+    ("age_threshold", 1.5), ("age_threshold", "2"),
+    ("epsilon", "1e-6"), ("epsilon", None), ("time_limit", "60"), ("mip_gap", [0.1]),
+    ("template_delta", "0.1"),
+])
+def test_config_of_the_wrong_type_rejected(field, value):
+    with pytest.raises(TypeError, match=f"^{field} must be"):
+        CgConfig(pricing_method="dantzig", **{field: value})
+
+
+def test_config_takes_numpy_numbers(toy_3x12):
+    cfg = CgConfig(pricing_method="dantzig", seed=np.int64(2), age_threshold=np.int32(4),
+                   epsilon=np.float64(1e-6), time_limit=np.float32(60))
+    plain = CgConfig(pricing_method="dantzig", seed=2, age_threshold=4, time_limit=60)
+    assert run(toy_3x12, cfg).lb_int == run(toy_3x12, plain).lb_int
 
 
 @pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import brute_force_lex, full_level_lex, subsets
+from _oracles import brute_force_lex, full_level_lex, per_problem_min_knapsack, subsets
 from gapcg import knapsack
 from gapcg.instance import GeneratorSpec, generate
 from gapcg.knapsack import (KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_knapsack,
@@ -117,10 +117,13 @@ def test_min_knapsack_batch_matches_min_knapsack_row_by_row(batch, group_bytes):
         values, selection = min_knapsack_batch(profit, weight, capacity)
     assert selection.shape == profit.shape and len(values) == len(capacity)
     for r in range(len(capacity)):
-        ref = min_knapsack(KnapsackProblem(profit[r], weight[r], int(capacity[r])))
-        assert type(values[r]) is float
-        assert np.float64(values[r]).tobytes() == np.float64(ref.value).tobytes()
-        assert selection[r].tobytes() == ref.selection.tobytes()
+        problem = KnapsackProblem(profit[r], weight[r], int(capacity[r]))
+        ref = per_problem_min_knapsack(problem)
+        one = min_knapsack(problem)  # the one-row case
+        for value, sel in [(values[r], selection[r]), (one.value, one.selection)]:
+            assert type(value) is float
+            assert np.float64(value).tobytes() == np.float64(ref.value).tobytes()
+            assert sel.tobytes() == ref.selection.tobytes()
 
 
 def test_min_knapsack_batch_minus_inf_row_leaves_next_rows_pads_at_inf():
@@ -146,7 +149,8 @@ def test_min_knapsack_batch_memory_does_not_grow_with_rows():
         tracemalloc.stop()
     assert peak <= 12e6
     for r in (0, 79):
-        ref = min_knapsack(KnapsackProblem(profit[r], inst.resource[r], int(inst.capacity[r])))
+        ref = per_problem_min_knapsack(KnapsackProblem(profit[r], inst.resource[r],
+                                                       int(inst.capacity[r])))
         assert values[r] == ref.value and (selection[r] == ref.selection).all()
 
 

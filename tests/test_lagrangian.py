@@ -3,14 +3,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import looped_lr_evaluate, master_lp_optimum, recomputing_two_loop
+from _oracles import (grid_lagrangian_bound, looped_lr_evaluate, master_lp_optimum,
+                      recomputing_two_loop)
 from conftest import random_instance
 from gapcg import lagrangian
 from gapcg.instance import GapInstance, GeneratorSpec, generate
-from gapcg.lagrangian import MAX_BACKTRACKS, _two_loop, lr_evaluate, lr_solve
+from gapcg.lagrangian import MAX_BACKTRACKS, _two_loop, certified_bound, lr_evaluate, lr_solve
+from test_properties import small_instances
 
 
 def test_zero_duals_positive_costs():
@@ -171,3 +173,21 @@ def test_two_loop_matches_recomputing_rho_property(n, pairs, seed, scale):
     grad = rng.normal(0, 3, n)
     mine = _two_loop(grad, [(s, y, 1.0 / float(y @ s)) for s, y in memory])
     assert mine.tobytes() == recomputing_two_loop(grad, memory).tobytes()
+
+
+# ------------------------------------------------------------- certified_bound
+
+@settings(max_examples=300)
+@given(inst=small_instances(), data=st.data())
+def test_certified_bound_equals_the_python_integer_bound(inst, data):
+    # duals off the grid, on it, and large enough to coarsen it
+    duals = st.one_of(st.floats(-20, 20), st.integers(-20, 20).map(float),
+                      st.floats(-1e9, 1e9), st.just(5e-324))
+    pi = np.array(data.draw(st.lists(duals, min_size=inst.num_jobs, max_size=inst.num_jobs)))
+    assert certified_bound(inst, pi) == grid_lagrangian_bound(inst, pi)
+
+
+def test_certified_bound_is_none_where_no_grid_is_exact():
+    inst = random_instance(3, m=2, n=6)
+    assert certified_bound(inst, np.full(6, 2.0**50)) is None
+    assert certified_bound(inst, np.full(6, 2.0**45)) is not None
