@@ -275,7 +275,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         added = removed = 0
         pricing_time, alphas, smoothed, rc_sum = 0.0, [], False, None
         if status is None:
-            if templates is not None and (phase == "2" or it > 1):
+            if templates is not None and it > 1:
                 templates = rmp.project_primal(sol, pool)
             priced, eps = ((zero_cost, min(cfg.epsilon, RC_CONVERGENCE_TOL)) if phase == "1"
                            else (inst, cfg.epsilon))
@@ -311,9 +311,12 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
             status = "rc_converged"
         elif _gap_closed(report, cfg.mip_gap):
             status = "gap_closed"
+        elif added == 0 and smoothed:
+            # at a large cost scale a held column's float reduced cost can
+            # clear the budget, so smoothing accepts a duplicate the pool
+            # refuses: price the true duals next round
+            state.alpha = 0.0
         elif added == 0:
-            if smoothed:
-                raise AssertionError("smoothed round accepted but added no columns")
             status = "optimal"
         elif time.perf_counter() > deadline:
             status = "time_limit"

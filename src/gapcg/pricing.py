@@ -4,16 +4,16 @@ Four strategies map master duals (and, for the template pair, a target
 vector per machine) to candidate columns:
 
 * ``dantzig_round``  - plain minimum reduced cost, every machine in one
-  batched knapsack call; ``dantzig_price`` is its one-machine case.
+  batched knapsack call, which also opens ``lt_round``; ``dantzig_price``
+  is its one-machine case.
 * ``pessoa_round``   - directional dual smoothing with adaptive mixing and
   a limited backtracking search over smoothing intensities; falls back to
   plain pricing when smoothing finds nothing. Each attempt prices every
   machine in one batched knapsack call.
-* ``lt_round``       - heuristic template pricing: a Lagrangian scalarization
-  of (similarity, reduced cost) whose trade-off weight walks the lower
-  convex hull of the (reduced cost, -similarity) points to the edge that
-  crosses the reduced-cost budget, all machines walking in lockstep over
-  batched knapsack calls; ``lt_price`` is its one-machine case.
+* ``lt_round``       - heuristic template pricing: from its Dantzig column,
+  each machine that has a good one walks the lower convex hull of its
+  (reduced cost, -similarity) points to the edge that crosses the budget,
+  in lockstep over batched knapsack calls; ``lt_price`` prices one machine.
 * ``mt_price``       - exact template pricing via the lexicographic knapsack,
   one machine at a time, after a base step that is ``min_knapsack``, the
   batched kernel's one-row case.
@@ -109,16 +109,13 @@ def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
                           similarity=int(best_sim))
 
 
-def _lt_search(inst, i: int, y_i, pi, mu_i: float, eps: float,
-               alpha_warm: np.ndarray | None, delta: float, trace: list | None):
-    """Machine i's side of :func:`lt_round`, as a coroutine: it yields each
-    profit row it wants minimized, receives that knapsack's ``(value,
-    selection)`` and returns the machine's :class:`PricingOutcome`."""
+def _lt_search(inst, base: PricingOutcome, y_i, pi, mu_i: float, eps: float,
+               alpha_warm: np.ndarray, delta: float, trace: list | None):
+    """Machine ``base.machine``'s walk from its Dantzig outcome ``base``, as a
+    coroutine: it yields each profit row it wants minimized, receives that
+    knapsack's ``(value, selection)`` and returns its :class:`PricingOutcome`."""
+    i = base.machine
     rc_coeff = inst.cost[i] - pi
-    base_value, base_selection = yield rc_coeff
-    dantzig_rc = base_value - mu_i
-    if dantzig_rc > -eps:
-        return PricingOutcome(machine=i, selection=None, dantzig_rc=dantzig_rc)
     f = similarity_vector(y_i, delta)
     minus_f = (-f).astype(np.float64)
     budget = mu_i - eps
@@ -126,9 +123,9 @@ def _lt_search(inst, i: int, y_i, pi, mu_i: float, eps: float,
     def point(x):  # (similarity, reduced cost, selection); add.reduce is ndarray.sum unwrapped
         return int(f @ x), float(np.add.reduce(rc_coeff[x])), x
 
-    member_end = best = point(base_selection)
+    member_end = best = point(base.selection)
     other_end = None  # the non-member endpoint, once a probe has found one
-    alpha = float(alpha_warm[i]) if alpha_warm is not None else 0.5
+    alpha = float(alpha_warm[i])
     for step in range(1, LT_MAX_ITERATIONS + 1):
         value, x = yield minus_f + alpha * rc_coeff
         probe = point(x)
@@ -159,19 +156,18 @@ def _lt_search(inst, i: int, y_i, pi, mu_i: float, eps: float,
             alpha = LT_ABSOLUTE_FLOOR
         else:
             alpha = (other_end[0] - member_end[0]) / (other_end[1] - member_end[1])
-    if alpha_warm is not None:
-        alpha_warm[i] = alpha
+    alpha_warm[i] = alpha
     sim, _, sel = best
-    return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc, similarity=sim,
+    return PricingOutcome(machine=i, selection=sel, dantzig_rc=base.dantzig_rc, similarity=sim,
                           alpha_used=alpha, flagged=stop == "cap", proof_fired=stop == "proof")
 
 
-def lt_round(inst, machines, templates, pi, mu, eps: float,
-             alpha_warm: np.ndarray | None = None, delta: float = DEFAULT_DELTA,
-             trace: dict | None = None) -> list[PricingOutcome]:
+def lt_round(inst, machines, templates, pi, mu, eps: float, alpha_warm: np.ndarray,
+             delta: float = DEFAULT_DELTA, trace: dict | None = None) -> list[PricingOutcome]:
     """Heuristic template pricing of ``machines``; outcomes in that order.
 
-    For a trade-off weight ``alpha`` machine i's subproblem minimizes
+    A machine without a good column in :func:`dantzig_round` keeps that
+    outcome. For a trade-off weight ``alpha`` each other machine i minimizes
     ``-similarity + alpha * reduced_cost`` over its feasible selections, whose
     minimizers are the vertices of the lower convex hull of the
     ``(reduced_cost, -similarity)`` points. The search walks that hull
@@ -185,12 +181,12 @@ def lt_round(inst, machines, templates, pi, mu, eps: float,
     column optimal (``proof_fired``; it then matches :func:`mt_price`), or
     after ``LT_MAX_ITERATIONS`` probes (``flagged``), and returns the best
     budget-clearing column seen, highest similarity then lowest reduced
-    cost. The last probed weight is ``alpha_used`` and, in ``alpha_warm[i]``
-    when given, the next warm start (0.5 without one).
+    cost. The last probed weight is ``alpha_used`` and, in ``alpha_warm[i]``,
+    the next warm start.
 
     ``templates[i]`` and ``mu[i]`` are machine i's target vector and dual.
-    The searches run in lockstep, one :func:`min_knapsack_batch` call per
-    step over the machines still searching; machines share nothing, so each
+    The walks run in lockstep, one :func:`min_knapsack_batch` call per
+    step over the machines still walking; machines share nothing, so each
     outcome is that of a search on its own. ``trace``, when given, maps a
     machine to the list that receives one ``(alpha, value, probe, other end,
     member end, stop)`` tuple per probe: points are ``(sim, rc)``, the ends
@@ -198,11 +194,16 @@ def lt_round(inst, machines, templates, pi, mu, eps: float,
     ``stop`` None or the rule that ended the walk, ``"hull"``, ``"proof"``
     or ``"cap"``.
     """
-    searches = {i: _lt_search(inst, i, templates[i], pi, float(mu[i]), eps, alpha_warm, delta,
-                              None if trace is None else trace.setdefault(i, []))
-                for i in machines}
+    outcomes = dantzig_round(inst, machines, pi, mu, eps)
+    searches = {}
+    for out in outcomes:
+        i = out.machine
+        steps = None if trace is None else trace.setdefault(i, [])
+        if out.selection is not None:
+            searches[i] = _lt_search(inst, out, templates[i], pi, float(mu[i]), eps,
+                                     alpha_warm, delta, steps)
     profits = {i: next(search) for i, search in searches.items()}
-    outcomes = {}
+    walked = {}
     rows = None
     while profits:
         if rows is None:  # the searching machines changed
@@ -215,14 +216,13 @@ def lt_round(inst, machines, templates, pi, mu, eps: float,
                 profits[i] = searches[i].send((values[k], selections[k]))
             except StopIteration as done:
                 del profits[i]
-                outcomes[i] = done.value
+                walked[i] = done.value
                 rows = None
-    return [outcomes[i] for i in machines]
+    return [walked.get(out.machine, out) for out in outcomes]
 
 
-def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
-             alpha_warm: np.ndarray | None = None, delta: float = DEFAULT_DELTA,
-             trace: list | None = None) -> PricingOutcome:
+def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float, alpha_warm: np.ndarray,
+             delta: float = DEFAULT_DELTA, trace: list | None = None) -> PricingOutcome:
     """:func:`lt_round` on machine i alone, ``trace`` being its step list."""
     (out,) = lt_round(inst, [i], {i: y_i}, pi, {i: mu_i}, eps, alpha_warm, delta,
                       None if trace is None else {i: trace})

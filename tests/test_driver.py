@@ -88,7 +88,7 @@ def test_integer_bound_stays_at_or_below_the_run_s_own_cost_at_large_scales(meth
     assert rep.gap_percent >= 0.0
 
 
-@pytest.mark.parametrize("method", ["dantzig", "lt", "mt"])
+@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
 def test_a_run_past_the_certifiable_cost_scale_ends_without_an_integer_bound(method):
     # a valid instance whose cost size reaches 2^52: no grid keeps the
     # knapsack sums exact, so lb_int is never set and pricing alone ends the run
@@ -97,6 +97,18 @@ def test_a_run_past_the_certifiable_cost_scale_ends_without_an_integer_bound(met
     rep = run(big, CgConfig(pricing_method=method))
     assert rep.status == "optimal" and rep.ub is not None
     assert rep.lb_int is None and rep.gap_percent is None
+
+
+def test_pessoa_round_whose_columns_the_pool_holds_prices_the_true_duals_next():
+    # at this scale a held column's float reduced cost clears the budget, so
+    # a smoothed round accepts only duplicates and adds nothing
+    inst = generate(GeneratorSpec(3, 12, seed=1))
+    big = replace(inst, cost=inst.cost * 2**24)
+    rep = run(big, CgConfig(pricing_method="pessoa"))
+    rows = [r for r in rep.rows if r.phase == "2"]
+    assert any(r.rc_sum is None and r.columns_added == 0 for r in rows[:-1])
+    assert rep.status in ("optimal", "rc_converged", "gap_closed") and rep.lb_int <= rep.ub
+    assert rep.lb_int == run(big, CgConfig(pricing_method="dantzig")).lb_int
 
 
 def test_pessoa_rows_fold_only_true_dual_rounds_into_the_bound():

@@ -354,6 +354,44 @@ def test_lt_round_matches_lt_price_property(m, n, seed, phase_one, fresh):
     assert alpha_warm.tobytes() == one_warm.tobytes()
 
 
+def test_lt_round_batches_the_dantzig_round_then_each_probe_step(monkeypatch):
+    calls = []
+    batch = pricing.min_knapsack_batch
+
+    def recording_batch(profit, weight, capacity):
+        calls.append((profit.copy(), weight.copy(), capacity.copy()))
+        return batch(profit, weight, capacity)
+
+    monkeypatch.setattr(pricing, "min_knapsack_batch", recording_batch)
+    walked = 0
+    for seed in range(60):
+        inst, pi, mu, templates, order, alpha_warm = lt_case(1 + seed % 5, 2 + seed % 13,
+                                                             seed, seed % 3 == 0,
+                                                             seed % 2 == 0)
+        calls.clear()
+        dantzig_round(inst, order, pi, mu, EPS)
+        (base,) = calls
+        assert base[0].tobytes() == (inst.cost[order] - pi).tobytes()
+        assert base[1].tobytes() == inst.resource[order].tobytes()
+        assert base[2].tobytes() == inst.capacity[order].tobytes()
+        calls.clear()
+        trace = {}
+        lt_round(inst, order, templates, pi, mu, EPS, alpha_warm, trace=trace)
+        assert calls[0][0].tobytes() == base[0].tobytes()
+        # probe step s prices, in order, the machines whose walk reached it
+        assert len(calls) == 1 + max(len(steps) for steps in trace.values())
+        for step, (profit, weight, capacity) in enumerate(calls[1:]):
+            rows = [i for i in order if len(trace[i]) > step]
+            assert weight.tobytes() == inst.resource[rows].tobytes()
+            assert capacity.tobytes() == inst.capacity[rows].tobytes()
+            for k, i in enumerate(rows):
+                minus_f = (-similarity_vector(templates[i], DEFAULT_DELTA)).astype(np.float64)
+                alpha = trace[i][step][0]
+                assert profit[k].tobytes() == (minus_f + alpha * (inst.cost[i] - pi)).tobytes()
+        walked += len(calls) > 2
+    assert walked >= 10
+
+
 @lt_draws
 def test_lt_hull_column_at_least_as_similar_as_bisection_property(m, n, seed, phase_one, fresh):
     inst, pi, mu, templates, order, alpha_warm = lt_case(m, n, seed, phase_one, fresh)
