@@ -31,12 +31,12 @@ import numpy as np
 
 from . import lagrangian, pricing, rmp
 from .instance import GapInstance, InfeasibleInstanceError, relabel, validate
+from .lagrangian import CEIL_GUARD, integer_bound
 from .pricing import DEFAULT_DELTA, PessoaState, PricingOutcome
 from .rmp import AGE_POLICIES, ColumnPool
 from .simplex import PRICE_TOL
 
 RC_CONVERGENCE_TOL = 1e-6
-CEIL_GUARD = 1e-9
 # a smaller budget lets a column the master already holds clear it, and
 # pricing then returns a duplicate that the pool refuses
 MIN_EPSILON = PRICE_TOL
@@ -69,7 +69,7 @@ class CgConfig:
              f"unknown pricing method {self.pricing_method!r}"),
             (MIN_EPSILON <= self.epsilon < math.inf,
              f"epsilon must be finite and at least the pricing tolerance {MIN_EPSILON:g}"),
-            (0.0 <= self.time_limit <= math.inf, "time_limit must be a number >= 0"),
+            (0.0 < self.time_limit <= math.inf, "time_limit must be a number > 0"),
             (0.0 <= self.mip_gap < math.inf, "mip_gap must be a finite number >= 0"),
             (self.age_threshold is None or self.age_threshold >= 1,
              "age_threshold must be at least 1"),
@@ -153,10 +153,6 @@ def _finite(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _integer_bound(lb_raw: float) -> int | None:
-    return None if _finite(lb_raw) is None else math.ceil(lb_raw - CEIL_GUARD)
-
-
 def update_bounds(report: RunReport, outcomes: list[PricingOutcome],
                   rmp_objective: float, certify, offset: int) -> float:
     """Fold a round priced at the true duals into the report's lower bound;
@@ -174,7 +170,7 @@ def update_bounds(report: RunReport, outcomes: list[PricingOutcome],
             raise ValueError("true-dual round lacks a dantzig_rc value")
         rc_sum += min(out.dantzig_rc, 0.0)
     report.lb_raw = max(report.lb_raw, rmp_objective + rc_sum)
-    ceiling = _integer_bound(report.lb_raw)
+    ceiling = integer_bound(report.lb_raw)
     if ceiling is not None and (report.lb_int is None or ceiling > report.lb_int):
         certified = certify()
         if certified is not None:
@@ -202,20 +198,22 @@ def _price(inst: GapInstance, cfg: CgConfig, eps: float, sol,
     """One pricing round at budget ``eps``; returns (outcomes, smoothed, alpha_values).
 
     ``state`` is the method's warm start: LT's per-machine weights, the
-    :class:`PessoaState`, or None. Phase-one Pessoa prices like Dantzig.
+    :class:`PessoaState`, or None. LT and MT classify the whole template
+    matrix here, once per round. Phase-one Pessoa prices like Dantzig.
     """
     method, machines = cfg.pricing_method, range(inst.num_machines)
     if method == "pessoa" and not phase1:
         outcomes, _, _ = pricing.pessoa_round(state, inst, sol.pi, sol.mu, eps,
                                               rmp_objective=sol.objective)
         return outcomes, any(o.dantzig_rc is None for o in outcomes), [state.alpha]
+    if method in ("lt", "mt"):
+        classes = pricing.similarity_vector(templates, cfg.template_delta)
     if method == "lt":
-        outcomes = pricing.lt_round(inst, machines, templates, sol.pi, sol.mu, eps,
-                                    state, cfg.template_delta)
+        outcomes = pricing.lt_round(inst, machines, classes, sol.pi, sol.mu, eps, state)
         return outcomes, False, [out.alpha_used for out in outcomes]
     if method == "mt":
-        outcomes = [pricing.mt_price(inst, i, templates[i], sol.pi, float(sol.mu[i]),
-                                     eps, delta=cfg.template_delta) for i in machines]
+        outcomes = [pricing.mt_price(inst, i, classes[i], sol.pi, float(sol.mu[i]), eps)
+                    for i in machines]
     else:
         outcomes = pricing.dantzig_round(inst, machines, sol.pi, sol.mu, eps)
     return outcomes, False, []
@@ -336,9 +334,9 @@ def run_lr(inst: GapInstance, cfg: CgConfig) -> RunReport:
     out = RunReport(instance=inst.name, method="lr")
     for row in trace:
         out.rows.append(IterRow(row.evaluation, "lr", lb_raw=row.best_bound,
-                                lb_int=_integer_bound(row.best_bound)))
+                                lb_int=integer_bound(row.best_bound)))
     out.lb_raw = best_bound
-    out.lb_int = _integer_bound(best_bound)
+    out.lb_int = integer_bound(best_bound)
     out.ub = integer[1] if integer is not None else None
     out.integral_final = integer is not None
     out.final_objective = best_bound

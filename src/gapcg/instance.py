@@ -9,7 +9,8 @@ construction so instances can be shared freely across pricing workers.
 one numpy call; a malformed file raises :class:`ParseError` at its first
 bad token. ``validate`` raises :class:`InfeasibleInstanceError` for an
 instance the solver cannot take. ``relabel`` renumbers the jobs and
-machines of an instance by a seed.
+machines of an instance by a seed. ``cheapest_assignment`` turns columns
+into an assignment.
 """
 
 from __future__ import annotations
@@ -182,6 +183,19 @@ def relabel(inst: GapInstance, seed: int) -> GapInstance:
     cells = np.ix_(machines, jobs)
     return GapInstance(inst.num_machines, inst.num_jobs, inst.cost[cells], inst.resource[cells],
                        inst.capacity[machines], name=inst.name)
+
+
+def cheapest_assignment(inst: GapInstance, machines, masks):
+    """``(assignment, cost)`` from the columns ``(machines[k], masks[k])``: each
+    job goes to the cheapest machine whose column selects it, the first such
+    column on a tie. None when some job is in no column."""
+    masks = np.asarray(masks, dtype=bool)
+    if not masks.any(axis=0).all():  # no columns: any() of an empty array is False
+        return None
+    # validate caps every cost's size at 2^53, so no column costs the sentinel
+    cost = np.where(masks, inst.cost[machines], _INT64_MAX)
+    assignment = np.asarray(machines, dtype=np.int64)[cost.argmin(axis=0)]
+    return assignment, int(inst.cost[assignment, np.arange(inst.num_jobs)].sum())
 
 
 def _fail_on(*checks: tuple[bool, str]):

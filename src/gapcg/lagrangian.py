@@ -7,8 +7,8 @@ piecewise-linear dual function is maximized by limited-memory quasi-Newton
 ascent with a backtracking line search; every dual-function evaluation
 (line-search probes included) counts as one iteration for reporting parity
 with the column-generation loop. :func:`certified_bound` evaluates the same
-``L`` exactly, at duals rounded onto a binary grid, for the driver's integer
-bound.
+``L`` exactly, at duals rounded onto a binary grid, and :func:`integer_bound`
+rounds a float bound up to the integer it proves; the driver uses both.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import InfeasibleInstanceError
+from .instance import InfeasibleInstanceError, cheapest_assignment
 # min_knapsack stays bound here: perfbench/spans.py patches lagrangian.min_knapsack by name
 from .knapsack import min_knapsack, min_knapsack_batch  # noqa: F401
 
@@ -29,6 +29,7 @@ ARMIJO = 1e-4
 MAX_BACKTRACKS = 30
 FALLBACK_STEP = 1e-8
 CONVERGENCE_TOL = 1e-6
+CEIL_GUARD = 1e-9  # float error may carry a bound this far past an integer
 
 
 @dataclass
@@ -46,6 +47,11 @@ def lr_evaluate(inst, pi):
     for machine_value in values:  # machine by machine, the order the sum is defined in
         value += machine_value
     return value, 1.0 - selections.sum(axis=0), list(selections)
+
+
+def integer_bound(value: float) -> int | None:
+    """The integer bound that the float lower bound ``value`` proves; None if not finite."""
+    return math.ceil(value - CEIL_GUARD) if math.isfinite(value) else None
 
 
 def certified_bound(inst, pi) -> int | None:
@@ -93,14 +99,6 @@ def _two_loop(grad, memory):
     return q
 
 
-def _integer_from_partition(inst, selections):
-    assignment = np.full(inst.num_jobs, -1, dtype=np.int64)
-    for i, sel in enumerate(selections):
-        assignment[sel] = i
-    ub = int(inst.cost[assignment, np.arange(inst.num_jobs)].sum())
-    return assignment, ub
-
-
 def lr_solve(inst, time_limit: float = 600.0):
     """Maximize the dual bound; returns (best_bound, best_pi, integer, trace).
 
@@ -121,14 +119,15 @@ def lr_solve(inst, time_limit: float = 600.0):
     def probe(point):
         nonlocal best_bound, best_pi, integer_solution
         value, grad, sels = lr_evaluate(inst, point)
-        if math.ceil(value - 1e-9) > worst_assignment:
+        bound = integer_bound(value)
+        if bound is not None and bound > worst_assignment:
             raise InfeasibleInstanceError(
                 f"Lagrangian bound {value:.6g} exceeds the cost {worst_assignment} "
                 "of any assignment: no feasible assignment exists")
         if value > best_bound:
             best_bound, best_pi = value, point.copy()
         if not grad.any():
-            found = _integer_from_partition(inst, sels)
+            found = cheapest_assignment(inst, range(inst.num_machines), sels)
             if integer_solution is None or found[1] < integer_solution[1]:
                 integer_solution = found
         trace.append(LrTraceRow(len(trace) + 1, value, best_bound))

@@ -1,7 +1,7 @@
 """Pricing strategies for the column-generation loop.
 
-Four strategies map master duals (and, for the template pair, a target
-vector per machine) to candidate columns:
+Four strategies map master duals (and, for the template pair, the template
+classes of each machine) to candidate columns:
 
 * ``dantzig_round``  - plain minimum reduced cost, every machine in one
   batched knapsack call, which also opens ``lt_round``; ``dantzig_price``
@@ -59,7 +59,7 @@ class PessoaState:
 
 
 def similarity_vector(y, delta: float) -> np.ndarray:
-    """Classify each template entry: +1 near one, -1 near zero, 0 in between."""
+    """Classify each entry of a template vector or matrix: +1 near one, -1 near zero."""
     y = np.asarray(y, dtype=np.float64)
     return np.where(y > 1.0 - delta, 1, np.where(y < delta, -1, 0)).astype(np.int64)
 
@@ -90,17 +90,15 @@ def dantzig_price(inst, i: int, pi, mu_i: float, eps: float) -> PricingOutcome:
     return out
 
 
-def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
-             delta: float = DEFAULT_DELTA) -> PricingOutcome:
-    """Exact template pricing: maximize similarity over the good columns,
-    break ties by minimum reduced cost."""
+def mt_price(inst, i: int, classes_i, pi, mu_i: float, eps: float) -> PricingOutcome:
+    """Exact template pricing: maximize similarity to the template classes
+    ``classes_i`` over the good columns, break ties by minimum reduced cost."""
     rc_coeff = inst.cost[i] - pi
     base = min_knapsack(KnapsackProblem(rc_coeff, inst.resource[i], int(inst.capacity[i])))
     dantzig_rc = base.value - mu_i
     if dantzig_rc > -eps:
         return PricingOutcome(machine=i, selection=None, dantzig_rc=dantzig_rc)
-    f = similarity_vector(y_i, delta)
-    res = lex_knapsack(LexKnapsackProblem(f, rc_coeff, inst.resource[i],
+    res = lex_knapsack(LexKnapsackProblem(classes_i, rc_coeff, inst.resource[i],
                                           int(inst.capacity[i]), mu_i - eps))
     if res is None:  # the minimum-rc column itself fits the budget
         raise AssertionError("lex search empty although a good column exists")
@@ -109,14 +107,13 @@ def mt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
                           similarity=int(best_sim))
 
 
-def _lt_search(inst, base: PricingOutcome, y_i, pi, mu_i: float, eps: float,
-               alpha_warm: np.ndarray, delta: float, trace: list | None):
-    """Machine ``base.machine``'s walk from its Dantzig outcome ``base``, as a
-    coroutine: it yields each profit row it wants minimized, receives that
-    knapsack's ``(value, selection)`` and returns its :class:`PricingOutcome`."""
+def _lt_search(inst, base: PricingOutcome, f, pi, mu_i: float, eps: float,
+               alpha_warm: np.ndarray, trace: list | None):
+    """Machine ``base.machine``'s walk from its Dantzig outcome ``base`` under its template
+    classes ``f``, as a coroutine: it yields each profit row it wants minimized, receives
+    that knapsack's ``(value, selection)`` and returns its :class:`PricingOutcome`."""
     i = base.machine
     rc_coeff = inst.cost[i] - pi
-    f = similarity_vector(y_i, delta)
     minus_f = (-f).astype(np.float64)
     budget = mu_i - eps
 
@@ -162,8 +159,8 @@ def _lt_search(inst, base: PricingOutcome, y_i, pi, mu_i: float, eps: float,
                           alpha_used=alpha, flagged=stop == "cap", proof_fired=stop == "proof")
 
 
-def lt_round(inst, machines, templates, pi, mu, eps: float, alpha_warm: np.ndarray,
-             delta: float = DEFAULT_DELTA, trace: dict | None = None) -> list[PricingOutcome]:
+def lt_round(inst, machines, classes, pi, mu, eps: float, alpha_warm: np.ndarray,
+             trace: dict | None = None) -> list[PricingOutcome]:
     """Heuristic template pricing of ``machines``; outcomes in that order.
 
     A machine without a good column in :func:`dantzig_round` keeps that
@@ -184,7 +181,7 @@ def lt_round(inst, machines, templates, pi, mu, eps: float, alpha_warm: np.ndarr
     cost. The last probed weight is ``alpha_used`` and, in ``alpha_warm[i]``,
     the next warm start.
 
-    ``templates[i]`` and ``mu[i]`` are machine i's target vector and dual.
+    ``classes[i]`` and ``mu[i]`` are machine i's template classes and dual.
     The walks run in lockstep, one :func:`min_knapsack_batch` call per
     step over the machines still walking; machines share nothing, so each
     outcome is that of a search on its own. ``trace``, when given, maps a
@@ -200,8 +197,8 @@ def lt_round(inst, machines, templates, pi, mu, eps: float, alpha_warm: np.ndarr
         i = out.machine
         steps = None if trace is None else trace.setdefault(i, [])
         if out.selection is not None:
-            searches[i] = _lt_search(inst, out, templates[i], pi, float(mu[i]), eps,
-                                     alpha_warm, delta, steps)
+            searches[i] = _lt_search(inst, out, classes[i], pi, float(mu[i]), eps,
+                                     alpha_warm, steps)
     profits = {i: next(search) for i, search in searches.items()}
     walked = {}
     rows = None
@@ -221,10 +218,10 @@ def lt_round(inst, machines, templates, pi, mu, eps: float, alpha_warm: np.ndarr
     return [walked.get(out.machine, out) for out in outcomes]
 
 
-def lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float, alpha_warm: np.ndarray,
-             delta: float = DEFAULT_DELTA, trace: list | None = None) -> PricingOutcome:
+def lt_price(inst, i: int, classes_i, pi, mu_i: float, eps: float, alpha_warm: np.ndarray,
+             trace: list | None = None) -> PricingOutcome:
     """:func:`lt_round` on machine i alone, ``trace`` being its step list."""
-    (out,) = lt_round(inst, [i], {i: y_i}, pi, {i: mu_i}, eps, alpha_warm, delta,
+    (out,) = lt_round(inst, [i], {i: classes_i}, pi, {i: mu_i}, eps, alpha_warm,
                       None if trace is None else {i: trace})
     return out
 

@@ -27,10 +27,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .instance import GapInstance, InfeasibleInstanceError, validate
-from .simplex import SimplexSolver
-
-PHASE1_TOL = 1e-7
+from .instance import GapInstance, InfeasibleInstanceError, cheapest_assignment, validate
+from .simplex import FEAS_TOL, SimplexSolver
 
 AGE_POLICIES = {
     "dantzig": (0.081875, 0.0, 1.0),
@@ -169,13 +167,13 @@ def build_and_solve(pool: ColumnPool) -> RmpSolution:
     """Solve the master over the pool's columns and return duals and pivots.
 
     Phase one minimizes the artificial-variable sum, column costs ignored; a
-    phase-one solve that ends below ``PHASE1_TOL`` retires the artificials and
-    returns the phase-two solution (``pool.phase`` tells which). The pool's
-    LP keeps its basis warm from one call to the next.
+    phase-one solve that ends below ``FEAS_TOL``, the LP's own zero, retires
+    the artificials and returns the phase-two solution (``pool.phase`` tells
+    which). The pool's LP keeps its basis warm from one call to the next.
     """
     pool.sync()
     pivots = pool.lp.solve()
-    if pool.phase == 1 and pool.lp.objective() < PHASE1_TOL:
+    if pool.phase == 1 and pool.lp.objective() < FEAS_TOL:
         pivots += pool.to_phase2()
         pivots += pool.lp.solve()
     return pool.extract(pivots)
@@ -188,7 +186,7 @@ def project_primal(sol: RmpSolution, pool: ColumnPool) -> np.ndarray:
     for col, weight in sol.lam.items():
         if weight > 0.0:
             y[col.machine][col.jobs] += weight
-    if y.max(initial=0.0) > 1.0 + 1e-7:
+    if y.max(initial=0.0) > 1.0 + FEAS_TOL:
         raise AssertionError(f"projected entry {y.max():.9f} above 1")
     return np.clip(y, 0.0, 1.0)
 
@@ -243,7 +241,7 @@ def solve_compact_lp(inst: GapInstance) -> np.ndarray:
     x_cols, slacks, arts = cols[:nx], cols[nx: nx + ni], cols[nx + ni:]
     lp.set_basis(arts + slacks)
     lp.solve()
-    if lp.objective() > PHASE1_TOL:
+    if lp.objective() > FEAS_TOL:
         raise InfeasibleInstanceError(
             f"compact LP infeasible (artificial sum {lp.objective():.6g})")
     lp.retire_columns(arts, x_cols + slacks)
@@ -255,11 +253,11 @@ def solve_compact_lp(inst: GapInstance) -> np.ndarray:
 def extract_integer_solution(sol: RmpSolution, pool: ColumnPool):
     """Recover an assignment when the master solution is integral.
 
-    Over-covered jobs go to the cheapest selecting machine; the repair only
-    frees capacity. Returns ``(assignment, upper_bound)`` or ``None`` when
-    any variable is meaningfully fractional or some job is uncovered.
+    Over-covered jobs go to the cheapest selecting machine, the first in
+    ``sol.lam`` order on a tie (:func:`instance.cheapest_assignment`).
+    Returns ``(assignment, upper_bound)`` or ``None`` when any variable is
+    meaningfully fractional or some job is uncovered.
     """
-    inst = pool.inst
     chosen = []
     for col, value in sol.lam.items():
         if value > 0.5:
@@ -268,13 +266,5 @@ def extract_integer_solution(sol: RmpSolution, pool: ColumnPool):
             chosen.append(col)
         elif value > 1e-6:
             return None
-    assignment = np.full(inst.num_jobs, -1, dtype=np.int64)
-    for col in chosen:
-        for j in np.flatnonzero(col.jobs):
-            i = col.machine
-            if assignment[j] == -1 or inst.cost[i, j] < inst.cost[assignment[j], j]:
-                assignment[j] = i
-    if (assignment == -1).any():
-        return None
-    ub = int(inst.cost[assignment, np.arange(inst.num_jobs)].sum())
-    return assignment, ub
+    return cheapest_assignment(pool.inst, [col.machine for col in chosen],
+                               [col.jobs for col in chosen])

@@ -33,7 +33,7 @@ import numpy as np
 
 PRICE_TOL = 1e-9
 _PIVOT_TOL = 1e-9
-_FEAS_TOL = 1e-7
+FEAS_TOL = 1e-7  # a basic value within it of zero is zero; rmp ends phase one by it too
 _REFACTOR_EVERY = 256
 _BLAND_AFTER = 50  # degenerate pivots in a row, plus two per row, before Bland's rule
 _MAX_PIVOTS = 5_000_000
@@ -105,7 +105,7 @@ class SimplexSolver:
         """Pin column j at zero: it will never be priced into the basis again."""
         if self.basic[j] and self._xb is not None:
             r = int(np.flatnonzero(self.basis == j)[0])
-            if abs(self._xb[r]) > _FEAS_TOL:
+            if abs(self._xb[r]) > FEAS_TOL:
                 raise SimplexError("cannot seal a basic column with nonzero value")
         self.sealed[j] = True
 
@@ -163,7 +163,7 @@ class SimplexSolver:
         except np.linalg.LinAlgError as exc:
             raise SimplexError("singular basis") from exc
         xb = self._binv @ self.b
-        if (xb < -_FEAS_TOL).any():
+        if (xb < -FEAS_TOL).any():
             raise SimplexError(f"warm basis infeasible (min {xb.min():.3e})")
         np.clip(xb, 0.0, None, out=xb)
         self._xb = xb
@@ -182,7 +182,7 @@ class SimplexSolver:
         for r in range(self.m):
             if int(self.basis[r]) not in retiring:
                 continue
-            if abs(self._xb[r]) > _FEAS_TOL:
+            if abs(self._xb[r]) > FEAS_TOL:
                 raise SimplexError("cannot retire a basic column with nonzero value")
             row = self._binv[r]
             best, best_val = None, 1e-7

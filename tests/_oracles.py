@@ -8,7 +8,7 @@ is the scalar rule that ``similarity_vector`` vectorizes. The frozen copies
 of earlier kernels (:func:`per_problem_min_knapsack`, :func:`full_level_lex`,
 :class:`DenseSimplexReference`, :func:`per_machine_dantzig_price`,
 :func:`looped_lr_evaluate`, :func:`recomputing_two_loop`,
-:func:`pool_walk_project_primal`), LP builders
+:func:`pool_walk_project_primal`, :func:`repair_loop_assignment`), LP builders
 (:class:`PerColumnMasterLp`, :func:`per_column_compact_lp`) and masters
 (:class:`ReconcilingMasterLp`) are the references their rewrites must match
 bit for bit. :func:`sequential_lt_price`, the bisection that LT pricing used
@@ -27,8 +27,8 @@ from scipy.optimize import linprog
 
 from gapcg.knapsack import KnapsackProblem, KnapsackSolution
 from gapcg.pricing import DEFAULT_DELTA, PricingOutcome, similarity_vector
-from gapcg.rmp import PHASE1_TOL, RmpSolution
-from gapcg.simplex import SimplexError, SimplexSolver, UnboundedError
+from gapcg.rmp import RmpSolution
+from gapcg.simplex import FEAS_TOL, SimplexError, SimplexSolver, UnboundedError
 
 
 def subsets(n: int) -> np.ndarray:
@@ -325,6 +325,21 @@ def per_machine_dantzig_price(inst, i: int, pi, mu_i: float, eps: float) -> Pric
     if rc > -eps:
         return PricingOutcome(machine=i, selection=None, dantzig_rc=rc)
     return PricingOutcome(machine=i, selection=sol.selection, dantzig_rc=rc)
+
+
+def repair_loop_assignment(inst, machines, masks):
+    """The per-job repair loop of ``rmp.extract_integer_solution``, frozen:
+    column by column, job by job, a strictly cheaper machine takes the job.
+    ``instance.cheapest_assignment`` must match it bit for bit."""
+    assignment = np.full(inst.num_jobs, -1, dtype=np.int64)
+    for i, jobs in zip(machines, masks):
+        for j in np.flatnonzero(jobs):
+            if assignment[j] == -1 or inst.cost[i, j] < inst.cost[assignment[j], j]:
+                assignment[j] = i
+    if (assignment == -1).any():
+        return None
+    ub = int(inst.cost[assignment, np.arange(inst.num_jobs)].sum())
+    return assignment, ub
 
 
 def looped_lr_evaluate(inst, pi):
@@ -763,7 +778,7 @@ def reconciling_build_and_solve(pool, master: ReconcilingMasterLp) -> RmpSolutio
         raise ValueError("master belongs to a different instance than the pool")
     master.sync(pool)
     pivots = master.lp.solve()
-    if master.phase == 1 and master.lp.objective() < PHASE1_TOL:
+    if master.phase == 1 and master.lp.objective() < FEAS_TOL:
         pivots += master.to_phase2()
         pivots += master.lp.solve()
     return master.extract(pivots)

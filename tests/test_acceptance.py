@@ -19,7 +19,7 @@ from gapcg.cli import rolling_geomean, select_tau
 from gapcg.driver import CgConfig, run, run_lr
 from gapcg.instance import GeneratorSpec, generate
 from gapcg.knapsack import KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_knapsack
-from gapcg.pricing import lt_price, mt_price, reduced_cost_sum
+from gapcg.pricing import DEFAULT_DELTA, lt_price, mt_price, reduced_cost_sum, similarity_vector
 from gapcg import driver as driver_module
 from gapcg.rmp import ColumnPool, age_threshold
 
@@ -239,8 +239,9 @@ def test_criterion_07_mt_dominance_and_lt_feasibility():
         snap = rng.random(n)
         y[snap < 0.35] = 0.0
         y[snap > 0.75] = 1.0
-        lt = lt_price(inst, 0, y, pi, mu, EPS, np.full(1, 0.5))
-        mt = mt_price(inst, 0, y, pi, mu, EPS)
+        f = similarity_vector(y, DEFAULT_DELTA)
+        lt = lt_price(inst, 0, f, pi, mu, EPS, np.full(1, 0.5))
+        mt = mt_price(inst, 0, f, pi, mu, EPS)
         assert (lt.selection is None) == (mt.selection is None)
         if lt.selection is None:
             continue

@@ -175,6 +175,7 @@ def test_unknown_method_rejected(toy_3x12):
     ("epsilon", math.inf, "epsilon"),
     ("time_limit", math.nan, "time_limit"),
     ("time_limit", -1.0, "time_limit"),
+    ("time_limit", 0.0, "time_limit"),
     ("mip_gap", math.nan, "mip_gap"),
     ("mip_gap", -0.1, "mip_gap"),
     ("age_threshold", 0, "age_threshold"),
@@ -329,7 +330,7 @@ def test_template_delta_outside_zero_to_half_rejected(toy_3x12, method, delta):
 
 
 def test_time_limit_zero_stops_in_phase1(toy_3x12):
-    rep = run(toy_3x12, CgConfig(pricing_method="dantzig", time_limit=0.0))
+    rep = run(toy_3x12, CgConfig(pricing_method="dantzig", time_limit=1e-9))
     assert rep.status == "time_limit"
 
 

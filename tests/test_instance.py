@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _oracles import repair_loop_assignment
 from gapcg.instance import (GapInstance, GeneratorSpec, InfeasibleInstanceError,
-                            ParseError, generate, parse, relabel, serialize, validate)
+                            ParseError, cheapest_assignment, generate, parse, relabel,
+                            serialize, validate)
 
 SINGLE = "2 3  1 2 3  4 5 6  1 1 1  1 1 1  2 2"
 
@@ -181,6 +183,28 @@ def test_relabel_permutes_jobs_then_machines(seed):
     assert (out.resource == inst.resource[np.ix_(machines, jobs)]).all()
     assert (out.capacity == inst.capacity[machines]).all()
     assert not (out.cost == inst.cost).all()  # this draw moves something
+
+
+# ----------------------------------------------------- cheapest_assignment
+
+@given(st.data())
+def test_cheapest_assignment_matches_the_repair_loop(data):
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+    # a cost bound of 0 makes every over-covered job a tie
+    hi = data.draw(st.sampled_from([0, 2, 10**12]))
+    cost = data.draw(st.lists(st.integers(-hi, hi), min_size=m * n, max_size=m * n))
+    inst = GapInstance(m, n, np.reshape(cost, (m, n)), np.ones((m, n), dtype=int),
+                       np.full(m, n))
+    # columns may repeat a machine, select nothing, or leave a job uncovered
+    machines = data.draw(st.lists(st.integers(0, m - 1), max_size=6))
+    masks = [np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+             for _ in machines]
+    got = cheapest_assignment(inst, machines, masks)
+    ref = repair_loop_assignment(inst, machines, masks)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert got[0].dtype == ref[0].dtype and got[0].tobytes() == ref[0].tobytes()
+        assert type(got[1]) is int and got[1] == ref[1]
 
 
 # ------------------------------------------------------- parse properties

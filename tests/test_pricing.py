@@ -59,6 +59,12 @@ def test_similarity_vector_matches_scalar():
                                              np.nextafter(delta, 0), np.nextafter(1 - delta, 1)]])
         vec = similarity_vector(y, delta)
         assert all(vec[k] == similarity_class(float(y[k]), delta) for k in range(len(y)))
+        # the driver classifies its (machines x jobs) template matrix in one call
+        matrix = np.stack([y, rng.permutation(y), rng.permutation(y)])
+        classes = similarity_vector(matrix, delta)
+        assert classes.shape == matrix.shape and classes.dtype == np.int64
+        assert all(classes[i, k] == similarity_class(float(matrix[i, k]), delta)
+                   for i in range(3) for k in range(len(y)))
 
 
 # ---------------------------------------------------------------- dantzig_price
@@ -133,7 +139,7 @@ def test_mt_flat_template_collapses_to_tiebreak():
     pi, _ = random_duals(rng, inst)
     y = np.full(inst.num_jobs, 0.5)
     base = dantzig_price(inst, 0, pi, 5.0, EPS)
-    out = mt_price(inst, 0, y, pi, 5.0, EPS)
+    out = mt_price(inst, 0, similarity_vector(y, DEFAULT_DELTA), pi, 5.0, EPS)
     if out.selection is not None:
         rc = reduced_cost_sum(inst.cost[0], pi, out.selection) - 5.0
         assert rc == pytest.approx(base.dantzig_rc, abs=1e-9)
@@ -145,11 +151,10 @@ def test_mt_matches_brute_force_lex():
     for trial in range(200):
         inst = random_instance(2000 + trial, m=1, n=int(rng.integers(2, 10)))
         pi, mu = random_duals(rng, inst)
-        y = random_template(rng, inst)[0]
-        out = mt_price(inst, 0, y, pi, float(mu[0]), EPS)
+        f = similarity_vector(random_template(rng, inst)[0], 1e-6)
+        out = mt_price(inst, 0, f, pi, float(mu[0]), EPS)
         if out.selection is None:
             continue
-        f = similarity_vector(y, 1e-6)
         ref = brute_force_lex(LexKnapsackProblem(f, inst.cost[0] - pi, inst.resource[0],
                                                  int(inst.capacity[0]), float(mu[0]) - EPS))
         assert ref is not None
@@ -164,7 +169,7 @@ def test_mt_full_template_recovered_when_budget_allows():
     load = int(inst.resource[0].sum())
     if load <= inst.capacity[0]:
         pi = inst.cost[0] + 100.0
-        out = mt_price(inst, 0, y, pi, 0.0, EPS)
+        out = mt_price(inst, 0, similarity_vector(y, DEFAULT_DELTA), pi, 0.0, EPS)
         assert out.selection.all()
         assert out.similarity == inst.num_jobs
 
@@ -174,7 +179,8 @@ def test_mt_full_template_recovered_when_budget_allows():
 def test_lt_absent_when_dantzig_absent():
     inst = random_instance(5, m=1, n=5)
     alpha_warm = np.full(1, 0.5)
-    out = lt_price(inst, 0, np.zeros(5), inst.cost[0].astype(float), 0.0, EPS, alpha_warm)
+    out = lt_price(inst, 0, similarity_vector(np.zeros(5), DEFAULT_DELTA),
+                   inst.cost[0].astype(float), 0.0, EPS, alpha_warm)
     assert out.selection is None
     assert out.dantzig_rc is not None
 
@@ -185,7 +191,8 @@ def test_lt_template_aligned_with_dantzig_column():
     pi = inst.cost[0] + rng.random(6).round(3) + 0.5  # every item improving
     base = dantzig_price(inst, 0, pi, 0.0, EPS)
     assert base.selection is not None
-    out = lt_price(inst, 0, base.selection.astype(float), pi, 0.0, EPS, np.full(1, 0.5))
+    f = similarity_vector(base.selection.astype(float), DEFAULT_DELTA)
+    out = lt_price(inst, 0, f, pi, 0.0, EPS, np.full(1, 0.5))
     assert np.array_equal(out.selection, base.selection)
 
 
@@ -194,7 +201,8 @@ def test_lt_flat_template_reverts_to_dantzig():
     inst = random_instance(7, m=1, n=8)
     pi, _ = random_duals(rng, inst)
     base = dantzig_price(inst, 0, pi, 3.0, EPS)
-    out = lt_price(inst, 0, np.full(8, 0.5), pi, 3.0, EPS, np.full(1, 0.5))
+    out = lt_price(inst, 0, similarity_vector(np.full(8, 0.5), DEFAULT_DELTA), pi, 3.0, EPS,
+                   np.full(1, 0.5))
     if base.selection is None:
         assert out.selection is None
     else:
@@ -209,10 +217,10 @@ def test_lt_against_mt_oracle():
     for trial in range(200):
         inst = random_instance(4000 + trial, m=1, n=int(rng.integers(3, 10)))
         pi, mu = random_duals(rng, inst)
-        y = random_template(rng, inst)[0]
+        f = similarity_vector(random_template(rng, inst)[0], DEFAULT_DELTA)
         alpha_warm = np.full(1, 0.5)
-        lt = lt_price(inst, 0, y, pi, float(mu[0]), EPS, alpha_warm)
-        mt = mt_price(inst, 0, y, pi, float(mu[0]), EPS)
+        lt = lt_price(inst, 0, f, pi, float(mu[0]), EPS, alpha_warm)
+        mt = mt_price(inst, 0, f, pi, float(mu[0]), EPS)
         assert (lt.selection is None) == (mt.selection is None)
         if lt.selection is None:
             continue
@@ -230,7 +238,8 @@ def test_lt_warm_start_updates():
     rng = np.random.default_rng(10)
     pi, mu = random_duals(rng, inst)
     alpha_warm = np.full(1, 0.5)
-    out = lt_price(inst, 0, random_template(rng, inst)[0], pi, float(mu[0]), EPS, alpha_warm)
+    f = similarity_vector(random_template(rng, inst)[0], DEFAULT_DELTA)
+    out = lt_price(inst, 0, f, pi, float(mu[0]), EPS, alpha_warm)
     if out.selection is not None and not out.flagged:
         assert alpha_warm[0] == out.alpha_used
 
@@ -305,7 +314,8 @@ def hull_walks(cases: int):
                                                              seed % 2 == 0)
         warm = alpha_warm.copy()
         trace = {}
-        got = lt_round(inst, order, templates, pi, mu, EPS, alpha_warm, trace=trace)
+        got = lt_round(inst, order, similarity_vector(templates, DEFAULT_DELTA), pi, mu, EPS,
+                       alpha_warm, trace=trace)
         for out, i in zip(got, order):
             if out.selection is None:
                 assert trace[i] == [] and alpha_warm[i] == warm[i]
@@ -337,13 +347,14 @@ def test_lt_walk_cut_by_the_iteration_cap_is_flagged(monkeypatch):
 @lt_draws
 def test_lt_round_matches_lt_price_property(m, n, seed, phase_one, fresh):
     inst, pi, mu, templates, order, alpha_warm = lt_case(m, n, seed, phase_one, fresh)
+    classes = similarity_vector(templates, DEFAULT_DELTA)
     one_warm = alpha_warm.copy()
     trace = {}
-    got = lt_round(inst, order, templates, pi, mu, EPS, alpha_warm, trace=trace)
+    got = lt_round(inst, order, classes, pi, mu, EPS, alpha_warm, trace=trace)
     assert [out.machine for out in got] == order
     for out, i in zip(got, order):
         one_trace = []
-        ref = lt_price(inst, i, templates[i], pi, float(mu[i]), EPS, one_warm, trace=one_trace)
+        ref = lt_price(inst, i, classes[i], pi, float(mu[i]), EPS, one_warm, trace=one_trace)
         for name in OUTCOME_FIELDS:
             mine, theirs = getattr(out, name), getattr(ref, name)
             assert type(mine) is type(theirs) and mine == theirs, name
@@ -376,7 +387,8 @@ def test_lt_round_batches_the_dantzig_round_then_each_probe_step(monkeypatch):
         assert base[2].tobytes() == inst.capacity[order].tobytes()
         calls.clear()
         trace = {}
-        lt_round(inst, order, templates, pi, mu, EPS, alpha_warm, trace=trace)
+        lt_round(inst, order, similarity_vector(templates, DEFAULT_DELTA), pi, mu, EPS,
+                 alpha_warm, trace=trace)
         assert calls[0][0].tobytes() == base[0].tobytes()
         # probe step s prices, in order, the machines whose walk reached it
         assert len(calls) == 1 + max(len(steps) for steps in trace.values())
@@ -395,8 +407,9 @@ def test_lt_round_batches_the_dantzig_round_then_each_probe_step(monkeypatch):
 @lt_draws
 def test_lt_hull_column_at_least_as_similar_as_bisection_property(m, n, seed, phase_one, fresh):
     inst, pi, mu, templates, order, alpha_warm = lt_case(m, n, seed, phase_one, fresh)
+    classes = similarity_vector(templates, DEFAULT_DELTA)
     ref_warm = alpha_warm.copy()
-    got = lt_round(inst, order, templates, pi, mu, EPS, alpha_warm)
+    got = lt_round(inst, order, classes, pi, mu, EPS, alpha_warm)
     for out, i in zip(got, order):
         ref = sequential_lt_price(inst, i, templates[i], pi, float(mu[i]), EPS, ref_warm)
         assert (out.selection is None) == (ref.selection is None)
@@ -405,7 +418,7 @@ def test_lt_hull_column_at_least_as_similar_as_bisection_property(m, n, seed, ph
         assert reduced_cost_sum(inst.cost[i], pi, out.selection) <= mu[i] - EPS
         assert out.similarity >= ref.similarity
         if out.proof_fired:
-            assert out.similarity == mt_price(inst, i, templates[i], pi, float(mu[i]),
+            assert out.similarity == mt_price(inst, i, classes[i], pi, float(mu[i]),
                                               EPS).similarity
 
 
@@ -582,9 +595,9 @@ def test_phase1_lt_mt_dominance():
         inst = zero_cost(random_instance(5000 + trial, m=1, n=8))
         pi = np.abs(rng.normal(1, 1, 8)).round(3)
         mu = float(rng.normal(-1, 1))
-        y = random_template(rng, inst)[0]
-        lt = lt_price(inst, 0, y, pi, mu, EPS, np.full(1, 0.5))
-        mt = mt_price(inst, 0, y, pi, mu, EPS)
+        f = similarity_vector(random_template(rng, inst)[0], DEFAULT_DELTA)
+        lt = lt_price(inst, 0, f, pi, mu, EPS, np.full(1, 0.5))
+        mt = mt_price(inst, 0, f, pi, mu, EPS)
         assert (lt.selection is None) == (mt.selection is None)
         if lt.selection is not None:
             compared += 1

@@ -371,6 +371,20 @@ def test_extract_overcover_repair():
     assert ub <= (5 + 1) + (2 + 1)
 
 
+def test_extract_overcover_tie_goes_to_the_first_column_in_lam_order():
+    # job 0 costs 4 on both machines: the column listed first in lam keeps it
+    inst = GapInstance(2, 3, cost=np.array([[4, 1, 9], [4, 8, 1]]),
+                       resource=np.ones((2, 3), dtype=int), capacity=np.array([3, 3]))
+    pool = make_pool(inst, [(0, [1, 1, 0]), (1, [1, 0, 1])])
+    cols = {tuple(c.jobs): c for c in pool_columns(pool)}
+    on_0, on_1 = cols[(True, True, False)], cols[(True, False, True)]
+    for first, second in [(on_0, on_1), (on_1, on_0)]:
+        sol = type("S", (), {"lam": {first: 1.0, second: 1.0}})()
+        assignment, ub = extract_integer_solution(sol, pool)
+        assert assignment.tolist() == [first.machine, 0, 1]
+        assert ub == 4 + 1 + 1
+
+
 # ------------------------------------------------------------------ LP builders
 
 @pytest.fixture
