@@ -34,7 +34,7 @@ from .instance import GapInstance, InfeasibleInstanceError, relabel, validate
 from .lagrangian import CEIL_GUARD, integer_bound
 from .pricing import DEFAULT_DELTA, PessoaState, PricingOutcome
 from .rmp import AGE_POLICIES, ColumnPool
-from .simplex import PRICE_TOL
+from .simplex import PRICE_TOL, DeadlineError
 
 RC_CONVERGENCE_TOL = 1e-6
 # a smaller budget lets a column the master already holds clear it, and
@@ -251,7 +251,11 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         it += 1
         pool.iteration = it
         t0 = time.perf_counter()
-        sol = rmp.build_and_solve(pool)
+        try:
+            sol = rmp.build_and_solve(pool, deadline)
+        except DeadlineError:  # the finished rounds keep their bounds
+            status = "time_limit"
+            break
         rmp_time = time.perf_counter() - t0
         phase = str(pool.phase)
         # phase-one rows report the artificial sum, phase two the true scale

@@ -15,8 +15,9 @@ The LP carries only live columns: :meth:`ColumnPool.drop` seals a dropped
 column's LP column at once, and every :meth:`ColumnPool.sync` adds the
 columns added since the last sync, in pool order, and compacts the LP, which
 drops each sealed nonbasic column (a retired artificial too, once it has
-left the basis) and renumbers the rest. The LP indices held in ``Column.lp``
-and ``artificial`` change there and nowhere else.
+left the basis) and renumbers the rest. The LP index ``Column.lp`` changes
+there and nowhere else. The surplus and artificial columns come first, so no
+compaction moves them while ``artificial`` lists them, in phase one.
 """
 
 from __future__ import annotations
@@ -140,14 +141,13 @@ class ColumnPool:
         for j, col in enumerate(self._owner):
             if col is not None:
                 col.lp = j
-        # a retired artificial stays until it leaves the basis
-        self.artificial = [int(remap[j]) for j in self.artificial if remap[j] >= 0]
 
     def to_phase2(self) -> int:
         """Drop the artificials, install true costs, keep the basis warm."""
         live = [col for col in self._owner if col is not None]  # in LP order
         indices = [col.lp for col in live]
         pivots = self.lp.retire_columns(self.artificial, indices + self.surplus)
+        self.artificial = []  # the LP's sealed mask alone records them now
         self.lp.set_cost(indices, [col.cost for col in live])
         self.phase = 2
         return pivots
@@ -163,19 +163,20 @@ class ColumnPool:
                            pi=y[:nj].copy(), mu=y[nj:].copy(), pivots=pivots)
 
 
-def build_and_solve(pool: ColumnPool) -> RmpSolution:
+def build_and_solve(pool: ColumnPool, deadline: float | None = None) -> RmpSolution:
     """Solve the master over the pool's columns and return duals and pivots.
 
     Phase one minimizes the artificial-variable sum, column costs ignored; a
     phase-one solve that ends below ``FEAS_TOL``, the LP's own zero, retires
     the artificials and returns the phase-two solution (``pool.phase`` tells
     which). The pool's LP keeps its basis warm from one call to the next.
+    Each solve gets ``deadline`` and raises ``DeadlineError`` past it.
     """
     pool.sync()
-    pivots = pool.lp.solve()
+    pivots = pool.lp.solve(deadline)
     if pool.phase == 1 and pool.lp.objective() < FEAS_TOL:
         pivots += pool.to_phase2()
-        pivots += pool.lp.solve()
+        pivots += pool.lp.solve(deadline)
     return pool.extract(pivots)
 
 

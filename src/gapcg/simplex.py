@@ -15,10 +15,12 @@ from one solve to the next instead changes bounds and statuses of whole
 runs, so the refactorization at the start of each solve stays.
 
 A solve allocates its scratch vectors and the m x m outer-product buffer
-once and writes into them at every pivot. It keeps the mask of columns that
-may not enter (basic or sealed), the basic costs and the sealed basic rows
-up to date pivot by pivot; the ratio rule for sealed basic columns runs only
-while there is one.
+once and writes into them at every pivot. It prices with a copy of the
+costs that reads +inf on the basic and sealed columns, which may not enter,
+and keeps it, the basic costs and the sealed basic rows up to date pivot by
+pivot; the ratio rule for sealed basic columns runs only while there is one.
+Given a deadline, a solve reads the clock at each refactorization and raises
+:class:`DeadlineError` once it has passed.
 
 Column indices are stable until :meth:`SimplexSolver.compact`, which drops
 the sealed nonbasic columns, shifts the survivors down in order and returns
@@ -28,6 +30,7 @@ the old-to-new index map; a caller holding column indices must remap them.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -45,6 +48,10 @@ class SimplexError(RuntimeError):
 
 class UnboundedError(SimplexError):
     pass
+
+
+class DeadlineError(SimplexError):
+    """A solve passed its deadline; the basis is feasible, not optimal."""
 
 
 class SimplexSolver:
@@ -66,7 +73,6 @@ class SimplexSolver:
         cap = self._A.shape[1]
         self.cost = np.zeros(cap)
         self.cost[: self.n] = costs
-        self.basic = np.zeros(cap, dtype=bool)
         self.sealed = np.zeros(cap, dtype=bool)
         self.basis: np.ndarray | None = None
         self._binv: np.ndarray | None = None
@@ -78,15 +84,10 @@ class SimplexSolver:
         cap = self._A.shape[1]
         if need <= cap:
             return
-        new_cap = max(need, 2 * cap)
-        for name in ("cost", "basic", "sealed"):
-            old = getattr(self, name)
-            fresh = np.zeros(new_cap, dtype=old.dtype)
-            fresh[: self.n] = old[: self.n]
-            setattr(self, name, fresh)
-        A = np.zeros((self.m, new_cap))
-        A[:, : self.n] = self._A[:, : self.n]
-        self._A = A
+        pad = (0, max(need, 2 * cap) - self.n)  # zeros after the live columns
+        self.cost = np.pad(self.cost[: self.n], pad)
+        self.sealed = np.pad(self.sealed[: self.n], pad)
+        self._A = np.pad(self._A[:, : self.n], ((0, 0), pad))
 
     def add_columns(self, entries: np.ndarray, costs) -> np.ndarray:
         """Append the columns of an (m x k) block; returns their indices."""
@@ -101,12 +102,18 @@ class SimplexSolver:
         """Set the cost of column ``j``, or of each column in an index array."""
         self.cost[j] = cost
 
+    @property
+    def basic(self) -> np.ndarray:
+        """A fresh mask over the columns, True on those in ``basis``."""
+        mask = np.zeros(self.n, dtype=bool)
+        if self.basis is not None:
+            mask[self.basis] = True
+        return mask
+
     def seal_column(self, j: int):
         """Pin column j at zero: it will never be priced into the basis again."""
-        if self.basic[j] and self._xb is not None:
-            r = int(np.flatnonzero(self.basis == j)[0])
-            if abs(self._xb[r]) > FEAS_TOL:
-                raise SimplexError("cannot seal a basic column with nonzero value")
+        if self._xb is not None and (np.abs(self._xb[self.basis == j]) > FEAS_TOL).any():
+            raise SimplexError("cannot seal a basic column with nonzero value")
         self.sealed[j] = True
 
     def compact(self) -> np.ndarray:
@@ -116,7 +123,7 @@ class SimplexSolver:
         is renumbered; its inverse and values do not change.
         """
         n = self.n
-        kept = np.flatnonzero(~self.sealed[:n] | self.basic[:n])
+        kept = np.flatnonzero(~self.sealed[:n] | self.basic)
         k = len(kept)
         remap = np.full(n, -1, dtype=np.int64)
         remap[kept] = np.arange(k)
@@ -125,8 +132,8 @@ class SimplexSolver:
             first = int(np.argmin(remap))  # the first -1
             moved = kept[first:]
             self._A[:, first:k] = self._A[:, moved]
-            # freed slots must read nonbasic and unsealed when reused
-            for arr in (self.cost, self.basic, self.sealed):
+            # freed slots must read unsealed when reused
+            for arr in (self.cost, self.sealed):
                 arr[first:k] = arr[moved]
                 arr[k:n] = 0
             if self.basis is not None:
@@ -139,8 +146,6 @@ class SimplexSolver:
         if len(basis) != self.m:
             raise SimplexError(f"basis needs {self.m} columns, got {len(basis)}")
         self.basis = basis
-        self.basic[: self.n] = False
-        self.basic[basis] = True
         self._refactor()
 
     def values(self) -> np.ndarray:
@@ -185,9 +190,10 @@ class SimplexSolver:
             if abs(self._xb[r]) > FEAS_TOL:
                 raise SimplexError("cannot retire a basic column with nonzero value")
             row = self._binv[r]
+            basic = self.basic
             best, best_val = None, 1e-7
             for j in candidates:
-                if self.basic[j] or self.sealed[j]:
+                if basic[j] or self.sealed[j]:
                     continue
                 val = abs(float(row @ self._A[:, j]))
                 if val > best_val:
@@ -208,21 +214,23 @@ class SimplexSolver:
         row = self._binv[r] / u[r]
         self._binv -= np.multiply.outer(u, row, out=outer)
         self._binv[r] = row
-        self.basic[self.basis[r]] = False
         self.basis[r] = e
-        self.basic[e] = True
 
-    def solve(self) -> int:
-        """Run primal simplex from the current basis; returns pivots performed."""
+    def solve(self, deadline: float | None = None) -> int:
+        """Run primal simplex from the current basis; returns pivots performed.
+
+        ``deadline``, a ``time.perf_counter()`` reading, is checked at every
+        refactorization; past it the solve raises :class:`DeadlineError`.
+        """
         if self.basis is None:
             raise SimplexError("no starting basis")
         self._refactor()
         m, n = self.m, self.n
         A, cost, sealed, basis = self._A[:, :n], self.cost[:n], self.sealed, self.basis
         binv, xb = self._binv, self._xb
-        # per-solve state: columns that may not enter, basic costs, and the
-        # rows whose basic column is sealed
-        skip = self.basic[:n] | sealed[:n]
+        # per-solve state: pricing costs, +inf where a column may not enter,
+        # the basic costs, and the rows whose basic column is sealed
+        price = np.where(self.basic | sealed[:n], np.inf, cost)
         cb = cost[basis]
         sealed_basic = sealed[basis]
         n_sealed_basic = int(sealed_basic.sum())
@@ -237,8 +245,7 @@ class SimplexSolver:
         while True:
             np.matmul(cb, binv, out=y)
             np.matmul(y, A, out=rc)
-            np.subtract(cost, rc, out=rc)
-            np.copyto(rc, 0.0, where=skip)
+            np.subtract(price, rc, out=rc)
             if bland:
                 np.less(rc, -PRICE_TOL, out=elig)
                 e = int(elig.argmax())  # the lowest eligible index
@@ -272,8 +279,8 @@ class SimplexSolver:
             leaving = basis[r]
             self._apply_pivot(r, e, d, outer)
             xb[r] = t
-            skip[leaving] = sealed[leaving]
-            skip[e] = True
+            price[leaving] = np.inf if sealed[leaving] else cost[leaving]
+            price[e] = np.inf
             cb[r] = cost[e]
             if sealed_basic[r]:
                 sealed_basic[r] = False
@@ -289,6 +296,8 @@ class SimplexSolver:
             if pivots % _REFACTOR_EVERY == 0:
                 self._refactor()
                 binv, xb = self._binv, self._xb
+                if deadline is not None and time.perf_counter() > deadline:
+                    raise DeadlineError(f"deadline passed after {pivots} pivots")
             if pivots >= _MAX_PIVOTS:
                 raise SimplexError("pivot limit exceeded")
         return pivots

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import pytest
 
 from _oracles import lp_columns, master_lp_optimum, pool_columns
 from conftest import removal_audit
-from gapcg import driver, pricing
+from gapcg import driver, pricing, simplex
 from gapcg.driver import CgConfig, RunReport, run, run_lr, update_bounds
 from gapcg.instance import (GapInstance, GeneratorSpec,
                             InfeasibleInstanceError, generate)
@@ -277,6 +278,19 @@ def test_master_lp_carries_only_live_columns(monkeypatch):
               CgConfig(pricing_method="dantzig"))
     assert sum(r.columns_removed for r in rep.rows) > 0
     assert phases.count(2) > 1
+
+
+def test_time_limit_stops_a_stalled_master_solve(monkeypatch):
+    # at costs x 2^16 dantzig's master stalls inside one solve; with the pivot
+    # limit lowered to 400,000, a solve that does not check the deadline
+    # raises "pivot limit exceeded" some seconds past the 2-s limit
+    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 400_000)
+    inst = generate(GeneratorSpec(num_machines=6, num_jobs=60, seed=7))
+    inst = replace(inst, cost=inst.cost * 2 ** 16)
+    t0 = time.perf_counter()
+    rep = run(inst, CgConfig(pricing_method="dantzig", time_limit=2.0))
+    assert time.perf_counter() - t0 <= 3.0
+    assert rep.status == "time_limit" and rep.rows[-1].phase == "2"
 
 
 def test_deadline_passed_while_pricing_ends_after_the_priced_row(toy_3x12, monkeypatch):

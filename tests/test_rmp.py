@@ -393,9 +393,9 @@ def first_solve(monkeypatch):
     seen = []
     solve = SimplexSolver.solve
 
-    def recording(self):
+    def recording(self, *args):
         seen.append(lp_bytes(self))
-        return solve(self)
+        return solve(self, *args)
 
     monkeypatch.setattr(SimplexSolver, "solve", recording)
     return seen
@@ -467,6 +467,49 @@ def test_drop_seals_at_once_and_the_next_sync_compacts(toy_3x12):
     assert col not in lp_columns(pool) and col.lp is None
 
 
+def test_phase_one_compaction_keeps_every_artificial_in_its_slot(toy_3x12, monkeypatch):
+    inst = toy_3x12
+    nj, ni = inst.num_jobs, inst.num_machines
+    pool = ColumnPool(inst)
+    slots = list(pool.artificial)
+    entries = np.vstack([np.eye(nj), np.zeros((ni, nj))])
+
+    def artificials_in_place():
+        return (pool.artificial == slots and (pool.lp._A[:, slots] == entries).all()
+                and (pool.lp.cost[slots] == 1.0).all() and not pool.lp.sealed[slots].any())
+
+    # no column covers the last job, so the master stays in phase one
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        i = int(rng.integers(ni))
+        jobs = np.zeros(nj, dtype=bool)
+        jobs[rng.choice(nj - 1, size=2, replace=False)] = True
+        if inst.resource[i][jobs].sum() <= inst.capacity[i]:
+            pool.add(i, jobs)
+    sol = build_and_solve(pool)
+    assert pool.phase == 1 and artificials_in_place()
+    pool.iteration = 5
+    assert manage_columns(pool, sol, tau=1) > 0
+    n = pool.lp.n
+    build_and_solve(pool)  # its sync compacts the dropped columns away
+    assert pool.phase == 1 and pool.lp.n < n and artificials_in_place()
+
+    retired = []
+    retire_columns = SimplexSolver.retire_columns
+
+    def recording(lp, cols, candidates):
+        retired.append(list(cols))
+        return retire_columns(lp, cols, candidates)
+
+    monkeypatch.setattr(SimplexSolver, "retire_columns", recording)
+    for cols in covering_pool(inst).columns:  # a first-fit partition of the jobs
+        for col in cols.values():
+            pool.add(col.machine, col.jobs)
+    build_and_solve(pool)
+    assert pool.phase == 2 and retired == [slots]
+    assert pool.lp.sealed[slots].all() and pool.artificial == []
+
+
 def test_drop_that_cannot_seal_leaves_the_pool_unchanged(toy_3x12):
     pool = covering_pool(toy_3x12, seed=1, extras=25)
     sol = build_and_solve(pool)
@@ -516,8 +559,8 @@ def reconciled_solves():
     frozen = {}  # pool -> the reconciling master that follows it
     build_and_solve = rmp.build_and_solve
 
-    def checked(pool):
-        sol = build_and_solve(pool)
+    def checked(pool, *args):
+        sol = build_and_solve(pool, *args)
         if pool not in frozen:
             frozen[pool] = ReconcilingMasterLp(pool.inst)
         master = frozen[pool]

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,7 @@ from scipy.optimize import linprog
 
 from _oracles import DenseSimplexReference
 from gapcg import simplex
-from gapcg.simplex import SimplexError, SimplexSolver, UnboundedError
+from gapcg.simplex import DeadlineError, SimplexError, SimplexSolver, UnboundedError
 
 
 def add_column(lp, entries, cost) -> int:
@@ -165,6 +167,22 @@ def test_sealed_column_never_reenters():
     assert lp.values()[x] == 0.0
 
 
+@pytest.mark.parametrize("late", [False, True])
+def test_a_solve_past_its_deadline_stops_at_a_refactorization(late, monkeypatch):
+    # min -x over x + s = 4 from the basis {s}: one pivot, then a
+    # refactorization that reads the clock
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
+    lp = SimplexSolver(np.array([4.0]), np.array([[1.0, 1.0]]), [0.0, -1.0])
+    lp.set_basis([0])
+    deadline = -np.inf if late else np.inf
+    if late:
+        with pytest.raises(DeadlineError):
+            lp.solve(deadline)
+    else:
+        assert lp.solve(deadline) == 1
+    assert lp.basis.tolist() == [1] and lp.objective() == -4.0
+
+
 def test_unbounded_detected():
     lp = SimplexSolver(np.array([0.0]))
     add_column(lp, np.array([1.0]), -1.0)   # x - y = 0, min -x
@@ -269,6 +287,19 @@ def test_bit_identical_to_dense_reference(lp_data, rounds):
         scripted_trace(DenseSimplexReference, lp_data, rounds)
 
 
+def assert_basic_is_the_basis(lp):
+    assert (lp.basic[: lp.n] == np.isin(np.arange(lp.n), lp.basis)).all()
+
+
+def assert_basic_is_the_basis_before_and_after_compact(lp):
+    """Check ``lp.basic`` on ``lp``, then on a compacted copy of it."""
+    assert_basic_is_the_basis(lp)
+    if hasattr(lp, "compact"):
+        twin = copy.deepcopy(lp)
+        twin.compact()
+        assert_basic_is_the_basis(twin)
+
+
 def sealing_trace(solver_cls, lp_data, seal_rounds):
     """Both phases of ``lp_data``, then rounds that seal basic columns too.
 
@@ -277,7 +308,9 @@ def sealing_trace(solver_cls, lp_data, seal_rounds):
     zero, adds the drawn columns and solves. A sealed basic column stays in
     the basis, pinned at zero, until a pivot takes it out, so later solves
     start with sealed basic columns. Each snapshot also records how many
-    there were before the solve.
+    there were before the solve. After every solve ``lp.basic`` must be the
+    membership in ``lp.basis``, and so on a compacted copy of the LP, which
+    keeps the column indices of the trace unchanged.
     """
     A, b, c, ubs = lp_data
     m, n = A.shape
@@ -292,10 +325,12 @@ def sealing_trace(solver_cls, lp_data, seal_rounds):
     trace = []
     try:
         lp.solve()
+        assert_basic_is_the_basis_before_and_after_compact(lp)
         lp.retire_columns(arts, range(2 * n))
         for j in range(n):
             lp.set_cost(j, float(c[j]))
         trace.append(_snapshot(lp, lp.solve()))
+        assert_basic_is_the_basis_before_and_after_compact(lp)
         for seal, extra in seal_rounds:
             values = lp.values()
             for j in seal:
@@ -305,6 +340,7 @@ def sealing_trace(solver_cls, lp_data, seal_rounds):
                 add_column(lp, np.concatenate([entries[:m], np.zeros(n)]), cost)
             sealed_basic = int((lp.sealed[: lp.n] & lp.basic[: lp.n]).sum())
             trace.append((sealed_basic, _snapshot(lp, lp.solve())))
+            assert_basic_is_the_basis_before_and_after_compact(lp)
     except SimplexError as exc:
         trace.append(type(exc).__name__)
     return trace
@@ -389,6 +425,23 @@ def test_bland_leaves_on_the_lowest_basic_index_among_ratio_ties(monkeypatch):
     assert solve() == [3, 1, 4]  # Dantzig's rule: the largest |d| leaves
     bland_from_the_first_degenerate_pivot(monkeypatch)
     assert solve() == [3, 4, 2]  # Bland's rule: basic column 1 leaves
+
+
+@pytest.mark.parametrize("rule", ["dantzig", "bland"])
+def test_a_sealed_column_with_the_most_negative_reduced_cost_never_enters(rule, monkeypatch):
+    # column 2 is sealed; at both pivots its raw reduced cost is the most
+    # negative and its index the lowest of the improving columns. The first
+    # pivot, column 3 on row 0, is degenerate, so Bland's rule, when on, picks
+    # the second
+    if rule == "bland":
+        bland_from_the_first_degenerate_pivot(monkeypatch)
+    lp = SimplexSolver(np.array([0.0, 1.0]), np.array([[1.0, 0, 1, 1, 0], [0, 1, 1, 0, 1]]),
+                       [0.0, 0.0, -10.0, -1.0, -0.5])
+    lp.set_basis([0, 1])
+    lp.seal_column(2)
+    assert lp.solve() == 2
+    assert lp.basis.tolist() == [3, 4]
+    assert lp.values()[2] == 0.0 and lp.objective() == -0.5
 
 
 def test_bland_reaches_the_reference_optimum(monkeypatch):
