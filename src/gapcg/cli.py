@@ -243,13 +243,9 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
-_finite_nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-_epsilon = _checked(float, lambda v: driver.MIN_EPSILON <= v < math.inf,
-                    f"a finite number >= {driver.MIN_EPSILON:g}")
-_positive = _checked(float, lambda v: 0.0 < v <= math.inf, "> 0")
-_half_unit = _checked(float, lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]")
-_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+def _limited(name: str):
+    """The type of a flag that sets ``CgConfig.<name>``: its ``driver.LIMITS`` entry."""
+    return _checked(*driver.LIMITS[name])
 
 
 def _list_of(item):
@@ -260,7 +256,8 @@ def _list_of(item):
     return parse
 
 
-_increasing_taus = _checked(_list_of(_positive_int), lambda v: all(a < b for a, b in zip(v, v[1:])),
+_increasing_taus = _checked(_list_of(_limited("age_threshold")),
+                            lambda v: all(a < b for a, b in zip(v, v[1:])),
                             "a strictly increasing list")
 
 
@@ -272,13 +269,14 @@ def _method_list(text: str) -> list[str]:
 
 def _add_common(parser):
     defaults = driver.CgConfig()
-    parser.add_argument("--time-limit", type=_positive, default=defaults.time_limit,
+    parser.add_argument("--time-limit", type=_limited("time_limit"), default=defaults.time_limit,
                         help="seconds per run")
-    parser.add_argument("--epsilon", type=_epsilon, default=defaults.epsilon,
+    parser.add_argument("--epsilon", type=_limited("epsilon"), default=defaults.epsilon,
                         help="reduced-cost budget of pricing; at least the master's "
                              f"pricing tolerance, {driver.MIN_EPSILON:g}")
-    parser.add_argument("--delta", type=_half_unit, default=defaults.template_delta)
-    parser.add_argument("--mip-gap", type=_finite_nonnegative, default=defaults.mip_gap)
+    parser.add_argument("--delta", type=_limited("template_delta"),
+                        default=defaults.template_delta)
+    parser.add_argument("--mip-gap", type=_limited("mip_gap"), default=defaults.mip_gap)
     parser.add_argument("--format", choices=["single", "orlib-multi"], default="single")
     parser.add_argument("--output", default=None, help="TSV path; '-' for stdout")
 
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", allow_abbrev=False, help="solve one instance file")
     p_run.add_argument("instance")
     p_run.add_argument("--method", choices=METHODS, default="lt")
-    p_run.add_argument("--seed", type=_seed, default=driver.CgConfig.seed,
+    p_run.add_argument("--seed", type=_limited("seed"), default=driver.CgConfig.seed,
                        help="relabel jobs and machines; 0 keeps the file's labels")
     _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
@@ -302,12 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
                              help="compare methods over instances and seeds")
     p_bench.add_argument("instances", nargs="+")
     p_bench.add_argument("--methods", type=_method_list, default=",".join(cg_methods))
-    p_bench.add_argument("--workers", type=_positive_int, default=1,
-                         help="worker processes; never more than the number of cells")
+    p_bench.add_argument("--workers", type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
+                         default=1, help="worker processes; never more than the number of cells")
     _add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
     for p in (p_run, p_bench):  # not sweep, which sets the threshold itself
-        p.add_argument("--age-threshold", type=_positive_int, default=None,
+        p.add_argument("--age-threshold", type=_limited("age_threshold"), default=None,
                        help="drop a column once more iterations than this have passed "
                             "since it was added or last basic; default: the method's policy")
 
@@ -320,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
     for p, default in ((p_bench, "0"), (p_sweep, "0,1,2,3,4")):
-        p.add_argument("--seeds", type=_list_of(_seed), default=default,
+        p.add_argument("--seeds", type=_list_of(_limited("seed")), default=default,
                        help="comma-separated; each entry relabels jobs and machines, "
                             "0 keeps the file's labels")
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -41,6 +40,19 @@ RC_CONVERGENCE_TOL = 1e-6
 # pricing then returns a duplicate that the pool refuses
 MIN_EPSILON = PRICE_TOL
 
+# each numeric CgConfig field's limit, read by CgConfig and by the command
+# line's flag types: (kind, rule, the words the rule asks for)
+LIMITS = {
+    "epsilon": (float, lambda v: MIN_EPSILON <= v < math.inf,
+                f"a finite number >= {MIN_EPSILON:g}"),
+    "time_limit": (float, lambda v: 0.0 < v <= math.inf, "a number > 0"),
+    "mip_gap": (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
+    "age_threshold": (int, lambda v: v >= 1, "an integer >= 1"),
+    "template_delta": (float, lambda v: 0.0 <= v <= 0.5, "a number in [0, 0.5]"),
+    "seed": (int, lambda v: v >= 0, "an integer >= 0"),
+}
+_KINDS = {float: (numbers.Real, "a real number"), int: (numbers.Integral, "an integer")}
+
 
 @dataclass
 class CgConfig:
@@ -53,38 +65,20 @@ class CgConfig:
     seed: int = 0  # the labeling, see instance.relabel; 0 keeps the instance's own
 
     def __post_init__(self):
-        """Reject, before any solve, every value that ``run`` cannot honour:
-        a field of the wrong type with TypeError, a value out of range with
-        ValueError. ``seed`` and ``age_threshold`` take any integer type that
-        ``operator.index`` accepts, numpy's among them."""
-        for name in ("epsilon", "time_limit", "mip_gap", "template_delta"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
-        _require_integer("seed", self.seed)
-        if self.age_threshold is not None:  # None: the method's policy
-            _require_integer("age_threshold", self.age_threshold)
-        for ok, message in [
-            (self.pricing_method in (*AGE_POLICIES, "lr"),
-             f"unknown pricing method {self.pricing_method!r}"),
-            (MIN_EPSILON <= self.epsilon < math.inf,
-             f"epsilon must be finite and at least the pricing tolerance {MIN_EPSILON:g}"),
-            (0.0 < self.time_limit <= math.inf, "time_limit must be a number > 0"),
-            (0.0 <= self.mip_gap < math.inf, "mip_gap must be a finite number >= 0"),
-            (self.age_threshold is None or self.age_threshold >= 1,
-             "age_threshold must be at least 1"),
-            (0.0 <= self.template_delta <= 0.5, "delta must lie in [0, 0.5]"),
-            (self.seed >= 0, "seed must be at least 0"),
-        ]:
-            if not ok:
-                raise ValueError(message)
-
-
-def _require_integer(name: str, value) -> None:
-    try:
-        operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
+        """Reject, before any solve, a field that is not of its ``LIMITS``
+        kind with TypeError and a value that breaks its rule with ValueError.
+        ``age_threshold`` None, the method's policy, passes."""
+        checks = [(name, getattr(self, name), *limit) for name, limit in LIMITS.items()
+                  if name != "age_threshold" or self.age_threshold is not None]
+        for name, value, kind, _, _ in checks:
+            abc, noun = _KINDS[kind]
+            if not isinstance(value, abc):
+                raise TypeError(f"{name} must be {noun}, not {type(value).__name__}")
+        if self.pricing_method not in (*AGE_POLICIES, "lr"):
+            raise ValueError(f"unknown pricing method {self.pricing_method!r}")
+        for name, value, _, ok, words in checks:
+            if not ok(value):
+                raise ValueError(f"{name} must be {words}")
 
 
 @dataclass
@@ -242,11 +236,15 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     tau = (cfg.age_threshold if cfg.age_threshold is not None
            else rmp.age_threshold(method, inst))
 
-    templates = rmp.solve_compact_lp(inst) if method in ("lt", "mt") else None
+    status = templates = None
+    if method in ("lt", "mt"):
+        try:
+            templates = rmp.solve_compact_lp(inst, deadline)
+        except DeadlineError:  # no round ran, so the report has no rows
+            status = "time_limit"
     zero_cost = replace(inst, cost=np.zeros_like(inst.cost))  # phase one prices against it
 
     it = 0
-    status = None
     while status is None:
         it += 1
         pool.iteration = it

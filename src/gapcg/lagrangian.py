@@ -40,13 +40,13 @@ class LrTraceRow:
 
 
 def lr_evaluate(inst, pi):
-    """Dual function value, subgradient, and the per-machine selections."""
+    """Dual function value, subgradient, and the (m, n) mask of the per-machine selections."""
     pi = np.asarray(pi, dtype=np.float64)
     values, selections = min_knapsack_batch(inst.cost - pi, inst.resource, inst.capacity)
     value = float(pi.sum())
     for machine_value in values:  # machine by machine, the order the sum is defined in
         value += machine_value
-    return value, 1.0 - selections.sum(axis=0), list(selections)
+    return value, 1.0 - selections.sum(axis=0), selections
 
 
 def integer_bound(value: float) -> int | None:

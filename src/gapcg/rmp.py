@@ -13,7 +13,7 @@ solution holds duals, pivots and basic values.
 
 The LP carries only live columns: :meth:`ColumnPool.drop` seals a dropped
 column's LP column at once, and every :meth:`ColumnPool.sync` adds the
-columns added since the last sync, in pool order, and compacts the LP, which
+pool columns not yet in the LP, in pool order, and compacts the LP, which
 drops each sealed nonbasic column (a retired artificial too, once it has
 left the basis) and renumbers the rest. The LP index ``Column.lp`` changes
 there and nowhere else. The surplus and artificial columns come first, so no
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -69,7 +68,6 @@ class ColumnPool:
         self.columns: list[dict[bytes, Column]] = [{} for _ in range(ni)]
         self.iteration = 0
         self.lp = SimplexSolver(np.ones(nj + ni))
-        self.phase = 1
         # -e_j and +e_j are written into zeros: negating +e_j would give -0.0
         block = np.zeros((nj + ni, nj))
         np.fill_diagonal(block, -1.0)
@@ -79,7 +77,6 @@ class ColumnPool:
         np.fill_diagonal(block, 1.0)
         self.artificial = self.lp.add_columns(block, 1.0).tolist()  # relaxes an uncovered row
         self._owner: list[Column | None] = [None] * self.lp.n  # LP index -> column, or None
-        self._unsynced: dict[Column, None] = {}  # added since the last sync, in order
         for i in range(ni):
             # the empty assignment is always feasible and anchors the
             # convexity row before any real column exists
@@ -100,27 +97,31 @@ class ColumnPool:
         col = cols[key] = Column(machine=machine, jobs=jobs,
                                  cost=int(np.add.reduce(self.inst.cost[machine][jobs])),
                                  age=self.iteration)
-        self._unsynced[col] = None
         return col
 
     def size(self) -> int:
         return sum(len(cols) for cols in self.columns)
 
+    @property
+    def phase(self) -> int:
+        """1 while the artificials are in the LP, 2 once :meth:`to_phase2` retired them."""
+        return 1 if self.artificial else 2
+
     def drop(self, col: Column):
         """Remove a column; its LP column, if any, is sealed at once."""
-        if col.lp is None:
-            del self._unsynced[col]  # KeyError for a column no longer in the pool
-        else:
+        cols, key = self.columns[col.machine], col.jobs.tobytes()
+        if cols.get(key) is not col:  # dropped before: an equal column added since stays
+            raise KeyError(f"machine {col.machine}: column no longer in the pool")
+        if col.lp is not None:
             self.lp.seal_column(col.lp)
             self._owner[col.lp] = col.lp = None
-        del self.columns[col.machine][col.jobs.tobytes()]
+        del cols[key]
 
     def sync(self):
         """Add the new columns to the LP and compact it; the first call sets the basis."""
         nj = self.inst.num_jobs
-        # each machine's columns sit in the pool in the order they were added
-        new = sorted(self._unsynced, key=attrgetter("machine"))
-        self._unsynced.clear()
+        # machine-major, each machine's columns in the order they were added
+        new = [col for cols in self.columns for col in cols.values() if col.lp is None]
         if new:
             block = np.zeros((nj + self.inst.num_machines, len(new)))
             block[:nj] = np.array([col.jobs for col in new]).T
@@ -149,7 +150,6 @@ class ColumnPool:
         pivots = self.lp.retire_columns(self.artificial, indices + self.surplus)
         self.artificial = []  # the LP's sealed mask alone records them now
         self.lp.set_cost(indices, [col.cost for col in live])
-        self.phase = 2
         return pivots
 
     def extract(self, pivots: int) -> RmpSolution:
@@ -218,12 +218,13 @@ def age_threshold(method: str, inst: GapInstance) -> int:
     return max(1, math.ceil(a2 * r * r + a1 * r + a0 - 1e-9))
 
 
-def solve_compact_lp(inst: GapInstance) -> np.ndarray:
+def solve_compact_lp(inst: GapInstance, deadline: float | None = None) -> np.ndarray:
     """LP relaxation of the compact assignment model, partition form.
 
     Returns the optimal fractional assignment matrix ``x[i, j] >= 0``, whose
     entries for each job sum to one (so none exceeds one); it seeds the
-    phase-one templates.
+    phase-one templates. Both solves get ``deadline`` and raise
+    ``DeadlineError`` past it.
     """
     validate(inst)
     nj, ni = inst.num_jobs, inst.num_machines
@@ -241,13 +242,13 @@ def solve_compact_lp(inst: GapInstance) -> np.ndarray:
     cols = list(range(lp.n))
     x_cols, slacks, arts = cols[:nx], cols[nx: nx + ni], cols[nx + ni:]
     lp.set_basis(arts + slacks)
-    lp.solve()
+    lp.solve(deadline)
     if lp.objective() > FEAS_TOL:
         raise InfeasibleInstanceError(
             f"compact LP infeasible (artificial sum {lp.objective():.6g})")
     lp.retire_columns(arts, x_cols + slacks)
     lp.set_cost(x_cols, inst.cost.ravel())
-    lp.solve()
+    lp.solve(deadline)
     return np.clip(lp.values()[x_cols].reshape(ni, nj), 0.0, 1.0)
 
 

@@ -152,6 +152,53 @@ def test_sweep_rejects_bad_flags_before_any_run(instance_file, capsys, monkeypat
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
+# the flags that set each CgConfig field; --seeds and --taus take a list of it
+CONFIG_FLAGS = {"epsilon": ["--epsilon"], "time_limit": ["--time-limit"],
+                "mip_gap": ["--mip-gap"], "template_delta": ["--delta"],
+                "seed": ["--seed", "--seeds"], "age_threshold": ["--age-threshold", "--taus"]}
+BOUNDARY_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 9.9e-10, 1e-9, 0.5, 0.5000001]
+INTEGER_VALUES = [1.5, 1, 3]  # added for the integer fields
+
+
+def config_flag_types(name):
+    """(command, flag, argparse type) of every flag that sets ``CgConfig.<name>``."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, flag, action.type)
+            for command in ("run", "bench", "sweep")
+            for action in sub.choices[command]._actions
+            for flag in action.option_strings if flag in CONFIG_FLAGS[name]]
+
+
+def test_every_numeric_config_field_has_a_limit():
+    assert set(driver.LIMITS) == {f.name for f in dataclasses.fields(CgConfig)} - {
+        "pricing_method"} == set(CONFIG_FLAGS)
+
+
+@pytest.mark.parametrize("name", sorted(driver.LIMITS))
+def test_flag_accepts_a_value_iff_the_config_does(name):
+    kind = driver.LIMITS[name][0]
+    values = BOUNDARY_VALUES + (INTEGER_VALUES if kind is int else [])
+    flags = config_flag_types(name)
+    assert {flag for _, flag, _ in flags} == set(CONFIG_FLAGS[name])
+    verdicts = set()
+    for value in values:
+        try:
+            CgConfig(**{name: value})
+            config_accepts = True
+        except (TypeError, ValueError):
+            config_accepts = False
+        verdicts.add(config_accepts)
+        for command, flag, parse in flags:
+            try:
+                parse(str(value))
+                flag_accepts = True
+            except (argparse.ArgumentTypeError, ValueError):
+                flag_accepts = False
+            assert flag_accepts == config_accepts, (command, flag, value)
+    assert verdicts == {True, False}  # the grid straddles the limit
+
+
 def test_infinite_time_limit_is_accepted(instance_file, tmp_path):
     out = tmp_path / "run.tsv"
     assert main(["run", instance_file, "--method", "dantzig", "--time-limit", "inf",

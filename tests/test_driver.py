@@ -14,7 +14,7 @@ from gapcg.instance import (GapInstance, GeneratorSpec,
                             InfeasibleInstanceError, generate)
 from gapcg.pricing import PricingOutcome
 from gapcg.rmp import ColumnPool
-from gapcg.simplex import SimplexSolver
+from gapcg.simplex import DeadlineError, SimplexSolver
 
 
 def outcome(machine, rc):
@@ -278,6 +278,26 @@ def test_master_lp_carries_only_live_columns(monkeypatch):
               CgConfig(pricing_method="dantzig"))
     assert sum(r.columns_removed for r in rep.rows) > 0
     assert phases.count(2) > 1
+
+
+@pytest.mark.parametrize("method", ["lt", "mt"])
+def test_time_limit_stops_the_compact_lp(toy_3x12, monkeypatch, method):
+    # a solve reads the clock at each refactorization, here after every pivot
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
+    raised = []
+    solve_compact_lp = driver.rmp.solve_compact_lp
+
+    def recording(*args):
+        try:
+            return solve_compact_lp(*args)
+        except DeadlineError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(driver.rmp, "solve_compact_lp", recording)
+    rep = run(toy_3x12, CgConfig(pricing_method=method, time_limit=1e-9))
+    assert rep.status == "time_limit" and rep.rows == []
+    assert len(raised) == 1  # the compact LP stopped, not only the first master solve
 
 
 def test_time_limit_stops_a_stalled_master_solve(monkeypatch):

@@ -603,3 +603,27 @@ def test_master_matches_reconciling_master_property(method, inst, tau):
             run(inst, cfg)
         except InfeasibleInstanceError:
             pass
+
+
+def add_new_column(pool, machine):
+    """Add to ``machine`` the first one-job column that fits and is not in the pool."""
+    inst = pool.inst
+    for j in range(inst.num_jobs):
+        if inst.resource[machine, j] <= inst.capacity[machine]:
+            col = pool.add(machine, np.arange(inst.num_jobs) == j)
+            if col is not None:
+                return col
+    raise AssertionError(f"machine {machine} has no new one-job column")
+
+
+def test_columns_added_out_of_machine_order_match_reconciling_master(toy_3x12):
+    # the sync takes the new columns machine by machine, each machine's in
+    # the order they were added, whatever order the machines came in
+    pool = covering_pool(toy_3x12, seed=1, extras=25)
+    with reconciled_solves() as compared:
+        rmp.build_and_solve(pool)
+        assert pool.phase == 2
+        added = [add_new_column(pool, machine) for machine in (2, 0, 1, 0)]
+        rmp.build_and_solve(pool)
+    assert len(compared) == 2
+    assert sorted(added, key=lambda col: col.lp) == [added[1], added[3], added[2], added[0]]
