@@ -14,8 +14,6 @@ from . import driver, instance, rmp
 
 RUN_COLUMNS = ["instance", "method", *(f.name for f in fields(driver.IterRow))]
 
-METHODS = [*rmp.AGE_POLICIES, "lr"]
-
 BENCH_COLUMNS = [
     "instance", "method", "seed", "status", "iterations", "phase1_iterations",
     "lb_int", "ub", "gap_percent", "integral", "total_pivots", "columns_added",
@@ -262,8 +260,9 @@ _increasing_taus = _checked(_list_of(_limited("age_threshold")),
 
 
 def _method_list(text: str) -> list[str]:
-    if not set(text.split(",")) <= set(METHODS):
-        raise argparse.ArgumentTypeError(f"{text!r} names a method outside {','.join(METHODS)}")
+    if not set(text.split(",")) <= set(driver.METHODS):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} names a method outside {','.join(driver.METHODS)}")
     return text.split(",")
 
 
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", allow_abbrev=False, help="solve one instance file")
     p_run.add_argument("instance")
-    p_run.add_argument("--method", choices=METHODS, default="lt")
+    p_run.add_argument("--method", choices=driver.METHODS, default="lt")
     p_run.add_argument("--seed", type=_limited("seed"), default=driver.CgConfig.seed,
                        help="relabel jobs and machines; 0 keeps the file's labels")
     _add_common(p_run)

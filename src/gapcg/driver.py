@@ -35,6 +35,7 @@ from .pricing import DEFAULT_DELTA, PessoaState, PricingOutcome
 from .rmp import AGE_POLICIES, ColumnPool
 from .simplex import PRICE_TOL, DeadlineError
 
+METHODS = (*AGE_POLICIES, "lr")  # the column-generation rules and the Lagrangian baseline
 RC_CONVERGENCE_TOL = 1e-6
 # a smaller budget lets a column the master already holds clear it, and
 # pricing then returns a duplicate that the pool refuses
@@ -74,7 +75,7 @@ class CgConfig:
             abc, noun = _KINDS[kind]
             if not isinstance(value, abc):
                 raise TypeError(f"{name} must be {noun}, not {type(value).__name__}")
-        if self.pricing_method not in (*AGE_POLICIES, "lr"):
+        if self.pricing_method not in METHODS:
             raise ValueError(f"unknown pricing method {self.pricing_method!r}")
         for name, value, _, ok, words in checks:
             if not ok(value):
@@ -116,22 +117,19 @@ class RunReport:
     ub: int | None = None
     final_objective: float | None = None
     integral_final: bool = False
-    gap_percent: float | None = None
-    phase1_iterations: int = 0
-    total_pivots: int = 0
-    total_columns_added: int = 0
-    total_rmp_time: float = 0.0
-    total_pricing_time: float = 0.0
     max_rc_margin: float = -math.inf   # max over added columns of rc - (mu - eps)
 
-    def finish(self):
-        self.phase1_iterations = sum(r.phase == "1" for r in self.rows)
-        self.total_pivots = sum(r.pivots for r in self.rows)
-        self.total_columns_added = sum(r.columns_added for r in self.rows)
-        self.total_rmp_time = sum(r.rmp_time for r in self.rows)
-        self.total_pricing_time = sum(r.pricing_time for r in self.rows)
-        if self.ub is not None and self.lb_int is not None and self.ub != 0:
-            self.gap_percent = 100.0 * (self.ub - self.lb_int) / abs(self.ub)
+    # the run's totals are its rows' sums
+    phase1_iterations = property(lambda self: sum(r.phase == "1" for r in self.rows))
+    total_pivots = property(lambda self: sum(r.pivots for r in self.rows))
+    total_columns_added = property(lambda self: sum(r.columns_added for r in self.rows))
+    total_rmp_time = property(lambda self: sum(r.rmp_time for r in self.rows))
+    total_pricing_time = property(lambda self: sum(r.pricing_time for r in self.rows))
+
+    @property
+    def gap_percent(self) -> float | None:
+        return (100.0 * (self.ub - self.lb_int) / abs(self.ub)
+                if self.ub and self.lb_int is not None else None)
 
     def summary(self) -> IterRow:
         """The run's totals as the last row of its TSV."""
@@ -180,6 +178,25 @@ def _gap_closed(report: RunReport, mip_gap: float) -> bool:
     return slack <= 0 or slack < mip_gap * abs(report.ub)
 
 
+def _stop_status(report: RunReport, mip_gap: float, objective: float, deadline: float,
+                 rc_sum: float | None = None, idle: bool = False) -> str | None:
+    """The status that ends the run at this round, or None to go on. After the
+    master solve only the gap, the bound and the clock apply; after a
+    phase-two round also ``rc_sum`` (None unless priced at the true duals)
+    and ``idle`` (the round added no column and was not smoothed)."""
+    if rc_sum is not None and abs(rc_sum) < RC_CONVERGENCE_TOL:
+        return "optimal"
+    if _gap_closed(report, mip_gap):
+        return "gap_closed"
+    if report.lb_int is not None and report.lb_int >= objective - CEIL_GUARD:
+        return "rc_converged"
+    if idle:
+        return "optimal"
+    if time.perf_counter() > deadline:
+        return "time_limit"
+    return None
+
+
 def _alpha_stats(values):
     values = [v for v in values if v is not None]
     if not values:
@@ -189,7 +206,7 @@ def _alpha_stats(values):
 
 def _price(inst: GapInstance, cfg: CgConfig, eps: float, sol,
            templates: np.ndarray | None, phase1: bool, state):
-    """One pricing round at budget ``eps``; returns (outcomes, smoothed, alpha_values).
+    """One pricing round at budget ``eps``; returns (outcomes, alpha_values).
 
     ``state`` is the method's warm start: LT's per-machine weights, the
     :class:`PessoaState`, or None. LT and MT classify the whole template
@@ -199,18 +216,18 @@ def _price(inst: GapInstance, cfg: CgConfig, eps: float, sol,
     if method == "pessoa" and not phase1:
         outcomes, _, _ = pricing.pessoa_round(state, inst, sol.pi, sol.mu, eps,
                                               rmp_objective=sol.objective)
-        return outcomes, any(o.dantzig_rc is None for o in outcomes), [state.alpha]
+        return outcomes, [state.alpha]
     if method in ("lt", "mt"):
         classes = pricing.similarity_vector(templates, cfg.template_delta)
     if method == "lt":
         outcomes = pricing.lt_round(inst, machines, classes, sol.pi, sol.mu, eps, state)
-        return outcomes, False, [out.alpha_used for out in outcomes]
+        return outcomes, [out.alpha_used for out in outcomes]
     if method == "mt":
         outcomes = [pricing.mt_price(inst, i, classes[i], sol.pi, float(sol.mu[i]), eps)
                     for i in machines]
     else:
         outcomes = pricing.dantzig_round(inst, machines, sol.pi, sol.mu, eps)
-    return outcomes, False, []
+    return outcomes, []
 
 
 def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
@@ -264,25 +281,20 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
             report.integral_final = integral is not None
             if integral is not None and (report.ub is None or integral[1] + offset < report.ub):
                 report.ub = integral[1] + offset
-        # stop checks on what the solve alone tells; the bound checks never
-        # fire in phase one, where the bounds are still unset
-        if _gap_closed(report, cfg.mip_gap):
-            status = "gap_closed"
-        elif report.lb_int is not None and report.lb_int >= objective - CEIL_GUARD:
-            status = "rc_converged"
-        elif time.perf_counter() > deadline:
-            status = "time_limit"
+        # the bound checks never fire in phase one, where the bounds are unset
+        status = _stop_status(report, cfg.mip_gap, objective, deadline)
         added = removed = 0
-        pricing_time, alphas, smoothed, rc_sum = 0.0, [], False, None
+        pricing_time, alphas, rc_sum = 0.0, [], None
         if status is None:
             if templates is not None and it > 1:
                 templates = rmp.project_primal(sol, pool)
             priced, eps = ((zero_cost, min(cfg.epsilon, RC_CONVERGENCE_TOL)) if phase == "1"
                            else (inst, cfg.epsilon))
             t0 = time.perf_counter()
-            outcomes, smoothed, alphas = _price(priced, cfg, eps, sol, templates,
-                                                phase == "1", state)
+            outcomes, alphas = _price(priced, cfg, eps, sol, templates, phase == "1", state)
             pricing_time = time.perf_counter() - t0
+            # only Pessoa's smoothed rounds leave dantzig_rc unset
+            smoothed = any(out.dantzig_rc is None for out in outcomes)
             if phase == "2" and not smoothed:
                 rc_sum = update_bounds(report, outcomes, objective,
                                        lambda: lagrangian.certified_bound(inst, sol.pi), offset)
@@ -301,28 +313,18 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
             added, removed, sol.pivots, rmp_time, pricing_time, *_alpha_stats(alphas)))
         if status is not None:
             break
-        if phase == "1":
-            if added == 0:
-                raise InfeasibleInstanceError(
-                    f"phase one stalled at objective {sol.objective:.6g}")
-        elif rc_sum is not None and abs(rc_sum) < RC_CONVERGENCE_TOL:
-            status = "optimal"
-        elif report.lb_int is not None and report.lb_int >= objective - CEIL_GUARD:
-            status = "rc_converged"
-        elif _gap_closed(report, cfg.mip_gap):
-            status = "gap_closed"
-        elif added == 0 and smoothed:
-            # at a large cost scale a held column's float reduced cost can
-            # clear the budget, so smoothing accepts a duplicate the pool
-            # refuses: price the true duals next round
-            state.alpha = 0.0
-        elif added == 0:
-            status = "optimal"
-        elif time.perf_counter() > deadline:
-            status = "time_limit"
+        if phase == "1" and added == 0:
+            raise InfeasibleInstanceError(f"phase one stalled at objective {sol.objective:.6g}")
+        if phase == "2":
+            status = _stop_status(report, cfg.mip_gap, objective, deadline,
+                                  rc_sum, added == 0 and not smoothed)
+            if status is None and added == 0 and smoothed:
+                # at a large cost scale a held column's float reduced cost can
+                # clear the budget, so smoothing accepts a duplicate the pool
+                # refuses: price the true duals next round
+                state.alpha = 0.0
 
     report.status = status
-    report.finish()
     return report
 
 
@@ -330,24 +332,21 @@ def run_lr(inst: GapInstance, cfg: CgConfig) -> RunReport:
     """Lagrangian baseline wrapped into the common report shape."""
     validate(inst)
     inst = relabel(inst, cfg.seed)
-    t0 = time.perf_counter()
     best_bound, _, integer, trace = lagrangian.lr_solve(inst, cfg.time_limit)
-    elapsed = time.perf_counter() - t0
     out = RunReport(instance=inst.name, method="lr")
-    for row in trace:
+    for before, row in zip([0.0] + [r.seconds for r in trace], trace):
         out.rows.append(IterRow(row.evaluation, "lr", lb_raw=row.best_bound,
-                                lb_int=integer_bound(row.best_bound)))
+                                lb_int=integer_bound(row.best_bound),
+                                pricing_time=row.seconds - before))
     out.lb_raw = best_bound
     out.lb_int = integer_bound(best_bound)
     out.ub = integer[1] if integer is not None else None
     out.integral_final = integer is not None
     out.final_objective = best_bound
-    if elapsed >= cfg.time_limit:
+    if trace[-1].seconds > cfg.time_limit:
         out.status = "time_limit"
     elif _gap_closed(out, cfg.mip_gap):
         out.status = "gap_closed"
     else:
         out.status = "rc_converged"
-    out.finish()
-    out.total_pricing_time = elapsed
     return out

@@ -366,7 +366,7 @@ def test_unwritable_output_is_not_an_instance_error(instance_file, tmp_path):
 G3X12 = generate(GeneratorSpec(3, 12, seed=7))
 
 
-@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
+@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt", "lr"])
 def test_summary_row_totals_its_iteration_rows(method):
     report = driver.run(G3X12, CgConfig(pricing_method=method, seed=0))
     *rows, summary = [dict(zip(cli.RUN_COLUMNS, r)) for r in cli._report_rows(report)]
@@ -724,7 +724,7 @@ def test_generate_writes_a_valid_instance_that_run_finds_infeasible(tmp_path, ca
                  "--output", str(path)]) == 0
     assert path.read_text().split()[-2:] == ["29", "31"]
     capsys.readouterr()
-    for method in cli.METHODS:
+    for method in driver.METHODS:
         assert main(["run", str(path), "--method", method]) == 3, method
         assert capsys.readouterr().err.startswith("error: g.txt: "), method
 

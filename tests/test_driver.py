@@ -12,6 +12,7 @@ from gapcg import driver, pricing, simplex
 from gapcg.driver import CgConfig, RunReport, run, run_lr, update_bounds
 from gapcg.instance import (GapInstance, GeneratorSpec,
                             InfeasibleInstanceError, generate)
+from gapcg.lagrangian import CEIL_GUARD
 from gapcg.pricing import PricingOutcome
 from gapcg.rmp import ColumnPool
 from gapcg.simplex import DeadlineError, SimplexSolver
@@ -341,6 +342,40 @@ def test_round_without_columns_ends_optimal_above_the_rc_tolerance():
     last = rep.rows[-1]
     assert last.phase == "2" and last.columns_added == 0
     assert last.rc_sum <= -driver.RC_CONVERGENCE_TOL
+
+
+@pytest.mark.parametrize("method", ["lt", "pessoa"])
+def test_a_round_that_closes_the_gap_ends_gap_closed(method):
+    # the last priced round lifts lb_int to ub = 470, which is also the
+    # master objective: the gap, checked first, names the end
+    rep = run(generate(GeneratorSpec(num_machines=4, num_jobs=24, seed=3)),
+              CgConfig(pricing_method=method))
+    assert rep.status == "gap_closed" and rep.lb_int == rep.ub == 470
+    last = rep.rows[-1]
+    assert last.rc_sum is not None and last.columns_added > 0
+
+
+@pytest.mark.parametrize("seed, method, lb_int, ub", [(11, "dantzig", 485, 603),
+                                                      (5, "lt", 500, 534)])
+def test_bound_at_the_master_objective_ends_rc_converged_with_an_open_gap(seed, method,
+                                                                          lb_int, ub):
+    rep = run(generate(GeneratorSpec(num_machines=4, num_jobs=24, seed=seed)),
+              CgConfig(pricing_method=method))
+    assert rep.status == "rc_converged"
+    assert (rep.lb_int, rep.ub) == (lb_int, ub)
+    assert rep.lb_int >= rep.final_objective - CEIL_GUARD
+
+
+@pytest.mark.parametrize("method", ["mt", "dantzig"])
+def test_a_run_ends_soon_after_its_time_limit(method):
+    # the longest steps at 20 x 200 are mt's pricing round (0.20 s on a
+    # 2-core machine) and dantzig's master solve between two reads of the
+    # clock (0.12 s); the bound allows about 2.5 times the longer one
+    inst = generate(GeneratorSpec(num_machines=20, num_jobs=200, seed=7))
+    t0 = time.perf_counter()
+    rep = run(inst, CgConfig(pricing_method=method, time_limit=1.0))
+    assert rep.status == "time_limit"
+    assert time.perf_counter() - t0 <= 1.5
 
 
 @pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])

@@ -3,8 +3,9 @@
 Every case runs the command line in-process on fixed generated instances
 and compares its TSV byte for byte with ``tests/golden/<case>.tsv`` after
 masking the timing columns (``rmp_time``, ``pricing_time``, ``total_time``).
-The cases cover phase-one rows, the ``optimal``, ``rc_converged`` and
-``gap_closed`` statuses, and ``error:`` rows of an infeasible file.
+The cases cover phase-one rows, the ``optimal`` and ``gap_closed``
+statuses, and ``error:`` rows of an infeasible file; ``tests/test_driver.py``
+pins ``rc_converged``, which no case here ends with.
 
 The fixtures were written once, from the repository root, by::
 
