@@ -19,12 +19,14 @@ once and writes into them at every pivot. It prices with a copy of the
 costs that reads +inf on the basic and sealed columns, which may not enter,
 and keeps it, the basic costs and the sealed basic rows up to date pivot by
 pivot; the ratio rule for sealed basic columns runs only while there is one.
-Given a deadline, a solve reads the clock at each refactorization and raises
+Given a deadline, a solve reads the clock after every pivot and raises
 :class:`DeadlineError` once it has passed.
 
-Column indices are stable until :meth:`SimplexSolver.compact`, which drops
-the sealed nonbasic columns, shifts the survivors down in order and returns
-the old-to-new index map; a caller holding column indices must remap them.
+The LP stores exactly its columns: a C-ordered m x n matrix, whose width
+is n, and n costs and n sealed flags. Column indices are stable until
+:meth:`SimplexSolver.compact`, which drops the sealed nonbasic columns,
+shifts the survivors down in order and returns the old-to-new index map;
+a caller holding column indices must remap them.
 """
 
 from __future__ import annotations
@@ -64,38 +66,28 @@ class SimplexSolver:
         """
         self.b = np.asarray(b, dtype=np.float64)
         self.m = len(self.b)
-        if columns is None:
-            self._A = np.zeros((self.m, 64))
-            self.n = 0
-        else:
-            self._A = np.ascontiguousarray(columns, dtype=np.float64)
-            self.n = self._A.shape[1]
-        cap = self._A.shape[1]
-        self.cost = np.zeros(cap)
-        self.cost[: self.n] = costs
-        self.sealed = np.zeros(cap, dtype=bool)
+        self._A = (np.zeros((self.m, 0)) if columns is None
+                   else np.ascontiguousarray(columns, dtype=np.float64))
+        self.cost = np.full(self.n, costs, dtype=np.float64)
+        self.sealed = np.zeros(self.n, dtype=bool)
         self.basis: np.ndarray | None = None
         self._binv: np.ndarray | None = None
         self._xb: np.ndarray | None = None
 
     # ------------------------------------------------------------------ model
 
-    def _grow(self, need: int):
-        cap = self._A.shape[1]
-        if need <= cap:
-            return
-        pad = (0, max(need, 2 * cap) - self.n)  # zeros after the live columns
-        self.cost = np.pad(self.cost[: self.n], pad)
-        self.sealed = np.pad(self.sealed[: self.n], pad)
-        self._A = np.pad(self._A[:, : self.n], ((0, 0), pad))
+    @property
+    def n(self) -> int:
+        """The number of columns: the width of the column storage."""
+        return self._A.shape[1]
 
     def add_columns(self, entries: np.ndarray, costs) -> np.ndarray:
         """Append the columns of an (m x k) block; returns their indices."""
         n, k = self.n, entries.shape[1]
-        self._grow(n + k)
-        self._A[:, n : n + k] = entries
-        self.cost[n : n + k] = costs
-        self.n += k
+        # concatenate does not promise C order, and y @ A rounds by the order
+        self._A = np.ascontiguousarray(np.concatenate((self._A, entries), axis=1))
+        self.cost = np.concatenate((self.cost, np.full(k, costs, dtype=np.float64)))
+        self.sealed = np.concatenate((self.sealed, np.zeros(k, dtype=bool)))
         return np.arange(n, n + k)
 
     def set_cost(self, j, cost):
@@ -122,23 +114,14 @@ class SimplexSolver:
         Returns the old-to-new index map, -1 for a dropped column. The basis
         is renumbered; its inverse and values do not change.
         """
-        n = self.n
-        kept = np.flatnonzero(~self.sealed[:n] | self.basic)
-        k = len(kept)
-        remap = np.full(n, -1, dtype=np.int64)
-        remap[kept] = np.arange(k)
-        if k < n:
-            # the columns before the first dropped one keep their places
-            first = int(np.argmin(remap))  # the first -1
-            moved = kept[first:]
-            self._A[:, first:k] = self._A[:, moved]
-            # freed slots must read unsealed when reused
-            for arr in (self.cost, self.sealed):
-                arr[first:k] = arr[moved]
-                arr[k:n] = 0
+        kept = ~self.sealed | self.basic
+        remap = np.where(kept, np.cumsum(kept) - 1, -1)
+        if not kept.all():
+            # compress keeps C order, where A[:, kept] would return Fortran order
+            self._A = np.compress(kept, self._A, axis=1)
+            self.cost, self.sealed = self.cost[kept], self.sealed[kept]
             if self.basis is not None:
                 self.basis = remap[self.basis]
-            self.n = k
         return remap
 
     def set_basis(self, cols):
@@ -219,18 +202,18 @@ class SimplexSolver:
     def solve(self, deadline: float | None = None) -> int:
         """Run primal simplex from the current basis; returns pivots performed.
 
-        ``deadline``, a ``time.perf_counter()`` reading, is checked at every
-        refactorization; past it the solve raises :class:`DeadlineError`.
+        ``deadline``, a ``time.perf_counter()`` reading, is checked after
+        every pivot; past it the solve raises :class:`DeadlineError`.
         """
         if self.basis is None:
             raise SimplexError("no starting basis")
         self._refactor()
         m, n = self.m, self.n
-        A, cost, sealed, basis = self._A[:, :n], self.cost[:n], self.sealed, self.basis
+        A, cost, sealed, basis = self._A, self.cost, self.sealed, self.basis
         binv, xb = self._binv, self._xb
         # per-solve state: pricing costs, +inf where a column may not enter,
         # the basic costs, and the rows whose basic column is sealed
-        price = np.where(self.basic | sealed[:n], np.inf, cost)
+        price = np.where(self.basic | sealed, np.inf, cost)
         cb = cost[basis]
         sealed_basic = sealed[basis]
         n_sealed_basic = int(sealed_basic.sum())
@@ -296,8 +279,8 @@ class SimplexSolver:
             if pivots % _REFACTOR_EVERY == 0:
                 self._refactor()
                 binv, xb = self._binv, self._xb
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise DeadlineError(f"deadline passed after {pivots} pivots")
+            if deadline is not None and time.perf_counter() > deadline:
+                raise DeadlineError(f"deadline passed after {pivots} pivots")
             if pivots >= _MAX_PIVOTS:
                 raise SimplexError("pivot limit exceeded")
         return pivots

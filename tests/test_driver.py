@@ -325,7 +325,10 @@ def test_deadline_passed_while_pricing_ends_after_the_priced_row(toy_3x12, monke
             now[0] = math.inf
         return dantzig_round(inst, *args, **kwargs)
 
-    monkeypatch.setattr(driver, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    # the master's solves read the same clock as the driver
+    clock = SimpleNamespace(perf_counter=lambda: now[0])
+    monkeypatch.setattr(driver, "time", clock)
+    monkeypatch.setattr(simplex, "time", clock)
     monkeypatch.setattr(pricing, "dantzig_round", jumping_round)
     rep = run(toy_3x12, CgConfig(pricing_method="dantzig"))
     assert rep.status == "time_limit"

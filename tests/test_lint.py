@@ -3,9 +3,10 @@
 Each module of ``src/gapcg`` must use every name it imports (a re-export in
 ``__init__.py`` and a line marked ``# noqa: F401`` are exempt), and may
 import only the standard library, numpy, which is the one runtime
-dependency, and the package itself. Every private module-level name (one
-that starts with ``_`` and is not a dunder) must be read somewhere in the
-package.
+dependency, and the package itself. Every private name (one that starts
+with ``_`` and is not a dunder) that the package defines must be read
+somewhere in it: a module-level name, a method defined in a class body and
+an attribute assigned to ``self``.
 """
 
 import ast
@@ -53,21 +54,35 @@ def foreign_imports(source: str) -> list[str]:
     return [name for name in modules if name.split(".")[0] not in ALLOWED_TOP_LEVEL]
 
 
+def assign_targets(node) -> list:
+    """The target expressions of an assignment statement, or none for another node."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    return [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+
+
 def unread_private_names(sources: list[str]) -> list[str]:
-    """The private module-level names that the ``sources`` define and none of them reads."""
+    """The private module-level names, methods and ``self`` attributes that
+    the ``sources`` define and none of them reads."""
     defined, read = set(), set()
     for tree in map(ast.parse, sources):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update(name.id for target in targets for name in ast.walk(target)
-                               if isinstance(name, ast.Name))
+            defined.update(name.id for target in assign_targets(node)
+                           for name in ast.walk(target) if isinstance(name, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined.update(item.name for item in node.body
+                               if isinstance(item, ast.FunctionDef))
+            defined.update(attr.attr for target in assign_targets(node)
+                           for attr in ast.walk(target)
+                           if isinstance(attr, ast.Attribute)
+                           and isinstance(attr.value, ast.Name) and attr.value.id == "self")
         read.update(node.id if isinstance(node, ast.Name) else node.attr
                     for node in ast.walk(tree)
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                    or isinstance(node, ast.Attribute))
+                    if isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load))
     return sorted(name for name in defined - read
                   if name.startswith("_") and not (name.startswith("__") and name.endswith("__")))
 
@@ -76,10 +91,13 @@ def test_the_checks_see_what_they_look_for():
     source = ("from __future__ import annotations\n"
               "import os, sys\nimport scipy.sparse\nfrom .knapsack import a, b  # noqa: F401\n"
               "from numpy import array as arr\nfrom . import rmp\nprint(sys.argv, rmp)\n"
-              "def _unread():\n    pass\n_READ, __version__ = 1, '0'\n")
+              "def _unread():\n    pass\n_READ, __version__ = 1, '0'\n"
+              "class Box:\n    def __init__(self):\n        self._kept, self._lost = 1, 2\n"
+              "    def _unread_method(self):\n        return self._kept\n")
     assert unused_imports(source) == ["os", "scipy", "arr"]
     assert foreign_imports(source) == ["scipy.sparse"]
-    assert unread_private_names([source, "print(_READ)\n"]) == ["_unread"]
+    assert unread_private_names([source, "print(_READ)\n"]) == [
+        "_lost", "_unread", "_unread_method"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],

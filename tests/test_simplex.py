@@ -170,7 +170,7 @@ def test_sealed_column_never_reenters():
 @pytest.mark.parametrize("late", [False, True])
 def test_a_solve_past_its_deadline_stops_at_a_refactorization(late, monkeypatch):
     # min -x over x + s = 4 from the basis {s}: one pivot, then a
-    # refactorization that reads the clock
+    # refactorization and a clock read
     monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
     lp = SimplexSolver(np.array([4.0]), np.array([[1.0, 1.0]]), [0.0, -1.0])
     lp.set_basis([0])
@@ -181,6 +181,16 @@ def test_a_solve_past_its_deadline_stops_at_a_refactorization(late, monkeypatch)
     else:
         assert lp.solve(deadline) == 1
     assert lp.basis.tolist() == [1] and lp.objective() == -4.0
+
+
+def test_a_solve_reads_the_clock_after_every_pivot():
+    # the same one-pivot LP, with no refactorization before its deadline check
+    assert simplex._REFACTOR_EVERY > 1
+    lp = SimplexSolver(np.array([4.0]), np.array([[1.0, 1.0]]), [0.0, -1.0])
+    lp.set_basis([0])
+    with pytest.raises(DeadlineError):
+        lp.solve(-np.inf)
+    assert lp.basis.tolist() == [1]
 
 
 def test_unbounded_detected():
@@ -392,6 +402,50 @@ def test_compact_without_sealed_columns_is_the_identity():
     lp.solve()
     assert (lp.compact() == np.arange(2)).all()
     assert lp.n == 2
+
+
+def assert_stores_exactly_its_columns(lp):
+    # a Fortran-ordered matrix would price with other rounding
+    assert lp._A.shape == (lp.m, lp.n) and lp._A.flags.c_contiguous
+    assert len(lp.cost) == len(lp.sealed) == lp.n
+
+
+def test_the_lp_stores_exactly_its_columns():
+    lp = SimplexSolver(np.ones(2))
+    assert_stores_exactly_its_columns(lp)
+    lp.add_columns(np.array([[1.0], [0.0]]), 0.0)
+    assert_stores_exactly_its_columns(lp)
+    # one stored column and a Fortran-ordered block
+    lp.add_columns(np.asfortranarray([[0.0, 1.0, 1.0], [1.0, 1.0, 0.0]]), [0.0, -1.0, 2.0])
+    assert_stores_exactly_its_columns(lp)
+    assert lp.cost.tolist() == [0.0, 0.0, -1.0, 2.0] and not lp.sealed.any()
+    lp.set_basis([0, 1])
+    lp.seal_column(3)
+    assert lp.compact().tolist() == [0, 1, 2, -1]
+    assert_stores_exactly_its_columns(lp)
+    lp.retire_columns([2], [2])
+    assert_stores_exactly_its_columns(lp)
+    assert lp.sealed.tolist() == [False, False, True] and lp.cost[2] == 0.0
+    assert lp.compact().tolist() == [0, 1, -1]
+    assert_stores_exactly_its_columns(lp)
+    assert (lp._A == np.eye(2)).all()
+
+
+def test_a_handed_over_block_is_the_storage_until_a_column_is_added_or_dropped():
+    block = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    for change in ("add", "drop"):
+        lp = SimplexSolver(np.ones(2), block.copy(), [0.0, 0.0, 1.0])
+        handed = lp._A
+        lp.set_basis([0, 1])
+        assert lp.solve() == 0
+        assert (lp.compact() == np.arange(3)).all() and lp._A is handed
+        if change == "add":
+            lp.add_columns(np.ones((2, 1)), 0.0)
+        else:
+            lp.seal_column(2)
+            lp.compact()
+        assert lp._A is not handed
+        assert_stores_exactly_its_columns(lp)
 
 
 # ---------------------------------------------------------------- Bland's rule
