@@ -49,7 +49,8 @@ LIMITS = {
     "time_limit": (float, lambda v: 0.0 < v <= math.inf, "a number > 0"),
     "mip_gap": (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
     "age_threshold": (int, lambda v: v >= 1, "an integer >= 1"),
-    "template_delta": (float, lambda v: 0.0 <= v <= 0.5, "a number in [0, 0.5]"),
+    # the classes are strict (y > 1 - delta, y < delta), so at 0 every class is 0
+    "template_delta": (float, lambda v: 0.0 < v <= 0.5, "a number in (0, 0.5]"),
     "seed": (int, lambda v: v >= 0, "an integer >= 0"),
 }
 _KINDS = {float: (numbers.Real, "a real number"), int: (numbers.Integral, "an integer")}
@@ -343,10 +344,11 @@ def run_lr(inst: GapInstance, cfg: CgConfig) -> RunReport:
     out.ub = integer[1] if integer is not None else None
     out.integral_final = integer is not None
     out.final_objective = best_bound
-    if trace[-1].seconds > cfg.time_limit:
-        out.status = "time_limit"
-    elif _gap_closed(out, cfg.mip_gap):
+    # the gap before the clock, as in _stop_status
+    if _gap_closed(out, cfg.mip_gap):
         out.status = "gap_closed"
+    elif trace[-1].seconds > cfg.time_limit:
+        out.status = "time_limit"
     else:
         out.status = "rc_converged"
     return out

@@ -149,7 +149,7 @@ class ColumnPool:
         indices = [col.lp for col in live]
         pivots = self.lp.retire_columns(self.artificial, indices + self.surplus)
         self.artificial = []  # the LP's sealed mask alone records them now
-        self.lp.set_cost(indices, [col.cost for col in live])
+        self.lp.cost[indices] = [col.cost for col in live]
         return pivots
 
     def extract(self, pivots: int) -> RmpSolution:
@@ -247,7 +247,7 @@ def solve_compact_lp(inst: GapInstance, deadline: float | None = None) -> np.nda
         raise InfeasibleInstanceError(
             f"compact LP infeasible (artificial sum {lp.objective():.6g})")
     lp.retire_columns(arts, x_cols + slacks)
-    lp.set_cost(x_cols, inst.cost.ravel())
+    lp.cost[x_cols] = inst.cost.ravel()
     lp.solve(deadline)
     return np.clip(lp.values()[x_cols].reshape(ni, nj), 0.0, 1.0)
 

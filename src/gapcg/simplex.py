@@ -90,10 +90,6 @@ class SimplexSolver:
         self.sealed = np.concatenate((self.sealed, np.zeros(k, dtype=bool)))
         return np.arange(n, n + k)
 
-    def set_cost(self, j, cost):
-        """Set the cost of column ``j``, or of each column in an index array."""
-        self.cost[j] = cost
-
     @property
     def basic(self) -> np.ndarray:
         """A fresh mask over the columns, True on those in ``basis``."""

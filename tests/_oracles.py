@@ -454,9 +454,6 @@ class DenseSimplexReference:
         self.n += 1
         return j
 
-    def set_cost(self, j: int, cost: float):
-        self.cost[j] = cost
-
     def seal_column(self, j: int):
         """Pin column j at zero: it will never be priced into the basis again."""
         if self.basic[j] and self._xb is not None:
@@ -758,7 +755,7 @@ class ReconcilingMasterLp:
         """Drop the artificials, install true costs, keep the basis warm."""
         indices = list(self.lp_col.values())
         pivots = self.lp.retire_columns(self.artificial, indices + self.surplus)
-        self.lp.set_cost(indices, [col.cost for col in self.lp_col])
+        self.lp.cost[indices] = [col.cost for col in self.lp_col]
         self.phase = 2
         return pivots
 

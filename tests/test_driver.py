@@ -12,7 +12,7 @@ from gapcg import driver, pricing, simplex
 from gapcg.driver import CgConfig, RunReport, run, run_lr, update_bounds
 from gapcg.instance import (GapInstance, GeneratorSpec,
                             InfeasibleInstanceError, generate)
-from gapcg.lagrangian import CEIL_GUARD
+from gapcg.lagrangian import CEIL_GUARD, LrTraceRow
 from gapcg.pricing import PricingOutcome
 from gapcg.rmp import ColumnPool
 from gapcg.simplex import DeadlineError, SimplexSolver
@@ -395,7 +395,7 @@ def test_phase_one_prices_below_its_unit_costs_at_any_epsilon(method, epsilon):
     assert rep.max_rc_margin <= 0.0
 
 
-@pytest.mark.parametrize("method, delta", [("lt", -0.1), ("mt", 0.6)])
+@pytest.mark.parametrize("method, delta", [("lt", -0.1), ("mt", 0.6), ("lt", 0.0)])
 def test_template_delta_outside_zero_to_half_rejected(toy_3x12, method, delta):
     with pytest.raises(ValueError, match="delta"):
         run(toy_3x12, CgConfig(pricing_method=method, template_delta=delta))
@@ -410,6 +410,18 @@ def test_lr_time_limit_is_reported(toy_3x12):
     rep = run(toy_3x12, CgConfig(pricing_method="lr", time_limit=1e-9))
     assert rep.status == "time_limit" and rep.method == "lr"
     assert len(rep.rows) == 2  # the start and the first line-search probe
+
+
+def test_lr_reports_a_closed_gap_before_the_clock(toy_3x12, monkeypatch):
+    # the last evaluation ends past the limit, yet its bound meets the integer cost
+    cost = int(toy_3x12.cost.min(axis=0).sum())
+    assignment = toy_3x12.cost.argmin(axis=0)
+    trace = [LrTraceRow(0, cost - 3.5, cost - 3.5, 0.5), LrTraceRow(1, cost, cost, 2.0)]
+    monkeypatch.setattr(driver.lagrangian, "lr_solve",
+                        lambda inst, time_limit: (float(cost), None, (assignment, cost), trace))
+    rep = run_lr(toy_3x12, CgConfig(pricing_method="lr", time_limit=1.0))
+    assert rep.lb_int == rep.ub == cost
+    assert rep.status == "gap_closed"
 
 
 def test_seed_relabels_the_instance_not_the_bound(toy_3x12):

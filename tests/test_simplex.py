@@ -45,7 +45,7 @@ def two_phase(A, b, c, ubs):
         return None
     lp.retire_columns(arts, range(n + k))
     for j in range(n):
-        lp.set_cost(j, float(c[j]))
+        lp.cost[j] = float(c[j])
     lp.solve()
     return lp
 
@@ -158,11 +158,11 @@ def test_sealed_column_never_reenters():
     lp.solve()
     assert lp.basic[x]
     # push it out by making it unattractive, then seal and re-attract
-    lp.set_cost(x, 1.0)
+    lp.cost[x] = 1.0
     lp.solve()
     assert not lp.basic[x]
     lp.seal_column(x)
-    lp.set_cost(x, -5.0)
+    lp.cost[x] = -5.0
     assert lp.solve() == 0
     assert lp.values()[x] == 0.0
 
@@ -268,7 +268,7 @@ def scripted_trace(solver_cls, lp_data, seal_rounds):
         trace.append(_snapshot(lp, lp.solve()))
         trace.append(_snapshot(lp, lp.retire_columns(arts, range(2 * n))))
         for j in range(n):
-            lp.set_cost(j, float(c[j]))
+            lp.cost[j] = float(c[j])
         trace.append(_snapshot(lp, lp.solve()))
         for seal, extra in seal_rounds:
             for j in seal:
@@ -338,7 +338,7 @@ def sealing_trace(solver_cls, lp_data, seal_rounds):
         assert_basic_is_the_basis_before_and_after_compact(lp)
         lp.retire_columns(arts, range(2 * n))
         for j in range(n):
-            lp.set_cost(j, float(c[j]))
+            lp.cost[j] = float(c[j])
         trace.append(_snapshot(lp, lp.solve()))
         assert_basic_is_the_basis_before_and_after_compact(lp)
         for seal, extra in seal_rounds:
