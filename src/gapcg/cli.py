@@ -8,9 +8,10 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import astuple, fields, replace
 
-from . import driver, instance, rmp
+from . import driver, instance, rmp, simplex
 
 RUN_COLUMNS = ["instance", "method", *(f.name for f in fields(driver.IterRow))]
 
@@ -113,13 +114,23 @@ def _load_instances(path: str, fmt: str) -> list[instance.GapInstance]:
     return instances
 
 
+@contextmanager
+def _run_errors(name: str):
+    """Turn a failed run on instance ``name`` into a :class:`CliError`: exit 3 for an
+    infeasible instance, exit 1 for a ``SimplexError`` (one line, no traceback)."""
+    try:
+        yield
+    except instance.InfeasibleInstanceError as exc:
+        raise CliError(f"{name}: {exc}", 3) from exc
+    except simplex.SimplexError as exc:
+        raise CliError(f"{name}: {type(exc).__name__}: {exc}", 1) from exc
+
+
 def cmd_run(args) -> int:
     rows = []
     for inst in _load_instances(args.instance, args.format):
-        try:
+        with _run_errors(inst.name):
             report = driver.run(inst, _make_config(args, args.method, args.seed))
-        except instance.InfeasibleInstanceError as exc:
-            raise CliError(f"{inst.name}: {exc}", 3) from exc
         rows.extend(_report_rows(report))
     _write_tsv(rows, RUN_COLUMNS, args.output)
     return 0
@@ -205,10 +216,8 @@ def cmd_sweep(args) -> int:
         raise CliError(f"sweep takes one instance; {args.instance} holds {len(instances)}", 2)
     inst, = instances
     base = _make_config(args, args.method, seed=0)  # run_sweep sets each run's seed
-    try:
+    with _run_errors(inst.name):
         selected, per_tau, smoothed = run_sweep(inst, args.taus, args.seeds, base)
-    except instance.InfeasibleInstanceError as exc:
-        raise CliError(f"{inst.name}: {exc}", 3) from exc
     rows = [[tau, g, s, 1 if tau == selected else 0]
             for tau, g, s in zip(args.taus, per_tau, smoothed)]
     _write_tsv(rows, ["tau", "geomean_time", "smoothed_time", "selected"], args.output)

@@ -215,8 +215,7 @@ def _price(inst: GapInstance, cfg: CgConfig, eps: float, sol,
     """
     method, machines = cfg.pricing_method, range(inst.num_machines)
     if method == "pessoa" and not phase1:
-        outcomes, _, _ = pricing.pessoa_round(state, inst, sol.pi, sol.mu, eps,
-                                              rmp_objective=sol.objective)
+        outcomes, _, _ = pricing.pessoa_round(state, inst, sol.pi, sol.mu, eps)
         return outcomes, [state.alpha]
     if method in ("lt", "mt"):
         classes = pricing.similarity_vector(templates, cfg.template_delta)

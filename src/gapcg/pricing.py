@@ -6,10 +6,15 @@ classes of each machine) to candidate columns:
 * ``dantzig_round``  - plain minimum reduced cost, every machine in one
   batched knapsack call, which also opens ``lt_round``; ``dantzig_price``
   is its one-machine case.
-* ``pessoa_round``   - directional dual smoothing with adaptive mixing and
-  a limited backtracking search over smoothing intensities; falls back to
-  plain pricing when smoothing finds nothing. Each attempt prices every
-  machine in one batched knapsack call.
+* ``pessoa_round``   - directional dual smoothing (Pessoa, Sadykov, Uchoa &
+  Vanderbeck 2018, *INFORMS J. Comput.* 30(2)) with a limited backtracking
+  search over smoothing intensities; falls back to plain pricing when
+  smoothing finds nothing. Each attempt prices every machine in one batched
+  knapsack call. The stability center is the priced dual point with the
+  best Lagrangian bound so far (Wentges 1997, *ITOR* 4(2)); the mixing
+  weight backs off when the round's subgradient points from the center
+  toward the master duals, where the dual function rises, and grows
+  otherwise.
 * ``lt_round``       - heuristic template pricing: from its Dantzig column,
   each machine that has a good one walks the lower convex hull of its
   (reduced cost, -similarity) points to the edge that crosses the budget,
@@ -33,6 +38,7 @@ import numpy as np
 
 from .knapsack import (KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_knapsack,
                        min_knapsack_batch)
+from .lagrangian import dual_value
 
 DEFAULT_DELTA = 1e-6
 LT_MAX_ITERATIONS = 64
@@ -52,10 +58,10 @@ class PricingOutcome:
 
 @dataclass(eq=False)
 class PessoaState:
-    pi_hat: np.ndarray | None = None
-    g_hat: np.ndarray | None = None
+    pi_hat: np.ndarray | None = None  # the stability center
+    g_hat: np.ndarray | None = None  # the Lagrangian subgradient at pi_hat
     alpha: float = 0.0
-    last_rmp_objective: float = math.inf
+    center_bound: float = -math.inf  # the Lagrangian bound at pi_hat
 
 
 def similarity_vector(y, delta: float) -> np.ndarray:
@@ -252,8 +258,7 @@ def _smoothed_duals(pi_t, pi_hat, g_hat, alpha_k: float, k: int):
     return np.maximum(0.0, pi_hat + pk_norm * dev / dev_norm)
 
 
-def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float,
-                 rmp_objective: float = math.inf):
+def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float):
     """One full smoothing round across all machines.
 
     Step k < 10 smooths with ``alpha_k = max(0, 1 - k (1 - alpha))`` (k = 1
@@ -263,6 +268,16 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float,
     machine clears the true reduced-cost budget; only those machines
     contribute columns. Returns ``(outcomes, state, k_used)``; ``dantzig_rc``
     is populated only on rounds priced with the pure duals.
+
+    The last step's knapsack values give the Lagrangian bound ``L`` of the
+    duals it priced (summed as :func:`lagrangian.dual_value` sums them).
+    When it beats ``state.center_bound``, that point becomes the stability
+    center ``pi_hat``, with its bound and subgradient: Wentges' (1997)
+    best-bound center. The mixing weight then follows Pessoa et al. (2018):
+    when the round's subgradient ``g`` agrees with ``pi_t - pi_hat`` (the
+    center the round smoothed toward), ``L`` rises toward the master duals,
+    so ``alpha`` drops by 0.1 (not below 0); otherwise it moves to
+    ``0.9 alpha + 0.1`` (at most 0.9999).
     """
     pi_t = np.asarray(pi_t, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -281,7 +296,9 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float,
         alpha_k = max(0.0, 1.0 - k_used * (1.0 - state.alpha)) if k_used < 10 else 0.0
         pi_tilde = _smoothed_duals(pi_t, state.pi_hat, state.g_hat, alpha_k, k_used)
         pure = pi_tilde is None
-        values, sels, true_rc = price_all(pi_t if pure else pi_tilde)
+        if pure:
+            pi_tilde = pi_t.copy()  # it may become the center, which must not alias pi_t
+        values, sels, true_rc = price_all(pi_tilde)
         if pure or (true_rc <= -eps).any():  # every later step would price pure duals too
             break
 
@@ -291,13 +308,11 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float,
                 for i in range(ni)]
     g_round = 1.0 - sels.sum(axis=0)
     agreement = float(g_round @ (pi_t - state.pi_hat)) > 0.0
-    improved = rmp_objective < state.last_rmp_objective - 1e-9
-    if improved:
-        state.pi_hat = pi_t.copy()
-        state.g_hat = g_round
+    bound = dual_value(pi_tilde, values)
+    if bound > state.center_bound:
+        state.pi_hat, state.center_bound, state.g_hat = pi_tilde, bound, g_round
     if agreement:
-        state.alpha = min(0.9999, 0.9 * state.alpha + 0.1)
-    else:
         state.alpha = max(0.0, state.alpha - 0.1)
-    state.last_rmp_objective = rmp_objective
+    else:
+        state.alpha = min(0.9999, 0.9 * state.alpha + 0.1)
     return outcomes, state, k_used

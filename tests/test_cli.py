@@ -548,6 +548,22 @@ def test_bench_failing_cell_becomes_error_row(instance_file, tmp_path, monkeypat
         assert row["iterations"] == "-"
 
 
+@pytest.mark.parametrize("argv", [["run", "--method", "dantzig"], ["sweep", "--taus", "1,2"]],
+                         ids=["run", "sweep"])
+def test_simplex_error_is_one_error_line_and_exit_1(instance_file, tmp_path, capsys,
+                                                    monkeypatch, argv):
+    def broken(inst, cfg):
+        raise SimplexError("warm basis infeasible (min -1.000e-03)")
+
+    monkeypatch.setattr(driver, "run", broken)
+    out = tmp_path / "out.tsv"
+    command, *flags = argv
+    assert main([command, instance_file, *flags, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: toy.txt: SimplexError: warm basis infeasible (min -1.000e-03)"]
+    assert not out.exists()
+
+
 def test_bench_methods_agree_on_lb(instance_file, tmp_path):
     out = tmp_path / "bench.tsv"
     main(["bench", instance_file, "--methods", "dantzig,pessoa,lt,mt,lr",

@@ -1,4 +1,5 @@
 import math
+import statistics
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from _oracles import lp_columns, master_lp_optimum, pool_columns
-from conftest import removal_audit
-from gapcg import driver, pricing, simplex
+from conftest import random_instance, removal_audit
+from gapcg import driver, lagrangian, pricing, simplex
 from gapcg.driver import CgConfig, RunReport, run, run_lr, update_bounds
 from gapcg.instance import (GapInstance, GeneratorSpec,
                             InfeasibleInstanceError, generate)
@@ -129,6 +130,47 @@ def test_pessoa_rows_fold_only_true_dual_rounds_into_the_bound():
         lb_int = row.lb_int
     for row in rep.rows:
         assert row.lb_int == (None if row.lb_raw is None else math.ceil(row.lb_raw - 1e-9))
+
+
+@pytest.mark.parametrize("inst", [generate(GeneratorSpec(6, 60, seed=7)),
+                                  generate(GeneratorSpec(4, 24, seed=3)),
+                                  *(random_instance(seed, m=3, n=10) for seed in range(4))],
+                         ids=["g6x60-7", "g4x24-3", *(f"random-{seed}" for seed in range(4))])
+def test_pessoa_center_is_the_best_lagrangian_point_it_priced(monkeypatch, inst):
+    # after every round the center's stored bound and subgradient are those of
+    # an independent evaluation there, and the stored bound never falls
+    centers = []
+    pessoa_round = pricing.pessoa_round
+
+    def recorded(state, priced, pi_t, mu, eps):
+        result = pessoa_round(state, priced, pi_t, mu, eps)
+        centers.append((priced, state.pi_hat.copy(), state.center_bound, state.g_hat.copy()))
+        return result
+
+    monkeypatch.setattr(pricing, "pessoa_round", recorded)
+    run(inst, CgConfig(pricing_method="pessoa"))
+    assert centers
+    best = -math.inf
+    for priced, pi_hat, center_bound, g_hat in centers:
+        value, subgradient, _ = lagrangian.lr_evaluate(priced, pi_hat)
+        assert center_bound == value
+        assert np.array_equal(g_hat, subgradient)
+        assert center_bound >= best
+        best = center_bound
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_pessoa_needs_fewer_rows_than_dantzig_over_labelings(seed):
+    # smoothing exists to save iterations on degenerate masters; judged by the
+    # median over labelings 0-3, and every run proves the same bound
+    inst = generate(GeneratorSpec(6, 60, seed=seed))
+    median_rows, bounds = {}, set()
+    for method in ("dantzig", "pessoa"):
+        reports = [run(inst, CgConfig(pricing_method=method, seed=label)) for label in range(4)]
+        median_rows[method] = statistics.median(len(rep.rows) for rep in reports)
+        bounds |= {rep.lb_int for rep in reports}
+    assert median_rows["pessoa"] < median_rows["dantzig"]
+    assert len(bounds) == 1 and None not in bounds
 
 
 # ------------------------------------------------------------------------- run

@@ -435,7 +435,7 @@ def toyland():
 def test_pessoa_first_round_is_pure_dantzig():
     inst, pi, mu = toyland()
     state = PessoaState()
-    outcomes, state, k = pessoa_round(state, inst, pi, mu, EPS, rmp_objective=100.0)
+    outcomes, state, k = pessoa_round(state, inst, pi, mu, EPS)
     assert k == 1
     for out in outcomes:
         ref = dantzig_price(inst, out.machine, pi, float(mu[out.machine]), EPS)
@@ -448,10 +448,9 @@ def test_pessoa_first_round_is_pure_dantzig():
 
 def test_pessoa_zero_gradient_uses_convex_combination():
     inst, pi, mu = toyland()
-    state = PessoaState(pi_hat=pi + 3.0, g_hat=np.zeros(inst.num_jobs), alpha=0.5,
-                        last_rmp_objective=50.0)
+    state = PessoaState(pi_hat=pi + 3.0, g_hat=np.zeros(inst.num_jobs), alpha=0.5)
     smoothed_target = 0.5 * (pi + 3.0) + 0.5 * pi
-    outcomes, state, k = pessoa_round(state, inst, pi, mu, EPS, rmp_objective=49.0)
+    outcomes, state, k = pessoa_round(state, inst, pi, mu, EPS)
     if k == 1:  # accepted at the smoothed point
         for out in outcomes:
             assert out.dantzig_rc is None
@@ -465,9 +464,8 @@ def test_pessoa_zero_gradient_uses_convex_combination():
 
 def test_pessoa_alpha_update_rule():
     inst, pi, mu = toyland()
-    state = PessoaState(pi_hat=pi - 1.0, g_hat=np.ones(inst.num_jobs), alpha=0.5,
-                        last_rmp_objective=np.inf)
-    pessoa_round(state, inst, pi, mu, EPS, rmp_objective=10.0)
+    state = PessoaState(pi_hat=pi - 1.0, g_hat=np.ones(inst.num_jobs), alpha=0.5)
+    pessoa_round(state, inst, pi, mu, EPS)
     # agreement sign decides between 0.9a+0.1 and a-0.1
     assert state.alpha in (pytest.approx(0.55), pytest.approx(0.4))
 
@@ -477,11 +475,10 @@ def test_pessoa_alpha_update_agreement_case():
     inst = random_instance(21, m=1, n=4)
     pi = np.zeros(4)  # nothing improves: minimizers empty, coverage zero, g = 1
     mu = np.array([-1.0])
-    state = PessoaState(pi_hat=pi - 2.0, g_hat=np.ones(4), alpha=0.5,
-                        last_rmp_objective=np.inf)
-    pessoa_round(state, inst, pi, mu, EPS, rmp_objective=5.0)
-    # g = 1 vector, pi_t - pi_hat = +2 vector: agreement > 0
-    assert state.alpha == pytest.approx(0.9 * 0.5 + 0.1)
+    state = PessoaState(pi_hat=pi - 2.0, g_hat=np.ones(4), alpha=0.5)
+    pessoa_round(state, inst, pi, mu, EPS)
+    # g = 1 vector, pi_t - pi_hat = +2 vector: agreement > 0, so alpha backs off
+    assert state.alpha == pytest.approx(0.5 - 0.1)
 
 
 def test_pessoa_smoothed_duals_nonnegative_and_formula():
@@ -516,8 +513,8 @@ def backtracking_toy():
 
 
 @pytest.mark.parametrize("level, k_used, alpha_after", [
-    (30.0, 7, 0.9 * 0.95 + 0.1),  # accepted at a smoothed step
-    (21.0, 10, 0.95 - 0.1),       # every smoothed step fails: the pure fallback
+    (30.0, 7, 0.95 - 0.1),        # accepted at a smoothed step
+    (21.0, 10, 0.9 * 0.95 + 0.1),  # every smoothed step fails: the pure fallback
 ], ids=["smoothed-step-7", "pure-fallback"])
 def test_pessoa_backtracking_prices_each_step_at_its_mixed_point(monkeypatch, level, k_used,
                                                                  alpha_after):
@@ -531,9 +528,8 @@ def test_pessoa_backtracking_prices_each_step_at_its_mixed_point(monkeypatch, le
         return batch(profit, weight, capacity)
 
     monkeypatch.setattr(pricing, "min_knapsack_batch", recording_batch)
-    state = PessoaState(pi_hat=np.zeros(4), g_hat=np.zeros(4), alpha=0.95,
-                        last_rmp_objective=math.inf)
-    outcomes, state, k = pessoa_round(state, inst, pi_t, mu, EPS, rmp_objective=1.0)
+    state = PessoaState(pi_hat=np.zeros(4), g_hat=np.zeros(4), alpha=0.95)
+    outcomes, state, k = pessoa_round(state, inst, pi_t, mu, EPS)
     assert k == k_used and len(priced) == k_used
     # step k mixes alpha_k * pi_hat + (1 - alpha_k) * pi_t, alpha_k = 1 - k(1 - 0.95),
     # and step 10 prices the pure duals
@@ -559,7 +555,7 @@ def test_pessoa_frozen_alpha_stays_zero():
     inst, pi, mu = toyland()
     state = FrozenPessoaState()
     for shift in range(4):
-        pessoa_round(state, inst, pi + shift, mu, EPS, rmp_objective=100.0 - shift)
+        pessoa_round(state, inst, pi + shift, mu, EPS)
         assert state.alpha == 0.0
 
 
