@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple, fields, replace
 
-from . import driver, instance, rmp, simplex
+from . import driver, instance, simplex
 
 RUN_COLUMNS = ["instance", "method", *(f.name for f in fields(driver.IterRow))]
 
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gapcg", allow_abbrev=False,
                                      description="Column generation for the GAP")
     sub = parser.add_subparsers(dest="command", required=True)
-    cg_methods = list(rmp.AGE_POLICIES)
+    cg_methods = list(driver.AGE_POLICIES)
 
     p_run = sub.add_parser("run", allow_abbrev=False, help="solve one instance file")
     p_run.add_argument("instance")

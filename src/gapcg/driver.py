@@ -32,9 +32,18 @@ from . import lagrangian, pricing, rmp
 from .instance import GapInstance, InfeasibleInstanceError, relabel, validate
 from .lagrangian import CEIL_GUARD, integer_bound
 from .pricing import DEFAULT_DELTA, PessoaState, PricingOutcome
-from .rmp import AGE_POLICIES, ColumnPool
+from .rmp import ColumnPool
 from .simplex import PRICE_TOL, DeadlineError
 
+# each column-generation method's age policy: the coefficients (a2, a1, a0)
+# of its retention window, see age_threshold
+AGE_POLICIES = {
+    "dantzig": (0.081875, 0.0, 1.0),
+    "pessoa": (0.0, 0.3, 1.0),
+    "lt": (0.00044, 0.0405, 1.0),
+    # exact template pricing reuses the heuristic-template retention curve
+    "mt": (0.00044, 0.0405, 1.0),
+}
 METHODS = (*AGE_POLICIES, "lr")  # the column-generation rules and the Lagrangian baseline
 RC_CONVERGENCE_TOL = 1e-6
 # a smaller budget lets a column the master already holds clear it, and
@@ -62,7 +71,7 @@ class CgConfig:
     epsilon: float = 1e-6
     time_limit: float = 600.0
     mip_gap: float = 1e-5  # 0.001 percent
-    age_threshold: int | None = None  # None: the method's policy, rmp.age_threshold
+    age_threshold: int | None = None  # None: the method's policy, see age_threshold
     template_delta: float = DEFAULT_DELTA
     seed: int = 0  # the labeling, see instance.relabel; 0 keeps the instance's own
 
@@ -129,8 +138,9 @@ class RunReport:
 
     @property
     def gap_percent(self) -> float | None:
-        return (100.0 * (self.ub - self.lb_int) / abs(self.ub)
-                if self.ub and self.lb_int is not None else None)
+        if self.ub is None or self.lb_int is None or (self.ub == 0 and self.lb_int != 0):
+            return None  # a bound missing, or no relative gap below ub = 0
+        return 100.0 * (self.ub - self.lb_int) / abs(self.ub) if self.ub else 0.0
 
     def summary(self) -> IterRow:
         """The run's totals as the last row of its TSV."""
@@ -140,6 +150,14 @@ class RunReport:
                        pivots=self.total_pivots, rmp_time=self.total_rmp_time,
                        pricing_time=self.total_pricing_time, status=self.status,
                        gap_percent=self.gap_percent)
+
+
+def age_threshold(method: str, inst: GapInstance) -> int:
+    """Retention window of ``method``'s age policy: the integer bound, at least
+    1, of its polynomial ``a2 r^2 + a1 r + a0`` in the job/machine ratio ``r``."""
+    a2, a1, a0 = AGE_POLICIES[method]
+    r = inst.ratio
+    return max(1, integer_bound(a2 * r * r + a1 * r + a0))
 
 
 def _finite(x: float) -> float | None:
@@ -251,7 +269,7 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
     state = (np.full(inst.num_machines, 0.5) if method == "lt" else
              PessoaState() if method == "pessoa" else None)
     tau = (cfg.age_threshold if cfg.age_threshold is not None
-           else rmp.age_threshold(method, inst))
+           else age_threshold(method, inst))
 
     status = templates = None
     if method in ("lt", "mt"):

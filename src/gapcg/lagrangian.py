@@ -41,18 +41,14 @@ class LrTraceRow:
 
 
 def lr_evaluate(inst, pi):
-    """Dual function value, subgradient, and the (m, n) mask of the per-machine selections."""
+    """``L(pi)``, its subgradient and the (m, n) mask of the per-machine selections:
+    the one evaluation of ``L``, for LR, Pessoa smoothing and certification."""
     pi = np.asarray(pi, dtype=np.float64)
     values, selections = min_knapsack_batch(inst.cost - pi, inst.resource, inst.capacity)
-    return dual_value(pi, values), 1.0 - selections.sum(axis=0), selections
-
-
-def dual_value(pi: np.ndarray, values) -> float:
-    """``L(pi)`` from each machine's knapsack minimum ``values`` at ``pi``."""
     value = float(pi.sum())
     for machine_value in values:  # machine by machine, the order the sum is defined in
         value += machine_value
-    return value
+    return value, 1.0 - selections.sum(axis=0), selections
 
 
 def integer_bound(value: float) -> int | None:

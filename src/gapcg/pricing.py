@@ -9,11 +9,11 @@ classes of each machine) to candidate columns:
 * ``pessoa_round``   - directional dual smoothing (Pessoa, Sadykov, Uchoa &
   Vanderbeck 2018, *INFORMS J. Comput.* 30(2)) with a limited backtracking
   search over smoothing intensities; falls back to plain pricing when
-  smoothing finds nothing. Each attempt prices every machine in one batched
-  knapsack call. The stability center is the priced dual point with the
-  best Lagrangian bound so far (Wentges 1997, *ITOR* 4(2)); the mixing
-  weight backs off when the round's subgradient points from the center
-  toward the master duals, where the dual function rises, and grows
+  smoothing finds nothing. Each attempt prices every machine in one
+  ``lagrangian.lr_evaluate`` call. The stability center is the priced dual
+  point with the best Lagrangian bound so far (Wentges 1997, *ITOR* 4(2));
+  the mixing weight backs off when the round's subgradient points from the
+  center toward the master duals, where the dual function rises, and grows
   otherwise.
 * ``lt_round``       - heuristic template pricing: from its Dantzig column,
   each machine that has a good one walks the lower convex hull of its
@@ -38,7 +38,7 @@ import numpy as np
 
 from .knapsack import (KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_knapsack,
                        min_knapsack_batch)
-from .lagrangian import dual_value
+from .lagrangian import CEIL_GUARD, lr_evaluate
 
 DEFAULT_DELTA = 1e-6
 LT_MAX_ITERATIONS = 64
@@ -136,7 +136,7 @@ def _lt_search(inst, base: PricingOutcome, f, pi, mu_i: float, eps: float,
         if member and (probe[0] > best[0] or (probe[0] == best[0] and probe[1] < best[1])):
             best = probe
         edge = alpha * member_end[1] - member_end[0]  # at a tie weight, both ends' value
-        if best[0] >= math.floor(alpha * mu_i - value + 1e-9):
+        if best[0] >= math.floor(alpha * mu_i - value + CEIL_GUARD):
             stop = "proof"
         elif other_end is not None and value >= edge - 1e-9 * (1.0 + abs(edge)):
             stop = "hull"  # no column lies strictly below the edge
@@ -269,11 +269,12 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float):
     contribute columns. Returns ``(outcomes, state, k_used)``; ``dantzig_rc``
     is populated only on rounds priced with the pure duals.
 
-    The last step's knapsack values give the Lagrangian bound ``L`` of the
-    duals it priced (summed as :func:`lagrangian.dual_value` sums them).
-    When it beats ``state.center_bound``, that point becomes the stability
-    center ``pi_hat``, with its bound and subgradient: Wentges' (1997)
-    best-bound center. The mixing weight then follows Pessoa et al. (2018):
+    Each step is one :func:`lagrangian.lr_evaluate` call at the duals it
+    prices, which gives their Lagrangian bound ``L``, the subgradient ``g``
+    and every machine's selection. When the last step's ``L`` beats
+    ``state.center_bound``, that point becomes the stability center
+    ``pi_hat``, with its bound and subgradient: Wentges' (1997) best-bound
+    center. The mixing weight then follows Pessoa et al. (2018):
     when the round's subgradient ``g`` agrees with ``pi_t - pi_hat`` (the
     center the round smoothed toward), ``L`` rises toward the master duals,
     so ``alpha`` drops by 0.1 (not below 0); otherwise it moves to
@@ -285,30 +286,23 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float):
         state.pi_hat = pi_t.copy()
         state.g_hat = np.zeros_like(pi_t)
     ni = inst.num_machines
-
-    def price_all(pi_price):
-        values, sels = min_knapsack_batch(inst.cost - pi_price, inst.resource, inst.capacity)
-        true_rc = np.array([reduced_cost_sum(inst.cost[i], pi_t, sels[i]) - mu[i]
-                            for i in range(ni)])
-        return values, sels, true_rc
-
     for k_used in range(1, 11):
         alpha_k = max(0.0, 1.0 - k_used * (1.0 - state.alpha)) if k_used < 10 else 0.0
         pi_tilde = _smoothed_duals(pi_t, state.pi_hat, state.g_hat, alpha_k, k_used)
         pure = pi_tilde is None
         if pure:
             pi_tilde = pi_t.copy()  # it may become the center, which must not alias pi_t
-        values, sels, true_rc = price_all(pi_tilde)
+        bound, g_round, sels = lr_evaluate(inst, pi_tilde)
+        true_rc = np.array([reduced_cost_sum(inst.cost[i], pi_t, sels[i]) - mu[i]
+                            for i in range(ni)])
         if pure or (true_rc <= -eps).any():  # every later step would price pure duals too
             break
 
     outcomes = [PricingOutcome(machine=i, selection=sels[i] if true_rc[i] <= -eps else None,
-                               dantzig_rc=float(values[i] - mu[i]) if pure else None,
+                               dantzig_rc=float(true_rc[i]) if pure else None,
                                alpha_used=state.alpha)
                 for i in range(ni)]
-    g_round = 1.0 - sels.sum(axis=0)
     agreement = float(g_round @ (pi_t - state.pi_hat)) > 0.0
-    bound = dual_value(pi_tilde, values)
     if bound > state.center_bound:
         state.pi_hat, state.center_bound, state.g_hat = pi_tilde, bound, g_round
     if agreement:

@@ -22,22 +22,12 @@ compaction moves them while ``artificial`` lists them, in phase one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import GapInstance, InfeasibleInstanceError, cheapest_assignment, validate
 from .simplex import FEAS_TOL, SimplexSolver
-
-AGE_POLICIES = {
-    "dantzig": (0.081875, 0.0, 1.0),
-    "pessoa": (0.0, 0.3, 1.0),
-    "lt": (0.00044, 0.0405, 1.0),
-    # exact template pricing reuses the heuristic-template retention curve
-    "mt": (0.00044, 0.0405, 1.0),
-}
-
 
 @dataclass(eq=False)
 class Column:
@@ -208,14 +198,6 @@ def manage_columns(pool: ColumnPool, sol: RmpSolution, tau: int) -> int:
     for col in stale:
         pool.drop(col)
     return len(stale)
-
-
-def age_threshold(method: str, inst: GapInstance) -> int:
-    """Retention window of ``method``'s age policy: the ceiling, at least 1, of
-    its polynomial ``a2 r^2 + a1 r + a0`` in the job/machine ratio ``r``."""
-    a2, a1, a0 = AGE_POLICIES[method]
-    r = inst.ratio
-    return max(1, math.ceil(a2 * r * r + a1 * r + a0 - 1e-9))
 
 
 def solve_compact_lp(inst: GapInstance, deadline: float | None = None) -> np.ndarray:

@@ -16,12 +16,12 @@ import pytest
 from _oracles import brute_force_lex, master_lp_optimum, similarity_class, subsets
 from conftest import FrozenPessoaState, removal_audit
 from gapcg.cli import rolling_geomean, select_tau
-from gapcg.driver import CgConfig, run, run_lr
+from gapcg.driver import CgConfig, age_threshold, run, run_lr
 from gapcg.instance import GeneratorSpec, generate
 from gapcg.knapsack import KnapsackProblem, LexKnapsackProblem, lex_knapsack, min_knapsack
 from gapcg.pricing import DEFAULT_DELTA, lt_price, mt_price, reduced_cost_sum, similarity_vector
 from gapcg import driver as driver_module
-from gapcg.rmp import ColumnPool, age_threshold
+from gapcg.rmp import ColumnPool
 
 EPS = 1e-6
 

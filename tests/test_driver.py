@@ -514,6 +514,16 @@ def test_negative_costs_match_partition_optimum(method):
     assert rep.lb_int == rep.ub == -8
 
 
+@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
+def test_bounds_that_meet_at_zero_print_a_zero_gap(method):
+    inst = GapInstance(2, 4, cost=np.zeros((2, 4), dtype=int),
+                       resource=np.ones((2, 4), dtype=int), capacity=np.array([4, 4]))
+    rep = run(inst, CgConfig(pricing_method=method, time_limit=60))
+    assert rep.status == "optimal" and rep.lb_int == rep.ub == 0
+    assert rep.gap_percent == 0.0 and rep.summary().gap_percent == 0.0
+    assert replace(rep, lb_int=-3).gap_percent is None  # below ub = 0: no relative gap
+
+
 def test_lr_closes_a_zero_gap_at_zero_cost():
     # the optimum costs 0, so the relative gap test alone cannot fire
     inst = GapInstance(2, 3, cost=np.array([[0, 5, 5], [5, 0, 0]]),

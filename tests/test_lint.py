@@ -6,11 +6,13 @@ Each module of ``src/gapcg`` must use every name it imports
 numpy, which is the one runtime dependency, and the package itself. Every private name (one that starts
 with ``_`` and is not a dunder) that the package defines must be read
 somewhere in it: a module-level name, a method defined in a class body and
-an attribute assigned to ``self``. Every public function, class and method
-that a module defines must have a production reader: a module of the
-package other than ``__init__.py``, or the benchmark's ``perfbench/``
-modules. Tests do not count, so code that only tests call cannot settle in
-``src/``.
+an attribute assigned to ``self``. Every public function, class, method
+and module-level assigned name that a module defines must have a
+production reader: a module of the package other than ``__init__.py``, or
+the benchmark's ``perfbench/`` modules. A name that a reader defines or
+imports itself, or reads off an imported module, counts for that module's
+name alone. Tests do not count, so code that only tests call cannot settle
+in ``src/``.
 """
 
 import ast
@@ -69,16 +71,23 @@ def assign_targets(node) -> list:
     return [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
 
 
+def top_level_names(tree) -> list[str]:
+    """The functions, classes and assigned names at the top level of the module ``tree``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        names.extend(name.id for target in assign_targets(node)
+                     for name in ast.walk(target) if isinstance(name, ast.Name))
+    return names
+
+
 def unread_private_names(sources: list[str]) -> list[str]:
     """The private module-level names, methods and ``self`` attributes that
     the ``sources`` define and none of them reads."""
     defined, read = set(), set()
     for tree in map(ast.parse, sources):
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            defined.update(name.id for target in assign_targets(node)
-                           for name in ast.walk(target) if isinstance(name, ast.Name))
+        defined.update(top_level_names(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 defined.update(item.name for item in node.body
@@ -96,37 +105,56 @@ def unread_private_names(sources: list[str]) -> list[str]:
 
 
 def public_definitions(source: str) -> list[str]:
-    """The public functions and classes at the top level of ``source`` and
-    the public methods of its classes."""
-    names = []
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
+    """The public functions, classes and assigned names at the top level of
+    ``source`` and the public methods of its classes."""
+    tree = ast.parse(source)
+    names = top_level_names(tree)
+    for node in tree.body:
         if isinstance(node, ast.ClassDef):
             names.extend(item.name for item in node.body if isinstance(item, ast.FunctionDef))
     return [name for name in names if not name.startswith("_")]
 
 
-def read_names(source: str) -> set[str]:
-    """Every name that ``source`` loads or imports by name, and every string
-    constant in it, which is how the benchmark's tracer names its targets."""
-    read = set()
-    for node in ast.walk(ast.parse(source)):
+def read_names(source: str, module: str) -> set[str]:
+    """What ``source``, the module named ``module``, reads: ``m.name`` for a
+    name that it imports from the module ``m``, reads as an attribute of the
+    module ``m`` imported whole, or defines itself (``m`` is ``module``) and
+    loads; the bare name for any other load and attribute; and every string
+    constant, which is how the benchmark's tracer names its targets."""
+    tree = ast.parse(source)
+    own = set(top_level_names(tree))
+    modules, imported, read = {}, set(), set()  # modules: local name -> module
+    for node in imports(tree):
+        for alias in node.names:
+            local = alias.asname or alias.name.split(".")[0]
+            if isinstance(node, ast.Import) or node.module in (None, "gapcg"):
+                modules[local] = alias.name.split(".")[-1] if alias.asname else local
+            else:
+                imported.add(local)
+                read.add(f"{node.module.split('.')[-1]}.{alias.name}")
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            if node.id in own:
+                read.add(f"{module}.{node.id}")
+            elif node.id not in imported:
+                read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            read.update(alias.name for alias in node.names)
+            owner = node.value
+            in_module = isinstance(owner, ast.Name) and owner.id in modules
+            read.add(f"{modules[owner.id]}.{node.attr}" if in_module else node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             read.add(node.value)
     return read
 
 
-def unread_public_names(defining: list[str], readers: list[str]) -> list[str]:
-    """The public names that the ``defining`` sources define and none of the ``readers`` reads."""
-    read = set().union(*map(read_names, readers))
-    return sorted({name for source in defining for name in public_definitions(source)} - read)
+def unread_public_names(defining: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """The public names that the ``defining`` sources, by module name, define
+    and none of the ``readers`` reads: a module-level name must be read
+    from its own module, or by a bare name or string whose owner is unknown."""
+    read = set().union(*(read_names(source, module) for module, source in readers.items()))
+    return sorted({name for module, source in defining.items()
+                   for name in public_definitions(source)
+                   if name not in read and f"{module}.{name}" not in read})
 
 
 def test_the_checks_see_what_they_look_for():
@@ -144,10 +172,16 @@ def test_the_checks_see_what_they_look_for():
                 "def traced():\n    pass\ndef tested():\n    pass\n"
                 "class Box:\n    def method(self):\n        pass\n"
                 "    def unread_method(self):\n        pass\n"
-                "    def _private(self):\n        pass\n")
-    readers = ["from .m import imported\nloaded()\nBox().method()\n", "TARGETS = ['traced']\n"]
-    assert unread_public_names([defining], readers) == ["tested", "unread_method"]
-    assert unread_public_names([defining], [defining]) == sorted(public_definitions(defining))
+                "    def _private(self):\n        pass\n"
+                "TABLE, LEFT_BEHIND = {}, {}\n_HIDDEN: int = 0\n")
+    # the second reader's own LEFT_BEHIND does not read m's
+    readers = {"r": "from .m import imported\nloaded()\nBox().method()\n",
+               "s": "from . import m\nLEFT_BEHIND = m.TABLE\nprint(LEFT_BEHIND)\n",
+               "t": "TARGETS = ['traced']\n"}
+    assert unread_public_names({"m": defining}, readers) == ["LEFT_BEHIND", "tested",
+                                                             "unread_method"]
+    assert unread_public_names({"m": defining}, {"m": defining}) == sorted(
+        public_definitions(defining))
 
 
 @pytest.mark.parametrize("path", SOLVER_MODULES, ids=lambda p: p.name)
@@ -160,8 +194,10 @@ def test_every_private_name_is_read():
 
 
 def test_every_public_name_has_a_production_reader():
-    sources = {p: p.read_text(encoding="utf-8") for p in SOLVER_MODULES + BENCHMARK_MODULES}
-    assert unread_public_names([sources[p] for p in SOLVER_MODULES], list(sources.values())) == []
+    sources = {p.stem if p.parent == SRC else f"perfbench.{p.stem}": p.read_text(encoding="utf-8")
+               for p in SOLVER_MODULES + BENCHMARK_MODULES}
+    defining = {p.stem: sources[p.stem] for p in SOLVER_MODULES}
+    assert unread_public_names(defining, sources) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -439,7 +439,7 @@ def test_pessoa_first_round_is_pure_dantzig():
     assert k == 1
     for out in outcomes:
         ref = dantzig_price(inst, out.machine, pi, float(mu[out.machine]), EPS)
-        assert out.dantzig_rc == pytest.approx(ref.dantzig_rc, abs=1e-12)
+        assert out.dantzig_rc == ref.dantzig_rc
         if ref.selection is None:
             assert out.selection is None
         else:
@@ -521,13 +521,13 @@ def test_pessoa_backtracking_prices_each_step_at_its_mixed_point(monkeypatch, le
     inst = backtracking_toy()
     pi_t, mu = np.full(4, level), np.zeros(2)
     priced = []
-    batch = pricing.min_knapsack_batch
+    evaluate = pricing.lr_evaluate
 
-    def recording_batch(profit, weight, capacity):
-        priced.append(profit.copy())
-        return batch(profit, weight, capacity)
+    def recording_evaluate(inst, pi):
+        priced.append(inst.cost - pi)
+        return evaluate(inst, pi)
 
-    monkeypatch.setattr(pricing, "min_knapsack_batch", recording_batch)
+    monkeypatch.setattr(pricing, "lr_evaluate", recording_evaluate)
     state = PessoaState(pi_hat=np.zeros(4), g_hat=np.zeros(4), alpha=0.95)
     outcomes, state, k = pessoa_round(state, inst, pi_t, mu, EPS)
     assert k == k_used and len(priced) == k_used

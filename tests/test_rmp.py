@@ -12,9 +12,9 @@ from _oracles import (PerColumnMasterLp, ReconcilingMasterLp, compact_lp_optimum
                       per_column_compact_lp, pool_columns, pool_walk_project_primal,
                       reconciling_build_and_solve)
 from gapcg import rmp
-from gapcg.driver import CgConfig, run
+from gapcg.driver import CgConfig, age_threshold, run
 from gapcg.instance import GapInstance, GeneratorSpec, InfeasibleInstanceError, generate
-from gapcg.rmp import (Column, ColumnPool, age_threshold, build_and_solve, extract_integer_solution,
+from gapcg.rmp import (Column, ColumnPool, build_and_solve, extract_integer_solution,
                        manage_columns, project_primal, solve_compact_lp)
 from gapcg.simplex import SimplexError, SimplexSolver
 from test_properties import small_instances
