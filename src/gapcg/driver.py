@@ -127,7 +127,6 @@ class RunReport:
     ub: int | None = None
     final_objective: float | None = None
     integral_final: bool = False
-    max_rc_margin: float = -math.inf   # max over added columns of rc - (mu - eps)
 
     # the run's totals are its rows' sums
     phase1_iterations = property(lambda self: sum(r.phase == "1" for r in self.rows))
@@ -225,7 +224,7 @@ def _alpha_stats(values):
 
 def _price(inst: GapInstance, cfg: CgConfig, eps: float, sol,
            templates: np.ndarray | None, phase1: bool, state):
-    """One pricing round at budget ``eps``; returns (outcomes, alpha_values).
+    """One pricing round at budget ``eps``; returns its outcomes.
 
     ``state`` is the method's warm start: LT's per-machine weights, the
     :class:`PessoaState`, or None. LT and MT classify the whole template
@@ -234,18 +233,15 @@ def _price(inst: GapInstance, cfg: CgConfig, eps: float, sol,
     method, machines = cfg.pricing_method, range(inst.num_machines)
     if method == "pessoa" and not phase1:
         outcomes, _, _ = pricing.pessoa_round(state, inst, sol.pi, sol.mu, eps)
-        return outcomes, [state.alpha]
+        return outcomes
     if method in ("lt", "mt"):
         classes = pricing.similarity_vector(templates, cfg.template_delta)
     if method == "lt":
-        outcomes = pricing.lt_round(inst, machines, classes, sol.pi, sol.mu, eps, state)
-        return outcomes, [out.alpha_used for out in outcomes]
+        return pricing.lt_round(inst, machines, classes, sol.pi, sol.mu, eps, state)
     if method == "mt":
-        outcomes = [pricing.mt_price(inst, i, classes[i], sol.pi, float(sol.mu[i]), eps)
-                    for i in machines]
-    else:
-        outcomes = pricing.dantzig_round(inst, machines, sol.pi, sol.mu, eps)
-    return outcomes, []
+        return [pricing.mt_price(inst, i, classes[i], sol.pi, float(sol.mu[i]), eps)
+                for i in machines]
+    return pricing.dantzig_round(inst, machines, sol.pi, sol.mu, eps)
 
 
 def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
@@ -302,14 +298,14 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
         # the bound checks never fire in phase one, where the bounds are unset
         status = _stop_status(report, cfg.mip_gap, objective, deadline)
         added = removed = 0
-        pricing_time, alphas, rc_sum = 0.0, [], None
+        pricing_time, outcomes, rc_sum = 0.0, [], None
         if status is None:
             if templates is not None and it > 1:
                 templates = rmp.project_primal(sol, pool)
             priced, eps = ((zero_cost, min(cfg.epsilon, RC_CONVERGENCE_TOL)) if phase == "1"
                            else (inst, cfg.epsilon))
             t0 = time.perf_counter()
-            outcomes, alphas = _price(priced, cfg, eps, sol, templates, phase == "1", state)
+            outcomes = _price(priced, cfg, eps, sol, templates, phase == "1", state)
             pricing_time = time.perf_counter() - t0
             # only Pessoa's smoothed rounds leave dantzig_rc unset
             smoothed = any(out.dantzig_rc is None for out in outcomes)
@@ -319,16 +315,13 @@ def run(inst: GapInstance, cfg: CgConfig) -> RunReport:
             removed = rmp.manage_columns(pool, sol, tau)
             for out in outcomes:
                 i, selection = out.machine, out.selection
-                if selection is None or pool.add(i, selection) is None:
-                    continue
-                added += 1
-                rc = pricing.reduced_cost_sum(priced.cost[i], sol.pi, selection)
-                report.max_rc_margin = max(report.max_rc_margin,
-                                           rc - (float(sol.mu[i]) - eps))
+                if selection is not None and pool.add(i, selection) is not None:
+                    added += 1
         report.rows.append(IterRow(
             it, phase, objective, _finite(report.lb_raw),
             report.lb_int, report.ub, rc_sum,
-            added, removed, sol.pivots, rmp_time, pricing_time, *_alpha_stats(alphas)))
+            added, removed, sol.pivots, rmp_time, pricing_time,
+            *_alpha_stats(out.alpha_used for out in outcomes)))
         if status is not None:
             break
         if phase == "1" and added == 0:

@@ -37,13 +37,9 @@ class KnapsackProblem:
     weight: np.ndarray    # nonnegative integers
     capacity: int
 
-    def __post_init__(self):
+    def __post_init__(self):  # min_knapsack_batch checks the shapes and signs
         self.profit = np.asarray(self.profit, dtype=np.float64)
         self.weight = np.asarray(self.weight, dtype=np.int64)
-        if self.profit.shape != self.weight.shape:
-            raise ValueError("profit and weight must have equal length")
-        if (self.weight < 0).any() or self.capacity < 0:
-            raise ValueError("weights and capacity must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -78,17 +74,12 @@ class LexKnapsackProblem:
         return len(self.sim)
 
 
-@dataclass(eq=False)
-class KnapsackSolution:
-    value: float
-    selection: np.ndarray  # bool mask
-
-
-def min_knapsack(p: KnapsackProblem) -> KnapsackSolution:
+def min_knapsack(p: KnapsackProblem) -> tuple[float, np.ndarray]:
     """Minimize ``profit . x`` over 0/1 selections with ``weight . x <= capacity``:
-    :func:`min_knapsack_batch` on the one row ``p``."""
-    (value,), selection = min_knapsack_batch(p.profit[None], p.weight[None], [p.capacity])
-    return KnapsackSolution(value=value, selection=selection[0])
+    :func:`min_knapsack_batch` on the one row ``p``, which also checks it.
+    Returns that row's ``(value, selection)``."""
+    (value,), (selection,) = min_knapsack_batch(p.profit[None], p.weight[None], [p.capacity])
+    return value, selection
 
 
 _GROUP_BYTES = 1 << 22  # take bytes (one per step and table cell) a group of rows may hold

@@ -51,6 +51,7 @@ class PricingOutcome:
     selection: np.ndarray | None  # bool mask over jobs; None: no good column
     dantzig_rc: float | None = None
     similarity: int | None = None
+    # LT and Pessoa: the weight the round leaves for the machine's next round
     alpha_used: float | None = None
     flagged: bool = False
     proof_fired: bool = False  # LT only: similarity optimality was certified
@@ -100,8 +101,8 @@ def mt_price(inst, i: int, classes_i, pi, mu_i: float, eps: float) -> PricingOut
     """Exact template pricing: maximize similarity to the template classes
     ``classes_i`` over the good columns, break ties by minimum reduced cost."""
     rc_coeff = inst.cost[i] - pi
-    base = min_knapsack(KnapsackProblem(rc_coeff, inst.resource[i], int(inst.capacity[i])))
-    dantzig_rc = base.value - mu_i
+    value, _ = min_knapsack(KnapsackProblem(rc_coeff, inst.resource[i], int(inst.capacity[i])))
+    dantzig_rc = value - mu_i
     if dantzig_rc > -eps:
         return PricingOutcome(machine=i, selection=None, dantzig_rc=dantzig_rc)
     res = lex_knapsack(LexKnapsackProblem(classes_i, rc_coeff, inst.resource[i],
@@ -278,7 +279,8 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float):
     when the round's subgradient ``g`` agrees with ``pi_t - pi_hat`` (the
     center the round smoothed toward), ``L`` rises toward the master duals,
     so ``alpha`` drops by 0.1 (not below 0); otherwise it moves to
-    ``0.9 alpha + 0.1`` (at most 0.9999).
+    ``0.9 alpha + 0.1`` (at most 0.9999). Every outcome's ``alpha_used`` is
+    that updated weight.
     """
     pi_t = np.asarray(pi_t, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -298,10 +300,6 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float):
         if pure or (true_rc <= -eps).any():  # every later step would price pure duals too
             break
 
-    outcomes = [PricingOutcome(machine=i, selection=sels[i] if true_rc[i] <= -eps else None,
-                               dantzig_rc=float(true_rc[i]) if pure else None,
-                               alpha_used=state.alpha)
-                for i in range(ni)]
     agreement = float(g_round @ (pi_t - state.pi_hat)) > 0.0
     if bound > state.center_bound:
         state.pi_hat, state.center_bound, state.g_hat = pi_tilde, bound, g_round
@@ -309,4 +307,8 @@ def pessoa_round(state: PessoaState, inst, pi_t, mu, eps: float):
         state.alpha = max(0.0, state.alpha - 0.1)
     else:
         state.alpha = min(0.9999, 0.9 * state.alpha + 0.1)
+    outcomes = [PricingOutcome(machine=i, selection=sels[i] if true_rc[i] <= -eps else None,
+                               dantzig_rc=float(true_rc[i]) if pure else None,
+                               alpha_used=state.alpha)
+                for i in range(ni)]
     return outcomes, state, k_used

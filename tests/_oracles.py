@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from gapcg.knapsack import KnapsackProblem, KnapsackSolution
+from gapcg.knapsack import KnapsackProblem
 from gapcg.pricing import DEFAULT_DELTA, PricingOutcome, similarity_vector
 from gapcg.rmp import RmpSolution
 from gapcg.simplex import FEAS_TOL, SimplexError, SimplexSolver, UnboundedError
@@ -56,10 +56,11 @@ def lp_columns(pool) -> dict:
     return {col: j for j, col in enumerate(pool._owner) if col is not None}
 
 
-def per_problem_min_knapsack(p: KnapsackProblem) -> KnapsackSolution:
+def per_problem_min_knapsack(p: KnapsackProblem) -> tuple[float, np.ndarray]:
     """``knapsack.min_knapsack`` as it was before it became the one-row case
     of ``min_knapsack_batch``: its own DP over one problem, frozen. It is the
-    reference that the batch kernel must match row for row, bit for bit.
+    reference that the batch kernel must match row for row, bit for bit, and
+    returns the same ``(value, selection)``.
 
     Only strictly negative profits can help, so the DP runs over that
     candidate set; zero-weight negative-profit items are taken up front.
@@ -88,7 +89,7 @@ def per_problem_min_knapsack(p: KnapsackProblem) -> KnapsackSolution:
                     selection[j] = True
                     w -= int(p.weight[j])
         value = float(p.profit[selection].sum())
-    return KnapsackSolution(value=value, selection=selection)
+    return value, selection
 
 
 def min_reduced_cost(inst, machine: int, pi, cost_row=None):
@@ -264,8 +265,8 @@ def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
     rc_coeff = inst.cost[i] - pi
     weights = inst.resource[i]
     cap = int(inst.capacity[i])
-    base = per_problem_min_knapsack(KnapsackProblem(rc_coeff, weights, cap))
-    dantzig_rc = base.value - mu_i
+    base_value, base_selection = per_problem_min_knapsack(KnapsackProblem(rc_coeff, weights, cap))
+    dantzig_rc = base_value - mu_i
     if dantzig_rc > -eps:
         return PricingOutcome(machine=i, selection=None, dantzig_rc=dantzig_rc)
     f = similarity_vector(y_i, delta)
@@ -275,9 +276,8 @@ def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
     best = None  # (sim, rc, selection) with max sim then min rc
     proof_fired = False
     for _ in range(LT_MAX_ITERATIONS):
-        scalarized = per_problem_min_knapsack(KnapsackProblem(-f + alpha * rc_coeff, weights,
-                                                              cap))
-        x = scalarized.selection
+        scalarized, x = per_problem_min_knapsack(KnapsackProblem(-f + alpha * rc_coeff, weights,
+                                                                 cap))
         rc_x = float(rc_coeff[x].sum())
         sim_x = int(f[x].sum())
         member = rc_x <= budget
@@ -290,7 +290,7 @@ def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
         else:
             lo = alpha
         if best is not None:
-            sim_cap = math.floor(alpha * mu_i - scalarized.value + 1e-9)
+            sim_cap = math.floor(alpha * mu_i - scalarized + 1e-9)
             if best[0] >= sim_cap:
                 proof_fired = True
                 break
@@ -305,7 +305,7 @@ def sequential_lt_price(inst, i: int, y_i, pi, mu_i: float, eps: float,
     if best is None:
         # Bisection exhausted without confirming membership even though the
         # minimum-rc column qualifies: fall back to it so the loop progresses.
-        sel = base.selection
+        sel = base_selection
         return PricingOutcome(machine=i, selection=sel, dantzig_rc=dantzig_rc,
                               similarity=int(f[sel].sum()), flagged=True)
     sim, _, sel = best
@@ -319,12 +319,13 @@ def per_machine_dantzig_price(inst, i: int, pi, mu_i: float, eps: float) -> Pric
     """``pricing.dantzig_price`` as it was before the batched Dantzig round:
     one :func:`per_problem_min_knapsack` call for machine i, the reference that
     ``pricing.dantzig_round`` must match outcome for outcome."""
-    sol = per_problem_min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i],
-                                                   int(inst.capacity[i])))
-    rc = sol.value - mu_i
+    value, selection = per_problem_min_knapsack(KnapsackProblem(inst.cost[i] - pi,
+                                                                inst.resource[i],
+                                                                int(inst.capacity[i])))
+    rc = value - mu_i
     if rc > -eps:
         return PricingOutcome(machine=i, selection=None, dantzig_rc=rc)
-    return PricingOutcome(machine=i, selection=sol.selection, dantzig_rc=rc)
+    return PricingOutcome(machine=i, selection=selection, dantzig_rc=rc)
 
 
 def repair_loop_assignment(inst, machines, masks):
@@ -351,11 +352,11 @@ def looped_lr_evaluate(inst, pi):
     coverage = np.zeros(inst.num_jobs)
     selections = []
     for i in range(inst.num_machines):
-        sol = per_problem_min_knapsack(KnapsackProblem(inst.cost[i] - pi, inst.resource[i],
-                                                       int(inst.capacity[i])))
-        value += sol.value
-        coverage += sol.selection
-        selections.append(sol.selection)
+        machine_value, selection = per_problem_min_knapsack(
+            KnapsackProblem(inst.cost[i] - pi, inst.resource[i], int(inst.capacity[i])))
+        value += machine_value
+        coverage += selection
+        selections.append(selection)
     return value, 1.0 - coverage, selections
 
 

@@ -14,7 +14,7 @@ settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 from _oracles import lp_columns, pool_columns
-from gapcg import driver, rmp
+from gapcg import driver, pricing, rmp
 from gapcg.instance import GapInstance, GeneratorSpec, generate
 
 
@@ -68,6 +68,38 @@ def removal_audit():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rmp, "manage_columns", audited)
         yield audits
+
+
+@contextmanager
+def margin_audit():
+    """Audit every column that the pool accepts from a pricing round of the runs inside.
+
+    It yields a list that receives one margin per accepted column: its
+    reduced cost at the round's duals, on the instance the round priced,
+    minus the round's budget ``mu_i - eps``. Every pricing rule returns only
+    columns that clear their budget, so every margin should be <= 0. The
+    columns a new pool seeds itself with, at iteration 0, come from no round.
+    """
+    margins = []
+    priced = []  # the last round's (instance, eps, solution)
+    price, add = driver._price, rmp.ColumnPool.add
+
+    def recorded(inst, cfg, eps, sol, *args):
+        priced[:] = [inst, eps, sol]
+        return price(inst, cfg, eps, sol, *args)
+
+    def audited(pool, machine, jobs):
+        col = add(pool, machine, jobs)
+        if col is not None and pool.iteration:
+            inst, eps, sol = priced
+            rc = pricing.reduced_cost_sum(inst.cost[machine], sol.pi, jobs)
+            margins.append(rc - (float(sol.mu[machine]) - eps))
+        return col
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "_price", recorded)
+        patch.setattr(rmp.ColumnPool, "add", audited)
+        yield margins
 
 
 class FrozenPessoaState(driver.PessoaState):

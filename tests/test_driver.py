@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from _oracles import lp_columns, master_lp_optimum, pool_columns
-from conftest import random_instance, removal_audit
+from conftest import margin_audit, random_instance, removal_audit
 from gapcg import driver, lagrangian, pricing, simplex
 from gapcg.driver import CgConfig, RunReport, run, run_lr, update_bounds
 from gapcg.instance import (GapInstance, GeneratorSpec,
@@ -159,6 +159,41 @@ def test_pessoa_center_is_the_best_lagrangian_point_it_priced(monkeypatch, inst)
         best = center_bound
 
 
+@pytest.mark.parametrize("method", ["dantzig", "pessoa", "lt", "mt"])
+def test_alpha_columns_are_the_round_s_outcome_weights(monkeypatch, method):
+    # a priced row's alpha columns are the min, the sum-over-count mean and
+    # the max of its outcomes' alpha_used; Pessoa's is the mixing weight
+    # that its round leaves, and Dantzig and MT report none
+    rounds = []  # per pricing round: its outcomes, and Pessoa's weight after it
+    price = driver._price
+
+    def spied(inst, cfg, eps, sol, templates, phase1, state):
+        outcomes = price(inst, cfg, eps, sol, templates, phase1, state)
+        rounds.append((outcomes, state.alpha if method == "pessoa" and not phase1 else None))
+        return outcomes
+
+    monkeypatch.setattr(driver, "_price", spied)
+    rep = run(generate(GeneratorSpec(4, 24, seed=3)), CgConfig(pricing_method=method))
+    assert len(rep.rows) - len(rounds) in (0, 1)  # a run may end before pricing its last row
+    weighted = 0
+    for k, row in enumerate(rep.rows):
+        outcomes, alpha_after = rounds[k] if k < len(rounds) else ([], None)
+        used = [out.alpha_used for out in outcomes if out.alpha_used is not None]
+        stats = (row.alpha_min, row.alpha_avg, row.alpha_max)
+        if not used:
+            assert stats == (None, None, None)
+            continue
+        assert method in ("lt", "pessoa")
+        assert stats == (min(used), sum(used) / len(used), max(used))
+        if alpha_after is not None:
+            assert len(used) == len(outcomes)
+            assert (row.alpha_min, row.alpha_max) == (alpha_after, alpha_after)
+            # the mean of equal weights, summed in float
+            assert row.alpha_avg == pytest.approx(alpha_after, rel=1e-12, abs=1e-15)
+        weighted += 1
+    assert (weighted > 0) == (method in ("lt", "pessoa"))
+
+
 @pytest.mark.parametrize("seed", [7, 8])
 def test_pessoa_needs_fewer_rows_than_dantzig_over_labelings(seed):
     # smoothing exists to save iterations on degenerate masters; judged by the
@@ -274,7 +309,8 @@ def test_run_lr_matches_cg_lb(toy_3x12):
 
 
 def test_trace_invariants(toy_3x12):
-    rep = run(toy_3x12, CgConfig(pricing_method="lt", time_limit=60))
+    with margin_audit() as margins:
+        rep = run(toy_3x12, CgConfig(pricing_method="lt", time_limit=60))
     phase2 = [r for r in rep.rows if r.phase == "2"]
     objectives = [r.rmp_objective for r in phase2]
     assert all(a >= b - 1e-7 for a, b in zip(objectives, objectives[1:]))  # non-increasing
@@ -284,7 +320,8 @@ def test_trace_invariants(toy_3x12):
             assert r.lb_raw <= final + 1e-6  # valid-bound invariant
     phase1 = [r.rmp_objective for r in rep.rows if r.phase == "1"]
     assert all(a >= b - 1e-9 for a, b in zip(phase1, phase1[1:]))  # artificial sum sinks
-    assert rep.max_rc_margin <= 0.0  # every added column satisfied the budget
+    assert len(margins) == rep.total_columns_added
+    assert max(margins) <= 0.0  # every added column satisfied the budget
 
 
 def test_total_pivots_counts_every_master_pivot(toy_3x12, monkeypatch):
@@ -430,11 +467,12 @@ def test_phase_one_prices_below_its_unit_costs_at_any_epsilon(method, epsilon):
     # above 1 would stall phase one on this feasible instance
     inst = generate(GeneratorSpec(num_machines=3, num_jobs=12, seed=0))
     default = run(inst, CgConfig(pricing_method=method))
-    rep = run(inst, CgConfig(pricing_method=method, epsilon=epsilon))
+    with margin_audit() as margins:
+        rep = run(inst, CgConfig(pricing_method=method, epsilon=epsilon))
     assert any(r.phase == "2" for r in rep.rows)
     assert rep.status in ("optimal", "rc_converged", "gap_closed")
     assert rep.lb_int <= default.lb_int
-    assert rep.max_rc_margin <= 0.0
+    assert max(margins) <= 0.0
 
 
 @pytest.mark.parametrize("method, delta", [("lt", -0.1), ("mt", 0.6), ("lt", 0.0)])

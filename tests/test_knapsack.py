@@ -28,27 +28,27 @@ def check_capacity(problem, selection):
 
 def test_min_knapsack_frozen_example():
     # brute force over all 8 subsets gives value -5 via items {0, 1}
-    sol = min_knapsack(KnapsackProblem([-2, -3, -1], [3, 4, 5], 7))
-    assert sol.value == -5
-    assert list(np.flatnonzero(sol.selection)) == [0, 1]
+    value, selection = min_knapsack(KnapsackProblem([-2, -3, -1], [3, 4, 5], 7))
+    assert value == -5
+    assert list(np.flatnonzero(selection)) == [0, 1]
 
 
 def test_min_knapsack_all_nonnegative_profits():
-    sol = min_knapsack(KnapsackProblem([1.0, 0.0, 2.5], [1, 1, 1], 3))
-    assert sol.value == 0.0
-    assert not sol.selection.any()
+    value, selection = min_knapsack(KnapsackProblem([1.0, 0.0, 2.5], [1, 1, 1], 3))
+    assert value == 0.0
+    assert not selection.any()
 
 
 def test_min_knapsack_item_exceeding_capacity():
-    sol = min_knapsack(KnapsackProblem([-10.0], [9], 5))
-    assert sol.value == 0.0
-    assert not sol.selection.any()
+    value, selection = min_knapsack(KnapsackProblem([-10.0], [9], 5))
+    assert value == 0.0
+    assert not selection.any()
 
 
 def test_min_knapsack_zero_weight_items():
-    sol = min_knapsack(KnapsackProblem([-1.5, 0.0, -0.5], [0, 0, 0], 0))
-    assert sol.value == -2.0
-    assert list(sol.selection) == [True, False, True]
+    value, selection = min_knapsack(KnapsackProblem([-1.5, 0.0, -0.5], [0, 0, 0], 0))
+    assert value == -2.0
+    assert list(selection) == [True, False, True]
 
 
 def test_min_knapsack_matches_enumeration_seeded():
@@ -57,10 +57,10 @@ def test_min_knapsack_matches_enumeration_seeded():
         n = int(rng.integers(1, 16))
         problem = KnapsackProblem(rng.normal(0, 5, n).round(4),
                                   rng.integers(0, 9, n), int(rng.integers(0, 51)))
-        sol = min_knapsack(problem)
-        check_capacity(problem, sol.selection)
-        assert sol.value == pytest.approx(problem.profit[sol.selection].sum(), abs=1e-12)
-        assert abs(sol.value - enum_min(problem)) <= 1e-9
+        value, selection = min_knapsack(problem)
+        check_capacity(problem, selection)
+        assert value == pytest.approx(problem.profit[selection].sum(), abs=1e-12)
+        assert abs(value - enum_min(problem)) <= 1e-9
 
 
 def test_min_knapsack_capacity_monotone():
@@ -70,8 +70,8 @@ def test_min_knapsack_capacity_monotone():
         profit = rng.normal(0, 3, n).round(3)
         weight = rng.integers(1, 8, n)
         cap = int(rng.integers(0, 30))
-        lo = min_knapsack(KnapsackProblem(profit, weight, cap)).value
-        hi = min_knapsack(KnapsackProblem(profit, weight, cap + int(rng.integers(1, 6)))).value
+        lo, _ = min_knapsack(KnapsackProblem(profit, weight, cap))
+        hi, _ = min_knapsack(KnapsackProblem(profit, weight, cap + int(rng.integers(1, 6))))
         assert hi <= lo + 1e-12
 
 
@@ -118,12 +118,12 @@ def test_min_knapsack_batch_matches_min_knapsack_row_by_row(batch, group_bytes):
     assert selection.shape == profit.shape and len(values) == len(capacity)
     for r in range(len(capacity)):
         problem = KnapsackProblem(profit[r], weight[r], int(capacity[r]))
-        ref = per_problem_min_knapsack(problem)
+        ref_value, ref_selection = per_problem_min_knapsack(problem)
         one = min_knapsack(problem)  # the one-row case
-        for value, sel in [(values[r], selection[r]), (one.value, one.selection)]:
+        for value, sel in [(values[r], selection[r]), one]:
             assert type(value) is float
-            assert np.float64(value).tobytes() == np.float64(ref.value).tobytes()
-            assert sel.tobytes() == ref.selection.tobytes()
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert sel.tobytes() == ref_selection.tobytes()
 
 
 def test_min_knapsack_batch_minus_inf_row_leaves_next_rows_pads_at_inf():
@@ -149,9 +149,9 @@ def test_min_knapsack_batch_memory_does_not_grow_with_rows():
         tracemalloc.stop()
     assert peak <= 12e6
     for r in (0, 79):
-        ref = per_problem_min_knapsack(KnapsackProblem(profit[r], inst.resource[r],
-                                                       int(inst.capacity[r])))
-        assert values[r] == ref.value and (selection[r] == ref.selection).all()
+        ref_value, ref_selection = per_problem_min_knapsack(
+            KnapsackProblem(profit[r], inst.resource[r], int(inst.capacity[r])))
+        assert values[r] == ref_value and (selection[r] == ref_selection).all()
 
 
 def test_min_knapsack_batch_rejects_bad_shapes_and_negatives():
@@ -165,8 +165,8 @@ def test_min_knapsack_batch_rejects_bad_shapes_and_negatives():
         min_knapsack_batch(np.zeros((1, 2)), [[1, 1]], [-1])
     for profit, weight, capacity in [([0.0, 1.0], [1], 1), ([0.0, 1.0], [1, -1], 1),
                                      ([0.0, 1.0], [1, 1], -1)]:
-        with pytest.raises(ValueError):
-            KnapsackProblem(profit, weight, capacity)
+        with pytest.raises(ValueError):  # the one-row case raises the batch's checks
+            min_knapsack(KnapsackProblem(profit, weight, capacity))
 
 
 # ---------------------------------------------------------------- lex_knapsack
@@ -300,7 +300,7 @@ def workload_lex_problems(draw):
     rc = [q / 4 for q in draw(st.lists(quarters, min_size=n, max_size=n))]
     w = draw(st.lists(st.integers(0, 25), min_size=n, max_size=n))
     cap = draw(st.integers(0, 150))
-    budget = min_knapsack(KnapsackProblem(rc, w, cap)).value + draw(st.integers(-6, 30)) / 4
+    budget = min_knapsack(KnapsackProblem(rc, w, cap))[0] + draw(st.integers(-6, 30)) / 4
     return lex_problem(sim, rc, w, cap, budget)
 
 

@@ -11,7 +11,11 @@ and module-level assigned name that a module defines must have a
 production reader: a module of the package other than ``__init__.py``, or
 the benchmark's ``perfbench/`` modules. A name that a reader defines or
 imports itself, or reads off an imported module, counts for that module's
-name alone. Tests do not count, so code that only tests call cannot settle
+name alone. Every attribute that the package assigns outside an ``__init__``
+or ``__post_init__`` (``obj.name = ...``, augmented assignments included)
+must be loaded in the package or the benchmark's modules, and a load in the
+value assigned to that same attribute does not count. Tests do not count,
+so code that only tests call, and state that only tests read, cannot settle
 in ``src/``.
 """
 
@@ -104,6 +108,41 @@ def unread_private_names(sources: list[str]) -> list[str]:
                   if name.startswith("_") and not (name.startswith("__") and name.endswith("__")))
 
 
+def stored_attributes(node) -> set[str]:
+    """The attribute names that the assignment statement ``node`` assigns."""
+    return {attr.attr for target in assign_targets(node) for attr in ast.walk(target)
+            if isinstance(attr, ast.Attribute) and isinstance(attr.ctx, ast.Store)}
+
+
+def unread_assigned_attributes(sources: list[str], readers: list[str]) -> list[str]:
+    """The attribute names that the ``sources`` assign outside an ``__init__``
+    or ``__post_init__`` and none of the ``readers`` loads, leaving out the
+    loads in the value assigned to an attribute of the same name."""
+    assigned, loaded = set(), set()
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if function not in ("__init__", "__post_init__"):
+            assigned.update(stored_attributes(node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    for source in sources:
+        visit(ast.parse(source), None)
+    for tree in map(ast.parse, readers):
+        own = set()  # the loads that only feed their own attribute's update
+        for node in ast.walk(tree):
+            names = stored_attributes(node)
+            if names and node.value is not None:
+                own.update(attr for attr in ast.walk(node.value)
+                           if isinstance(attr, ast.Attribute) and attr.attr in names)
+        loaded.update(node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                      and node not in own)
+    return sorted(assigned - loaded)
+
+
 def public_definitions(source: str) -> list[str]:
     """The public functions, classes and assigned names at the top level of
     ``source`` and the public methods of its classes."""
@@ -182,6 +221,14 @@ def test_the_checks_see_what_they_look_for():
                                                              "unread_method"]
     assert unread_public_names({"m": defining}, {"m": defining}) == sorted(
         public_definitions(defining))
+    state = ("class Run:\n    def __init__(self):\n        self.set_once = 0\n"
+             "    def step(self, report):\n"
+             "        report.best = max(report.best, 1)\n        report.count += 1\n"
+             "        self.total, report.traced = 2, 3\n        return self.total\n")
+    # best feeds only its own update, and set_once is assigned in __init__ alone
+    assert unread_assigned_attributes([state], [state]) == ["best", "count", "traced"]
+    assert unread_assigned_attributes([state], [state, "print(run.traced)\n"]) == [
+        "best", "count"]
 
 
 @pytest.mark.parametrize("path", SOLVER_MODULES, ids=lambda p: p.name)
@@ -198,6 +245,12 @@ def test_every_public_name_has_a_production_reader():
                for p in SOLVER_MODULES + BENCHMARK_MODULES}
     defining = {p.stem: sources[p.stem] for p in SOLVER_MODULES}
     assert unread_public_names(defining, sources) == []
+
+
+def test_every_assigned_attribute_has_a_production_reader():
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    benchmark = [p.read_text(encoding="utf-8") for p in BENCHMARK_MODULES]
+    assert unread_assigned_attributes(sources, sources + benchmark) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

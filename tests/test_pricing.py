@@ -543,7 +543,7 @@ def test_pessoa_backtracking_prices_each_step_at_its_mixed_point(monkeypatch, le
         ref = dantzig_price(inst, i, points[-1], 1e9, EPS)
         assert out.selection is not None and np.array_equal(out.selection, ref.selection)
         assert reduced_cost_sum(inst.cost[i], pi_t, out.selection) <= mu[i] - EPS
-        assert out.alpha_used == 0.95
+        assert out.alpha_used == state.alpha  # the weight after the round's update
         if fallback:
             assert out.dantzig_rc == dantzig_price(inst, i, pi_t, 0.0, EPS).dantzig_rc
         else:

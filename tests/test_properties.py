@@ -3,7 +3,9 @@
 Every instance is small enough to enumerate each machine's feasible
 columns, so HiGHS solves the complete partition master
 (``_oracles.partition_master_lp``) as the reference. The strategy reaches
-negative costs, cost ties, zero weights and zero capacities.
+negative costs, cost ties, zero weights and zero capacities. Every run
+goes under ``conftest.margin_audit``: each column it adds clears its
+budget at its round's duals.
 """
 
 import math
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import partition_master_lp
+from conftest import margin_audit
 from gapcg.driver import CgConfig, run
 from gapcg.instance import GapInstance, InfeasibleInstanceError
 
@@ -35,9 +38,11 @@ def small_instances(draw):
 def test_cg_bound_matches_enumerated_master(method, inst):
     ref = partition_master_lp(inst)
     cfg = CgConfig(pricing_method=method, time_limit=60)
-    if ref.status == 2:  # no fractional cover exists
-        with pytest.raises(InfeasibleInstanceError):
-            run(inst, cfg)
-        return
-    assert ref.status == 0, ref.message
-    assert run(inst, cfg).lb_int == math.ceil(ref.fun - 1e-9)
+    with margin_audit() as margins:
+        if ref.status == 2:  # no fractional cover exists
+            with pytest.raises(InfeasibleInstanceError):
+                run(inst, cfg)
+        else:
+            assert ref.status == 0, ref.message
+            assert run(inst, cfg).lb_int == math.ceil(ref.fun - 1e-9)
+    assert max(margins, default=0.0) <= 0.0

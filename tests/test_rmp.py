@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from _oracles import (PerColumnMasterLp, ReconcilingMasterLp, compact_lp_optimum, lp_columns,
                       per_column_compact_lp, pool_columns, pool_walk_project_primal,
                       reconciling_build_and_solve)
+from conftest import margin_audit
 from gapcg import rmp
 from gapcg.driver import CgConfig, age_threshold, run
 from gapcg.instance import GapInstance, GeneratorSpec, InfeasibleInstanceError, generate
@@ -598,11 +599,12 @@ def test_master_matches_reconciling_master(method):
 def test_master_matches_reconciling_master_property(method, inst, tau):
     # short retention windows, so that columns leave the pool often
     cfg = CgConfig(pricing_method=method, time_limit=60, age_threshold=tau)
-    with reconciled_solves():
+    with reconciled_solves(), margin_audit() as margins:
         try:
             run(inst, cfg)
         except InfeasibleInstanceError:
             pass
+    assert max(margins, default=0.0) <= 0.0
 
 
 def add_new_column(pool, machine):
